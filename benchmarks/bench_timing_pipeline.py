@@ -27,7 +27,7 @@ MEMSYSTEMS = ("multibank", "vector", "ideal")
 #: minimum is the right statistic against GC pauses and noisy neighbors
 ROUNDS = 5
 #: regression floor asserted by the test (the measured ratio — recorded
-#: in BENCH_timing.json — is ~4x on an idle machine; the floor is
+#: in BENCH_timing.json — is ~3.5x on an idle machine; the floor is
 #: lower so a loaded CI runner does not flake)
 MIN_SPEEDUP = 2.0
 #: soft gate: the bench-timing CI job warns (does not fail) below this

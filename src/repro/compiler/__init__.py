@@ -22,23 +22,17 @@ from repro.compiler.dependence import (
 from repro.compiler.loopnest import (
     Affine,
     Loop,
-    LoopSignature,
     MapNest,
     Ref,
     ReduceSelectNest,
     Reduction,
     Select,
 )
-from repro.compiler.pipeline import (
-    coverage_regions,
-    rename_false_deps,
-    verify_marks,
-)
 
 __all__ = [
-    "Affine", "CompiledNest", "Loop", "LoopSignature", "MapNest", "Ref",
+    "Affine", "CompiledNest", "Loop", "MapNest", "Ref",
     "ReduceSelectNest", "Reduction", "Select", "byte_span",
     "check_map_legal", "check_reduce_legal", "compile_map",
-    "compile_reduce_select", "coverage_regions", "pick_3d_candidates",
-    "ranges_overlap", "rename_false_deps", "stream_shape", "verify_marks",
+    "compile_reduce_select", "pick_3d_candidates", "ranges_overlap",
+    "stream_shape",
 ]

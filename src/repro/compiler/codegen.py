@@ -101,18 +101,16 @@ def compile_reduce_select(nest: ReduceSelectNest, symbols: dict,
     b.li(_IDX, 0)
 
     k = 0
-    with b.loop() as chunks:
-        while k < nest.k.extent:
-            chunks.begin()
-            hi = min(k + chunk, nest.k.extent)
-            if three_d:
-                _emit_chunk_3d(b, nest, symbols, hoisted, three_d, k, hi,
-                               words, acc_op)
-            else:
-                _emit_chunk_2d(b, nest, symbols, hoisted, k, hi, words,
-                               acc_op)
-            b.branch()
-            k = hi
+    while k < nest.k.extent:
+        hi = min(k + chunk, nest.k.extent)
+        if three_d:
+            _emit_chunk_3d(b, nest, symbols, hoisted, three_d, k, hi,
+                           words, acc_op)
+        else:
+            _emit_chunk_2d(b, nest, symbols, hoisted, k, hi, words,
+                           acc_op)
+        b.branch()
+        k = hi
 
     b.st(_POS, ea=result_addr)
     b.st(_BEST, ea=result_addr + 8)
@@ -142,26 +140,24 @@ def _chunk_size(nest: ReduceSelectNest, three_d: list[Ref],
 def _emit_chunk_2d(b, nest, symbols, hoisted, k0, k_hi, words,
                    acc_op) -> None:
     red = nest.reduction
-    with b.loop() as cands:
-        for k in range(k0, k_hi):
-            cands.begin()
-            env = {nest.k.var: k, nest.j.var: 0, nest.i.var: 0}
-            b.clracc(acc(0))
-            reg = 0
-            pair = []
-            for ref in (red.a, red.b):
-                if ref in hoisted:
-                    pair.append(hoisted[ref])
-                    continue
-                for w in range(words):
-                    b.vld(v(reg + w), ea=_ea(ref, symbols, env) + 8 * w,
-                          stride=ref.stride(nest.j.var), etype=ref.etype)
-                pair.append(reg)
-                reg += words
+    for k in range(k0, k_hi):
+        env = {nest.k.var: k, nest.j.var: 0, nest.i.var: 0}
+        b.clracc(acc(0))
+        reg = 0
+        pair = []
+        for ref in (red.a, red.b):
+            if ref in hoisted:
+                pair.append(hoisted[ref])
+                continue
             for w in range(words):
-                getattr(b, acc_op)(acc(0), v(pair[0] + w),
-                                   v(pair[1] + w))
-            _emit_select(b, nest)
+                b.vld(v(reg + w), ea=_ea(ref, symbols, env) + 8 * w,
+                      stride=ref.stride(nest.j.var), etype=ref.etype)
+            pair.append(reg)
+            reg += words
+        for w in range(words):
+            getattr(b, acc_op)(acc(0), v(pair[0] + w),
+                               v(pair[1] + w))
+        _emit_select(b, nest)
 
 
 def _emit_chunk_3d(b, nest, symbols, hoisted, three_d, k0, k_hi, words,
@@ -188,34 +184,32 @@ def _emit_chunk_3d(b, nest, symbols, hoisted, three_d, k0, k_hi, words,
                   wwords=wwords, back=back, etype=ref.etype)
         slabs[ref] = {"slot": slot, "k_stride": k_stride}
 
-    with b.loop() as cands:
-        for _k in range(k0, k_hi):
-            cands.begin()
-            b.clracc(acc(0))
-            pair = []
-            for ref in (red.a, red.b):
-                if ref in hoisted:
-                    pair.append(("reg", hoisted[ref]))
+    for _k in range(k0, k_hi):
+        b.clracc(acc(0))
+        pair = []
+        for ref in (red.a, red.b):
+            if ref in hoisted:
+                pair.append(("reg", hoisted[ref]))
+            else:
+                pair.append(("slab", slabs[ref]))
+        for w in range(words):
+            regs = []
+            for kind, info in pair:
+                if kind == "reg":
+                    regs.append(v(info + w))
                 else:
-                    pair.append(("slab", slabs[ref]))
-            for w in range(words):
-                regs = []
-                for kind, info in pair:
-                    if kind == "reg":
-                        regs.append(v(info + w))
+                    slot = info["slot"]
+                    k_stride = info["k_stride"]
+                    if k_stride > 0:
+                        last = w == words - 1
+                        pstride = (k_stride - 8 * (words - 1)) \
+                            if last else 8
                     else:
-                        slot = info["slot"]
-                        k_stride = info["k_stride"]
-                        if k_stride > 0:
-                            last = w == words - 1
-                            pstride = (k_stride - 8 * (words - 1)) \
-                                if last else 8
-                        else:
-                            pstride = k_stride  # words == 1 enforced
-                        b.dvmov3(v(6), d3(slot), pstride=pstride)
-                        regs.append(v(6))
-                getattr(b, acc_op)(acc(0), regs[0], regs[1])
-            _emit_select(b, nest)
+                        pstride = k_stride  # words == 1 enforced
+                    b.dvmov3(v(6), d3(slot), pstride=pstride)
+                    regs.append(v(6))
+            getattr(b, acc_op)(acc(0), regs[0], regs[1])
+        _emit_select(b, nest)
 
 
 def _emit_select(b: ProgramBuilder, nest: ReduceSelectNest) -> None:

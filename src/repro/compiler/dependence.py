@@ -112,55 +112,6 @@ def check_reduce_legal(nest: ReduceSelectNest) -> None:
     check_usimd_dim(nest.reduction.b, nest.i)
 
 
-def body_def_use(instructions, start: int, length: int):
-    """Register def/use structure of one loop-body slice of a trace.
-
-    Scans ``instructions[start:start + length]`` in slot order and
-    returns ``(carried, def_sites)``:
-
-    * ``carried`` -- registers read before their first write in the
-      body (loop-carried or live-in; renaming them would change
-      dataflow).  Instructions that partially update their destination
-      (``cmov``, the accumulating uSIMD ops) list it among their
-      sources, so the read-before-write scan needs no special cases.
-    * ``def_sites`` -- for every register written in the body, the
-      ordered list of body-relative slots that write it.
-
-    Registers are the interned :class:`repro.isa.registers.Register`
-    objects from the trace.
-    """
-    carried = set()
-    def_sites: dict = {}
-    written = set()
-    for slot in range(length):
-        inst = instructions[start + slot]
-        for src in inst.srcs:
-            if src not in written:
-                carried.add(src)
-        for dst in inst.dsts:
-            def_sites.setdefault(dst, []).append(slot)
-            written.add(dst)
-    return carried, def_sites
-
-
-def register_events(instructions):
-    """Per-register sorted ``(index, is_def)`` event lists for a trace.
-
-    Used by the renaming pass to find registers that are *free over a
-    region*: a register is a safe temporary for region ``[lo, hi)`` iff
-    it has no event inside the region and its first event at or after
-    ``hi`` (if any) is a definition, so a stray value left in it can
-    never be observed.
-    """
-    events: dict = {}
-    for index, inst in enumerate(instructions):
-        for src in inst.srcs:
-            events.setdefault(src, []).append((index, False))
-        for dst in inst.dsts:
-            events.setdefault(dst, []).append((index, True))
-    return events
-
-
 def pick_3d_candidates(nest: ReduceSelectNest,
                        max_slab_bytes: int = 128) -> list[Ref]:
     """Which streams of a reduce/select nest qualify for dvload3.

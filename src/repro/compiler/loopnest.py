@@ -128,42 +128,6 @@ class ReduceSelectNest:
 
 
 @dataclass(frozen=True)
-class LoopSignature:
-    """A verified periodic region of a dynamic trace.
-
-    Describes ``trips`` back-to-back iterations of a loop whose body
-    occupies ``body_len`` consecutive trace slots starting at ``start``.
-    Every iteration has the *same shape*: per body slot, the opcode,
-    operand registers, element type, vector length and memory stride are
-    identical across iterations, and effective addresses advance by a
-    per-slot constant (``ea_steps``) each trip.  Immediates may vary
-    freely -- they are not modelled by the timing layer.
-
-    The timing layer's pre-decode uses signatures to lower one body and
-    replicate the result; the grid fast-forward seeds its anchor-state
-    search at iteration boundaries (see ``timing/gridskip.py``).
-    """
-
-    #: Trace index of the first body slot of the first iteration.
-    start: int
-    #: Number of trace slots per iteration.
-    body_len: int
-    #: Number of iterations (>= 2).
-    trips: int
-    #: Per-slot effective-address delta between consecutive iterations
-    #: (0 for non-memory slots).
-    ea_steps: tuple[int, ...]
-
-    @property
-    def end(self) -> int:
-        """Trace index one past the last body slot of the last trip."""
-        return self.start + self.body_len * self.trips
-
-    def contains(self, other: "LoopSignature") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
-
-@dataclass(frozen=True)
 class MapNest:
     """for j: for i: out[...] = op(a[...], b[...]) (elementwise)."""
 

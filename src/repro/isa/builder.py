@@ -17,23 +17,6 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import VL, Register
 
 
-class LoopMark:
-    """Handle yielded by :meth:`ProgramBuilder.loop`.
-
-    The workload generator calls :meth:`begin` at the top of each
-    iteration it emits; the recorded boundaries become a raw loop mark
-    on the program for the compiler pass to verify.
-    """
-
-    def __init__(self, builder: "ProgramBuilder"):
-        self._builder = builder
-        self.starts: list[int] = []
-
-    def begin(self) -> None:
-        """Mark the start of the next loop iteration."""
-        self.starts.append(len(self._builder.program.instructions))
-
-
 class ProgramBuilder:
     """Builds a :class:`Program` one instruction at a time."""
 
@@ -57,32 +40,6 @@ class ProgramBuilder:
             yield self
         finally:
             self._tag = prev
-
-    @contextmanager
-    def loop(self):
-        """Mark a (dynamically unrolled) loop for the compiler pass.
-
-        Usage::
-
-            with b.loop() as lp:
-                for i in range(n):
-                    lp.begin()
-                    ... emit the body ...
-
-        Records ``(iteration_starts, end)`` on the program.  Marks are
-        advisory: the compiler pass keeps only loops whose iterations it
-        can verify as uniform (see :mod:`repro.compiler.pipeline`); an
-        unverifiable mark is dropped, never an error.  Nested ``loop()``
-        contexts are allowed and recorded independently.
-        """
-        mark = LoopMark(self)
-        try:
-            yield mark
-        finally:
-            end = len(self.program.instructions)
-            if len(mark.starts) >= 2:
-                self.program.loop_marks.append(
-                    (tuple(mark.starts), end))
 
     def _emit(self, op: Opcode, **kw) -> Instruction:
         inst = Instruction(op=op, tag=self._tag, **kw)

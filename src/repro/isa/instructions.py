@@ -107,17 +107,6 @@ class Program:
     #: per-program memos (the timing layer's pre-decode cache) can
     #: detect that a trace grew after it was lowered.
     version: int = field(default=0, repr=False, compare=False)
-    #: Raw loop-iteration boundary marks recorded by the builder:
-    #: ``(iteration_start_indices, end_index)`` per marked loop.  The
-    #: compiler pass (:mod:`repro.compiler.pipeline`) verifies them and
-    #: publishes the verified subset as :attr:`loops`.
-    loop_marks: list = field(default_factory=list, repr=False,
-                             compare=False)
-    #: Verified :class:`repro.compiler.loopnest.LoopSignature` records,
-    #: sorted by start (outer loops before the inner loops they
-    #: contain).  Trace consumers (pre-decode, the grid fast-forward)
-    #: treat an empty list as "no periodic structure declared".
-    loops: list = field(default_factory=list, repr=False, compare=False)
 
     def append(self, inst: Instruction) -> None:
         """Validate and append one instruction."""

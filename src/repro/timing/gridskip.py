@@ -46,7 +46,6 @@ from bisect import bisect_left
 
 import numpy as np
 
-from repro.compiler.pipeline import coverage_regions
 from repro.timing.predecode import KIND_MEM, _program_memo
 
 #: Anchor cadence bounds: decimate denser groups, ignore sparser rows.
@@ -56,23 +55,19 @@ _MAX_SPACING = 4096
 #: At most this many phase groups and anchors per group.
 _MAX_PHASES = 8
 _MAX_GROUP_ANCHORS = 48
-#: Floor and cap for the per-trace skip-span bound, in memory
-#: ordinals.  One bound serves three cooperating roles (see
-#: :meth:`_SkipState._verify` for the exactness argument): each skip
-#: is capped to this many ordinals, the store→load conflict pattern
-#: tracks sources this far back (an in-span load's in-span sources
-#: can never be further), and the anchor capture pins the value of
-#: every conflict gate with a reader inside this horizon (which
-#: covers every in-span load that could read a *pre*-anchor gate).
-#: Conflicts at larger distances are unobservable inside a span:
-#: their gate values ride the pinned capture key and the exact
-#: landing translation instead.  The working value is raised per
-#: trace just far enough to fit one iteration of its longest
-#: compiler-declared loop body — a deeper horizon than needed only
-#: makes the pattern arrays longer and the periodicity requirement
-#: stricter.
+#: The skip-span bound, in memory ordinals.  One bound serves three
+#: cooperating roles (see :meth:`_SkipState._verify` for the exactness
+#: argument): each skip is capped to this many ordinals, the
+#: store→load conflict pattern tracks sources this far back (an
+#: in-span load's in-span sources can never be further), and the
+#: anchor capture pins the value of every conflict gate with a reader
+#: inside this horizon (which covers every in-span load that could
+#: read a *pre*-anchor gate).  Conflicts at larger distances are
+#: unobservable inside a span: their gate values ride the pinned
+#: capture key and the exact landing translation instead.  A deeper
+#: horizon only makes the pattern arrays longer and the periodicity
+#: requirement stricter.
 _SKIP_HORIZON = 1024
-_SKIP_HORIZON_CAP = 4096
 
 
 # -- shared (per-trace / per-proc / per-geometry) tables ---------------------
@@ -86,22 +81,12 @@ def _skip_core(program, core):
         return tables
     rows = core.rows
     n = core.n
-    # The periodized decoder shares row tuple *objects* across loop
-    # iterations, so an identity-keyed cache resolves the bulk of the
-    # trace without hashing the tuples; value interning stays as the
-    # fallback that keeps equal rows from distinct objects unified.
-    intern: dict[tuple, int] = {}
-    by_ident: dict[int, int] = {}
-    rowid = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(rows):
-        rid = by_ident.get(id(row))
-        if rid is None:
-            rid = intern.get(row)
-            if rid is None:
-                rid = intern[row] = len(intern)
-            by_ident[id(row)] = rid
-        rowid[i] = rid
-    del by_ident
+    # The core decode interns its rows by value, so object identity is
+    # row identity: number the distinct rows in order of appearance
+    # without hashing the tuples.
+    ids: dict[int, int] = {}
+    rowid = np.fromiter((ids.setdefault(id(row), len(ids)) for row in rows),
+                        dtype=np.int64, count=n)
 
     # ordinals: memory instructions and pointer admissions before i
     kinds = core.kind_arr
@@ -122,81 +107,12 @@ def _skip_core(program, core):
             acc[:n - off] = acc[:n - off] * 1000003 + shifted
         pdg = acc
 
-    # anchors, first source: compiler-declared loop regions.  Two
-    # seeding schemes cover the two ways media traces repeat:
-    #
-    # * *iteration starts* inside one long loop (an FIR over a frame,
-    #   a motion-compensation row walk) — known periodic positions
-    #   from the verified signature, strided up to the spacing floor;
-    # * *region starts* across repeated instances of the same loop
-    #   shape (the per-block IDCT of every 8x8 block) — an individual
-    #   8-trip loop has ramping store-conflict structure and never
-    #   verifies against itself, but consecutive *blocks* repeat
-    #   wholesale, so the loop-entry positions form the periodic grid.
-    #
-    # Dense grids cost nothing once skips chain (anchors inside a
-    # skipped span are never visited) and per-phase patience bounds
-    # the probe cost when they don't; a sparse grid would push the
-    # period past the store-window bound in
-    # :meth:`_SkipState._verify` on long traces.
-    anchors = None
-    horizon = _SKIP_HORIZON
-    all_regions = coverage_regions(getattr(program, "loops", ()))
-    if all_regions:
-        seeded = bytearray(n)
-        any_set = False
-        for sig in all_regions:
-            if sig.trips < 4:
-                continue
-            length = sig.body_len
-            step = max(1, -(-_MIN_SPACING_FLOOR // length))
-            count = sig.trips // step
-            if count < 3:
-                continue
-            stride = step * length
-            for j in range(count):
-                seeded[sig.start + j * stride] = 1
-            any_set = True
-            # widen the span bound to fit one anchor period of this
-            # region, else a long loop body can never verify
-            pm_iter = int(memord[min(sig.start + stride, n)]
-                          - memord[sig.start])
-            if horizon < pm_iter <= _SKIP_HORIZON_CAP:
-                horizon = pm_iter
-        by_shape: dict[tuple, list] = {}
-        for sig in all_regions:
-            by_shape.setdefault((sig.body_len, sig.trips),
-                                []).append(sig.start)
-        for starts in by_shape.values():
-            if len(starts) < 3:
-                continue
-            picked = []
-            last = -_MAX_SPACING
-            for s0 in starts:
-                if s0 - last >= _MIN_SPACING_FLOOR:
-                    picked.append(s0)
-                    last = s0
-            if len(picked) >= 3:
-                for s0 in picked:
-                    seeded[s0] = 1
-                any_set = True
-                gap = max(int(memord[b] - memord[a]) for a, b in
-                          zip(picked, picked[1:]))
-                if horizon < gap <= _SKIP_HORIZON_CAP:
-                    horizon = gap
-        if any_set:
-            anchors = seeded
-
-    # second source, merged with the first: the most frequent row with
-    # an acceptable cadence.  Its occurrences are grouped by *phase*
-    # (the upcoming-row digest) so that consecutive anchors of one
-    # group sit at the same loop offset — one group per recurring
-    # phase, each decimated to the target spacing.  Distinct trace
-    # sections (a DCT loop followed by a quantization loop, say)
-    # contribute their own anchor groups.  Periodicity the compiler
-    # did not declare (an outer loop over non-affine block bases, a
-    # workload without marks) is still caught here.
-    seeded_anchors = anchors
+    # anchors: the most frequent row with an acceptable cadence.  Its
+    # occurrences are grouped by *phase* (the upcoming-row digest) so
+    # that consecutive anchors of one group sit at the same loop
+    # offset — one group per recurring phase, each decimated to the
+    # target spacing.  Distinct trace sections (a DCT loop followed by
+    # a quantization loop, say) contribute their own anchor groups.
     anchors = None
     if n:
         min_spacing = max(_MIN_SPACING_FLOOR, n // _MAX_ANCHORS)
@@ -247,18 +163,9 @@ def _skip_core(program, core):
             if not any_set:
                 anchors = None
 
-    if seeded_anchors is not None:
-        if anchors is None:
-            anchors = seeded_anchors
-        else:
-            for pos, flag in enumerate(seeded_anchors):
-                if flag:
-                    anchors[pos] = 1
-
     positions_list = ([k for k, flag in enumerate(anchors) if flag]
                       if anchors is not None else None)
-    tables = (rowid, memord, ptrord, anchors, positions_list, pdg,
-              horizon)
+    tables = (rowid, memord, ptrord, anchors, positions_list, pdg)
     memo["grid-skip-core"] = tables
     return tables
 
@@ -284,7 +191,7 @@ def _skip_gates(program, gates, ptrord, proc):
     return tables
 
 
-def _skip_store_pattern(program, d, l2_line: int, horizon: int):
+def _skip_store_pattern(program, d, l2_line: int):
     """Store→load conflict structure, position-relative (memoized).
 
     For every memory instruction: the set of earlier stores whose
@@ -297,7 +204,7 @@ def _skip_store_pattern(program, d, l2_line: int, horizon: int):
     function of the trace and the L2 line size, so the tables are
     shared by every configuration with that line size.
 
-    Sources are tracked within the trace's span-bound lookback only
+    Sources are tracked within the :data:`_SKIP_HORIZON` lookback only
     (the per-line buckets are age-pruned as they are read).  Exactness
     survives the truncation because every skip is bounded so that any
     in-span store→load conflict distance stays inside the window (see
@@ -306,7 +213,7 @@ def _skip_store_pattern(program, d, l2_line: int, horizon: int):
     translation instead.
     """
     memo = _program_memo(program)
-    key = ("grid-skip-store", l2_line, horizon)
+    key = ("grid-skip-store", l2_line)
     tables = memo.get(key)
     if tables is not None:
         return tables
@@ -315,7 +222,7 @@ def _skip_store_pattern(program, d, l2_line: int, horizon: int):
     srcs: list[int] = []
     m = 0
     for i, (_to_l1, _request, lines, is_store) in d.mem.items():
-        oldest = m - horizon
+        oldest = m - _SKIP_HORIZON
         if is_store:
             counts.append(0)
             for line in lines:
@@ -386,10 +293,8 @@ class _SkipState:
 
     def __init__(self, core, proc, rowid, memord, ptrord, anchors,
                  positions, pdg, grel, prel, scounts, ssrcs, soff,
-                 traffic, last_load, readers, writers, gate_lines,
-                 horizon):
+                 traffic, last_load, readers, writers, gate_lines):
         self.n = core.n
-        self.horizon = horizon
         self.window = proc.window
         self.ptr_cap = proc.extra_ptr_regs
         self.last_load = last_load
@@ -469,7 +374,7 @@ class _SkipState:
         # Tails are truncated at the maximum skip distance: an access
         # further out happens after any licensed skip has landed, where
         # the translated gate dict (not this key) governs it.
-        horizon = self.horizon
+        horizon = _SKIP_HORIZON
         store_key = []
         for line, v in store_lines.items():
             rd = self.readers.get(line, ())
@@ -562,9 +467,9 @@ class _SkipState:
             # pm itself <= window/2) guarantees the pattern arrays
             # verified below cover every gate the span can read that
             # the anchor capture did not already pin.
-            if pm > self.horizon:
+            if pm > _SKIP_HORIZON:
                 return 0
-            k = min(k, max(1, self.horizon // pm))
+            k = min(k, max(1, _SKIP_HORIZON // pm))
             (mk, mstore, mbusy, moffset, refcnt, ref_off,
              ref_lat) = self._config_arrays()
             for arr in (mk, mstore, mbusy, moffset, refcnt,
@@ -784,14 +689,13 @@ def _skip_state_for(program, d, proc, memsys, gates, traffic,
     core = d.core
     if core.n < max(4 * _MIN_SPACING_FLOOR, 2 * proc.window):
         return None
-    rowid, memord, ptrord, anchors, positions, pdg, horizon = \
+    rowid, memord, ptrord, anchors, positions, pdg = \
         _skip_core(program, core)
     if anchors is None:
         return None
     grel, prel = _skip_gates(program, gates, ptrord, proc)
     scounts, ssrcs, soff = _skip_store_pattern(
-        program, d, memsys.hierarchy.l2_line, horizon)
+        program, d, memsys.hierarchy.l2_line)
     return _SkipState(core, proc, rowid, memord, ptrord, anchors,
                       positions, pdg, grel, prel, scounts, ssrcs, soff,
-                      traffic, last_load, readers, writers, gate_lines,
-                      horizon)
+                      traffic, last_load, readers, writers, gate_lines)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compiler.pipeline import coverage_regions
 from repro.errors import ConfigError
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import EXEC_CLASS, ExecClass, Opcode
@@ -314,7 +313,9 @@ class CoreDecode:
     ``rows`` drives the batched scalar loop: one tuple per instruction
     ``(kind, branch, latency, src_ids, dst_ids, rename_codes, lsq,
     needs_vl, ptr_kind, ptr_id)`` so the loop does a single list index
-    plus one C-level unpack instead of a dozen attribute lookups.
+    plus one C-level unpack instead of a dozen attribute lookups.  Equal
+    rows are one tuple object (interned by value), so row identity is
+    row equality.
     """
 
     n: int
@@ -504,171 +505,97 @@ def _decode_core(program: Program) -> CoreDecode:
     sid_of: dict[int, int] = {}
     dst_of: dict[int, tuple[int, int | None]] = {}
 
+    # Rows are interned by value: an unrolled loop repeats a handful of
+    # distinct rows thousands of times, so equal rows share one tuple
+    # (memory scales with the distinct rows, not the trace length) and
+    # downstream passes can key rows by identity.
+    intern: dict[tuple, tuple] = {}
+
     # hazard-run detection state: last writer index per register id
     last_write = [-1] * SB_SIZE
-
-    def scan(lo: int, hi: int, run_start: int) -> int:
-        """Lower instructions [lo, hi) sequentially; returns the open
-        hazard-free run start (-1 when none)."""
-        nonlocal rf3d_words, rf3d_reads, has_dvload3
-        for i in range(lo, hi):
-            inst = instructions[i]
-            (kind, branch, latency, vl_reader, scalar_mem, store_op,
-             is_dvload3, is_vmem) = op_info[op_ids[i]]
-            vl = inst.vl
-            vl_list[i] = vl
-            kind_list[i] = kind
-            src_ids_list = []
-            for s in inst.srcs:
-                sid = sid_of.get(id(s))
-                if sid is None:
-                    sid = 1 + cls_code[id(s.cls)] * 32 + s.index
-                    sid_of[id(s)] = sid
-                src_ids_list.append(sid)
-            src_ids = tuple(src_ids_list)
-            dst_ids: tuple[int, ...] = ()
-            ren: tuple[int, ...] = ()
-            for t in inst.dsts:
-                entry = dst_of.get(id(t))
-                if entry is None:
-                    entry = (1 + cls_code[id(t.cls)] * 32 + t.index,
-                             ren_get(id(t.cls)))
-                    dst_of[id(t)] = entry
-                tid, code = entry
-                dst_ids += (tid,)
-                if code is not None:
-                    ren += (code,)
-            needs_vl = vl > 1 or vl_reader
-            ptr_kind = 0
-            ptr = 0
-            if kind == KIND_D3MOVE:
-                ptr_kind = 1
-                ptr = ptr_id(inst.srcs[0].index)
-                rf3d_words += vl
-                rf3d_reads += 1
-                veclen_events.append((2, inst.srcs[0].index, 0))
-            elif kind == KIND_MEM:
-                lanes = inst.etype.lanes if inst.etype is not None else 8
-                if is_dvload3:
-                    has_dvload3 = True
-                    ptr_kind = 2
-                    ptr = ptr_id(inst.dsts[0].index)
-                    veclen_events.append(
-                        (1, inst.dsts[0].index, (lanes << 8) | vl))
-                elif is_vmem:
-                    veclen_events.append((0, 0, (lanes << 8) | vl))
-                mem_geometry.append(
-                    (i, inst.ea, 1 if scalar_mem else vl,
-                     inst.stride or 0, (inst.wwords or 1) * 8,
-                     scalar_mem, store_op))
-                requests[i] = request_for(inst)
-            rows.append((kind, branch, latency, src_ids, dst_ids, ren,
-                         kind >= KIND_D3MOVE, needs_vl, ptr_kind, ptr))
-
-            # hazard-free run tracking (int/SIMD only, no branches)
-            if kind <= KIND_SIMD and not branch:
-                if run_start < 0:
-                    run_start = i
-                else:
-                    hazard = needs_vl and last_write[VL_ID] >= run_start
-                    if not hazard:
-                        for x in src_ids:
-                            if last_write[x] >= run_start:
-                                hazard = True
-                                break
-                    if not hazard:
-                        for x in dst_ids:
-                            if last_write[x] >= run_start:
-                                hazard = True
-                                break
-                    if hazard:
-                        if i - run_start > 1:
-                            runs.append((run_start, i))
-                        run_start = i
-            elif run_start >= 0:
-                if i - run_start > 1:
-                    runs.append((run_start, i))
-                run_start = -1
-            for t in dst_ids:
-                last_write[t] = i
-        return run_start
-
-    def close_run(at: int, run_start: int) -> int:
-        if run_start >= 0 and at - run_start > 1:
-            runs.append((run_start, at))
-        return -1
-
-    # Periodic regions declared by the trace-analysis pass
-    # (repro.compiler.pipeline): lower one body per region, then
-    # replicate the products for the remaining trips.  The replicated
-    # row/event tuples are *shared objects*, which downstream passes
-    # exploit (identity-keyed interning).  Hazard runs are forced to
-    # break at iteration boundaries, which makes the break pattern a
-    # pure function of the body (any cross-iteration value lands before
-    # the forced break, so no run can observe it) — the resulting runs
-    # are a hazard-free subset of the sequential scan's, and the fast
-    # and scalar span paths are bit-identical by construction.
-    regions = [s for s in coverage_regions(getattr(program, "loops", []))
-               if s.trips >= 2]
-
-    cursor = 0
     run_start = -1
-    for sig in regions:
-        if sig.start > cursor:
-            run_start = scan(cursor, sig.start, run_start)
-        lo, length, trips = sig.start, sig.body_len, sig.trips
-        run_start = close_run(lo, run_start)
-        rows_mark = len(rows)
-        runs_mark = len(runs)
-        events_mark = len(veclen_events)
-        geom_mark = len(mem_geometry)
-        w_mark, r_mark = rf3d_words, rf3d_reads
-        run_start = scan(lo, lo + length, run_start)
-        run_start = close_run(lo + length, run_start)
+    for i, inst in enumerate(instructions):
+        (kind, branch, latency, vl_reader, scalar_mem, store_op,
+         is_dvload3, is_vmem) = op_info[op_ids[i]]
+        vl = inst.vl
+        vl_list[i] = vl
+        kind_list[i] = kind
+        src_ids_list = []
+        for s in inst.srcs:
+            sid = sid_of.get(id(s))
+            if sid is None:
+                sid = 1 + cls_code[id(s.cls)] * 32 + s.index
+                sid_of[id(s)] = sid
+            src_ids_list.append(sid)
+        src_ids = tuple(src_ids_list)
+        dst_ids: tuple[int, ...] = ()
+        ren: tuple[int, ...] = ()
+        for t in inst.dsts:
+            entry = dst_of.get(id(t))
+            if entry is None:
+                entry = (1 + cls_code[id(t.cls)] * 32 + t.index,
+                         ren_get(id(t.cls)))
+                dst_of[id(t)] = entry
+            tid, code = entry
+            dst_ids += (tid,)
+            if code is not None:
+                ren += (code,)
+        needs_vl = vl > 1 or vl_reader
+        ptr_kind = 0
+        ptr = 0
+        if kind == KIND_D3MOVE:
+            ptr_kind = 1
+            ptr = ptr_id(inst.srcs[0].index)
+            rf3d_words += vl
+            rf3d_reads += 1
+            veclen_events.append((2, inst.srcs[0].index, 0))
+        elif kind == KIND_MEM:
+            lanes = inst.etype.lanes if inst.etype is not None else 8
+            if is_dvload3:
+                has_dvload3 = True
+                ptr_kind = 2
+                ptr = ptr_id(inst.dsts[0].index)
+                veclen_events.append(
+                    (1, inst.dsts[0].index, (lanes << 8) | vl))
+            elif is_vmem:
+                veclen_events.append((0, 0, (lanes << 8) | vl))
+            mem_geometry.append(
+                (i, inst.ea, 1 if scalar_mem else vl,
+                 inst.stride or 0, (inst.wwords or 1) * 8,
+                 scalar_mem, store_op))
+            requests[i] = request_for(inst)
+        row = (kind, branch, latency, src_ids, dst_ids, ren,
+               kind >= KIND_D3MOVE, needs_vl, ptr_kind, ptr)
+        rows.append(intern.setdefault(row, row))
 
-        reps = trips - 1
-        body_rows = rows[rows_mark:]
-        body_runs = runs[runs_mark:]
-        body_events = veclen_events[events_mark:]
-        body_geom = mem_geometry[geom_mark:]
-        rows += body_rows * reps
-        rf3d_words += (rf3d_words - w_mark) * reps
-        rf3d_reads += (rf3d_reads - r_mark) * reps
-        if body_events:
-            veclen_events += body_events * reps
-        hi = lo + length * trips
-        vl_list[lo + length:hi] = vl_list[lo:lo + length] * reps
-        kind_list[lo + length:hi] = kind_list[lo:lo + length] * reps
-        steps = sig.ea_steps
-        body_mem = [(g, steps[g[0] - lo]) for g in body_geom]
-        for k in range(1, trips):
-            off = k * length
-            for (rlo, rhi) in body_runs:
-                runs.append((rlo + off, rhi + off))
-            for g, step in body_mem:
-                i0, ea0, count, stride, width, scalar, store = g
-                idx = i0 + off
-                delta = k * step
-                mem_geometry.append((idx, ea0 + delta, count, stride,
-                                     width, scalar, store))
-                req0 = requests[i0]
-                if step == 0:
-                    requests[idx] = req0
-                else:
-                    requests[idx] = MemRequest(
-                        refs=[(a + delta, nb) for a, nb in req0.refs],
-                        is_write=req0.is_write,
-                        useful_words=req0.useful_words,
-                        line_mode=req0.line_mode)
-        # writes inside the body stay live until the last trip
-        shift = reps * length
-        for x in range(SB_SIZE):
-            if last_write[x] >= lo:
-                last_write[x] += shift
-        cursor = hi
-    if cursor < n:
-        run_start = scan(cursor, n, run_start)
-    close_run(n, run_start)
+        # hazard-free run tracking (int/SIMD only, no branches)
+        if kind <= KIND_SIMD and not branch:
+            if run_start < 0:
+                run_start = i
+            else:
+                hazard = needs_vl and last_write[VL_ID] >= run_start
+                if not hazard:
+                    for x in src_ids:
+                        if last_write[x] >= run_start:
+                            hazard = True
+                            break
+                if not hazard:
+                    for x in dst_ids:
+                        if last_write[x] >= run_start:
+                            hazard = True
+                            break
+                if hazard:
+                    if i - run_start > 1:
+                        runs.append((run_start, i))
+                    run_start = i
+        elif run_start >= 0:
+            if i - run_start > 1:
+                runs.append((run_start, i))
+            run_start = -1
+        for t in dst_ids:
+            last_write[t] = i
+    if run_start >= 0 and n - run_start > 1:
+        runs.append((run_start, n))
 
     return CoreDecode(
         n=n, rows=rows, runs=runs, mem_geometry=mem_geometry,

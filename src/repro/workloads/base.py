@@ -19,7 +19,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.compiler import pipeline as trace_pipeline
 from repro.errors import ConfigError
 from repro.isa.instructions import Program
 from repro.vm.executor import Executor
@@ -58,17 +57,8 @@ class Benchmark(abc.ABC):
     #: False when the paper found no exploitable 3D patterns
     has_3d: bool = True
 
-    def build(self, coding: str, seed: int = 0, *,
-              analyze: bool = True) -> BuiltWorkload:
-        """Generate the instruction trace for one coding.
-
-        ``analyze`` runs the modulo-scheduling trace analysis
-        (:mod:`repro.compiler.pipeline`) on the generated program:
-        loop marks become verified iteration signatures and false
-        intra-body WAW/WAR dependences are renamed away.  Disabling it
-        yields the raw generator output (used by differential tests
-        and the ``trace_analysis`` run override).
-        """
+    def build(self, coding: str, seed: int = 0) -> BuiltWorkload:
+        """Generate the instruction trace for one coding."""
         if coding not in CODINGS:
             raise ConfigError(f"unknown coding {coding!r}; "
                               f"expected one of {CODINGS}")
@@ -77,8 +67,6 @@ class Benchmark(abc.ABC):
         else:
             coding_to_build = coding
         built = self._build(coding_to_build, seed)
-        if analyze:
-            trace_pipeline.run(built.program)
         return BuiltWorkload(
             name=self.name, coding=coding,
             program=built.program, memory=built.memory,

@@ -204,23 +204,19 @@ class BlockGroupPass:
                 b.vst(v(3), ea=scratch + row * 64, stride=8,
                       etype=ElemType.I16)  # spill t_hi (dense)
                 b.branch()
-            with b.loop() as lo_rows:
-                for u in range(8):  # column pass, lo halves
-                    lo_rows.begin()
-                    self._col_row(b, u)
-                    b.vst(v(2), ea=lout.word_addr(u, 0),
-                          stride=lout.elem_stride, etype=ElemType.I16)
-                    b.branch()
+            for u in range(8):  # column pass, lo halves
+                self._col_row(b, u)
+                b.vst(v(2), ea=lout.word_addr(u, 0),
+                      stride=lout.elem_stride, etype=ElemType.I16)
+                b.branch()
             for k in range(8):  # reload t_hi
                 b.vld(v(8 + k), ea=scratch + k * 64, stride=8,
                       etype=ElemType.I16)
-            with b.loop() as hi_rows:
-                for u in range(8):  # column pass, hi halves
-                    hi_rows.begin()
-                    self._col_row(b, u)
-                    b.vst(v(2), ea=lout.word_addr(u, 1),
-                          stride=lout.elem_stride, etype=ElemType.I16)
-                    b.branch()
+            for u in range(8):  # column pass, hi halves
+                self._col_row(b, u)
+                b.vst(v(2), ea=lout.word_addr(u, 1),
+                      stride=lout.elem_stride, etype=ElemType.I16)
+                b.branch()
 
     # -- MMX ---------------------------------------------------------------------------
 
@@ -230,38 +226,32 @@ class BlockGroupPass:
         lin = _Layout(self.layout, in_addr, in_stride)
         lout = _Layout(self.layout, out_addr, out_stride)
         with b.tagged(self.tag):
-            with b.loop() as blocks:
-                for blk in range(8):
-                    blocks.begin()
-                    for row in range(8):
-                        b.vld(v(0), ea=lin.word_addr(row, 0, blk),
-                              stride=8, vl=1, etype=ElemType.I16)
-                        b.vld(v(1), ea=lin.word_addr(row, 1, blk),
-                              stride=8, vl=1, etype=ElemType.I16)
-                        self._prescale(b)
-                        self._row_accumulate(b)
-                        b.simd(Opcode.POR, v(8 + row), v(2), v(2),
-                               etype=ElemType.I16)
-                        b.vst(v(3), ea=scratch + row * 64 + 8 * blk,
-                              stride=8, vl=1, etype=ElemType.I16)
-                        b.branch()
-                    with b.loop() as lo_rows:
-                        for u in range(8):
-                            lo_rows.begin()
-                            self._col_row(b, u)
-                            b.vst(v(2), ea=lout.word_addr(u, 0, blk),
-                                  stride=8, vl=1, etype=ElemType.I16)
-                            b.branch()
-                    for k in range(8):
-                        b.vld(v(8 + k), ea=scratch + k * 64 + 8 * blk,
-                              stride=8, vl=1, etype=ElemType.I16)
-                    with b.loop() as hi_rows:
-                        for u in range(8):
-                            hi_rows.begin()
-                            self._col_row(b, u)
-                            b.vst(v(2), ea=lout.word_addr(u, 1, blk),
-                                  stride=8, vl=1, etype=ElemType.I16)
-                            b.branch()
+            for blk in range(8):
+                for row in range(8):
+                    b.vld(v(0), ea=lin.word_addr(row, 0, blk),
+                          stride=8, vl=1, etype=ElemType.I16)
+                    b.vld(v(1), ea=lin.word_addr(row, 1, blk),
+                          stride=8, vl=1, etype=ElemType.I16)
+                    self._prescale(b)
+                    self._row_accumulate(b)
+                    b.simd(Opcode.POR, v(8 + row), v(2), v(2),
+                           etype=ElemType.I16)
+                    b.vst(v(3), ea=scratch + row * 64 + 8 * blk,
+                          stride=8, vl=1, etype=ElemType.I16)
+                    b.branch()
+                for u in range(8):
+                    self._col_row(b, u)
+                    b.vst(v(2), ea=lout.word_addr(u, 0, blk),
+                          stride=8, vl=1, etype=ElemType.I16)
+                    b.branch()
+                for k in range(8):
+                    b.vld(v(8 + k), ea=scratch + k * 64 + 8 * blk,
+                          stride=8, vl=1, etype=ElemType.I16)
+                for u in range(8):
+                    self._col_row(b, u)
+                    b.vst(v(2), ea=lout.word_addr(u, 1, blk),
+                          stride=8, vl=1, etype=ElemType.I16)
+                    b.branch()
 
 
 class QuantizePass:
@@ -306,39 +296,33 @@ class QuantizePass:
         single dvload3 and both halves are sliced out of the 3D RF."""
         with b.tagged(self.tag):
             b.setvl(8)
-            with b.loop() as rows:
-                for row in range(8):
-                    rows.begin()
+            for row in range(8):
+                if use3d:
+                    b.dvload3(d3(1), ea=in_addr + row * in_stride,
+                              stride=16, wwords=2, etype=ElemType.I16)
+                for half in range(2):
+                    addr = in_addr + row * in_stride + 8 * half
+                    out = out_addr + row * out_stride + 8 * half
                     if use3d:
-                        b.dvload3(d3(1), ea=in_addr + row * in_stride,
-                                  stride=16, wwords=2, etype=ElemType.I16)
-                    for half in range(2):
-                        addr = in_addr + row * in_stride + 8 * half
-                        out = out_addr + row * out_stride + 8 * half
-                        if use3d:
-                            b.dvmov3(v(0), d3(1), pstride=8)
-                        else:
-                            b.vld(v(0), ea=addr, stride=16,
-                                  etype=ElemType.I16)
-                        self._compute_store(b, row, half, out, 8, 16)
-                    b.branch()
+                        b.dvmov3(v(0), d3(1), pstride=8)
+                    else:
+                        b.vld(v(0), ea=addr, stride=16,
+                              etype=ElemType.I16)
+                    self._compute_store(b, row, half, out, 8, 16)
+                b.branch()
 
     def emit_mmx(self, b: ProgramBuilder, in_addr: int, in_stride: int,
                  out_addr: int, out_stride: int) -> None:
         with b.tagged(self.tag):
-            with b.loop() as blocks:
-                for blk in range(8):
-                    blocks.begin()
-                    with b.loop() as rows:
-                        for row in range(8):
-                            rows.begin()
-                            for half in range(2):
-                                addr = (in_addr + 16 * blk
-                                        + row * in_stride + 8 * half)
-                                out = (out_addr + 16 * blk
-                                       + row * out_stride + 8 * half)
-                                b.vld(v(0), ea=addr, stride=8, vl=1,
-                                      etype=ElemType.I16)
-                                self._compute_store(b, row, half, out,
-                                                    1, 8)
-                            b.branch()
+            for blk in range(8):
+                for row in range(8):
+                    for half in range(2):
+                        addr = (in_addr + 16 * blk
+                                + row * in_stride + 8 * half)
+                        out = (out_addr + 16 * blk
+                               + row * out_stride + 8 * half)
+                        b.vld(v(0), ea=addr, stride=8, vl=1,
+                              etype=ElemType.I16)
+                        self._compute_store(b, row, half, out,
+                                            1, 8)
+                    b.branch()

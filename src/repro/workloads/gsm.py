@@ -133,22 +133,18 @@ class GsmEncode(Benchmark):
                       results_addr: int) -> None:
         with b.tagged("ltp"):
             b.setvl(10)
-            with b.loop() as subs:
-                for sub in range(4):
-                    subs.begin()
-                    k0 = HISTORY + SUB * sub
-                    self._ltp_prologue(b, s_addr, k0)
-                    with b.loop() as lags:
-                        for lag in range(LAG_MIN, LAG_MAX + 1):
-                            lags.begin()
-                            b.vld(v(0), ea=s_addr + 2 * (k0 - lag),
-                                  stride=8, etype=ElemType.I16)
-                            b.clracc(acc(0))
-                            b.vpmaddacc(acc(0), v(0), v(8))
-                            b.movacc(r(4), acc(0))
-                            self._max_update(b)
-                            b.branch()
-                    self._store_result(b, results_addr, sub)
+            for sub in range(4):
+                k0 = HISTORY + SUB * sub
+                self._ltp_prologue(b, s_addr, k0)
+                for lag in range(LAG_MIN, LAG_MAX + 1):
+                    b.vld(v(0), ea=s_addr + 2 * (k0 - lag),
+                          stride=8, etype=ElemType.I16)
+                    b.clracc(acc(0))
+                    b.vpmaddacc(acc(0), v(0), v(8))
+                    b.movacc(r(4), acc(0))
+                    self._max_update(b)
+                    b.branch()
+                self._store_result(b, results_addr, sub)
 
     def _emit_ltp_mom3d(self, b: ProgramBuilder, s_addr: int,
                         results_addr: int) -> None:
@@ -178,66 +174,58 @@ class GsmEncode(Benchmark):
 
         with b.tagged("ltp"):
             b.setvl(10)
-            with b.loop() as subs:
-                for sub in range(4):
-                    subs.begin()
-                    k0 = HISTORY + SUB * sub
-                    self._ltp_prologue(b, s_addr, k0)
-                    emit_load(0, k0, *chunks[0])
-                    for chunk_no, (lo, hi) in enumerate(chunks):
-                        if chunk_no + 1 < len(chunks):
-                            emit_load((chunk_no + 1) % 2, k0,
-                                      *chunks[chunk_no + 1])
-                        slab = d3(chunk_no % 2)
-                        with b.loop() as lags:
-                            for _lag in range(lo, hi + 1):
-                                # ascending lag = descending address:
-                                # pointer starts at the element end (b
-                                # flag), steps back 2 bytes per lag.
-                                lags.begin()
-                                b.dvmov3(v(0), slab, pstride=-2)
-                                b.clracc(acc(0))
-                                b.vpmaddacc(acc(0), v(0), v(8))
-                                b.movacc(r(4), acc(0))
-                                self._max_update(b)
-                        b.branch()
-                    self._store_result(b, results_addr, sub)
+            for sub in range(4):
+                k0 = HISTORY + SUB * sub
+                self._ltp_prologue(b, s_addr, k0)
+                emit_load(0, k0, *chunks[0])
+                for chunk_no, (lo, hi) in enumerate(chunks):
+                    if chunk_no + 1 < len(chunks):
+                        emit_load((chunk_no + 1) % 2, k0,
+                                  *chunks[chunk_no + 1])
+                    slab = d3(chunk_no % 2)
+                    for _lag in range(lo, hi + 1):
+                        # ascending lag = descending address:
+                        # pointer starts at the element end (b
+                        # flag), steps back 2 bytes per lag.
+                        b.dvmov3(v(0), slab, pstride=-2)
+                        b.clracc(acc(0))
+                        b.vpmaddacc(acc(0), v(0), v(8))
+                        b.movacc(r(4), acc(0))
+                        self._max_update(b)
+                    b.branch()
+                self._store_result(b, results_addr, sub)
 
     def _emit_ltp_mmx(self, b: ProgramBuilder, s_addr: int,
                       results_addr: int) -> None:
         with b.tagged("ltp"):
-            with b.loop() as subs:
-                for sub in range(4):
-                    subs.begin()
-                    k0 = HISTORY + SUB * sub
-                    # preload current sub-frame words into v6..v15
+            for sub in range(4):
+                k0 = HISTORY + SUB * sub
+                # preload current sub-frame words into v6..v15
+                for w in range(10):
+                    b.vld(v(6 + w), ea=s_addr + 2 * k0 + 8 * w,
+                          stride=8, vl=1, etype=ElemType.I16)
+                b.li(r(1), NEG_BIG)
+                b.li(r(2), 0)
+                b.li(r(3), 0)
+                for lag in range(LAG_MIN, LAG_MAX + 1):
+                    base = s_addr + 2 * (k0 - lag)
+                    b.vbcast64(v(5), 0)
                     for w in range(10):
-                        b.vld(v(6 + w), ea=s_addr + 2 * k0 + 8 * w,
-                              stride=8, vl=1, etype=ElemType.I16)
-                    b.li(r(1), NEG_BIG)
-                    b.li(r(2), 0)
-                    b.li(r(3), 0)
-                    with b.loop() as lags:
-                        for lag in range(LAG_MIN, LAG_MAX + 1):
-                            lags.begin()
-                            base = s_addr + 2 * (k0 - lag)
-                            b.vbcast64(v(5), 0)
-                            for w in range(10):
-                                b.vld(v(0), ea=base + 8 * w, stride=8,
-                                      vl=1, etype=ElemType.I16)
-                                b.simd(Opcode.PMADDWD, v(1), v(0),
-                                       v(6 + w), etype=ElemType.I16)
-                                b.simd(Opcode.PADDD, v(5), v(5), v(1),
-                                       etype=ElemType.I32)
-                            # horizontal add of the two i32 halves
-                            b.simd(Opcode.PSRLQ, v(1), v(5),
-                                   etype=ElemType.I32, imm=32)
-                            b.simd(Opcode.PADDD, v(5), v(5), v(1),
-                                   etype=ElemType.I32)
-                            b.movd(r(4), v(5))  # low 32 bits, signed
-                            self._max_update(b)
-                            b.branch()
-                    self._store_result(b, results_addr, sub)
+                        b.vld(v(0), ea=base + 8 * w, stride=8,
+                              vl=1, etype=ElemType.I16)
+                        b.simd(Opcode.PMADDWD, v(1), v(0),
+                               v(6 + w), etype=ElemType.I16)
+                        b.simd(Opcode.PADDD, v(5), v(5), v(1),
+                               etype=ElemType.I32)
+                    # horizontal add of the two i32 halves
+                    b.simd(Opcode.PSRLQ, v(1), v(5),
+                           etype=ElemType.I32, imm=32)
+                    b.simd(Opcode.PADDD, v(5), v(5), v(1),
+                           etype=ElemType.I32)
+                    b.movd(r(4), v(5))  # low 32 bits, signed
+                    self._max_update(b)
+                    b.branch()
+                self._store_result(b, results_addr, sub)
 
 
     # -- weighting filter -----------------------------------------------------------
@@ -248,22 +236,20 @@ class GsmEncode(Benchmark):
         with b.tagged("fir"):
             if coding != "mmx":
                 b.setvl(10)
-            with b.loop() as words:
-                for word0 in range(0, FRAME // 4, vl):
-                    words.begin()
-                    b.vbcast64(v(2), 0)
-                    for j, tap in enumerate(FIR_TAPS):
-                        ea = s_addr + 2 * (HISTORY + j) + 8 * word0
-                        b.vld(v(0), ea=ea, stride=8, vl=vl,
-                              etype=ElemType.I16)
-                        b.vbcast64(v(1), bcast16(int(tap)))
-                        b.simd(Opcode.PMULHRS, v(0), v(0), v(1),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.PADDSW, v(2), v(2), v(0),
-                               etype=ElemType.I16)
-                    b.vst(v(2), ea=fir_addr + 8 * word0, stride=8, vl=vl,
+            for word0 in range(0, FRAME // 4, vl):
+                b.vbcast64(v(2), 0)
+                for j, tap in enumerate(FIR_TAPS):
+                    ea = s_addr + 2 * (HISTORY + j) + 8 * word0
+                    b.vld(v(0), ea=ea, stride=8, vl=vl,
                           etype=ElemType.I16)
-                    b.branch()
+                    b.vbcast64(v(1), bcast16(int(tap)))
+                    b.simd(Opcode.PMULHRS, v(0), v(0), v(1),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PADDSW, v(2), v(2), v(0),
+                           etype=ElemType.I16)
+                b.vst(v(2), ea=fir_addr + 8 * word0, stride=8, vl=vl,
+                      etype=ElemType.I16)
+                b.branch()
 
 
 def _as_signed(value: int) -> int:

@@ -104,29 +104,25 @@ class JpegEncode(Benchmark):
         self._emit_colorconv(b, coding, r_addr, g_addr, b_addr, y_addr)
         self._emit_downsample(b, coding, y_addr, down_addr)
         row_bytes = 2 * E_W
-        with b.loop() as groups:
-            for group in range(COEF_ROWS // 8):
-                groups.begin()
-                in_addr = pix_addr + group * 8 * row_bytes
-                out_addr = dct_addr + group * 8 * row_bytes
-                if coding == "mmx":
-                    fdct.emit_mmx(b, in_addr, row_bytes, out_addr,
-                                  row_bytes, scratch)
-                else:
-                    fdct.emit_mom(b, in_addr, row_bytes, out_addr,
-                                  row_bytes, scratch,
-                                  use3d=(coding == "mom3d"))
-        with b.loop() as groups:
-            for group in range(COEF_ROWS // 8):
-                groups.begin()
-                in_addr = dct_addr + group * 8 * row_bytes
-                out_addr = quant_addr + group * 8 * row_bytes
-                if coding == "mmx":
-                    quant.emit_mmx(b, in_addr, row_bytes, out_addr,
-                                   row_bytes)
-                else:
-                    quant.emit_mom(b, in_addr, row_bytes, out_addr,
-                                   row_bytes, use3d=(coding == "mom3d"))
+        for group in range(COEF_ROWS // 8):
+            in_addr = pix_addr + group * 8 * row_bytes
+            out_addr = dct_addr + group * 8 * row_bytes
+            if coding == "mmx":
+                fdct.emit_mmx(b, in_addr, row_bytes, out_addr,
+                              row_bytes, scratch)
+            else:
+                fdct.emit_mom(b, in_addr, row_bytes, out_addr,
+                              row_bytes, scratch,
+                              use3d=(coding == "mom3d"))
+        for group in range(COEF_ROWS // 8):
+            in_addr = dct_addr + group * 8 * row_bytes
+            out_addr = quant_addr + group * 8 * row_bytes
+            if coding == "mmx":
+                quant.emit_mmx(b, in_addr, row_bytes, out_addr,
+                               row_bytes)
+            else:
+                quant.emit_mom(b, in_addr, row_bytes, out_addr,
+                               row_bytes, use3d=(coding == "mom3d"))
 
         y_expected = rgb_to_y_reference(red, green, blue)
         down_expected = downsample_reference(y_expected)
@@ -162,47 +158,45 @@ class JpegEncode(Benchmark):
         with b.tagged("colorconv"):
             if coding != "mmx":
                 b.setvl(16)
-            with b.loop() as words:
-                for word0 in range(0, words_total, vl):
-                    words.begin()
-                    offset = 8 * word0
-                    b.vld(v(0), ea=r_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    b.vld(v(1), ea=g_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    b.vld(v(2), ea=b_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    for half, unpack in enumerate(
-                            (Opcode.PUNPCKLBZ, Opcode.PUNPCKHBZ)):
-                        b.simd(unpack, v(3), v(0), etype=ElemType.I16)
-                        b.simd(unpack, v(4), v(1), etype=ElemType.I16)
-                        b.simd(unpack, v(5), v(2), etype=ElemType.I16)
-                        b.vbcast64(v(6), bcast16(_YR))
-                        b.simd(Opcode.PMULLW, v(3), v(3), v(6),
-                               etype=ElemType.I16)
-                        b.vbcast64(v(6), bcast16(_YG))
-                        b.simd(Opcode.PMULLW, v(4), v(4), v(6),
-                               etype=ElemType.I16)
-                        b.vbcast64(v(6), bcast16(_YB))
-                        b.simd(Opcode.PMULLW, v(5), v(5), v(6),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.PADDW, v(3), v(3), v(4),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.PADDW, v(3), v(3), v(5),
-                               etype=ElemType.I16)
-                        b.vbcast64(v(6), bcast16(_YBIAS))
-                        b.simd(Opcode.PADDW, v(3), v(3), v(6),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.PSRAW, v(3), v(3),
-                               etype=ElemType.I16, imm=7)
-                        target = v(8) if half == 0 else v(9)
-                        b.simd(Opcode.POR, target, v(3), v(3),
-                               etype=ElemType.I16)
-                    b.simd(Opcode.PACKUSWB, v(10), v(8), v(9),
-                           etype=ElemType.U8)
-                    b.vst(v(10), ea=y_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    b.branch()
+            for word0 in range(0, words_total, vl):
+                offset = 8 * word0
+                b.vld(v(0), ea=r_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                b.vld(v(1), ea=g_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                b.vld(v(2), ea=b_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                for half, unpack in enumerate(
+                        (Opcode.PUNPCKLBZ, Opcode.PUNPCKHBZ)):
+                    b.simd(unpack, v(3), v(0), etype=ElemType.I16)
+                    b.simd(unpack, v(4), v(1), etype=ElemType.I16)
+                    b.simd(unpack, v(5), v(2), etype=ElemType.I16)
+                    b.vbcast64(v(6), bcast16(_YR))
+                    b.simd(Opcode.PMULLW, v(3), v(3), v(6),
+                           etype=ElemType.I16)
+                    b.vbcast64(v(6), bcast16(_YG))
+                    b.simd(Opcode.PMULLW, v(4), v(4), v(6),
+                           etype=ElemType.I16)
+                    b.vbcast64(v(6), bcast16(_YB))
+                    b.simd(Opcode.PMULLW, v(5), v(5), v(6),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PADDW, v(3), v(3), v(4),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PADDW, v(3), v(3), v(5),
+                           etype=ElemType.I16)
+                    b.vbcast64(v(6), bcast16(_YBIAS))
+                    b.simd(Opcode.PADDW, v(3), v(3), v(6),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PSRAW, v(3), v(3),
+                           etype=ElemType.I16, imm=7)
+                    target = v(8) if half == 0 else v(9)
+                    b.simd(Opcode.POR, target, v(3), v(3),
+                           etype=ElemType.I16)
+                b.simd(Opcode.PACKUSWB, v(10), v(8), v(9),
+                       etype=ElemType.U8)
+                b.vst(v(10), ea=y_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                b.branch()
 
     # -- 2:1 downsample (the 3D showcase: even/odd row slabs) ----------------------
 
@@ -226,89 +220,81 @@ class JpegEncode(Benchmark):
                 self._emit_downsample_mmx(b, y_addr, down_addr, mask)
                 return
             b.setvl(8)
-            with b.loop() as chunks:
-                for chunk0 in range(0, n_out_rows, 8):
-                    chunks.begin()
-                    even = y_addr + (2 * chunk0) * row_bytes
-                    odd = even + row_bytes
-                    use3d = coding == "mom3d"
-                    if use3d:
-                        b.dvload3(d3(0), ea=even, stride=2 * row_bytes,
-                                  wwords=words_per_row, etype=ElemType.U8)
-                        b.dvload3(d3(1), ea=odd, stride=2 * row_bytes,
-                                  wwords=words_per_row, etype=ElemType.U8)
-                    with b.loop() as pairs:
-                        for pair in range(words_per_row // 2):
-                            pairs.begin()
-                            for sub in range(2):
-                                word = 2 * pair + sub
-                                if use3d:
-                                    b.dvmov3(v(0), d3(0), pstride=8)
-                                    b.dvmov3(v(1), d3(1), pstride=8)
-                                else:
-                                    b.vld(v(0), ea=even + 8 * word,
-                                          stride=2 * row_bytes,
-                                          etype=ElemType.U8)
-                                    b.vld(v(1), ea=odd + 8 * word,
-                                          stride=2 * row_bytes,
-                                          etype=ElemType.U8)
-                                b.simd(Opcode.PAVGB, v(2), v(0), v(1),
-                                       etype=ElemType.U8)
-                                b.simd(Opcode.PSRLQ, v(3), v(2),
-                                       etype=ElemType.U8, imm=8)
-                                b.simd(Opcode.PAVGB, v(2), v(2), v(3),
-                                       etype=ElemType.U8)
-                                b.vbcast64(v(3), mask)
-                                b.simd(Opcode.PAND, v(2), v(2), v(3),
-                                       etype=ElemType.I16)
-                                target = v(8) if sub == 0 else v(9)
-                                b.simd(Opcode.POR, target, v(2), v(2),
-                                       etype=ElemType.I16)
-                            b.simd(Opcode.PACKUSWB, v(10), v(8), v(9),
-                                   etype=ElemType.U8)
-                            out = (down_addr + chunk0 * out_row_bytes
-                                   + 8 * pair)
-                            b.vst(v(10), ea=out, stride=out_row_bytes,
+            for chunk0 in range(0, n_out_rows, 8):
+                even = y_addr + (2 * chunk0) * row_bytes
+                odd = even + row_bytes
+                use3d = coding == "mom3d"
+                if use3d:
+                    b.dvload3(d3(0), ea=even, stride=2 * row_bytes,
+                              wwords=words_per_row, etype=ElemType.U8)
+                    b.dvload3(d3(1), ea=odd, stride=2 * row_bytes,
+                              wwords=words_per_row, etype=ElemType.U8)
+                for pair in range(words_per_row // 2):
+                    for sub in range(2):
+                        word = 2 * pair + sub
+                        if use3d:
+                            b.dvmov3(v(0), d3(0), pstride=8)
+                            b.dvmov3(v(1), d3(1), pstride=8)
+                        else:
+                            b.vld(v(0), ea=even + 8 * word,
+                                  stride=2 * row_bytes,
                                   etype=ElemType.U8)
-                            b.branch()
+                            b.vld(v(1), ea=odd + 8 * word,
+                                  stride=2 * row_bytes,
+                                  etype=ElemType.U8)
+                        b.simd(Opcode.PAVGB, v(2), v(0), v(1),
+                               etype=ElemType.U8)
+                        b.simd(Opcode.PSRLQ, v(3), v(2),
+                               etype=ElemType.U8, imm=8)
+                        b.simd(Opcode.PAVGB, v(2), v(2), v(3),
+                               etype=ElemType.U8)
+                        b.vbcast64(v(3), mask)
+                        b.simd(Opcode.PAND, v(2), v(2), v(3),
+                               etype=ElemType.I16)
+                        target = v(8) if sub == 0 else v(9)
+                        b.simd(Opcode.POR, target, v(2), v(2),
+                               etype=ElemType.I16)
+                    b.simd(Opcode.PACKUSWB, v(10), v(8), v(9),
+                           etype=ElemType.U8)
+                    out = (down_addr + chunk0 * out_row_bytes
+                           + 8 * pair)
+                    b.vst(v(10), ea=out, stride=out_row_bytes,
+                          etype=ElemType.U8)
+                    b.branch()
 
     def _emit_downsample_mmx(self, b: ProgramBuilder, y_addr: int,
                              down_addr: int, mask: int) -> None:
         row_bytes = E_W
         out_row_bytes = E_W // 2
-        with b.loop() as rows:
-            for out_row in range(E_H // 2):
-                rows.begin()
-                even = y_addr + (2 * out_row) * row_bytes
-                odd = even + row_bytes
-                with b.loop() as pairs:
-                    for pair in range(E_W // 16):
-                        pairs.begin()
-                        for sub in range(2):
-                            word = 2 * pair + sub
-                            b.vld(v(0), ea=even + 8 * word, stride=8,
-                                  vl=1, etype=ElemType.U8)
-                            b.vld(v(1), ea=odd + 8 * word, stride=8,
-                                  vl=1, etype=ElemType.U8)
-                            b.simd(Opcode.PAVGB, v(2), v(0), v(1),
-                                   etype=ElemType.U8)
-                            b.simd(Opcode.PSRLQ, v(3), v(2),
-                                   etype=ElemType.U8, imm=8)
-                            b.simd(Opcode.PAVGB, v(2), v(2), v(3),
-                                   etype=ElemType.U8)
-                            b.vbcast64(v(3), mask)
-                            b.simd(Opcode.PAND, v(2), v(2), v(3),
-                                   etype=ElemType.I16)
-                            target = v(8) if sub == 0 else v(9)
-                            b.simd(Opcode.POR, target, v(2), v(2),
-                                   etype=ElemType.I16)
-                        b.simd(Opcode.PACKUSWB, v(10), v(8), v(9),
-                               etype=ElemType.U8)
-                        out = (down_addr + out_row * out_row_bytes
-                               + 8 * pair)
-                        b.vst(v(10), ea=out, stride=8, vl=1,
-                              etype=ElemType.U8)
-                        b.branch()
+        for out_row in range(E_H // 2):
+            even = y_addr + (2 * out_row) * row_bytes
+            odd = even + row_bytes
+            for pair in range(E_W // 16):
+                for sub in range(2):
+                    word = 2 * pair + sub
+                    b.vld(v(0), ea=even + 8 * word, stride=8,
+                          vl=1, etype=ElemType.U8)
+                    b.vld(v(1), ea=odd + 8 * word, stride=8,
+                          vl=1, etype=ElemType.U8)
+                    b.simd(Opcode.PAVGB, v(2), v(0), v(1),
+                           etype=ElemType.U8)
+                    b.simd(Opcode.PSRLQ, v(3), v(2),
+                           etype=ElemType.U8, imm=8)
+                    b.simd(Opcode.PAVGB, v(2), v(2), v(3),
+                           etype=ElemType.U8)
+                    b.vbcast64(v(3), mask)
+                    b.simd(Opcode.PAND, v(2), v(2), v(3),
+                           etype=ElemType.I16)
+                    target = v(8) if sub == 0 else v(9)
+                    b.simd(Opcode.POR, target, v(2), v(2),
+                           etype=ElemType.I16)
+                b.simd(Opcode.PACKUSWB, v(10), v(8), v(9),
+                       etype=ElemType.U8)
+                out = (down_addr + out_row * out_row_bytes
+                       + 8 * pair)
+                b.vst(v(10), ea=out, stride=8, vl=1,
+                      etype=ElemType.U8)
+                b.branch()
 
 
 @register
@@ -356,16 +342,14 @@ class JpegDecode(Benchmark):
 
         b = ProgramBuilder(f"jpeg_decode/{coding}")
         group_bytes = 1024  # one SoA block group
-        with b.loop() as groups:
-            for group in range(COEF_ROWS // 8):
-                groups.begin()
-                in_addr = coef_addr + group * group_bytes
-                out_addr = idct_addr + group * group_bytes
-                if coding == "mmx":
-                    idct.emit_mmx(b, in_addr, 0, out_addr, 0, scratch)
-                else:
-                    idct.emit_mom(b, in_addr, 0, out_addr, 0, scratch,
-                                  use3d=False)
+        for group in range(COEF_ROWS // 8):
+            in_addr = coef_addr + group * group_bytes
+            out_addr = idct_addr + group * group_bytes
+            if coding == "mmx":
+                idct.emit_mmx(b, in_addr, 0, out_addr, 0, scratch)
+            else:
+                idct.emit_mom(b, in_addr, 0, out_addr, 0, scratch,
+                              use3d=False)
         self._emit_upsample(b, coding, cb_addr, cbu_addr)
         self._emit_upsample(b, coding, cr_addr, cru_addr)
         self._emit_ycc2rgb(b, coding, y_addr, cbu_addr, cru_addr,
@@ -404,20 +388,18 @@ class JpegDecode(Benchmark):
         with b.tagged("upsample"):
             if coding != "mmx":
                 b.setvl(16)
-            with b.loop() as words:
-                for word0 in range(0, total_words, vl):
-                    words.begin()
-                    b.vld(v(0), ea=in_addr + 8 * word0, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    b.simd(Opcode.PUNPCKLBW, v(1), v(0), v(0),
-                           etype=ElemType.U8)
-                    b.simd(Opcode.PUNPCKHBW, v(2), v(0), v(0),
-                           etype=ElemType.U8)
-                    b.vst(v(1), ea=out_addr + 16 * word0, stride=16,
-                          vl=vl, etype=ElemType.U8)
-                    b.vst(v(2), ea=out_addr + 16 * word0 + 8, stride=16,
-                          vl=vl, etype=ElemType.U8)
-                    b.branch()
+            for word0 in range(0, total_words, vl):
+                b.vld(v(0), ea=in_addr + 8 * word0, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                b.simd(Opcode.PUNPCKLBW, v(1), v(0), v(0),
+                       etype=ElemType.U8)
+                b.simd(Opcode.PUNPCKHBW, v(2), v(0), v(0),
+                       etype=ElemType.U8)
+                b.vst(v(1), ea=out_addr + 16 * word0, stride=16,
+                      vl=vl, etype=ElemType.U8)
+                b.vst(v(2), ea=out_addr + 16 * word0 + 8, stride=16,
+                      vl=vl, etype=ElemType.U8)
+                b.branch()
 
     def _emit_ycc2rgb(self, b: ProgramBuilder, coding: str, y_addr: int,
                       cb_addr: int, cr_addr: int, r_addr: int,
@@ -427,71 +409,69 @@ class JpegDecode(Benchmark):
         with b.tagged("ycc2rgb"):
             if coding != "mmx":
                 b.setvl(16)
-            with b.loop() as words:
-                for word0 in range(0, total_words, vl):
-                    words.begin()
-                    offset = 8 * word0
-                    b.vld(v(0), ea=y_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    b.vld(v(1), ea=cb_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    b.vld(v(2), ea=cr_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    for half, unpack in enumerate(
-                            (Opcode.PUNPCKLBZ, Opcode.PUNPCKHBZ)):
-                        b.simd(unpack, v(3), v(0), etype=ElemType.I16)
-                        b.simd(unpack, v(4), v(1), etype=ElemType.I16)
-                        b.simd(unpack, v(5), v(2), etype=ElemType.I16)
-                        b.vbcast64(v(6), bcast16(128))
-                        b.simd(Opcode.PSUBW, v(4), v(4), v(6),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.PSUBW, v(5), v(5), v(6),
-                               etype=ElemType.I16)
-                        # red = y + (90*cr >> 6)
-                        b.vbcast64(v(6), bcast16(90))
-                        b.simd(Opcode.PMULLW, v(7), v(5), v(6),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.PSRAW, v(7), v(7),
-                               etype=ElemType.I16, imm=6)
-                        b.simd(Opcode.PADDW, v(7), v(7), v(3),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.POR, v(10 + half), v(7), v(7),
-                               etype=ElemType.I16)
-                        # green = y - ((22*cb + 46*cr) >> 6)
-                        b.vbcast64(v(6), bcast16(22))
-                        b.simd(Opcode.PMULLW, v(8), v(4), v(6),
-                               etype=ElemType.I16)
-                        b.vbcast64(v(6), bcast16(46))
-                        b.simd(Opcode.PMULLW, v(9), v(5), v(6),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.PADDW, v(8), v(8), v(9),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.PSRAW, v(8), v(8),
-                               etype=ElemType.I16, imm=6)
-                        b.simd(Opcode.PSUBW, v(8), v(3), v(8),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.POR, v(12 + half), v(8), v(8),
-                               etype=ElemType.I16)
-                        # blue = y + (114*cb >> 6)
-                        b.vbcast64(v(6), bcast16(114))
-                        b.simd(Opcode.PMULLW, v(9), v(4), v(6),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.PSRAW, v(9), v(9),
-                               etype=ElemType.I16, imm=6)
-                        b.simd(Opcode.PADDW, v(9), v(9), v(3),
-                               etype=ElemType.I16)
-                        b.simd(Opcode.POR, v(14 + half), v(9), v(9),
-                               etype=ElemType.I16)
-                    b.simd(Opcode.PACKUSWB, v(7), v(10), v(11),
-                           etype=ElemType.U8)
-                    b.vst(v(7), ea=r_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    b.simd(Opcode.PACKUSWB, v(8), v(12), v(13),
-                           etype=ElemType.U8)
-                    b.vst(v(8), ea=g_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    b.simd(Opcode.PACKUSWB, v(9), v(14), v(15),
-                           etype=ElemType.U8)
-                    b.vst(v(9), ea=b_addr + offset, stride=8, vl=vl,
-                          etype=ElemType.U8)
-                    b.branch()
+            for word0 in range(0, total_words, vl):
+                offset = 8 * word0
+                b.vld(v(0), ea=y_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                b.vld(v(1), ea=cb_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                b.vld(v(2), ea=cr_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                for half, unpack in enumerate(
+                        (Opcode.PUNPCKLBZ, Opcode.PUNPCKHBZ)):
+                    b.simd(unpack, v(3), v(0), etype=ElemType.I16)
+                    b.simd(unpack, v(4), v(1), etype=ElemType.I16)
+                    b.simd(unpack, v(5), v(2), etype=ElemType.I16)
+                    b.vbcast64(v(6), bcast16(128))
+                    b.simd(Opcode.PSUBW, v(4), v(4), v(6),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PSUBW, v(5), v(5), v(6),
+                           etype=ElemType.I16)
+                    # red = y + (90*cr >> 6)
+                    b.vbcast64(v(6), bcast16(90))
+                    b.simd(Opcode.PMULLW, v(7), v(5), v(6),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PSRAW, v(7), v(7),
+                           etype=ElemType.I16, imm=6)
+                    b.simd(Opcode.PADDW, v(7), v(7), v(3),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.POR, v(10 + half), v(7), v(7),
+                           etype=ElemType.I16)
+                    # green = y - ((22*cb + 46*cr) >> 6)
+                    b.vbcast64(v(6), bcast16(22))
+                    b.simd(Opcode.PMULLW, v(8), v(4), v(6),
+                           etype=ElemType.I16)
+                    b.vbcast64(v(6), bcast16(46))
+                    b.simd(Opcode.PMULLW, v(9), v(5), v(6),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PADDW, v(8), v(8), v(9),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PSRAW, v(8), v(8),
+                           etype=ElemType.I16, imm=6)
+                    b.simd(Opcode.PSUBW, v(8), v(3), v(8),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.POR, v(12 + half), v(8), v(8),
+                           etype=ElemType.I16)
+                    # blue = y + (114*cb >> 6)
+                    b.vbcast64(v(6), bcast16(114))
+                    b.simd(Opcode.PMULLW, v(9), v(4), v(6),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PSRAW, v(9), v(9),
+                           etype=ElemType.I16, imm=6)
+                    b.simd(Opcode.PADDW, v(9), v(9), v(3),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.POR, v(14 + half), v(9), v(9),
+                           etype=ElemType.I16)
+                b.simd(Opcode.PACKUSWB, v(7), v(10), v(11),
+                       etype=ElemType.U8)
+                b.vst(v(7), ea=r_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                b.simd(Opcode.PACKUSWB, v(8), v(12), v(13),
+                       etype=ElemType.U8)
+                b.vst(v(8), ea=g_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                b.simd(Opcode.PACKUSWB, v(9), v(14), v(15),
+                       etype=ElemType.U8)
+                b.vst(v(9), ea=b_addr + offset, stride=8, vl=vl,
+                      etype=ElemType.U8)
+                b.branch()

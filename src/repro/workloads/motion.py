@@ -86,22 +86,18 @@ def emit_mom(b: ProgramBuilder, ref_base: int, cur_base: int,
             b.li(r(1), BIG_SAD)
             b.li(r(2), 0)
             b.li(r(3), 0)
-            with b.loop() as rows:
-                for dy in range(-win, win + 1):
-                    rows.begin()
-                    with b.loop() as cands:
-                        for dx in range(-win, win + 1):
-                            cands.begin()
-                            base = _candidate_addr(ref_base, width, bx,
-                                                   by, dx, dy)
-                            b.clracc(acc(0))
-                            for w in range(words):
-                                b.vld(v(w), ea=base + 8 * w, stride=width,
-                                      etype=ElemType.U8)
-                                b.vpsadacc(acc(0), v(w), v(8 + w))
-                            b.movacc(r(4), acc(0))
-                            _min_update(b)
-                    b.branch()
+            for dy in range(-win, win + 1):
+                for dx in range(-win, win + 1):
+                    base = _candidate_addr(ref_base, width, bx,
+                                           by, dx, dy)
+                    b.clracc(acc(0))
+                    for w in range(words):
+                        b.vld(v(w), ea=base + 8 * w, stride=width,
+                              etype=ElemType.U8)
+                        b.vpsadacc(acc(0), v(w), v(8 + w))
+                    b.movacc(r(4), acc(0))
+                    _min_update(b)
+                b.branch()
             _store_result(b, results_base, block_no)
 
 
@@ -130,30 +126,26 @@ def emit_mom3d(b: ProgramBuilder, ref_base: int, cur_base: int,
             b.dvload3(d3(0), ea=_candidate_addr(
                 ref_base, width, bx, by, -win, offsets[0]),
                 stride=width, wwords=wwords, etype=ElemType.U8)
-            with b.loop() as rows:
-                for dy_no, dy in enumerate(offsets):
-                    rows.begin()
-                    if dy_no + 1 < len(offsets):
-                        b.dvload3(d3((dy_no + 1) % 2), ea=_candidate_addr(
-                            ref_base, width, bx, by, -win,
-                            offsets[dy_no + 1]),
-                            stride=width, wwords=wwords, etype=ElemType.U8)
-                    slab = d3(dy_no % 2)
-                    with b.loop() as cands:
-                        for _dx in range(n_dx):
-                            cands.begin()
-                            b.clracc(acc(0))
-                            # walk the block's words (+8), then step one
-                            # pixel right for the next candidate (net +1).
-                            for w in range(words):
-                                last = w == words - 1
-                                b.dvmov3(v(0), slab,
-                                         pstride=(1 - 8 * (words - 1))
-                                         if last else 8)
-                                b.vpsadacc(acc(0), v(0), v(8 + w))
-                            b.movacc(r(4), acc(0))
-                            _min_update(b)
-                    b.branch()
+            for dy_no, dy in enumerate(offsets):
+                if dy_no + 1 < len(offsets):
+                    b.dvload3(d3((dy_no + 1) % 2), ea=_candidate_addr(
+                        ref_base, width, bx, by, -win,
+                        offsets[dy_no + 1]),
+                        stride=width, wwords=wwords, etype=ElemType.U8)
+                slab = d3(dy_no % 2)
+                for _dx in range(n_dx):
+                    b.clracc(acc(0))
+                    # walk the block's words (+8), then step one
+                    # pixel right for the next candidate (net +1).
+                    for w in range(words):
+                        last = w == words - 1
+                        b.dvmov3(v(0), slab,
+                                 pstride=(1 - 8 * (words - 1))
+                                 if last else 8)
+                        b.vpsadacc(acc(0), v(0), v(8 + w))
+                    b.movacc(r(4), acc(0))
+                    _min_update(b)
+                b.branch()
             _store_result(b, results_base, block_no)
 
 
@@ -179,37 +171,33 @@ def emit_mmx(b: ProgramBuilder, ref_base: int, cur_base: int,
             b.li(r(1), BIG_SAD)
             b.li(r(2), 0)
             b.li(r(3), 0)
-            with b.loop() as rows:
-                for dy in range(-win, win + 1):
-                    rows.begin()
-                    with b.loop() as cands:
-                        for dx in range(-win, win + 1):
-                            cands.begin()
-                            base = _candidate_addr(ref_base, width, bx,
-                                                   by, dx, dy)
-                            b.vbcast64(v(7), 0)  # SAD accumulator (pxor)
-                            for i in range(bsize):
-                                for w in range(words):
-                                    b.vld(v(0),
-                                          ea=base + i * width + 8 * w,
-                                          stride=width, vl=1,
-                                          etype=ElemType.U8)
-                                    if preload:
-                                        curreg = v(8 + i)
-                                    else:
-                                        curreg = v(2)
-                                        b.vld(curreg,
-                                              ea=(cur_addr + i * width
-                                                  + 8 * w),
-                                              stride=width, vl=1,
-                                              etype=ElemType.U8)
-                                    b.simd(Opcode.PSADBW, v(1), v(0),
-                                           curreg, etype=ElemType.U8)
-                                    b.simd(Opcode.PADDD, v(7), v(7), v(1),
-                                           etype=ElemType.I32)
-                            b.movd(r(4), v(7))
-                            _min_update(b)
-                    b.branch()
+            for dy in range(-win, win + 1):
+                for dx in range(-win, win + 1):
+                    base = _candidate_addr(ref_base, width, bx,
+                                           by, dx, dy)
+                    b.vbcast64(v(7), 0)  # SAD accumulator (pxor)
+                    for i in range(bsize):
+                        for w in range(words):
+                            b.vld(v(0),
+                                  ea=base + i * width + 8 * w,
+                                  stride=width, vl=1,
+                                  etype=ElemType.U8)
+                            if preload:
+                                curreg = v(8 + i)
+                            else:
+                                curreg = v(2)
+                                b.vld(curreg,
+                                      ea=(cur_addr + i * width
+                                          + 8 * w),
+                                      stride=width, vl=1,
+                                      etype=ElemType.U8)
+                            b.simd(Opcode.PSADBW, v(1), v(0),
+                                   curreg, etype=ElemType.U8)
+                            b.simd(Opcode.PADDD, v(7), v(7), v(1),
+                                   etype=ElemType.I32)
+                    b.movd(r(4), v(7))
+                    _min_update(b)
+                b.branch()
             _store_result(b, results_base, block_no)
 
 

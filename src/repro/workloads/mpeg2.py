@@ -232,17 +232,15 @@ class Mpeg2Decode(Benchmark):
                            etype=ElemType.U8)
                     b.vst(v(2), ea=dst, stride=WIDTH, etype=ElemType.U8)
                 else:  # mmx: row by row
-                    with b.loop() as mrows:
-                        for i in range(8):
-                            mrows.begin()
-                            b.vld(v(0), ea=src + i * WIDTH, stride=8,
-                                  vl=1, etype=ElemType.U8)
-                            b.vld(v(1), ea=src + i * WIDTH + 1, stride=8,
-                                  vl=1, etype=ElemType.U8)
-                            b.simd(Opcode.PAVGB, v(2), v(0), v(1),
-                                   etype=ElemType.U8)
-                            b.vst(v(2), ea=dst + i * WIDTH, stride=8,
-                                  vl=1, etype=ElemType.U8)
+                    for i in range(8):
+                        b.vld(v(0), ea=src + i * WIDTH, stride=8,
+                              vl=1, etype=ElemType.U8)
+                        b.vld(v(1), ea=src + i * WIDTH + 1, stride=8,
+                              vl=1, etype=ElemType.U8)
+                        b.simd(Opcode.PAVGB, v(2), v(0), v(1),
+                               etype=ElemType.U8)
+                        b.vst(v(2), ea=dst + i * WIDTH, stride=8,
+                              vl=1, etype=ElemType.U8)
                 b.branch()
 
     # -- block reconstruction ---------------------------------------------------
@@ -264,32 +262,28 @@ class Mpeg2Decode(Benchmark):
             if coding != "mmx":
                 b.setvl(8)
             n_words = WIDTH // 8  # words per pixel row
-            with b.loop() as rows:
-                for row in range(8):
-                    rows.begin()
-                    with b.loop() as cols:
-                        for word in range(0, n_words, vl):
-                            cols.begin()
-                            pred_ea = (pred_addr + (8 + row) * WIDTH
-                                       + 8 * word)
-                            res_ea = res_addr + row * 2 * WIDTH + 16 * word
-                            out_ea = recon_addr + row * WIDTH + 8 * word
-                            b.vld(v(0), ea=pred_ea, stride=8, vl=vl,
-                                  etype=ElemType.U8)
-                            b.simd(Opcode.PUNPCKLBZ, v(1), v(0),
-                                   etype=ElemType.I16)
-                            b.simd(Opcode.PUNPCKHBZ, v(2), v(0),
-                                   etype=ElemType.I16)
-                            b.vld(v(3), ea=res_ea, stride=16, vl=vl,
-                                  etype=ElemType.I16)
-                            b.vld(v(4), ea=res_ea + 8, stride=16, vl=vl,
-                                  etype=ElemType.I16)
-                            b.simd(Opcode.PADDSW, v(1), v(1), v(3),
-                                   etype=ElemType.I16)
-                            b.simd(Opcode.PADDSW, v(2), v(2), v(4),
-                                   etype=ElemType.I16)
-                            b.simd(Opcode.PACKUSWB, v(5), v(1), v(2),
-                                   etype=ElemType.U8)
-                            b.vst(v(5), ea=out_ea, stride=8, vl=vl,
-                                  etype=ElemType.U8)
-                    b.branch()
+            for row in range(8):
+                for word in range(0, n_words, vl):
+                    pred_ea = (pred_addr + (8 + row) * WIDTH
+                               + 8 * word)
+                    res_ea = res_addr + row * 2 * WIDTH + 16 * word
+                    out_ea = recon_addr + row * WIDTH + 8 * word
+                    b.vld(v(0), ea=pred_ea, stride=8, vl=vl,
+                          etype=ElemType.U8)
+                    b.simd(Opcode.PUNPCKLBZ, v(1), v(0),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PUNPCKHBZ, v(2), v(0),
+                           etype=ElemType.I16)
+                    b.vld(v(3), ea=res_ea, stride=16, vl=vl,
+                          etype=ElemType.I16)
+                    b.vld(v(4), ea=res_ea + 8, stride=16, vl=vl,
+                          etype=ElemType.I16)
+                    b.simd(Opcode.PADDSW, v(1), v(1), v(3),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PADDSW, v(2), v(2), v(4),
+                           etype=ElemType.I16)
+                    b.simd(Opcode.PACKUSWB, v(5), v(1), v(2),
+                           etype=ElemType.U8)
+                    b.vst(v(5), ea=out_ea, stride=8, vl=vl,
+                          etype=ElemType.U8)
+                b.branch()

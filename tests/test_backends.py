@@ -140,6 +140,12 @@ def test_remote_jobs_hint_controls_fan_out(remote_service):
         assert results[spec].to_dict() == serial[spec].to_dict()
     # the grid fanned out as 4 single-spec shards, all completed
     assert engine.backend.counters()["enqueued_shards"] == 4
+    # a worker counts a completion once the server acknowledges it,
+    # which can land after run_many has already returned
+    deadline = time.monotonic() + 10.0
+    while sum(worker.stats.completions for worker in workers) < 4 \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
     assert sum(worker.stats.completions for worker in workers) == 4
 
 

@@ -153,6 +153,34 @@ def test_random_program_grid_identical(ops, vl):
     _assert_group_identical(builder.program)
 
 
+def test_skip_anchors_sharing_a_row_are_whole_periods_apart():
+    """The fast-forward finds loop periodicity online: on an unrolled
+    48-trip loop, skip anchors that share a decoded row sit a whole
+    number of loop bodies apart."""
+    from collections import defaultdict
+
+    from repro.timing import gridskip, predecode
+
+    ops = [("vld", 0, 1, 0, 8), ("int", 1, 2, 0, 8),
+           ("simd", 0, 1, 0, 8), ("st", 1, 0, 8, 8),
+           ("int", 2, 1, 0, 8), ("vst", 2, 0, 16, 8)]
+    builder = ProgramBuilder("grid-anchors")
+    builder.setvl(4)
+    for _ in range(48):
+        _emit(builder, ops)
+    program = builder.program
+    core = predecode._decode_core(program)
+    rowid, _memord, _ptrord, _anchors, positions, _pdg = \
+        gridskip._skip_core(program, core)
+    assert positions, "a 48-trip loop must yield skip anchors"
+    by_row = defaultdict(list)
+    for pos in positions:
+        by_row[int(rowid[pos])].append(pos)
+    for group in by_row.values():
+        for a, b in zip(group, group[1:]):
+            assert (b - a) % len(ops) == 0, (a, b, len(ops))
+
+
 @given(ops=_blocks(), repeats=st.integers(20, 60),
        moving=st.booleans(), vl=st.integers(1, 16))
 @settings(max_examples=20, deadline=None)

@@ -273,6 +273,20 @@ def test_scalar_store_straddling_l2_line_gates_load():
     assert gated > clear
 
 
+@pytest.mark.parametrize("bench,coding", [("mpeg2_encode", "mom"),
+                                          ("gsm_encode", "mmx")])
+def test_core_decode_shares_equal_rows(bench, coding):
+    """Equal decode rows are one object, so an unrolled trace holds one
+    row tuple per distinct row rather than one per instruction."""
+    from repro.engine.parallel import build_workload
+    from repro.timing import predecode
+
+    program = build_workload(bench, coding).program
+    core = predecode._decode_core(program)
+    assert len({id(row) for row in core.rows}) == len(set(core.rows))
+    assert len(set(core.rows)) < len(core.rows) // 10
+
+
 def test_straddling_store_gates_identically_in_both_models():
     b = ProgramBuilder()
     b.li(r(1), 3)
