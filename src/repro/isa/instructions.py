@@ -65,14 +65,18 @@ class Instruction:
         return self.op in MEMORY_OPS
 
     def validate(self) -> None:
-        """Raise :class:`IsaError` if required fields are missing."""
+        """Raise :class:`IsaError` if a field is missing or out of range.
+
+        A pure function of the frozen fields, so an object that passed
+        once stays valid wherever it is shared.
+        """
+        if not 1 <= self.vl <= 16:
+            raise IsaError(f"{self.op.value}: vl must be 1..16")
         if self.is_memory and self.ea is None:
             raise IsaError(f"{self.op.value}: memory op requires ea")
-        if self.op in (Opcode.VLD, Opcode.VST, Opcode.DVLOAD3):
-            if self.stride is None:
-                raise IsaError(f"{self.op.value}: requires stride")
-            if not 1 <= self.vl <= 16:
-                raise IsaError(f"{self.op.value}: vl must be 1..16")
+        if self.op in (Opcode.VLD, Opcode.VST, Opcode.DVLOAD3) \
+                and self.stride is None:
+            raise IsaError(f"{self.op.value}: requires stride")
         if self.op is Opcode.DVLOAD3:
             if self.wwords is None or not 1 <= self.wwords <= 16:
                 raise IsaError("dvload3: wwords must be 1..16")

@@ -78,8 +78,7 @@ class Register:
 #: Interned register instances: every ``r(i)``/``v(i)``/... call for a
 #: valid index returns the same object.  Registers are frozen value
 #: objects, so sharing is safe; it saves an allocation per operand in
-#: the trace builders and lets hot consumers (the timing pre-decode)
-#: key caches by object identity.
+#: the trace builders.
 _INTERNED: dict[RegClass, tuple[Register, ...]] = {
     cls: tuple(Register(cls, i) for i in range(count))
     for cls, count in LOGICAL_COUNTS.items()

@@ -327,7 +327,8 @@ class CoreDecode:
     #: (index, ea, count, stride, width_bytes, is_scalar, is_store)
     #: for the overlay
     mem_geometry: list[tuple[int, int, int, int, int, bool, bool]]
-    #: index-aligned MemRequest (None for non-memory slots)
+    #: index-aligned MemRequest (None for non-memory slots); equal
+    #: instructions share one request, which no consumer mutates
     requests: list[MemRequest | None]
     vl_arr: np.ndarray
     kind_arr: np.ndarray
@@ -390,8 +391,7 @@ class DecodedTrace:
 _VL_READERS = frozenset(
     (Opcode.VLD, Opcode.VST, Opcode.DVLOAD3, Opcode.DVMOV3))
 #: Static per-opcode lowering: (kind, is_branch, latency, reads_vl,
-#: is_scalar_mem, is_store, is_dvload3, is_vld_vst).  One dict lookup
-#: per instruction instead of half a dozen enum hashes.
+#: is_scalar_mem, is_store, is_dvload3, is_vld_vst).
 _OP_INFO: dict[Opcode, tuple] = {}
 for _op, _cls in EXEC_CLASS.items():
     if _cls in (ExecClass.INT, ExecClass.CTRL, ExecClass.BRANCH):
@@ -408,13 +408,10 @@ for _op, _cls in EXEC_CLASS.items():
         _op in (Opcode.LD, Opcode.ST), _op in (Opcode.ST, Opcode.VST),
         _op is Opcode.DVLOAD3, _op in (Opcode.VLD, Opcode.VST))
 
-#: id-keyed mirrors of the enum-keyed tables: enum members are
-#: singletons, and hashing a small int is several times cheaper than
-#: hashing an Enum, which matters in the per-instruction core pass.
-_OP_INFO_ID = {id(op): info for op, info in _OP_INFO.items()}
+#: Opcodes by identity: enum members are singletons, and hashing a
+#: small int is several times cheaper than hashing an Enum, which
+#: matters for the per-instruction opcode histogram.
 _OP_BY_ID = {id(op): op for op in Opcode}
-_CLS_ID = {id(cls): code for cls, code in _CLS_CODE.items()}
-_REN_ID = {id(cls): code for cls, code in _REN_CODE.items()}
 
 #: id(program) -> (weakref to the program, fingerprint, {"core":
 #: CoreDecode, <config key>: DecodedTrace, ("prime", ...): primed
@@ -469,15 +466,57 @@ def decode(program: Program, proc: ProcessorConfig,
 # -- core pass ---------------------------------------------------------------
 
 
+def _lower(inst: Instruction, intern: dict[tuple, tuple]) -> tuple:
+    """Everything the core decode derives from one instruction alone.
+
+    Returns ``(row, vl, kind, watch, veclen event, memory geometry,
+    MemRequest)``.  ``watch`` holds the scoreboard ids whose write
+    earlier in a hazard-free run ends the run here (sources,
+    destinations, and VL when read); it is ``None`` for instructions
+    that cannot join a run (anything but int/SIMD non-branches).  The
+    geometry lacks its leading index, and the last three are ``None``
+    where they do not apply.  The row is interned by value through
+    ``intern``.
+    """
+    (kind, branch, latency, vl_reader, scalar_mem, store_op, is_dvload3,
+     is_vmem) = _OP_INFO[inst.op]
+    vl = inst.vl
+    src_ids = tuple(map(reg_id, inst.srcs))
+    dst_ids = tuple(map(reg_id, inst.dsts))
+    ren = tuple([_REN_CODE[t.cls] for t in inst.dsts
+                 if t.cls in _REN_CODE])
+    needs_vl = vl > 1 or vl_reader
+    ptr_kind = ptr = 0
+    event = geometry = request = None
+    if kind == KIND_D3MOVE:
+        ptr_kind, ptr = 1, ptr_id(inst.srcs[0].index)
+        event = (2, inst.srcs[0].index, 0)
+    elif kind == KIND_MEM:
+        lanes = inst.etype.lanes if inst.etype is not None else 8
+        if is_dvload3:
+            ptr_kind, ptr = 2, ptr_id(inst.dsts[0].index)
+            event = (1, inst.dsts[0].index, (lanes << 8) | vl)
+        elif is_vmem:
+            event = (0, 0, (lanes << 8) | vl)
+        geometry = (inst.ea, 1 if scalar_mem else vl, inst.stride or 0,
+                    (inst.wwords or 1) * 8, scalar_mem, store_op)
+        request = request_for(inst)
+    row = (kind, branch, latency, src_ids, dst_ids, ren,
+           kind >= KIND_D3MOVE, needs_vl, ptr_kind, ptr)
+    watch = None
+    if kind <= KIND_SIMD and not branch:
+        watch = src_ids + dst_ids + ((VL_ID,) if needs_vl else ())
+    return (intern.setdefault(row, row), vl, kind, watch, event, geometry,
+            request)
+
+
 def _decode_core(program: Program) -> CoreDecode:
     from collections import Counter
 
     instructions = program.instructions
     n = len(instructions)
-    ops = [inst.op for inst in instructions]
-    op_ids = list(map(id, ops))
-    by_opcode = {_OP_BY_ID[key]: count
-                 for key, count in Counter(op_ids).items()}
+    by_opcode = {_OP_BY_ID[key]: count for key, count in
+                 Counter([id(inst.op) for inst in instructions]).items()}
     by_class: dict[ExecClass, int] = {}
     for op, count in by_opcode.items():
         cls = EXEC_CLASS[op]
@@ -487,112 +526,57 @@ def _decode_core(program: Program) -> CoreDecode:
     runs: list[tuple[int, int]] = []
     mem_geometry: list[tuple] = []
     requests: list[MemRequest | None] = [None] * n
-    vl_list = [1] * n
-    kind_list = [0] * n
+    vl_list: list[int] = []
+    kind_list: list[int] = []
     veclen_events: list[tuple[int, int, int]] = []
     rf3d_words = rf3d_reads = 0
-    has_dvload3 = False
-    op_info = _OP_INFO_ID
-    cls_code = _CLS_ID
-    ren_get = _REN_ID.get
 
-    # per-call register lowerings keyed by object identity: registers
-    # are interned (see repro.isa.registers), so the few dozen distinct
-    # operands of a trace resolve through one dict hit instead of
-    # re-deriving class codes per occurrence.  The caches are local —
-    # the program keeps every register alive for the duration, so ids
-    # cannot be recycled under us.
-    sid_of: dict[int, int] = {}
-    dst_of: dict[int, tuple[int, int | None]] = {}
-
-    # Rows are interned by value: an unrolled loop repeats a handful of
-    # distinct rows thousands of times, so equal rows share one tuple
-    # (memory scales with the distinct rows, not the trace length) and
-    # downstream passes can key rows by identity.
+    # Each distinct instruction object is lowered once (the builder
+    # shares equal instructions, so a trace of thousands holds a few
+    # hundred objects).  The memo is keyed by identity and local to the
+    # call: the program keeps every instruction alive for the duration,
+    # so ids cannot be recycled under us.  Rows are interned by value
+    # on top: distinct instructions (say, two addresses) often lower to
+    # equal rows, and downstream passes key rows by identity.
+    lowered: dict[int, tuple] = {}
     intern: dict[tuple, tuple] = {}
 
     # hazard-run detection state: last writer index per register id
     last_write = [-1] * SB_SIZE
     run_start = -1
     for i, inst in enumerate(instructions):
-        (kind, branch, latency, vl_reader, scalar_mem, store_op,
-         is_dvload3, is_vmem) = op_info[op_ids[i]]
-        vl = inst.vl
-        vl_list[i] = vl
-        kind_list[i] = kind
-        src_ids_list = []
-        for s in inst.srcs:
-            sid = sid_of.get(id(s))
-            if sid is None:
-                sid = 1 + cls_code[id(s.cls)] * 32 + s.index
-                sid_of[id(s)] = sid
-            src_ids_list.append(sid)
-        src_ids = tuple(src_ids_list)
-        dst_ids: tuple[int, ...] = ()
-        ren: tuple[int, ...] = ()
-        for t in inst.dsts:
-            entry = dst_of.get(id(t))
-            if entry is None:
-                entry = (1 + cls_code[id(t.cls)] * 32 + t.index,
-                         ren_get(id(t.cls)))
-                dst_of[id(t)] = entry
-            tid, code = entry
-            dst_ids += (tid,)
-            if code is not None:
-                ren += (code,)
-        needs_vl = vl > 1 or vl_reader
-        ptr_kind = 0
-        ptr = 0
+        low = lowered.get(id(inst))
+        if low is None:
+            low = lowered[id(inst)] = _lower(inst, intern)
+        row, vl, kind, watch, event, geometry, request = low
+        rows.append(row)
+        vl_list.append(vl)
+        kind_list.append(kind)
+        if event is not None:
+            veclen_events.append(event)
         if kind == KIND_D3MOVE:
-            ptr_kind = 1
-            ptr = ptr_id(inst.srcs[0].index)
             rf3d_words += vl
             rf3d_reads += 1
-            veclen_events.append((2, inst.srcs[0].index, 0))
-        elif kind == KIND_MEM:
-            lanes = inst.etype.lanes if inst.etype is not None else 8
-            if is_dvload3:
-                has_dvload3 = True
-                ptr_kind = 2
-                ptr = ptr_id(inst.dsts[0].index)
-                veclen_events.append(
-                    (1, inst.dsts[0].index, (lanes << 8) | vl))
-            elif is_vmem:
-                veclen_events.append((0, 0, (lanes << 8) | vl))
-            mem_geometry.append(
-                (i, inst.ea, 1 if scalar_mem else vl,
-                 inst.stride or 0, (inst.wwords or 1) * 8,
-                 scalar_mem, store_op))
-            requests[i] = request_for(inst)
-        row = (kind, branch, latency, src_ids, dst_ids, ren,
-               kind >= KIND_D3MOVE, needs_vl, ptr_kind, ptr)
-        rows.append(intern.setdefault(row, row))
+        elif geometry is not None:
+            mem_geometry.append((i, *geometry))
+            requests[i] = request
 
         # hazard-free run tracking (int/SIMD only, no branches)
-        if kind <= KIND_SIMD and not branch:
+        if watch is not None:
             if run_start < 0:
                 run_start = i
             else:
-                hazard = needs_vl and last_write[VL_ID] >= run_start
-                if not hazard:
-                    for x in src_ids:
-                        if last_write[x] >= run_start:
-                            hazard = True
-                            break
-                if not hazard:
-                    for x in dst_ids:
-                        if last_write[x] >= run_start:
-                            hazard = True
-                            break
-                if hazard:
-                    if i - run_start > 1:
-                        runs.append((run_start, i))
-                    run_start = i
+                for x in watch:
+                    if last_write[x] >= run_start:
+                        if i - run_start > 1:
+                            runs.append((run_start, i))
+                        run_start = i
+                        break
         elif run_start >= 0:
             if i - run_start > 1:
                 runs.append((run_start, i))
             run_start = -1
-        for t in dst_ids:
+        for t in row[4]:
             last_write[t] = i
     if run_start >= 0 and n - run_start > 1:
         runs.append((run_start, n))
@@ -603,7 +587,7 @@ def _decode_core(program: Program) -> CoreDecode:
         kind_arr=np.array(kind_list, dtype=np.int64), by_class=by_class,
         by_opcode=by_opcode, veclen_events=veclen_events,
         rf3d_words=rf3d_words, rf3d_reads=rf3d_reads,
-        has_dvload3=has_dvload3)
+        has_dvload3=Opcode.DVLOAD3 in by_opcode)
 
 
 # -- overlay pass ------------------------------------------------------------

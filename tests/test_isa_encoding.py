@@ -49,6 +49,26 @@ def test_program_roundtrip():
         assert a.op == b.op and a.ea == b.ea and a.vl == b.vl
 
 
+def test_decode_program_shares_equal_records():
+    program = Program(name="loop")
+    for _ in range(4):
+        program.extend(SAMPLE_INSTRUCTIONS[2:5])
+    back = decode_program(encode_program(program))
+    assert back.instructions == program.instructions
+    assert back.version == len(back) == 12
+    assert len({id(i) for i in back}) == len(set(back.instructions)) == 3
+    assert all(back.instructions[k] is back.instructions[k % 3]
+               for k in range(12))
+
+
+def test_decode_program_rejects_out_of_range_vl():
+    bad = Instruction(op=Opcode.PADDW, dsts=(v(0),), srcs=(v(1), v(2)),
+                      etype=ElemType.I16, vl=0)
+    blob = encode_program(Program(name="bad", instructions=[bad, bad]))
+    with pytest.raises(IsaError, match="vl must be 1..16"):
+        decode_program(blob)
+
+
 def test_bad_magic_rejected():
     with pytest.raises(IsaError):
         decode_program(b"XXXX" + b"\x00" * 16)

@@ -109,3 +109,43 @@ def test_accumulator_ops_read_accumulator():
     b.vpsadacc(acc(0), v(0), v(1))
     inst = b.program.instructions[-1]
     assert acc(0) in inst.srcs and acc(0) in inst.dsts
+
+
+def test_vl_range_is_checked_for_every_opcode():
+    b = ProgramBuilder()
+    with pytest.raises(IsaError):
+        b.dvmov3(v(1), d3(0), pstride=8, vl=40)
+    with pytest.raises(IsaError):
+        Program().append(Instruction(op=Opcode.PADDW, dsts=(v(0),),
+                                     srcs=(v(1), v(2)),
+                                     etype=ElemType.I16, vl=0))
+    b.dvmov3(v(1), d3(0), pstride=8, vl=16)
+    assert len(b.program) == 1
+
+
+def test_builder_shares_equal_emits():
+    b = ProgramBuilder()
+    for _ in range(3):
+        b.setvl(4)
+        b.vld(v(0), ea=0x100, stride=8)
+        b.simd(Opcode.PADDW, v(1), v(0), v(0), etype=ElemType.I16)
+    with b.tagged("k"):
+        b.setvl(4)
+    insts = b.program.instructions
+    assert insts[0] is insts[3] is insts[6]
+    assert insts[2] is insts[5] is insts[8]
+    # the tag is part of the value: the tagged setvl is its own object
+    assert insts[9] == Instruction(op=Opcode.SETVL, dsts=insts[0].dsts,
+                                   imm=4, tag="k")
+    assert len({id(i) for i in insts}) == len(set(insts)) == 4
+    assert b.program.version == len(insts) == 10
+
+
+def test_builder_invalid_emit_raises_on_every_repeat():
+    b = ProgramBuilder()
+    for _ in range(3):
+        with pytest.raises(IsaError):
+            b.dvmov3(v(1), d3(0), pstride=8, vl=40)
+        with pytest.raises(IsaError):
+            b.ld(r(0), ea=None)
+    assert len(b.program) == 0

@@ -5,20 +5,29 @@ Hypothesis generates short random ``Program``s mixing scalar memory,
 and branches — with random strides, vector lengths and element widths —
 and asserts that the batched pipeline's ``RunStats`` equal the
 reference pipeline's on every draw.  A separate property pins
-``touch_sequence`` to the naive double-loop oracle it replaced.
+``touch_sequence`` to the naive double-loop oracle it replaced, and
+another pins the core decode's per-object lowering: a trace whose
+repeats share instruction objects decodes exactly like fresh copies.
 
 Run under the fixed ``ci`` profile (registered in ``conftest.py``) in
 CI: ``pytest --hypothesis-profile=ci``.
 """
 
+import dataclasses
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.keys import RunSpec
 from repro.engine.parallel import build_configs
-from repro.isa import ElemType, Opcode, ProgramBuilder, acc, d3, r, v
+from repro.harness.traceio import load_trace, save_trace
+from repro.isa import (ElemType, Opcode, Program, ProgramBuilder, acc, d3,
+                       r, v)
 from repro.timing import simulate
-from repro.timing.predecode import touch_sequence
+from repro.timing.predecode import _decode_core, touch_sequence
+from repro.workloads import get_benchmark
 
 _SIMD_TWO_SRC = (Opcode.PADDB, Opcode.PADDW, Opcode.PMULLW,
                  Opcode.PAVGB, Opcode.PSADBW, Opcode.PUNPCKLBW)
@@ -144,3 +153,52 @@ def test_touch_sequence_matches_naive_double_loop(ea, count, stride,
                                                   width, line_bytes):
     assert touch_sequence(ea, count, stride, width, line_bytes) == \
         _naive_touch_sequence(ea, count, stride, width, line_bytes)
+
+
+def _core_fields(program: Program) -> dict:
+    """Every field of the program's core decode in comparable form
+    (dict order included), except the derived-product memo ``aux``."""
+    core = _decode_core(program)
+    fields = {}
+    for f in dataclasses.fields(core):
+        value = getattr(core, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype, value.tolist())
+        elif isinstance(value, dict):
+            value = list(value.items())
+        fields[f.name] = value
+    del fields["aux"]
+    return fields
+
+
+def _unshared(program: Program) -> Program:
+    """The same trace with a fresh object per dynamic instruction."""
+    return Program(name=program.name,
+                   instructions=[dataclasses.replace(inst)
+                                 for inst in program])
+
+
+@given(program=_programs(), repeats=st.integers(1, 4))
+@settings(deadline=None, max_examples=60)
+def test_core_decode_ignores_instruction_sharing(program, repeats):
+    """Lowering each distinct object once is invisible: repeating a
+    body (its objects shared, like an unrolled loop) decodes exactly
+    like the same trace built from fresh copies."""
+    shared = Program(name=program.name,
+                     instructions=program.instructions * repeats)
+    copies = _unshared(shared)
+    assert len({id(inst) for inst in copies}) == len(copies)
+    assert _core_fields(copies) == _core_fields(shared)
+
+
+@pytest.mark.parametrize("bench,coding", [("mpeg2_encode", "mom3d"),
+                                          ("gsm_encode", "mmx")])
+def test_paper_trace_core_decode_ignores_sharing(bench, coding, tmp_path):
+    """A built paper trace, its unshared copies and its reload from a
+    trace file (shared by record, with fresh registers) lower alike."""
+    program = get_benchmark(bench).build(coding, 0).program
+    path = tmp_path / "trace"
+    save_trace(program, path)
+    expected = _core_fields(program)
+    assert _core_fields(_unshared(program)) == expected
+    assert _core_fields(load_trace(path)) == expected
