@@ -18,18 +18,16 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from repro.isa import (  # noqa: F401
-    ElemType,
-    Instruction,
-    Opcode,
-    Program,
-    ProgramBuilder,
-    acc,
-    d3,
-    r,
-    v,
-)
-from repro.vm import Arena, Executor, FlatMemory, MachineState, execute  # noqa: F401
+from repro.lazy import lazy_exports
+
+# The ISA and VM names load on first access: the VM imports numpy, and
+# no command reaches either through this package.
+__getattr__ = lazy_exports(__name__, {
+    "repro.isa": ("ElemType", "Instruction", "Opcode", "Program",
+                  "ProgramBuilder", "acc", "d3", "r", "v"),
+    "repro.vm": ("Arena", "Executor", "FlatMemory", "MachineState",
+                 "execute"),
+})
 
 __all__ = [
     "Arena", "ElemType", "Executor", "FlatMemory", "Instruction",

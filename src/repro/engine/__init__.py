@@ -57,7 +57,6 @@ from repro.engine.parallel import (
     plan_grid,
     register_trace,
     shard_specs,
-    simulate_many,
     simulate_specs,
     validate_spec,
 )
@@ -360,5 +359,5 @@ __all__ = [
     "build_workload", "code_version", "default_cache_root",
     "execute_spec", "grid_eligible", "grid_group_key", "make_backend",
     "plan_grid", "register_trace", "run_many", "shard_specs",
-    "simulate_many", "simulate_specs", "validate_spec",
+    "simulate_specs", "validate_spec",
 ]

@@ -1,7 +1,5 @@
 """Local process-pool execution backend (the historical default).
 
-This is ``engine/parallel.py``'s old ``simulate_many`` pool, extracted
-behind the :class:`~repro.engine.backends.ExecutionBackend` protocol.
 Shards group specs sharing one ``(benchmark, coding, seed)`` workload
 trace so each pool task builds its trace once; results travel back in
 the lossless ``RunStats.to_dict`` form, so parallel execution is
@@ -11,16 +9,17 @@ bit-identical to serial execution by construction.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.engine.keys import RunSpec
 from repro.engine.parallel import (
+    TRACE_PREFIX,
     restore_trace_paths,
     shard_specs,
     simulate_specs,
     trace_paths_for,
 )
 from repro.timing.stats import RunStats
+from repro.workloads import get_benchmark
 
 
 def _pool_worker(specs: tuple[RunSpec, ...],
@@ -39,14 +38,27 @@ def _pool_worker(specs: tuple[RunSpec, ...],
     return [results[spec].to_dict() for spec in specs]
 
 
+def _load_simulator(specs) -> None:
+    """Import the timing pipelines and the specs' trace generators.
+
+    Called in the parent just before a pool forks: forked workers
+    inherit what is loaded, so no worker imports the simulator itself.
+    """
+    import repro.timing.grid  # noqa: F401
+    import repro.timing.pipeline  # noqa: F401
+
+    for name in {spec.benchmark for spec in specs}:
+        if not name.startswith(TRACE_PREFIX):
+            get_benchmark(name)
+
+
 class ProcessBackend:
     """Fan uncached specs across a local ``ProcessPoolExecutor``.
 
     ``jobs`` is the default pool width; ``execute(jobs=...)`` overrides
     it per call.  ``jobs <= 1`` (or a single spec) runs serially on the
     calling thread — no pool, no pickling.  The pool itself is created
-    per ``execute`` call, exactly like the old ``simulate_many``, so an
-    idle backend holds no processes.
+    per ``execute`` call, so an idle backend holds no processes.
     """
 
     name = "process"
@@ -74,6 +86,9 @@ class ProcessBackend:
                 self._dispatches += 1
                 self._executed += len(results)
             return results
+        from concurrent.futures import ProcessPoolExecutor
+
+        _load_simulator(specs)
         shards = shard_specs(specs, jobs)
         results: dict[RunSpec, RunStats] = {}
         with ProcessPoolExecutor(

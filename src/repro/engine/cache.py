@@ -91,16 +91,17 @@ def code_version() -> str:
     Hashes every ``*.py`` file under the installed ``repro`` package in
     a deterministic order, together with the interpreter and numpy
     versions.  Any change to the simulation code yields a new cache
-    namespace.
+    namespace.  numpy's version is read from its installed metadata,
+    so a cache hit never imports numpy.
     """
-    import numpy
+    from importlib import metadata
 
     import repro
 
     hasher = hashlib.sha256()
     hasher.update(f"py{sys.version_info.major}.{sys.version_info.minor}"
-                  f";numpy{numpy.__version__};schema{_ENTRY_SCHEMA}"
-                  .encode())
+                  f";numpy{metadata.version('numpy')}"
+                  f";schema{_ENTRY_SCHEMA}".encode())
     root = Path(repro.__file__).resolve().parent
     for path in sorted(root.rglob("*.py")):
         hasher.update(str(path.relative_to(root)).encode())

@@ -5,8 +5,8 @@ to concrete simulator objects (processor config, memory system,
 workload trace) and the :func:`shard_specs` partitioner that groups
 specs sharing a workload trace.  *How* a list of specs is executed —
 serially, across a local process pool, or on remote workers — is the
-job of :mod:`repro.engine.backends`; :func:`simulate_many` survives as
-a thin compatibility wrapper over the process backend.
+job of :mod:`repro.engine.backends`.  The timing pipelines are imported
+where a spec is simulated, so resolving a warm cache loads none.
 
 Backends ship results around as ``RunStats.to_dict`` payloads — the
 same lossless form the disk cache stores — so parallel execution is
@@ -30,12 +30,10 @@ from repro.errors import ConfigError
 from repro.memsys.hierarchy import HierarchyConfig
 from repro.timing import (
     MEMSYSTEMS,
-    TIMING_MODELS,
     MemSysConfig,
     PROCESSORS,
     ProcessorConfig,
     RunStats,
-    simulate,
 )
 from repro.workloads import BuiltWorkload, get_benchmark
 
@@ -99,7 +97,7 @@ _WORKLOADS_LOCK = threading.Lock()
 TRACE_PREFIX = "trace:"
 
 #: Content digest -> trace path, populated by :func:`register_trace`.
-#: Process-local; :func:`simulate_many` ships the entries its shard
+#: Process-local; the process backend ships the entries a shard
 #: needs to pool workers explicitly (fork *and* spawn start methods),
 #: so replays parallelize like any other benchmark.
 _TRACE_PATHS: dict[str, str] = {}
@@ -211,6 +209,8 @@ def _split_overrides(overrides) -> tuple[dict, dict, dict, str | None]:
             _check_value(name, value)
             memsys[name] = value
         elif name == "timing_model":
+            from repro.timing.pipeline import TIMING_MODELS
+
             if value not in TIMING_MODELS:
                 raise ConfigError(
                     f"unknown timing model {value!r}; expected one of "
@@ -276,6 +276,8 @@ def validate_spec(spec: RunSpec) -> None:
 
 def execute_spec(spec: RunSpec) -> RunStats:
     """Run one simulation point from scratch (no caching)."""
+    from repro.timing.pipeline import simulate
+
     proc, memsys, model = _resolve_spec(spec)
     workload = build_workload(spec.benchmark, spec.coding, spec.seed)
     return simulate(workload.program, proc, memsys, warm=spec.warm,
@@ -453,17 +455,3 @@ def shard_specs(specs: list[RunSpec], jobs: int) -> list[list[RunSpec]]:
         shards.extend([biggest[:boundary], biggest[boundary:]])
     return shards
 
-
-def simulate_many(specs: list[RunSpec], jobs: int = 1
-                  ) -> dict[RunSpec, RunStats]:
-    """Simulate every spec, fanning out across ``jobs`` processes.
-
-    Compatibility wrapper over
-    :class:`repro.engine.backends.ProcessBackend` (where the pool
-    moved); ``jobs <= 1`` runs serially in-process.  Results are keyed
-    by spec; parallel results pass through the lossless dict form, so
-    they compare equal to serial ones.
-    """
-    from repro.engine.backends.process import ProcessBackend
-
-    return ProcessBackend(jobs=jobs).execute(specs)

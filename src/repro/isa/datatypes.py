@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 #: Number of bytes in a uSIMD register word (the MMX/MOM element width).
 WORD_BYTES = 8
 #: Number of bits in a uSIMD register word.
@@ -24,11 +22,6 @@ class ElemType(enum.Enum):
     U8 = "u8"
     I16 = "i16"
     I32 = "i32"
-
-    @property
-    def nptype(self) -> np.dtype:
-        """The numpy dtype used to view a packed word of this type."""
-        return _NP_TYPES[self]
 
     @property
     def width_bytes(self) -> int:
@@ -51,12 +44,6 @@ class ElemType(enum.Enum):
         return _MAXS[self]
 
 
-_NP_TYPES = {
-    ElemType.U8: np.dtype(np.uint8),
-    ElemType.I16: np.dtype(np.int16),
-    ElemType.I32: np.dtype(np.int32),
-}
-
 _WIDTHS = {ElemType.U8: 1, ElemType.I16: 2, ElemType.I32: 4}
 
 _MINS = {ElemType.U8: 0, ElemType.I16: -(1 << 15), ElemType.I32: -(1 << 31)}
@@ -66,23 +53,3 @@ _MAXS = {
     ElemType.I16: (1 << 15) - 1,
     ElemType.I32: (1 << 31) - 1,
 }
-
-
-def word_to_lanes(word: int, etype: ElemType) -> np.ndarray:
-    """Split a 64-bit word (Python int) into its packed lanes.
-
-    Lanes are returned in little-endian order (lane 0 = least significant
-    bytes), matching MMX semantics.
-    """
-    raw = np.uint64(word & 0xFFFF_FFFF_FFFF_FFFF)
-    return raw.view((etype.nptype, etype.lanes)).copy()
-
-
-def lanes_to_word(lanes: np.ndarray, etype: ElemType) -> int:
-    """Pack an array of lanes back into a 64-bit word (Python int)."""
-    arr = np.asarray(lanes, dtype=etype.nptype)
-    if arr.size != etype.lanes:
-        raise ValueError(
-            f"expected {etype.lanes} lanes for {etype}, got {arr.size}"
-        )
-    return int(arr.view(np.uint64)[0])

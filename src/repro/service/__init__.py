@@ -36,52 +36,38 @@ batching semantics, ``docs/backends.md`` for the worker protocol, and
 ``docs/operations.md`` for running a resilient fleet.
 """
 
-from repro.service.admission import (
-    AdmissionController,
-    QuotaExceeded,
-    instrument_admission,
-)
-from repro.service.client import ServiceClient, ServiceError
+from repro.lazy import lazy_exports
 from repro.service.faults import (
     FaultPlan,
     FaultSpecError,
     InjectedFault,
     NO_FAULTS,
 )
-from repro.service.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    instrument_engine,
-    instrument_work_queue,
-)
-from repro.service.scheduler import (
-    BatchScheduler,
-    ExploreJob,
-    Job,
-    JobStore,
-    SchedulerStats,
-)
-from repro.service.schema import (
-    SCHEMA_VERSION,
-    ErrorReply,
-    ExploreResult,
-    JobRequest,
-    JobResult,
-    SchemaError,
-    WorkCompletion,
-    WorkLeaseGrant,
-    explore_query_from_wire,
-    explore_query_to_wire,
-)
-from repro.service.server import ServiceServer, background_server, serve
-from repro.service.supervisor import (
-    AutoscaleSupervisor,
-    SupervisorStats,
-    autoscale,
-)
-from repro.service.worker import ServiceWorker, WorkerStats, work
+
+# Only the fault harness loads with the package: the engine's segment
+# store reads its fault plan whenever it opens.  The rest (asyncio,
+# HTTP, the explorer) loads on first access, when a command serves,
+# submits or works.
+__getattr__ = lazy_exports(__name__, {
+    "repro.service.admission": ("AdmissionController", "QuotaExceeded",
+                                "instrument_admission"),
+    "repro.service.client": ("ServiceClient", "ServiceError"),
+    "repro.service.metrics": ("Counter", "Gauge", "Histogram", "Metrics",
+                              "instrument_engine",
+                              "instrument_work_queue"),
+    "repro.service.scheduler": ("BatchScheduler", "ExploreJob", "Job",
+                                "JobStore", "SchedulerStats"),
+    "repro.service.schema": ("SCHEMA_VERSION", "ErrorReply",
+                             "ExploreResult", "JobRequest", "JobResult",
+                             "SchemaError", "WorkCompletion",
+                             "WorkLeaseGrant", "explore_query_from_wire",
+                             "explore_query_to_wire"),
+    "repro.service.server": ("ServiceServer", "background_server",
+                             "serve"),
+    "repro.service.supervisor": ("AutoscaleSupervisor", "SupervisorStats",
+                                 "autoscale"),
+    "repro.service.worker": ("ServiceWorker", "WorkerStats", "work"),
+})
 
 __all__ = [
     "NO_FAULTS", "SCHEMA_VERSION", "AdmissionController",

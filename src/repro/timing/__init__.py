@@ -1,5 +1,6 @@
 """Out-of-order timing model and the paper's processor configurations."""
 
+from repro.lazy import lazy_exports
 from repro.timing.config import (
     MEMSYSTEMS,
     MemSysConfig,
@@ -12,16 +13,16 @@ from repro.timing.config import (
     multibank_memsys,
     vector_memsys,
 )
-from repro.timing.grid import GridPipeline, simulate_grid
-from repro.timing.pipeline import (
-    DEFAULT_TIMING_MODEL,
-    TIMING_MODELS,
-    BatchedPipeline,
-    Pipeline,
-    ReferencePipeline,
-    simulate,
-)
 from repro.timing.stats import RunStats, VecLenStats
+
+# The pipelines load on first access: they import numpy and the whole
+# decode/schedule stack, which a cache hit never runs.
+__getattr__ = lazy_exports(__name__, {
+    "repro.timing.grid": ("GridPipeline", "simulate_grid"),
+    "repro.timing.pipeline": ("DEFAULT_TIMING_MODEL", "TIMING_MODELS",
+                              "BatchedPipeline", "Pipeline",
+                              "ReferencePipeline", "simulate"),
+})
 
 __all__ = [
     "BatchedPipeline", "DEFAULT_TIMING_MODEL", "GridPipeline",

@@ -24,7 +24,6 @@ from repro.errors import ConfigError
 from repro.isa.instructions import Program
 from repro.timing.batched import BatchedPipeline
 from repro.timing.config import MemSysConfig, ProcessorConfig
-from repro.timing.predecode import touch_sequence as _touch_sequence  # noqa: F401  (back-compat re-export)
 from repro.timing.reference import ReferencePipeline
 from repro.timing.stats import RunStats
 

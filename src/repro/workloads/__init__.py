@@ -1,20 +1,19 @@
 """The five Mediabench-style workloads in MMX / MOM / MOM+3D codings.
 
-Importing this package registers every benchmark; use
-:func:`get_benchmark` / :func:`benchmark_names` to enumerate them.
+Use :func:`benchmark_names` to enumerate the benchmarks and
+:func:`get_benchmark` to build one; a benchmark's trace generator is
+imported on first use.
 """
 
-from repro.workloads import gsm, jpeg, mpeg2  # noqa: F401  (registration)
 from repro.workloads.base import (
     CODINGS,
     Benchmark,
     BuiltWorkload,
     benchmark_names,
     get_benchmark,
-    register,
 )
 
 __all__ = [
     "Benchmark", "BuiltWorkload", "CODINGS", "benchmark_names",
-    "get_benchmark", "register",
+    "get_benchmark",
 ]

@@ -1,4 +1,4 @@
-"""Workload abstractions: benchmarks, codings and the registry.
+"""Workload abstractions: benchmarks, codings and the benchmark table.
 
 Every benchmark can be generated in three codings, mirroring the
 paper's methodology (Sec. 5.1):
@@ -16,14 +16,16 @@ Sec. 5.1), so its ``mom3d`` coding is identical to ``mom``.
 from __future__ import annotations
 
 import abc
+import importlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigError
 from repro.isa.instructions import Program
-from repro.vm.executor import Executor
-from repro.vm.memory import FlatMemory
-from repro.vm.state import MachineState
+
+if TYPE_CHECKING:
+    from repro.vm.memory import FlatMemory
+    from repro.vm.state import MachineState
 
 CODINGS = ("mmx", "mom", "mom3d")
 
@@ -43,6 +45,8 @@ class BuiltWorkload:
 
     def run_functional(self) -> MachineState:
         """Execute on the VM and validate against the reference."""
+        from repro.vm.executor import Executor
+
         executor = Executor(self.memory)
         state = executor.run(self.program)
         self.check(state, self.memory)
@@ -52,7 +56,7 @@ class BuiltWorkload:
 class Benchmark(abc.ABC):
     """One Mediabench-style application."""
 
-    #: registry key, e.g. "mpeg2_encode"
+    #: benchmark-table key, e.g. "mpeg2_encode"
     name: str = ""
     #: False when the paper found no exploitable 3D patterns
     has_3d: bool = True
@@ -77,31 +81,30 @@ class Benchmark(abc.ABC):
         """Generate for a concrete coding ('mmx', 'mom' or 'mom3d')."""
 
 
-_REGISTRY: dict[str, Callable[[], Benchmark]] = {}
-
-
-def register(cls):
-    """Class decorator: add a Benchmark to the global registry."""
-    if not cls.name:
-        raise ConfigError(f"benchmark class {cls.__name__} has no name")
-    _REGISTRY[cls.name] = cls
-    return cls
+#: Every benchmark, in the paper's plot order: name -> (generator
+#: module, class).  A generator (and numpy with it) is imported the
+#: first time one of its benchmarks is built, so listing benchmarks or
+#: serving a warm cache loads none.
+_BENCHMARKS = {
+    "jpeg_encode": ("repro.workloads.jpeg", "JpegEncode"),
+    "jpeg_decode": ("repro.workloads.jpeg", "JpegDecode"),
+    "mpeg2_decode": ("repro.workloads.mpeg2", "Mpeg2Decode"),
+    "mpeg2_encode": ("repro.workloads.mpeg2", "Mpeg2Encode"),
+    "gsm_encode": ("repro.workloads.gsm", "GsmEncode"),
+}
 
 
 def get_benchmark(name: str) -> Benchmark:
-    """Instantiate a registered benchmark by name."""
+    """Instantiate a benchmark by name, importing its generator."""
     try:
-        return _REGISTRY[name]()
+        module, cls = _BENCHMARKS[name]
     except KeyError:
         raise ConfigError(
-            f"unknown benchmark {name!r}; known: {sorted(_REGISTRY)}"
+            f"unknown benchmark {name!r}; known: {sorted(_BENCHMARKS)}"
         ) from None
+    return getattr(importlib.import_module(module), cls)()
 
 
 def benchmark_names() -> list[str]:
-    """All registered benchmark names, in the paper's plot order."""
-    order = ["jpeg_encode", "jpeg_decode", "mpeg2_decode", "mpeg2_encode",
-             "gsm_encode"]
-    known = [n for n in order if n in _REGISTRY]
-    extras = sorted(set(_REGISTRY) - set(order))
-    return known + extras
+    """All benchmark names, in the paper's plot order."""
+    return list(_BENCHMARKS)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.isa import ElemType, Opcode, ProgramBuilder, acc, d3, r, v
 from repro.vm.memory import Arena, FlatMemory
-from repro.workloads.base import Benchmark, BuiltWorkload, register
+from repro.workloads.base import Benchmark, BuiltWorkload
 from repro.workloads.dctmath import addsw, bcast16, mulhrs
 from repro.workloads.frames import synthetic_speech
 
@@ -65,7 +65,6 @@ def fir_reference(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-@register
 class GsmEncode(Benchmark):
     """gsm encode: LTP lag search + weighting filter."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.isa import ElemType, Opcode, ProgramBuilder, d3, v
 from repro.vm.memory import Arena, FlatMemory
-from repro.workloads.base import Benchmark, BuiltWorkload, register
+from repro.workloads.base import Benchmark, BuiltWorkload
 from repro.workloads.dctkernels import (
     BlockGroupPass,
     QuantizePass,
@@ -70,7 +70,6 @@ def ycc_to_rgb_reference(y, cb, cr):
     return clamp(red), clamp(green), clamp(blue)
 
 
-@register
 class JpegEncode(Benchmark):
     """jpeg encode: color conversion, downsample, FDCT, quantization."""
 
@@ -297,7 +296,6 @@ class JpegEncode(Benchmark):
                 b.branch()
 
 
-@register
 class JpegDecode(Benchmark):
     """jpeg decode: IDCT, chroma upsample, YCbCr -> RGB conversion.
 

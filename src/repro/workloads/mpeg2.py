@@ -19,7 +19,7 @@ import numpy as np
 from repro.isa import ElemType, Opcode, ProgramBuilder, d3, r, v
 from repro.vm.memory import Arena, FlatMemory
 from repro.workloads import motion
-from repro.workloads.base import Benchmark, BuiltWorkload, register
+from repro.workloads.base import Benchmark, BuiltWorkload
 from repro.workloads.dctkernels import BlockGroupPass, QuantizePass
 from repro.workloads.dctmath import dct_matrix_q15
 from repro.workloads.frames import shifted_frame, synthetic_frame
@@ -40,7 +40,6 @@ def _avgb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.uint8)
 
 
-@register
 class Mpeg2Encode(Benchmark):
     """mpeg2 encode: motion estimation + FDCT + quantization."""
 
@@ -118,7 +117,6 @@ class Mpeg2Encode(Benchmark):
                    "window": ME_WIN})
 
 
-@register
 class Mpeg2Decode(Benchmark):
     """mpeg2 decode: IDCT + half-pel motion compensation + reconstruction."""
 

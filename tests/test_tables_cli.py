@@ -249,3 +249,23 @@ def test_cli_submit_rejects_bad_url(capsys):
                  "-m", "ideal", "--url",
                  "https://127.0.0.1:9"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_exits_quietly_when_stdout_reader_is_gone():
+    """``repro list | head -1``: a reader that exits before the command
+    writes gets no traceback on stderr, just exit status 1."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "list"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)})
+    proc.stdout.close()  # long before the child has imported repro.cli
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert stderr == ""

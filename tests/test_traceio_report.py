@@ -94,9 +94,9 @@ def test_cli_replay_honors_set_override_axes(tmp_path, capsys):
 def test_trace_paths_ship_to_pool_workers(tmp_path, monkeypatch):
     """Pool workers re-register the parent's trace paths explicitly,
     so replays parallelize under spawn (no fork-inherited state)."""
-    from repro.engine import RunSpec, register_trace, simulate_many
+    from repro.engine import RunSpec, register_trace
     from repro.engine import parallel
-    from repro.engine.backends.process import _pool_worker
+    from repro.engine.backends.process import ProcessBackend, _pool_worker
 
     path = tmp_path / "t.trace"
     export_workload("gsm_encode", "mom", path)
@@ -114,8 +114,8 @@ def test_trace_paths_ship_to_pool_workers(tmp_path, monkeypatch):
     assert len(payloads) == 2 and payloads[0]["cycles"] > 0
 
     # and the end-to-end parallel path agrees with serial execution
-    parallel_results = simulate_many(specs, jobs=2)
-    serial_results = simulate_many(specs, jobs=1)
+    parallel_results = ProcessBackend(jobs=2).execute(specs)
+    serial_results = ProcessBackend(jobs=1).execute(specs)
     for spec in specs:
         assert parallel_results[spec].to_dict() == \
             serial_results[spec].to_dict()

@@ -86,14 +86,17 @@ def test_unknown_coding_rejected():
 
 
 def test_unknown_benchmark_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as excinfo:
         get_benchmark("h264_encode")
+    assert all(name in str(excinfo.value) for name in ALL_BENCHMARKS)
 
 
 def test_benchmark_names_order():
     assert ALL_BENCHMARKS == ["jpeg_encode", "jpeg_decode",
                               "mpeg2_decode", "mpeg2_encode",
                               "gsm_encode"]
+    for name in ALL_BENCHMARKS:
+        assert get_benchmark(name).name == name
 
 
 # --- motion reference properties ---------------------------------------------
