@@ -9,6 +9,8 @@ Run against a live ``repro serve`` instance:
 * asserts the server-side engine counters match the phase — ``cold``
   simulated every unique spec, ``warm`` (a restart over the same
   result cache) simulated **zero**;
+* resubmits the grid and asserts the server answers it from its memo
+  in the submit reply itself (``done``, same results, no simulation);
 * recomputes the grid with an in-process ``Engine.run_many`` and
   asserts the wire results are byte-identical (``RunStats.to_dict``) —
   the same stats the ``repro run fig3`` / ``tables`` output renders;
@@ -54,6 +56,21 @@ def main(argv=None) -> int:
             f"warm service rerun must report simulations=0, got "
             f"{engine_stats['simulations']}")
         assert engine_stats["disk_hits"] == len(unique)
+
+    resubmitted = client.submit(specs)
+    assert resubmitted.status == "done", (
+        f"a memoized grid must be done in its submit reply, got "
+        f"{resubmitted.status!r}")
+    inline = resubmitted.stats_by_spec()
+    mismatched = [spec.label() for spec in unique
+                  if inline[spec].to_dict() != remote[spec].to_dict()]
+    assert not mismatched, f"inline reply differs from fetch: {mismatched}"
+    resimulated = client.stats()["engine"]["simulations"]
+    assert resimulated == engine_stats["simulations"], (
+        f"resubmission simulated: {engine_stats['simulations']} -> "
+        f"{resimulated}")
+    print(f"[smoke] {args.phase}: resubmitted grid answered inline "
+          f"(job {resubmitted.job_id} done at submit)")
 
     local = Engine(use_cache=False, jobs=2).run_many(specs)
     mismatched = [spec.label() for spec in unique

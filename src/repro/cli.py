@@ -902,7 +902,8 @@ def main(argv: list[str] | None = None) -> int:
                          help="listen port (0 picks a free one)")
     p_serve.add_argument("--window", type=float, default=0.02,
                          metavar="SECONDS",
-                         help="batch coalescing window (default 0.02)")
+                         help="batch coalescing window for specs not "
+                              "in the memo (default 0.02)")
     p_serve.add_argument("--max-batch", type=int, default=64,
                          metavar="N",
                          help="max specs per run_many dispatch")

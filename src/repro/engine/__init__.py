@@ -228,6 +228,19 @@ class Engine:
             results.update(self._admit_many(fresh))
         return {spec: results[spec] for spec in specs}
 
+    def memo_lookup(self, spec: RunSpec) -> RunStats | None:
+        """The memoized result for ``spec`` (a counted memo hit), or None.
+
+        Memo only: it never reads the disk cache or calls a backend, so
+        it cannot block — the service scheduler answers memo hits on
+        its event loop through it, at submit time.
+        """
+        with self._lock:
+            hit = self._memo.get(spec)
+            if hit is not None:
+                self.stats.memo_hits += 1
+            return hit
+
     def _plan(self, pending, grid_mode: str) -> None:
         """Account the grid planner's decision for a dispatch (caller
         holds the lock; ``plan_grid`` is one dict pass over the specs,
@@ -245,10 +258,9 @@ class Engine:
     # never stalls another thread's pure memo hits.
 
     def _lookup(self, spec: RunSpec) -> RunStats | None:
-        with self._lock:
-            if spec in self._memo:
-                self.stats.memo_hits += 1
-                return self._memo[spec]
+        hit = self.memo_lookup(spec)
+        if hit is not None:
+            return hit
         if self.cache is not None:
             stats = self.cache.get(spec)  # disk read, unlocked
             if stats is not None:

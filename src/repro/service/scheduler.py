@@ -6,7 +6,9 @@ The scheduler is the service's concurrency heart:
   pending future; N clients asking for the same spec while it runs all
   await that future, so the grid costs one simulation pass no matter
   how many submit it.
-* **Batch coalescing** — newly submitted specs collect in a queue; the
+* **Memo hits at submit** — a spec the engine's in-process memo
+  already holds resolves inside ``submit`` and is never queued.
+* **Batch coalescing** — the other new specs collect in a queue; the
   dispatch loop waits a short window (or until ``max_batch`` specs are
   queued) and resolves the whole batch with a single
   ``Engine.run_many`` call, which shards uncached specs across worker
@@ -109,7 +111,7 @@ class BatchScheduler:
         self._latency = metrics.histogram(
             "repro_scheduler_job_latency_seconds",
             "Submit-to-resolution latency per unique spec "
-            "(memo hits and fresh simulations alike).",
+            "(0 for a memo hit answered at submit).",
             buckets=LATENCY_BUCKETS)
         self._batch_sizes = metrics.histogram(
             "repro_scheduler_batch_size_specs",
@@ -159,7 +161,12 @@ class BatchScheduler:
     # -- submission --------------------------------------------------------
 
     def submit(self, specs: Iterable[RunSpec]) -> list[asyncio.Future]:
-        """Register specs; returns one future per input (dups share)."""
+        """Register specs; returns one future per input.
+
+        A spec the engine's memo already holds comes back as a resolved
+        future and is never queued; the window applies to misses only.
+        Duplicates of a queued or running spec share its future.
+        """
         if self._closed:
             raise RuntimeError("scheduler is closed")
         loop = asyncio.get_running_loop()
@@ -167,7 +174,16 @@ class BatchScheduler:
         for spec in specs:
             self.stats.submitted += 1
             future = self._inflight.get(spec)
-            if future is None:
+            if future is not None:
+                self.stats.coalesced += 1
+            # memo only: a disk read here would block the event loop,
+            # so disk hits still go through a batch on the executor
+            elif (hit := self.engine.memo_lookup(spec)) is not None:
+                future = loop.create_future()
+                future.set_result(hit)
+                if self._latency is not None:
+                    self._latency.observe(0.0)
+            else:
                 future = loop.create_future()
                 self._inflight[spec] = future
                 self._queue.append(spec)
@@ -179,8 +195,6 @@ class BatchScheduler:
                     future.add_done_callback(
                         lambda _f, t0=submitted_at: self._latency
                         .observe(time.monotonic() - t0))
-            else:
-                self.stats.coalesced += 1
             futures.append(future)
         if self._queue and self._kick is not None:
             self._kick.set()

@@ -6,7 +6,8 @@ No third-party dependencies: requests are parsed straight off an
 ``docs/service.md``):
 
 * ``POST /v1/jobs`` — submit a spec grid or declarative sweep; replies
-  ``202`` with the job snapshot (poll it).
+  ``202`` with the job snapshot (poll it; a job whose specs are all in
+  the engine's memo is already ``done``, with its results).
 * ``GET /v1/jobs/<id>`` — job status; includes per-spec results once
   ``status == "done"``.
 * ``POST /v1/explore`` / ``GET /v1/explore/<id>`` — design-space
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import math
 import signal
@@ -486,7 +488,7 @@ class ServiceServer:
             return self._post_supervisor_report(body)
         if path == "/v1/results":
             self._require_method(method, "GET", path)
-            return self._get_results(query)
+            return await self._get_results(query)
         if path == "/v1/health":
             self._require_method(method, "GET", path)
             return 200, {"schema_version": SCHEMA_VERSION,
@@ -739,8 +741,13 @@ class ServiceServer:
         return 200, {"schema_version": SCHEMA_VERSION,
                      "accepted": True, "draining": self.draining}
 
-    def _get_results(self, query: dict) -> tuple[int, dict]:
-        """``GET /v1/results``: bulk-scan the engine's result cache."""
+    async def _get_results(self, query: dict) -> tuple[int, dict]:
+        """``GET /v1/results``: bulk-scan the engine's result cache.
+
+        The parameters are checked on the event loop; the scan reads
+        every stored record, so it runs on a thread and the loop keeps
+        answering other requests meanwhile (the store is thread-safe).
+        """
         cache = self.engine.cache
         if cache is None:
             raise _HttpReply(404, ErrorReply(
@@ -794,7 +801,9 @@ class ServiceServer:
                     message=f"limit must be positive, got {limit}"))
             limit = min(limit, MAX_GRID)
         version = filters.pop("version", None)
-        rows = cache.query(version=version, limit=limit + 1, **filters)
+        rows = await asyncio.get_running_loop().run_in_executor(
+            None, functools.partial(cache.query, version=version,
+                                    limit=limit + 1, **filters))
         truncated = len(rows) > limit
         reply = CacheQueryReply(
             version=version or cache.version, layout=cache.layout,

@@ -59,24 +59,34 @@ def test_paper_grids_parity_and_warm_restart(service, tmp_path):
     for spec in grid:
         assert remote[spec].to_dict() == local[spec].to_dict(), spec
 
-    # rerun against the same live server: all memo hits, no new sims
+    # rerun against the same live server: all memo hits, answered in
+    # the submit reply itself, no new sims
     before = client.stats()["engine"]
-    again = client.run_many(grid)
+    job = client.submit(grid)
+    assert job.status == "done"
+    again = job.stats_by_spec()
     after = client.stats()["engine"]
     assert after["simulations"] == before["simulations"]
     for spec in grid:
         assert again[spec].to_dict() == remote[spec].to_dict()
+    assert client.poll(job.job_id).status == "done"
 
-    # cold-started service over the same cache: zero simulations
+    # cold-started service over the same cache: zero simulations; the
+    # first fetch reads the disk (through a batch), the next is inline
     warm_engine = Engine(jobs=2, cache_dir=cache_dir)
     with background_server(warm_engine, window=0.01) as warm_server:
         warm_client = ServiceClient(warm_server.url)
         warm = warm_client.run_many(grid)
         stats = warm_client.stats()
+        rerun = warm_client.submit(grid)
     assert stats["engine"]["simulations"] == 0
     assert stats["engine"]["disk_hits"] == len(grid)
     for spec in grid:
         assert warm[spec].to_dict() == remote[spec].to_dict()
+    assert rerun.status == "done"
+    assert {spec: result.to_dict()
+            for spec, result in rerun.stats_by_spec().items()} == \
+        {spec: result.to_dict() for spec, result in warm.items()}
 
 
 def test_sweep_submission_expands_server_side(service):
@@ -181,6 +191,44 @@ def test_results_endpoint_rejects_bad_queries(service):
         assert json.loads(body)["error"]["code"] == "bad-query"
     status, _ = _raw(server, "GET", "/v1/results?version=unknown-ver")
     assert status == 200  # unknown version: empty results, not an error
+
+
+def test_results_scan_does_not_block_other_requests(tmp_path):
+    """``GET /v1/results`` scans the store on a thread: a health probe
+    is answered while a slow scan is still held."""
+    import threading
+
+    engine = Engine(cache_dir=tmp_path, backend="inline")
+    spec = RunSpec(BENCH, "mom", "ideal")
+    scanning, release = threading.Event(), threading.Event()
+    returned = threading.Event()
+    real_query = engine.cache.query
+
+    def held_query(**filters):
+        scanning.set()
+        release.wait(timeout=5)
+        try:
+            return real_query(**filters)
+        finally:
+            returned.set()
+
+    engine.cache.query = held_query
+    replies = []
+    with background_server(engine, window=0.01) as server:
+        ServiceClient(server.url).run_many([spec])
+        scan = threading.Thread(target=lambda: replies.append(
+            ServiceClient(server.url).query_results(benchmark=BENCH)))
+        scan.start()
+        try:
+            assert scanning.wait(timeout=10)
+            assert ServiceClient(server.url).health()["status"] == "ok"
+            assert not returned.is_set()  # answered mid-scan
+        finally:
+            release.set()
+            scan.join(timeout=10)
+    assert returned.is_set()
+    assert len(replies) == 1  # the scan's 200 reply
+    assert [got for got, _stats in replies[0].results] == [spec]
 
 
 def test_results_endpoint_404_without_cache():

@@ -41,7 +41,10 @@ def test_n_identical_submissions_one_simulation_pass():
 
 def test_submissions_during_flight_attach_to_running_future():
     """A spec submitted while its simulation is running must not start
-    a second one — the new waiter attaches to the in-flight future."""
+    a second one — the new waiter attaches to the in-flight future,
+    even once the engine has memoized the result but the batch has not
+    yet handed it back (the memo is read only for specs not in flight).
+    """
     engine = Engine(use_cache=False)
     entered = threading.Event()
     release = threading.Event()
@@ -50,20 +53,22 @@ def test_submissions_during_flight_attach_to_running_future():
 
     def gated_run_many(specs, jobs=None):
         calls.append(list(specs))
+        results = real_run_many(specs, jobs=jobs)  # fills the memo
         entered.set()
         assert release.wait(timeout=10)
-        return real_run_many(specs, jobs=jobs)
+        return results
 
     engine.run_many = gated_run_many
 
     async def main():
         async with BatchScheduler(engine, window=0.0) as scheduler:
             first = scheduler.submit([IDEAL])[0]
-            # wait until the batch is actually executing on the engine
+            # wait until the batch has simulated but not yet returned
             while not entered.is_set():
                 await asyncio.sleep(0.005)
             second = scheduler.submit([IDEAL])[0]
             assert second is first  # same in-flight future
+            assert not second.done()
             release.set()
             await asyncio.gather(first, second)
             return scheduler
@@ -71,7 +76,52 @@ def test_submissions_during_flight_attach_to_running_future():
     scheduler = _run(main())
     assert len(calls) == 1
     assert engine.stats.simulations == 1
+    assert engine.stats.memo_hits == 0
     assert scheduler.stats.coalesced == 1
+
+
+def test_memo_hit_resolves_at_submit():
+    """A spec the engine has memoized is answered inside ``submit``:
+    the future is done before any await and never reaches a batch."""
+    engine = Engine(use_cache=False)
+    memoized = engine.run(IDEAL)
+
+    async def main():
+        async with BatchScheduler(engine, window=30.0) as scheduler:
+            hits = engine.stats.memo_hits
+            future = scheduler.submit([IDEAL])[0]
+            assert future.done()
+            assert future.result() is memoized
+            assert engine.stats.memo_hits == hits + 1
+            return scheduler
+
+    scheduler = _run(main())
+    assert scheduler.stats.submitted == 1
+    assert scheduler.stats.coalesced == 0
+    assert scheduler.stats.batches == 0
+    assert scheduler.stats.batched_specs == 0
+    assert engine.stats.simulations == 1
+
+
+def test_memo_hit_and_miss_in_one_submission():
+    """The hit resolves at once; the miss still takes one batch."""
+    engine = Engine(use_cache=False)
+    memoized = engine.run(IDEAL)
+    miss = RunSpec(BENCH, "mom3d", "ideal")
+
+    async def main():
+        async with BatchScheduler(engine, window=0.02) as scheduler:
+            hit_future, miss_future = scheduler.submit([IDEAL, miss])
+            assert hit_future.done() and hit_future.result() is memoized
+            assert not miss_future.done()
+            stats = await miss_future
+            return scheduler, stats
+
+    scheduler, stats = _run(main())
+    assert stats is engine.run(miss)
+    assert scheduler.stats.batches == 1
+    assert scheduler.stats.batched_specs == 1
+    assert engine.stats.simulations == 2
 
 
 def test_distinct_specs_coalesce_into_one_batch():
