@@ -1,11 +1,27 @@
-"""Legacy setup shim.
+"""Package declaration for ``repro``: the sources under ``src/``.
 
-The execution environment has no ``wheel`` package (and no network), so
-PEP 660 editable installs cannot build; this shim lets
-``pip install -e .`` fall back to the classic setuptools develop path.
-All metadata lives in pyproject.toml.
+There is no ``pyproject.toml``; all the metadata lives here.  The
+version is read from ``src/repro/__init__.py`` as text, so declaring
+the package imports none of it.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+
+def _version() -> str:
+    init = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+    match = re.search(r'^__version__ = "([^"]+)"$',
+                      init.read_text(encoding="utf-8"), re.MULTILINE)
+    return match.group(1)
+
+
+setup(
+    name="repro",
+    version=_version(),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -696,7 +696,8 @@ def _port(value: str) -> int:
     return number
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse a ``repro`` command line (``sys.argv[1:]`` by default)."""
     from repro.engine import BACKEND_NAMES, CACHE_LAYOUTS, GRID_MODES
 
     # Engine/runner flags are attached twice: once to the main parser
@@ -1035,7 +1036,11 @@ def main(argv: list[str] | None = None) -> int:
                          help="query only: maximum results to print "
                               "(default 50)")
 
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run a parsed command; returns its exit status."""
     handlers = {"list": _cmd_list, "run": _cmd_run, "all": _cmd_all,
                 "tables": _cmd_all, "bench": _cmd_bench,
                 "sweep": _cmd_sweep, "explore": _cmd_explore,
@@ -1049,6 +1054,24 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run(parse_args(argv))
+
+
+def is_one_shot(args: argparse.Namespace) -> bool:
+    """Whether nothing of ``args``'s command outlives its return.
+
+    ``python -m repro`` runs such a command with the cyclic GC off and
+    ends it without interpreter teardown.  ``serve``, ``worker`` and
+    ``autoscale`` run until stopped and own threads, sockets or child
+    processes, and any command on the remote backend closes its hosted
+    work queue from an ``atexit`` hook (:func:`_host_work_queue`), so
+    those keep the GC and the normal exit.
+    """
+    return (args.command not in ("serve", "worker", "autoscale")
+            and args.backend != "remote")
 
 
 if __name__ == "__main__":

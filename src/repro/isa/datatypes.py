@@ -19,6 +19,9 @@ WORD_BITS = 64
 class ElemType(enum.Enum):
     """Packed element type of a 64-bit uSIMD word."""
 
+    # identity hash: members are singletons compared by identity
+    __hash__ = object.__hash__
+
     U8 = "u8"
     I16 = "i16"
     I32 = "i32"

@@ -14,6 +14,11 @@ import enum
 class ExecClass(enum.Enum):
     """Pipeline resource class an opcode executes on."""
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash agrees with equality and skips Enum's Python-level
+    # ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
     INT = "int"  # scalar integer ALU
     SIMD = "simd"  # uSIMD / MOM functional unit (per-lane ops)
     MEM = "mem"  # scalar memory access (through L1)
@@ -26,6 +31,8 @@ class ExecClass(enum.Enum):
 
 class Opcode(enum.Enum):
     """Every instruction opcode known to the simulator."""
+
+    __hash__ = object.__hash__  # identity hash, as for ExecClass
 
     # --- scalar integer ---------------------------------------------------
     LI = "li"  # dst <- imm

@@ -37,6 +37,9 @@ ACC_BITS = 192
 class RegClass(enum.Enum):
     """Architectural register classes."""
 
+    # identity hash: members are singletons compared by identity
+    __hash__ = object.__hash__
+
     SCALAR = "r"
     VECTOR = "v"
     ACC = "acc"
@@ -53,6 +56,10 @@ LOGICAL_COUNTS = {
     RegClass.CONTROL: 2,  # vl, vs
 }
 
+#: Position of each class in :class:`RegClass`, for :class:`Register`'s
+#: hash.
+_ORDINAL = {cls: i for i, cls in enumerate(RegClass)}
+
 
 @dataclass(frozen=True)
 class Register:
@@ -68,6 +75,15 @@ class Register:
                 f"register index {self.index} out of range for class "
                 f"{self.cls.value} (0..{limit - 1})"
             )
+        # Computed once, from the value alone: no str hash and no id,
+        # so every interpreter agrees and a pickled or copied register
+        # stays a valid dict key.  Equality is still the dataclass's
+        # (cls, index) comparison.
+        object.__setattr__(self, "_hash",
+                           self.index * 8 + _ORDINAL[self.cls])
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         if self.cls is RegClass.CONTROL:
@@ -75,45 +91,48 @@ class Register:
         return f"{self.cls.value}{self.index}"
 
 
-#: Interned register instances: every ``r(i)``/``v(i)``/... call for a
-#: valid index returns the same object.  Registers are frozen value
-#: objects, so sharing is safe; it saves an allocation per operand in
-#: the trace builders.
-_INTERNED: dict[RegClass, tuple[Register, ...]] = {
-    cls: tuple(Register(cls, i) for i in range(count))
-    for cls, count in LOGICAL_COUNTS.items()
-}
+def _bank(cls: RegClass) -> tuple[Register, ...]:
+    return tuple(Register(cls, i) for i in range(LOGICAL_COUNTS[cls]))
 
 
-def _interned(cls: RegClass, index: int) -> Register:
-    table = _INTERNED[cls]
-    if isinstance(index, int) and 0 <= index < len(table):
-        return table[index]
-    # out-of-range (or odd) indexes keep the historical error path
-    return Register(cls, index)
+#: Every register of a class, by index: ``r(i)`` is ``_SCALAR[i]``, so
+#: the trace builders share one frozen object per register instead of
+#: allocating one per operand.  The accessors range-check before
+#: indexing, so a negative index never wraps around; any index outside
+#: the table goes to the constructor, which raises IsaError.
+_SCALAR = _bank(RegClass.SCALAR)
+_VECTOR = _bank(RegClass.VECTOR)
+_ACC = _bank(RegClass.ACC)
+_VEC3D = _bank(RegClass.VEC3D)
 
 
 def r(index: int) -> Register:
     """Scalar integer register ``r{index}``."""
-    return _interned(RegClass.SCALAR, index)
+    if 0 <= index < len(_SCALAR):
+        return _SCALAR[index]
+    return Register(RegClass.SCALAR, index)
 
 
 def v(index: int) -> Register:
     """2D vector (MOM) register ``v{index}``."""
-    return _interned(RegClass.VECTOR, index)
+    if 0 <= index < len(_VECTOR):
+        return _VECTOR[index]
+    return Register(RegClass.VECTOR, index)
 
 
 def acc(index: int) -> Register:
     """Accumulator register ``acc{index}``."""
-    return _interned(RegClass.ACC, index)
+    if 0 <= index < len(_ACC):
+        return _ACC[index]
+    return Register(RegClass.ACC, index)
 
 
 def d3(index: int) -> Register:
     """3D vector register ``d{index}``."""
-    return _interned(RegClass.VEC3D, index)
+    if 0 <= index < len(_VEC3D):
+        return _VEC3D[index]
+    return Register(RegClass.VEC3D, index)
 
 
-#: The Vector Length control register.
-VL = Register(RegClass.CONTROL, 0)
-#: The Vector Stride control register.
-VS = Register(RegClass.CONTROL, 1)
+#: The Vector Length and Vector Stride control registers.
+VL, VS = _bank(RegClass.CONTROL)

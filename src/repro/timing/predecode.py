@@ -378,7 +378,8 @@ class DecodedTrace:
     #: dvmov3: ceil(vl/d3_move_lanes))
     occ: list[int]
     #: per memory instruction: (routes_l1, request-with-plan,
-    #: touched-line tuple, is_store)
+    #: touched-line tuple, is_store); the occurrences of one
+    #: instruction object share one entry tuple
     mem: dict[int, tuple[bool, MemRequest, tuple[int, ...], bool]]
     spans: list[tuple[int, int, bool]] = field(default_factory=list)
     fast: dict[int, FastSpan] = field(default_factory=dict)
@@ -407,11 +408,6 @@ for _op, _cls in EXEC_CLASS.items():
         _kind, _op is Opcode.BRANCH, _lat, _op in _VL_READERS,
         _op in (Opcode.LD, Opcode.ST), _op in (Opcode.ST, Opcode.VST),
         _op is Opcode.DVLOAD3, _op in (Opcode.VLD, Opcode.VST))
-
-#: Opcodes by identity: enum members are singletons, and hashing a
-#: small int is several times cheaper than hashing an Enum, which
-#: matters for the per-instruction opcode histogram.
-_OP_BY_ID = {id(op): op for op in Opcode}
 
 #: id(program) -> (weakref to the program, fingerprint, {"core":
 #: CoreDecode, <config key>: DecodedTrace, ("prime", ...): primed
@@ -515,8 +511,7 @@ def _decode_core(program: Program) -> CoreDecode:
 
     instructions = program.instructions
     n = len(instructions)
-    by_opcode = {_OP_BY_ID[key]: count for key, count in
-                 Counter([id(inst.op) for inst in instructions]).items()}
+    by_opcode = dict(Counter([inst.op for inst in instructions]))
     by_class: dict[ExecClass, int] = {}
     for op, count in by_opcode.items():
         cls = EXEC_CLASS[op]
@@ -631,26 +626,36 @@ def _decode_overlay(core: CoreDecode, proc: ProcessorConfig,
     mem = aux.get(mem_key)
     if mem is None:
         mem = {}
+        # The core shares one request per lowered instruction object
+        # across all of its dynamic occurrences, and the geometry is a
+        # function of that same object, so each request is planned
+        # once and its finished entry reused.  Entries are read-only
+        # tuples; no consumer keys on their identity.
+        planned: dict[int, tuple] = {}
         for i, ea, count, stride, width, scalar, is_store \
                 in core.mem_geometry:
             request = core.requests[i]
-            to_l1 = scalar or is_mmx
-            if not to_l1:
-                plan = _plan_for(request, memsys, l2_line, ea, count,
-                                 stride)
-                if plan is not None:
-                    request = MemRequest(
-                        refs=request.refs, is_write=request.is_write,
-                        useful_words=request.useful_words,
-                        line_mode=request.line_mode, plan=plan)
-            if count == 1:
-                first = ea // l2_line
-                last = (ea + width - 1) // l2_line
-                lines = (first,) if first == last else (first, last)
-            else:
-                lines = tuple(touched_lines(ea, count, stride, width,
-                                            l2_line))
-            mem[i] = (to_l1, request, lines, is_store)
+            key = id(request)
+            entry = planned.get(key)
+            if entry is None:
+                to_l1 = scalar or is_mmx
+                if not to_l1:
+                    plan = _plan_for(request, memsys, l2_line, ea, count,
+                                     stride)
+                    if plan is not None:
+                        request = MemRequest(
+                            refs=request.refs, is_write=request.is_write,
+                            useful_words=request.useful_words,
+                            line_mode=request.line_mode, plan=plan)
+                if count == 1:
+                    first = ea // l2_line
+                    last = (ea + width - 1) // l2_line
+                    lines = (first,) if first == last else (first, last)
+                else:
+                    lines = tuple(touched_lines(ea, count, stride, width,
+                                                l2_line))
+                entry = planned[key] = (to_l1, request, lines, is_store)
+            mem[i] = entry
         aux[mem_key] = mem
 
     overlay = DecodedTrace(core=core, occ=occ, mem=mem)

@@ -149,3 +149,21 @@ def test_builder_invalid_emit_raises_on_every_repeat():
         with pytest.raises(IsaError):
             b.ld(r(0), ea=None)
     assert len(b.program) == 0
+
+
+def test_enum_keyed_dicts_resolve_every_member_after_pickling():
+    """The ISA enums hash by identity; a pickle round trip returns the
+    same member, so enum-keyed tables still resolve it."""
+    import pickle
+
+    from repro.isa import RegClass
+
+    for enum_cls in (Opcode, ExecClass, ElemType, RegClass):
+        table = {member: member.value for member in enum_cls}
+        for member in enum_cls:
+            loaded = pickle.loads(pickle.dumps(member))
+            assert loaded is member
+            assert table[loaded] == member.value
+        reloaded = pickle.loads(pickle.dumps(table))
+        assert all(reloaded[member] == member.value
+                   for member in enum_cls)

@@ -269,3 +269,121 @@ def test_cli_exits_quietly_when_stdout_reader_is_gone():
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr
     assert stderr == ""
+
+
+# --- how ``python -m repro`` ends a command ------------------------------------
+
+
+def _repro(*args, pythonpath=(), launcher=("-m", "repro")):
+    """Run ``python -m repro ARGS`` (or another launcher) to completion."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([*map(str, pythonpath), str(src)])
+    return subprocess.run([sys.executable, *launcher, *map(str, args)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_one_shot_predicate():
+    from repro.cli import is_one_shot, parse_args
+
+    for argv in (["tables"], ["list"], ["run", "fig3"],
+                 ["--backend", "process", "tables"],
+                 ["--backend", "inline", "sweep", "-b", "gsm_encode"],
+                 ["trace", "gsm_encode", "mmx", "-o", "t.bin"]):
+        assert is_one_shot(parse_args(argv)), argv
+    for argv in (["serve"], ["worker"], ["autoscale"],
+                 ["--backend", "remote", "tables"],
+                 ["tables", "--backend", "remote"],
+                 ["serve", "--backend", "remote"]):
+        assert not is_one_shot(parse_args(argv)), argv
+
+
+def test_one_shot_command_skips_interpreter_teardown(tmp_path):
+    """An ``atexit`` hook runs only where the command keeps the normal
+    exit: here ``--backend remote``, whose work queue closes from one."""
+    marker = tmp_path / "teardown-ran"
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit\n"
+        f"atexit.register(lambda: open({str(marker)!r}, 'w').close())\n",
+        encoding="utf-8")
+    fast = _repro("list", pythonpath=[tmp_path])
+    assert fast.returncode == 0
+    assert "experiments:" in fast.stdout
+    assert not marker.exists()
+    normal = _repro("--backend", "remote", "list", pythonpath=[tmp_path])
+    assert normal.returncode == 0
+    assert normal.stdout == fast.stdout
+    assert marker.exists()
+
+
+_GC_PROBE = """
+import gc, runpy, sys
+import repro.cli as cli
+
+def probe(args):
+    print("gc enabled:", gc.isenabled())
+    return 0
+
+cli._cmd_list = cli._cmd_serve = cli._cmd_worker = probe
+sys.argv = ["repro", *sys.argv[1:]]
+runpy.run_module("repro", run_name="__main__")
+"""
+
+
+def test_only_one_shot_commands_run_without_the_cyclic_gc():
+    """``python -m repro`` turns the cyclic GC off for a one-shot
+    command; the long-running ones keep it, and ``cli.main`` called
+    in-process leaves it alone."""
+    import gc
+
+    for argv, enabled in ((["list"], False), (["serve"], True),
+                          (["worker"], True),
+                          (["--backend", "remote", "list"], True)):
+        proc = _repro(*argv, launcher=("-c", _GC_PROBE))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"gc enabled: {enabled}\n", argv
+    assert gc.isenabled()
+    assert main(["list"]) == 0
+    assert gc.isenabled()
+
+
+def test_trace_file_is_complete_after_a_fast_exit(tmp_path):
+    from repro.workloads import get_benchmark
+
+    path = tmp_path / "gsm.bin"
+    wrote = _repro("trace", "gsm_encode", "mmx", "-o", path)
+    assert wrote.returncode == 0, wrote.stderr
+    assert wrote.stdout == \
+        f"wrote {path} ({path.stat().st_size} bytes)\n"
+    replay = _repro("--backend", "inline", "--cache-dir", tmp_path / "c",
+                    "replay", path, "--coding", "mmx")
+    assert replay.returncode == 0, replay.stderr
+    program = get_benchmark("gsm_encode").build("mmx").program
+    assert f" {len(program)} insts " in replay.stdout
+    assert "[engine] simulations=1 " in replay.stderr
+
+
+def test_fast_exit_keeps_exit_status():
+    unknown = _repro("run", "nosuch")
+    assert unknown.returncode == 1
+    assert "unknown experiment(s): nosuch" in unknown.stderr
+    config = _repro("sweep", "-b", "gsm_encode", "-c", "mom", "-m",
+                    "vector", "--set", "timing_model=bogus", "--no-cache")
+    assert config.returncode == 2
+    assert config.stderr.startswith("error: ")
+    assert "unknown timing model" in config.stderr
+
+
+def test_profiled_command_still_reports():
+    """``python -m cProfile -m repro ...`` prints its table at exit, so
+    a profiled command must not skip the interpreter's exit."""
+    proc = _repro("list", launcher=("-m", "cProfile", "-m", "repro"))
+    assert proc.returncode == 0, proc.stderr
+    assert "experiments:" in proc.stdout
+    assert "function calls" in proc.stdout
+    assert "Ordered by" in proc.stdout
