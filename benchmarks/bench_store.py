@@ -1,21 +1,28 @@
-"""Result-store benchmark: segmented layout vs JSON-per-digest.
+"""Result-store benchmark: the segment store vs JSON-per-digest.
 
-Populates two :class:`~repro.engine.cache.ResultCache` roots — one per
-layout — with identical synthetic result grids and times the paths the
-engine actually exercises:
+Fills a :class:`~repro.engine.cache.ResultCache` and a JSON-per-digest
+baseline (:class:`JsonPerDigest`, one ``<digest>.json`` file per
+record, the way namespaces were stored before the segment store) with
+identical synthetic result grids and times the paths the engine
+actually exercises:
 
 * ``cold_write`` — persisting the full grid (``put_many``);
 * ``warm_lookup`` — store-level bulk record retrieval: one
   ``fetch_raw_many`` pass over the segment index against one
-  ``open``+``read`` per loose file.  This is the layout-bound number
-  (no JSON decode), and carries the 5x soft gate;
+  ``open``+``read`` per baseline file.  This is the layout-bound
+  number (no JSON decode), and carries the 5x soft gate;
 * ``warm_run_many`` — end-to-end ``get_many`` including JSON decode
-  and ``RunStats`` reconstruction.  Decode dominates both layouts, so
-  this ratio is structurally modest; it is recorded so the end-to-end
-  cost stays visible next to the store-level one;
-* ``gc`` — collecting a superseded version namespace of the same
-  size (N unlinks vs a handful of segment unlinks), 5x soft gate;
-* ``query`` — a filtered bulk scan (``cache.query``), recorded.
+  and ``RunStats`` reconstruction, segment store only;
+* ``gc`` — a whole ``repro cache gc``: collecting a superseded
+  version namespace of the same size (N unlinks vs a handful of
+  segment unlinks) plus the active store's compaction pass, 5x soft
+  gate;
+* ``query`` — a filtered bulk scan (``cache.query``), segment store
+  only.
+
+Every row reports the segment store's throughput as
+``segment_records_per_s``; the compared rows add the baseline's
+seconds and the ratio.
 
 ``BENCH_STORE_RECORDS`` scales the grid: the ``bench-store`` CI job
 runs the full 100k records; plain test runs default to a few thousand
@@ -35,7 +42,7 @@ import time
 from pathlib import Path
 
 from repro.engine import RunSpec
-from repro.engine.cache import ResultCache
+from repro.engine.cache import ResultCache, _entry_payload
 from repro.timing.stats import RunStats
 
 BENCH_OUT = Path(__file__).resolve().parent.parent / "BENCH_store.json"
@@ -51,6 +58,43 @@ MIN_GC_SPEEDUP = 5.0
 MIN_COLD_RATIO = 1.0
 #: the soft gates only mean anything at the size they were set for
 GATED_RECORDS = 100_000
+
+
+class JsonPerDigest:
+    """Baseline store: one ``<digest>.json`` file per record."""
+
+    def __init__(self, directory: Path, version: str):
+        self.dir = directory
+        self.version = version
+
+    def put_many(self, pairs) -> int:
+        """One ``mkstemp`` + ``json.dump`` + ``os.replace`` per record."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        for spec, stats in pairs:
+            fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(_entry_payload(self.version, spec, stats), fh,
+                          sort_keys=True)
+            os.replace(tmp, self.dir / f"{spec.digest()}.json")
+        return len(pairs)
+
+    def fetch_raw_many(self, digests) -> int:
+        """One ``open`` + read per digest; returns the hits."""
+        hits = 0
+        for digest in digests:
+            with open(self.dir / f"{digest}.json", "rb") as fh:
+                fh.read()
+            hits += 1
+        return hits
+
+    def gc(self) -> int:
+        """One unlink per file, then the directory."""
+        removed = 0
+        for path in self.dir.iterdir():
+            path.unlink()
+            removed += 1
+        self.dir.rmdir()
+        return removed
 
 
 def _grid(count: int) -> list[tuple[RunSpec, RunStats]]:
@@ -71,19 +115,6 @@ def _grid(count: int) -> list[tuple[RunSpec, RunStats]]:
     return pairs
 
 
-def _file_raw_lookup(cache: ResultCache, digests) -> int:
-    """The file layout's raw bulk fetch: open+read per digest."""
-    hits = 0
-    for digest in digests:
-        try:
-            with open(cache.dir / f"{digest}.json", "rb") as fh:
-                fh.read()
-            hits += 1
-        except OSError:
-            pass
-    return hits
-
-
 def _timed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
@@ -99,102 +130,80 @@ def _best_of(fn, *args):
     return best, result
 
 
+def _row(segment: float, baseline: float | None = None, **extra) -> dict:
+    row = {}
+    if baseline is not None:
+        row["file_seconds"] = round(baseline, 4)
+    row["segment_seconds"] = round(segment, 4)
+    row["segment_records_per_s"] = round(RECORDS / segment)
+    if baseline is not None:
+        row["ratio"] = round(baseline / segment, 2)
+    row.update(extra)
+    return row
+
+
 def run_benchmark() -> dict:
     pairs = _grid(RECORDS)
     specs = [spec for spec, _ in pairs]
-    # spec digests are layout-independent engine work: hash them once
-    # outside every timed region so the rows measure the store
+    # spec digests are store-independent engine work: hash them once
+    # outside the lookup rows so they measure the store
     digests = [spec.digest() for spec in specs]
     workdir = Path(tempfile.mkdtemp(prefix="bench-store-"))
     try:
-        caches = {
-            layout: ResultCache(workdir / layout, version="zz-active",
-                                layout=layout)
-            for layout in ("file", "segment")}
-
-        cold = {}
-        for layout, cache in caches.items():
-            seconds, fresh = _timed(cache.put_many, pairs)
-            cache.flush()
-            assert fresh == len(pairs)
-            cold[layout] = seconds
+        baseline = JsonPerDigest(workdir / "file" / "zz-active",
+                                 "zz-active")
+        file_cold, fresh = _timed(baseline.put_many, pairs)
+        assert fresh == len(pairs)
+        cache = ResultCache(workdir / "segment", version="zz-active")
+        seg_cold, fresh = _timed(cache.put_many, pairs)
+        cache.flush()
+        assert fresh == len(pairs)
 
         # drop in-memory state so lookups run against a reopened cache;
         # the segment index load is a one-time open cost, reported
         # separately rather than smeared into the per-lookup row
-        caches = {
-            layout: ResultCache(workdir / layout, version="zz-active",
-                                layout=layout)
-            for layout in ("file", "segment")}
-        open_seconds, store = _timed(caches["segment"].store)
-        warm = {}
-        warm["file"], hits = _best_of(_file_raw_lookup,
-                                      caches["file"], digests)
+        cache = ResultCache(workdir / "segment", version="zz-active")
+        open_seconds, store = _timed(cache.store)
+        file_warm, hits = _best_of(baseline.fetch_raw_many, digests)
         assert hits == len(digests)
-        warm["segment"], raw = _best_of(store.fetch_raw_many, digests)
+        seg_warm, raw = _best_of(store.fetch_raw_many, digests)
         assert len(raw) == len(digests)
         del raw
 
-        end_to_end = {}
-        for layout, cache in caches.items():
-            seconds, found = _best_of(cache.get_many, specs)
-            assert len(found) == len(specs)
-            end_to_end[layout] = seconds
-
-        query = {}
-        for layout, cache in caches.items():
-            seconds, rows = _best_of(cache.query, "synth00")
-            assert len(rows) == RECORDS // 16
-            query[layout] = seconds
+        run_many, found = _best_of(cache.get_many, specs)
+        assert len(found) == len(specs)
+        del found
+        query, rows = _best_of(cache.query, "synth00")
+        assert len(rows) == RECORDS // 16
 
         # gc: a superseded namespace of the same size beside the
-        # active one — N unlinks vs a handful of segment unlinks
-        gc = {}
-        for layout, cache in caches.items():
-            old = ResultCache(workdir / layout, version="aa-old",
-                              layout=layout)
-            old.put_many(pairs)
-            old.flush()
-            seconds, (removed, _bytes) = _timed(cache.gc)
-            assert removed >= len(pairs)
-            gc[layout] = seconds
+        # active one — N unlinks vs a handful of segment unlinks (the
+        # segment side's ``gc`` also runs the active store's
+        # compaction pass, as ``repro cache gc`` does)
+        old = JsonPerDigest(workdir / "file" / "aa-old", "aa-old")
+        old.put_many(pairs)
+        file_gc, removed = _timed(old.gc)
+        assert removed == len(pairs)
+        old = ResultCache(workdir / "segment", version="aa-old")
+        old.put_many(pairs)
+        old.flush()
+        seg_gc, (removed, _bytes) = _timed(cache.gc)
+        assert removed == len(pairs)
 
         payload = {
-            "grid": ("synthetic result grid, segment layout vs "
-                     "JSON-per-digest"),
+            "grid": ("synthetic result grid, segment store vs a "
+                     "JSON-per-digest baseline"),
             "records": RECORDS,
             "gated_records": GATED_RECORDS,
             "rounds": ROUNDS,
-            "cold_write": {
-                "file_seconds": round(cold["file"], 4),
-                "segment_seconds": round(cold["segment"], 4),
-                "ratio": round(cold["file"] / cold["segment"], 2),
-                "floor": MIN_COLD_RATIO,
-            },
-            "warm_lookup": {
-                "file_seconds": round(warm["file"], 4),
-                "segment_seconds": round(warm["segment"], 4),
-                "segment_open_seconds": round(open_seconds, 4),
-                "ratio": round(warm["file"] / warm["segment"], 2),
-                "soft_gate": MIN_WARM_SPEEDUP,
-            },
-            "warm_run_many": {
-                "file_seconds": round(end_to_end["file"], 4),
-                "segment_seconds": round(end_to_end["segment"], 4),
-                "ratio": round(end_to_end["file"]
-                               / end_to_end["segment"], 2),
-            },
-            "gc": {
-                "file_seconds": round(gc["file"], 4),
-                "segment_seconds": round(gc["segment"], 4),
-                "ratio": round(gc["file"] / gc["segment"], 2),
-                "soft_gate": MIN_GC_SPEEDUP,
-            },
-            "query": {
-                "file_seconds": round(query["file"], 4),
-                "segment_seconds": round(query["segment"], 4),
-                "ratio": round(query["file"] / query["segment"], 2),
-            },
+            "cold_write": _row(seg_cold, file_cold, floor=MIN_COLD_RATIO),
+            "warm_lookup": _row(
+                seg_warm, file_warm,
+                segment_open_seconds=round(open_seconds, 4),
+                soft_gate=MIN_WARM_SPEEDUP),
+            "warm_run_many": _row(run_many),
+            "gc": _row(seg_gc, file_gc, soft_gate=MIN_GC_SPEEDUP),
+            "query": _row(query),
         }
         BENCH_OUT.write_text(json.dumps(payload, indent=2) + "\n",
                              encoding="utf-8")

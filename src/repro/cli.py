@@ -41,12 +41,10 @@ Subcommands:
   through the client SDK (same axes flags as ``sweep``).
 * ``worker`` — attach to a remote-backend service and execute leased
   shards on this machine's engine (see ``docs/backends.md``).
-* ``cache {ls,stat,gc [--dry-run],migrate [--to LAYOUT],query}`` —
-  inspect the persistent result cache per code version,
-  garbage-collect superseded versions (compacting live segments),
-  convert a namespace between the file and segment layouts, and
-  bulk-query stored results by spec fields (locally or against a
-  running service via ``--url``).
+* ``cache {ls,stat,gc [--dry-run],query}`` — inspect the persistent
+  result cache per code version, garbage-collect superseded versions
+  (compacting the active segments), and bulk-query stored results by
+  spec fields (locally or against a running service via ``--url``).
 
 Engine flags (accepted before or after the subcommand):
 
@@ -63,12 +61,10 @@ Engine flags (accepted before or after the subcommand):
 * ``--lease-ttl SECONDS`` — remote backend only: how long a worker
   may hold a shard before it is re-leased.
 * ``--cache-dir DIR`` — persistent result-cache location (default
-  ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
+  ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); each code version's
+  results live there in append-only segments plus an index (see
+  ``docs/store.md``).
 * ``--no-cache`` — disable the persistent cache for this invocation.
-* ``--cache-layout {auto,segment,file}`` — the cache's backing store:
-  append-only segments + index (the default for fresh directories;
-  see ``docs/store.md``) or the historical one-JSON-per-result
-  layout.  ``auto`` keeps whatever the directory already uses.
 
 Commands that simulate print an ``[engine] simulations=...`` summary
 line to stderr; a warm-cache rerun reports ``simulations=0``.
@@ -99,8 +95,7 @@ def _make_runner(args) -> Runner:
                     cache_dir=args.cache_dir,
                     use_cache=not args.no_cache,
                     backend=_make_backend(args),
-                    grid_mode=args.grid_mode,
-                    cache_layout=args.cache_layout)
+                    grid_mode=args.grid_mode)
     if args.backend == "remote" and args.command != "serve":
         _host_work_queue(args, runner)
     return runner
@@ -566,7 +561,7 @@ def _cmd_cache(args) -> int:
         return 2
     if args.action == "query":
         return _cache_query(args)
-    cache = ResultCache(args.cache_dir, layout=args.cache_layout)
+    cache = ResultCache(args.cache_dir)
     versions = cache.versions()
     if args.action == "gc":
         from repro.engine.store import CorruptFrameError
@@ -589,25 +584,18 @@ def _cmd_cache(args) -> int:
               f"across {len(stale)} superseded version(s) + active "
               f"compaction")
         return 0
-    if args.action == "migrate":
-        summary = cache.migrate(to=args.to, version=args.version)
-        print(f"migrated {summary['migrated']} records in "
-              f"{summary['version']} to the {summary['to']} layout"
-              + (f" ({summary['skipped']} unreadable left in place)"
-                 if summary["skipped"] else ""))
-        return 0
     if not versions:
         print(f"cache at {cache.root} is empty")
         return 0
     if args.action == "stat":
         from repro.harness.tables import Table
 
-        table = Table(["version", "layout", "entries", "KiB",
-                       "segments", "status"],
+        table = Table(["version", "entries", "KiB", "segments",
+                       "status"],
                       title=f"result cache at {cache.root}")
         for version in versions:
             info = cache.stat(version)
-            table.add_row(version, info["layout"], info["entries"],
+            table.add_row(version, info["entries"],
                           info["bytes"] / 1024, info["segments"],
                           "active" if version == cache.version
                           else "superseded")
@@ -644,12 +632,11 @@ def _cache_query(args) -> int:
         rows = reply.results
         suffix = " (truncated)" if reply.truncated else ""
         print(f"{len(rows)} result(s) from {args.url} "
-              f"[{reply.layout} layout, version {reply.version}]"
-              f"{suffix}")
+              f"[version {reply.version}]{suffix}")
     else:
         from repro.engine import ResultCache
 
-        cache = ResultCache(args.cache_dir, layout=args.cache_layout)
+        cache = ResultCache(args.cache_dir)
         rows = cache.query(version=args.version, limit=args.limit,
                            **filters)
         print(f"{len(rows)} result(s) in {cache.root} "
@@ -698,7 +685,7 @@ def _port(value: str) -> int:
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse a ``repro`` command line (``sys.argv[1:]`` by default)."""
-    from repro.engine import BACKEND_NAMES, CACHE_LAYOUTS, GRID_MODES
+    from repro.engine import BACKEND_NAMES, GRID_MODES
 
     # Engine/runner flags are attached twice: once to the main parser
     # (with real defaults, so they work before the subcommand) and once
@@ -741,13 +728,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     group.add_argument("--no-cache", action="store_true",
                        default=argparse.SUPPRESS,
                        help="disable the persistent result cache")
-    group.add_argument("--cache-layout", choices=CACHE_LAYOUTS,
-                       default=argparse.SUPPRESS,
-                       help="result-cache backing store: auto (keep "
-                            "what the directory uses; segments for "
-                            "fresh ones), segment (append-only "
-                            "segments + index), file (one JSON per "
-                            "result)")
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -764,8 +744,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--work-port", type=_port, default=8737)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true", default=False)
-    parser.add_argument("--cache-layout", choices=CACHE_LAYOUTS,
-                        default="auto")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list experiments and benchmarks",
@@ -1000,25 +978,18 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
     p_cache = sub.add_parser(
         "cache", parents=[common],
-        help="inspect, query, migrate or garbage-collect the "
-             "persistent result cache")
-    p_cache.add_argument("action",
-                         choices=("ls", "stat", "gc", "migrate",
-                                  "query"),
+        help="inspect, query or garbage-collect the persistent "
+             "result cache")
+    p_cache.add_argument("action", choices=("ls", "stat", "gc", "query"),
                          help="ls: list entries per code version; "
                               "stat: per-version totals from the "
                               "store index; gc: delete superseded "
                               "code versions and compact segments; "
-                              "migrate: convert between layouts; "
                               "query: bulk-scan stored results by "
                               "spec fields")
     p_cache.add_argument("--dry-run", action="store_true",
                          help="gc only: report what would be deleted "
                               "without touching the disk")
-    p_cache.add_argument("--to", choices=("segment", "file"),
-                         default="segment", metavar="LAYOUT",
-                         help="migrate only: target layout "
-                              "(default segment)")
     p_cache.add_argument("--url", metavar="URL",
                          help="query only: ask a running service "
                               "(GET /v1/results) instead of reading "
@@ -1029,7 +1000,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     p_cache.add_argument("--l2-latency", type=int, default=None,
                          help="query filter")
     p_cache.add_argument("--version", default=None, metavar="VER",
-                         help="query/migrate: code-version namespace "
+                         help="query only: code-version namespace "
                               "(default: the active one)")
     p_cache.add_argument("--limit", type=_positive_int, default=50,
                          metavar="N",

@@ -37,12 +37,7 @@ from repro.engine.backends import (
     WorkQueue,
     make_backend,
 )
-from repro.engine.cache import (
-    CACHE_LAYOUTS,
-    ResultCache,
-    code_version,
-    default_cache_root,
-)
+from repro.engine.cache import ResultCache, code_version, default_cache_root
 from repro.engine.keys import RunSpec
 from repro.engine.store import SegmentStore
 from repro.engine.parallel import (
@@ -130,8 +125,7 @@ class Engine:
     def __init__(self, seed: int = 0, jobs: int = 1,
                  cache_dir=None, use_cache: bool = True,
                  backend: ExecutionBackend | str | None = None,
-                 grid_mode: str = "auto", metrics=None,
-                 cache_layout: str = "auto"):
+                 grid_mode: str = "auto", metrics=None):
         if grid_mode not in GRID_MODES:
             raise ValueError(
                 f"unknown grid mode {grid_mode!r}; expected one of "
@@ -145,8 +139,7 @@ class Engine:
             backend = make_backend(backend, jobs=jobs)
         self.backend: ExecutionBackend = backend
         self.cache: ResultCache | None = (
-            ResultCache(cache_dir, layout=cache_layout)
-            if use_cache else None)
+            ResultCache(cache_dir) if use_cache else None)
         self.stats = EngineStats()
         #: a :class:`repro.service.metrics.Metrics` registry this
         #: engine's counters are bound to (``ServiceServer`` binds one
@@ -278,9 +271,9 @@ class Engine:
 
         One locked pass resolves the memo hits, then a single
         ``cache.get_many`` resolves every remaining spec against the
-        store — one index probe per digest on the segment layout
-        instead of one ``open`` per spec.  Returns ``(hits dict,
-        pending list)``; counters match N ``_lookup`` calls exactly.
+        segment store — one index probe per digest, reads grouped per
+        segment.  Returns ``(hits dict, pending list)``; counters
+        match N ``_lookup`` calls exactly.
         """
         results: dict[RunSpec, RunStats] = {}
         misses: list[RunSpec] = []
@@ -337,8 +330,9 @@ class Engine:
         same spec concurrently and admitted first, its result is kept
         (and returned) so identity-preserving memoization survives
         concurrent use.  Only the winning thread persists to disk, and
-        it does so after releasing the lock (the cache's atomic-rename
-        writes need no coordination).
+        it does so after releasing the lock (the segment store
+        serializes its own appends and keeps the first record per
+        digest).
         """
         with self._lock:
             existing = self._memo.get(spec)
@@ -363,7 +357,7 @@ def run_many(specs, jobs: int = 1, cache_dir=None, use_cache: bool = True,
 
 
 __all__ = [
-    "BACKEND_NAMES", "CACHE_LAYOUTS", "Engine", "EngineStats",
+    "BACKEND_NAMES", "Engine", "EngineStats",
     "ExecutionBackend", "GRID_MODES", "InlineBackend", "ProcessBackend",
     "RemoteBackend", "ResultCache", "RunSpec", "SegmentStore", "Sweep",
     "WorkQueue", "axes_product",

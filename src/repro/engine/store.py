@@ -41,7 +41,8 @@ in the index are dropped, and when independent writers raced the same
 digest into different segments, rebuilds keep the record from the
 lowest ``(segment, offset)``.  Duplicates and torn bytes stay on disk
 (dead weight only) until :meth:`SegmentStore.compact` rewrites live
-records into a fresh sealed segment.
+records into a fresh sealed segment, which it does only when that
+drops a record or reclaims a real share of the store.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ _FRAME_OVERHEAD = _HEADER.size + _DIGEST_LEN
 FOOTER_DIGEST = "0" * _DIGEST_LEN
 SEGMENT_SUFFIX = ".seg"
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
+#: with no dead record, compaction rewrites the store only to reclaim
+#: more than this share of its bytes (torn tails, the magic and footer
+#: of each segment beyond the first): full 4 MiB segments never
+#: qualify, a pile of tiny ones does
+MIN_RECLAIM_SHARE = 0.01
 
 
 def _dumps(payload: dict) -> bytes:
@@ -527,8 +533,11 @@ class SegmentStore:
         Drops duplicate frames, torn tails and footers of superseded
         segments.  Returns ``(dead records, bytes reclaimed)``; with
         ``dry_run=True`` nothing is rewritten and the same totals are
-        computed from the index alone.  A no-op (nothing dead, one
-        segment) returns ``(0, 0)`` without rewriting.
+        computed from the index alone.  The rewrite costs every live
+        byte, so it runs only when it drops a dead record or reclaims
+        more than :data:`MIN_RECLAIM_SHARE` of the store; otherwise
+        (say, a store of full segments and nothing dead) this returns
+        ``(0, 0)`` without touching a file.
         """
         with self._lock:
             live = dict(self.index)
@@ -550,7 +559,8 @@ class SegmentStore:
             else:
                 bytes_after = 0
             reclaimed = max(0, bytes_before - bytes_after)
-            if dead_records == 0 and reclaimed == 0:
+            if (dead_records == 0
+                    and reclaimed <= MIN_RECLAIM_SHARE * bytes_before):
                 return 0, 0
             if dry_run:
                 return dead_records, reclaimed

@@ -20,15 +20,13 @@ class Runner:
 
     def __init__(self, seed: int = 0, engine: Engine | None = None,
                  jobs: int = 1, cache_dir=None, use_cache: bool = True,
-                 backend=None, grid_mode: str = "auto",
-                 cache_layout: str = "auto"):
+                 backend=None, grid_mode: str = "auto"):
         if engine is not None:
             self.engine = engine
         else:
             self.engine = Engine(seed=seed, jobs=jobs, cache_dir=cache_dir,
                                  use_cache=use_cache, backend=backend,
-                                 grid_mode=grid_mode,
-                                 cache_layout=cache_layout)
+                                 grid_mode=grid_mode)
         self.seed = self.engine.seed
 
     def workload(self, benchmark: str, coding: str) -> BuiltWorkload:

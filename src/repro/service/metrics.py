@@ -280,15 +280,15 @@ def instrument_engine(metrics: Metrics, engine) -> None:
     def store_metric(key: str) -> float:
         if cache is None:
             return 0.0
-        return float(cache.store_metrics().get(key, 0) or 0)
+        return float(cache.store_metrics()[key])
 
     metrics.gauge("repro_cache_store_bytes",
                   "Bytes of segment-store data for the active code "
-                  "version (0 for the loose-file layout)",
+                  "version (0 when the cache is disabled)",
                   fn=lambda: store_metric("bytes"))
     metrics.gauge("repro_cache_segments",
                   "Segment files backing the active code version "
-                  "(0 for the loose-file layout)",
+                  "(0 when the cache is disabled)",
                   fn=lambda: store_metric("segments"))
 
     def degraded(kind: str) -> float:

@@ -204,10 +204,10 @@ class CacheQueryReply:
     :func:`spec_from_wire`): a cache may legitimately hold results for
     ``trace:`` replays or synthetic benchmark names the submission
     validator would refuse, and a query client only inspects them.
+    Replies from older servers carry a ``layout`` key; it is ignored.
     """
 
     version: str | None
-    layout: str
     truncated: bool
     results: tuple[tuple[RunSpec, RunStats], ...]
 
@@ -215,7 +215,6 @@ class CacheQueryReply:
         return {
             "schema_version": SCHEMA_VERSION,
             "version": self.version,
-            "layout": self.layout,
             "count": len(self.results),
             "truncated": self.truncated,
             "results": [{"spec": spec_to_wire(spec),
@@ -231,7 +230,6 @@ class CacheQueryReply:
         version = payload.get("version")
         if version is not None and not isinstance(version, str):
             raise _fail(f"{path}.version", "expected a string or null")
-        layout = _get_typed(payload, "layout", str, path, "file")
         truncated = _get_typed(payload, "truncated", bool, path, False)
         raw = _get_typed(payload, "results", Sequence, path, _REQUIRED)
         if isinstance(raw, str):
@@ -250,7 +248,7 @@ class CacheQueryReply:
             stats = stats_from_wire(item.get("stats"),
                                     path=f"{ipath}.stats")
             results.append((spec, stats))
-        return cls(version=version, layout=layout, truncated=truncated,
+        return cls(version=version, truncated=truncated,
                    results=tuple(results))
 
 

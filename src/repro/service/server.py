@@ -806,8 +806,8 @@ class ServiceServer:
                                     limit=limit + 1, **filters))
         truncated = len(rows) > limit
         reply = CacheQueryReply(
-            version=version or cache.version, layout=cache.layout,
-            truncated=truncated, results=tuple(rows[:limit]))
+            version=version or cache.version, truncated=truncated,
+            results=tuple(rows[:limit]))
         return 200, reply.to_wire()
 
     def _stats_payload(self) -> dict:
@@ -831,11 +831,8 @@ class ServiceServer:
                 "entries": len(cache) if cache is not None else 0,
                 "version": cache.version if cache is not None else None,
                 "root": str(cache.root) if cache is not None else None,
-                **({"layout": cache.layout,
-                    **{k: v for k, v in cache.store_metrics().items()
-                       if k != "layout"}}
-                   if cache is not None
-                   else {"layout": None, "bytes": 0, "segments": 0}),
+                **(cache.store_metrics() if cache is not None
+                   else {"bytes": 0, "segments": 0}),
             },
         }
 

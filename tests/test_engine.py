@@ -166,14 +166,22 @@ def test_cache_namespaced_by_code_version(tmp_path):
 
 
 def test_cache_ignores_corrupt_entries(tmp_path):
+    from repro.engine.store import MAGIC, _frame
+
     spec = RunSpec(BENCH, "mom", "vector")
+    shaped = RunSpec(BENCH, "mom3d", "vector")
     cache = ResultCache(tmp_path, version="v")
     cache.dir.mkdir(parents=True)
-    cache.path_for(spec).write_text("{not json")
-    assert cache.get(spec) is None
+    # a well-formed frame (CRC intact, so it indexes) whose payload
+    # is not JSON
+    (cache.dir / "seg-000000.seg").write_bytes(
+        MAGIC + _frame(spec.digest(), b"{not json"))
     # valid JSON of the wrong shape reads as a miss too
-    cache.path_for(spec).write_text('{"stats": null}')
+    cache.store().append_many([(shaped.digest(), {"stats": None})])
+    assert len(cache) == 2
     assert cache.get(spec) is None
+    assert cache.get(shaped) is None
+    assert cache.get_many([spec, shaped]) == {}
 
 
 def test_cache_management_versions_entries_gc(tmp_path):
@@ -224,8 +232,9 @@ def test_cache_gc_dry_run_reports_without_deleting(tmp_path):
 
 def test_cache_entries_list_unreadable_files(tmp_path):
     cache = ResultCache(tmp_path, version="v")
-    cache.dir.mkdir(parents=True)
-    (cache.dir / "deadbeef.json").write_text("{not json")
+    # a record whose stored spec does not decode still lists
+    cache.store().append_many(
+        [("d" * 64, {"spec": {"benchmark": BENCH}, "stats": None})])
     entries = cache.entries()
     assert len(entries) == 1
     assert entries[0].label == "?"

@@ -123,8 +123,7 @@ def test_instrument_engine_series_and_hit_ratio(tmp_path):
     assert hit_ratio.value == pytest.approx(0.5)
     assert metrics.get("repro_cache_enabled").value == 1
     assert metrics.get("repro_cache_entries").value == 2
-    # segment-store footprint gauges track the default layout
-    assert engine.cache.layout == "segment"
+    # segment-store footprint gauges
     assert metrics.get("repro_cache_store_bytes").value > 0
     assert metrics.get("repro_cache_segments").value >= 1
 

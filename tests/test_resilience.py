@@ -318,7 +318,7 @@ class BrokenStore:
 
 
 def test_cache_degrades_to_memo_only_on_store_errors(tmp_path):
-    cache = ResultCache(tmp_path, layout="segment")
+    cache = ResultCache(tmp_path)
     cache._store = BrokenStore()
     stats = RunStats(name="x")
     cache.put(SPEC, stats)  # absorbed, not raised
@@ -331,7 +331,7 @@ def test_cache_degrades_to_memo_only_on_store_errors(tmp_path):
 
 
 def test_degraded_cache_does_not_fail_the_engine(tmp_path):
-    engine = Engine(cache_dir=tmp_path, cache_layout="segment")
+    engine = Engine(cache_dir=tmp_path)
     engine.cache._store = BrokenStore()
     results = engine.run_many([SPEC])  # must succeed memo-only
     assert SPEC in results
@@ -384,7 +384,7 @@ def test_compaction_quarantines_crc_failures(tmp_path):
 def test_cache_gc_cli_exits_nonzero_on_corruption(tmp_path, capsys):
     from repro.cli import main
 
-    cache = ResultCache(tmp_path, layout="segment")
+    cache = ResultCache(tmp_path)
     cache._store = SegmentStore(cache.dir, max_segment_bytes=1)
     stats = RunStats(name="x")
     other = RunSpec(BENCH, "mom3d", "ideal")
@@ -412,7 +412,7 @@ def test_cache_gc_cli_exits_nonzero_on_corruption(tmp_path, capsys):
 def test_cache_gc_cli_clean_store_exits_zero(tmp_path, capsys):
     from repro.cli import main
 
-    cache = ResultCache(tmp_path, layout="segment")
+    cache = ResultCache(tmp_path)
     cache.put(SPEC, RunStats(name="x"))
     cache.flush()
     assert main(["--cache-dir", str(tmp_path), "cache", "gc"]) == 0

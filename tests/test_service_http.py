@@ -46,6 +46,8 @@ def test_health_and_stats_shape(service):
                                        "batches", "batched_specs"}
     assert stats["backend"]["name"] == "process"
     assert stats["cache"]["enabled"] is True
+    assert set(stats["cache"]) == {"enabled", "entries", "version",
+                                   "root", "bytes", "segments"}
 
 
 def test_paper_grids_parity_and_warm_restart(service, tmp_path):
@@ -167,7 +169,6 @@ def test_results_endpoint_queries_the_cache(service):
     expected = client.run_many(specs)
 
     reply = client.query_results(benchmark=BENCH, memsys="ideal")
-    assert reply.layout in ("file", "segment")
     assert reply.truncated is False
     got = {spec: stats for spec, stats in reply.results}
     for spec in specs:
@@ -182,15 +183,31 @@ def test_results_endpoint_queries_the_cache(service):
     assert client.query_results(benchmark="no-such-bench").results == ()
 
 
-def test_results_endpoint_rejects_bad_queries(service):
+def test_results_endpoint_rejects_bad_queries(service, monkeypatch):
+    import repro.engine.cache as cache_module
+
     server, _client, _cache = service
     for query in ("bogus=1", "limit=0", "limit=nope", "warm=maybe",
                   "l2_latency=soon"):
         status, body = _raw(server, "GET", f"/v1/results?{query}")
         assert status == 400, query
         assert json.loads(body)["error"]["code"] == "bad-query"
-    status, _ = _raw(server, "GET", "/v1/results?version=unknown-ver")
-    assert status == 200  # unknown version: empty results, not an error
+    # unknown versions: empty results, not an error, and no segment
+    # store opened (a long-running server keeps nothing per value)
+    opened = []
+    real = cache_module.SegmentStore
+
+    def spy(directory, **kwargs):
+        opened.append(directory)
+        return real(directory, **kwargs)
+
+    monkeypatch.setattr(cache_module, "SegmentStore", spy)
+    for i in range(20):
+        status, body = _raw(server, "GET",
+                            f"/v1/results?version=unknown-{i}")
+        assert status == 200
+        assert json.loads(body)["results"] == []
+    assert opened == []
 
 
 def test_results_scan_does_not_block_other_requests(tmp_path):

@@ -19,6 +19,7 @@ from repro.isa.opcodes import ExecClass, Opcode
 from repro.memsys.ports import PortStats
 from repro.service.schema import (
     SCHEMA_VERSION,
+    CacheQueryReply,
     ErrorReply,
     JobRequest,
     JobResult,
@@ -128,6 +129,24 @@ def test_error_reply_round_trip():
                        errors=({"path": "$.x", "message": "bad"},))
     wired = json.loads(json.dumps(reply.to_wire()))
     assert ErrorReply.from_wire(wired) == reply
+
+
+def test_cache_query_reply_decodes_an_older_servers_layout_key():
+    spec = RunSpec("gsm_encode", "mom", "ideal")
+    stats = RunStats(name=spec.label(), cycles=10, instructions=5)
+    old = {"schema_version": SCHEMA_VERSION, "version": "v-old",
+           "layout": "file", "count": 1, "truncated": False,
+           "results": [{"spec": spec_to_wire(spec),
+                        "stats": stats_to_wire(stats)}]}
+    reply = CacheQueryReply.from_wire(old)
+    assert reply.version == "v-old" and reply.truncated is False
+    assert reply.results[0][0] == spec
+    assert reply.results[0][1].to_dict() == stats.to_dict()
+    # the cache has one layout, so a reply no longer names one
+    wired = reply.to_wire()
+    assert "layout" not in wired
+    assert CacheQueryReply.from_wire(json.loads(json.dumps(wired))) == \
+        reply
 
 
 def test_job_request_sweep_expands_like_engine_sweep():

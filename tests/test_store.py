@@ -3,8 +3,9 @@
 Covers the tentpole storage engine directly (round-trips, rollover,
 index rebuilds, torn-tail crash recovery, two-process admission,
 compaction) and the :class:`ResultCache` behaviors layered on it
-(layout autodetection, loose-file fallback, migration both ways,
-query filters, stat, and the ``__len__``-after-``gc`` resync).
+(bulk round-trips, stray per-digest files ignored, query filters,
+stat, ``gc`` of superseded namespaces, and the ``__len__``-after-``gc``
+resync).
 """
 
 import json
@@ -12,17 +13,12 @@ import multiprocessing
 import os
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, RunSpec
-from repro.engine.cache import (
-    CACHE_LAYOUTS,
-    DEFAULT_LAYOUT,
-    ResultCache,
-    detect_layout,
-)
+from repro.cli import main
+from repro.engine import RunSpec
+from repro.engine.cache import ResultCache
 from repro.engine.store import (
     FOOTER_DIGEST,
     INDEX_NAME,
@@ -182,6 +178,44 @@ def test_store_compact_drops_duplicates_dry_run_matches(tmp_path):
         assert store.compact() == (0, 0)  # already tight: no-op
 
 
+def test_store_compact_leaves_full_segments_alone(tmp_path):
+    """Nothing dead and only per-segment overhead to gain: ``compact``
+    (and so ``gc``) must not rewrite a store of full segments."""
+    directory = tmp_path / "v1"
+    with SegmentStore(directory, max_segment_bytes=64 * 1024) as store:
+        _fill(store, 2000)
+
+    def files():
+        return {p.name: (p.stat().st_ino, p.stat().st_size)
+                for p in directory.iterdir()}
+
+    before = files()
+    with SegmentStore(directory, max_segment_bytes=64 * 1024) as store:
+        assert store.stat()["sealed"] >= 3
+        assert store.compact(dry_run=True) == (0, 0)
+        assert store.compact() == (0, 0)
+    assert files() == before
+    assert ResultCache(tmp_path, version="v1").gc() == (0, 0)
+    assert files() == before
+
+
+def test_store_compact_merges_many_tiny_segments(tmp_path):
+    """Every writer session claims its own segment; once their magic
+    bytes add up to a real share of the store, compaction merges
+    them even though no record is dead."""
+    for i in range(40):
+        with SegmentStore(tmp_path) as store:
+            store.append(_digest(i), _payload(i))
+    with SegmentStore(tmp_path) as store:
+        assert store.stat()["segments"] == 40
+        dry = store.compact(dry_run=True)
+        assert dry[0] == 0 and dry[1] > 0
+        assert store.compact() == dry
+        assert store.stat()["segments"] == 1
+        assert dict(store.scan()) == {_digest(i): _payload(i)
+                                      for i in range(40)}
+
+
 def test_store_stat_counts_without_reads(tmp_path):
     with SegmentStore(tmp_path, max_segment_bytes=512) as store:
         _fill(store, 12)
@@ -309,28 +343,8 @@ def _stats(i: int) -> RunStats:
     return stats
 
 
-def test_cache_layout_detection_and_default(tmp_path):
-    assert DEFAULT_LAYOUT == "segment"
-    assert detect_layout(tmp_path / "missing") is None
+def test_cache_bulk_round_trip(tmp_path):
     cache = ResultCache(tmp_path, version="v1")
-    assert cache.layout == "segment"
-    cache.put(_spec(0), _stats(0))
-    cache.flush()
-    assert detect_layout(tmp_path / "v1") == "segment"
-    filecache = ResultCache(tmp_path, version="v2", layout="file")
-    filecache.put(_spec(0), _stats(0))
-    assert detect_layout(tmp_path / "v2") == "file"
-    # auto keeps what a directory already uses
-    assert ResultCache(tmp_path, version="v2").layout == "file"
-    assert ResultCache(tmp_path, version="v1").layout == "segment"
-    with pytest.raises(ValueError, match="unknown cache layout"):
-        ResultCache(tmp_path, version="v3", layout="columnar")
-    assert CACHE_LAYOUTS == ("auto", "file", "segment")
-
-
-@pytest.mark.parametrize("layout", ["file", "segment"])
-def test_cache_bulk_round_trip(tmp_path, layout):
-    cache = ResultCache(tmp_path, version="v1", layout=layout)
     pairs = [(_spec(i), _stats(i)) for i in range(8)]
     assert cache.put_many(pairs) == 8
     assert cache.put_many(pairs[:3]) == 0  # first writer wins
@@ -341,23 +355,35 @@ def test_cache_bulk_round_trip(tmp_path, layout):
         assert found[spec].to_dict() == stats.to_dict()
 
 
-def test_cache_loose_file_fallback_in_segment_dir(tmp_path):
-    filecache = ResultCache(tmp_path, version="v1", layout="file")
-    filecache.put(_spec(0), _stats(0))
-    # a segment-layout cache over the same dir still reads the loose
-    # entry (mid-migration state), counts it, and queries through it
-    cache = ResultCache(tmp_path, version="v1", layout="segment")
-    assert cache.get(_spec(0)).to_dict() == _stats(0).to_dict()
+def test_cache_stray_json_in_active_namespace_is_ignored(tmp_path):
+    """A per-digest ``.json`` file beside the segments is neither
+    served nor counted: the segment index is the only source."""
+    cache = ResultCache(tmp_path, version="v1")
     cache.put(_spec(1), _stats(1))
-    assert len(cache) == 2
-    assert cache.get_many([_spec(0), _spec(1)]).keys() == \
-        {_spec(0), _spec(1)}
-    assert cache.stat()["entries"] == 2
+    stray = tmp_path / "v1" / f"{_spec(0).digest()}.json"
+    stray.write_text(json.dumps({
+        "schema": 1, "version": "v1", "spec": _spec(0).to_dict(),
+        "stats": _stats(0).to_dict()}))
+    for reader in (cache, ResultCache(tmp_path, version="v1")):
+        assert reader.get(_spec(0)) is None
+        assert reader.get_many([_spec(0), _spec(1)]).keys() == {_spec(1)}
+        assert len(reader) == 1 == reader.refresh_count()
+        assert reader.stat()["entries"] == 1
+        assert [e.digest for e in reader.entries()] == [_spec(1).digest()]
+        assert [spec for spec, _ in reader.query()] == [_spec(1)]
+    assert stray.exists()  # and gc leaves it alone
+    cache.gc()
+    assert stray.exists()
+    # a namespace from before the segment store answers no query
+    legacy = tmp_path / "v0"
+    legacy.mkdir()
+    (legacy / stray.name).write_text(stray.read_text())
+    assert cache.query(version="v0") == []
+    assert cache.stat("v0")["entries"] == 0
 
 
-@pytest.mark.parametrize("layout", ["file", "segment"])
-def test_cache_query_filters(tmp_path, layout):
-    cache = ResultCache(tmp_path, version="v1", layout=layout)
+def test_cache_query_filters(tmp_path):
+    cache = ResultCache(tmp_path, version="v1")
     cache.put_many([(_spec(i), _stats(i)) for i in range(9)])
     everything = cache.query()
     assert len(everything) == 9
@@ -373,50 +399,18 @@ def test_cache_query_filters(tmp_path, layout):
         dict(cache.query(coding="mom3d")[0][1].to_dict())
 
 
-def test_cache_migrate_round_trip(tmp_path):
-    cache = ResultCache(tmp_path, version="v1", layout="file")
-    pairs = [(_spec(i), _stats(i)) for i in range(6)]
-    cache.put_many(pairs)
-    summary = cache.migrate(to="segment")
-    assert summary["migrated"] == 6 and summary["skipped"] == 0
-    assert summary["from"] == "file" and summary["to"] == "segment"
-    assert cache.layout == "segment"
-    assert not list((tmp_path / "v1").glob("0*.json"))
-    for spec, stats in pairs:
-        assert cache.get(spec).to_dict() == stats.to_dict()
-    back = cache.migrate(to="file")
-    assert back["migrated"] == 6
-    assert detect_layout(tmp_path / "v1") == "file"
-    fresh = ResultCache(tmp_path, version="v1")
-    assert fresh.layout == "file"
-    for spec, stats in pairs:
-        assert fresh.get(spec).to_dict() == stats.to_dict()
-
-
-def test_cache_migrate_skips_unreadable_entries(tmp_path):
-    cache = ResultCache(tmp_path, version="v1", layout="file")
-    cache.put(_spec(0), _stats(0))
-    (tmp_path / "v1" / ("b" * 64 + ".json")).write_text("{corrupt")
-    summary = cache.migrate(to="segment")
-    assert summary == {"version": "v1", "from": "file", "to": "segment",
-                       "migrated": 1, "skipped": 1}
-    # the unreadable file stays in place rather than being destroyed
-    assert (tmp_path / "v1" / ("b" * 64 + ".json")).exists()
-
-
-@pytest.mark.parametrize("layout", ["file", "segment"])
-def test_cache_len_resyncs_after_gc(tmp_path, layout):
-    """Regression: the file layout's incremental counter used to go
-    stale after ``gc`` — ``len`` reported entries gc had removed."""
-    cache = ResultCache(tmp_path, version="v-new", layout=layout)
+def test_cache_len_resyncs_after_gc(tmp_path):
+    """``len`` answers from the index, so after ``gc`` it must pick
+    up what other writers appended meanwhile."""
+    cache = ResultCache(tmp_path, version="v-new")
     cache.put_many([(_spec(i), _stats(i)) for i in range(4)])
-    assert len(cache) == 4  # primes the incremental counter
-    old = ResultCache(tmp_path, version="v-old", layout=layout)
+    assert len(cache) == 4
+    old = ResultCache(tmp_path, version="v-old")
     old.put_many([(_spec(i), _stats(i)) for i in range(3)])
     old.flush()
     del old
     # external writer appears mid-session: len must resync after gc
-    extra = ResultCache(tmp_path, version="v-new", layout=layout)
+    extra = ResultCache(tmp_path, version="v-new")
     extra.put(_spec(10), _stats(10))
     extra.flush()
     removed, reclaimed = cache.gc()
@@ -426,11 +420,10 @@ def test_cache_len_resyncs_after_gc(tmp_path, layout):
     assert cache.stat()["entries"] == 5
 
 
-@pytest.mark.parametrize("layout", ["file", "segment"])
-def test_cache_gc_dry_run_reports_real_bytes(tmp_path, layout):
-    cache = ResultCache(tmp_path, version="v-new", layout=layout)
+def test_cache_gc_dry_run_reports_real_bytes(tmp_path):
+    cache = ResultCache(tmp_path, version="v-new")
     cache.put(_spec(0), _stats(0))
-    old = ResultCache(tmp_path, version="v-old", layout=layout)
+    old = ResultCache(tmp_path, version="v-old")
     old.put_many([(_spec(i), _stats(i)) for i in range(5)])
     old.flush()
     del old
@@ -443,8 +436,54 @@ def test_cache_gc_dry_run_reports_real_bytes(tmp_path, layout):
     assert cache.stat()["bytes"] >= total
 
 
+def test_cache_gc_collects_a_pre_segment_namespace_unread(
+        tmp_path, monkeypatch, capsys):
+    """A superseded namespace written before the segment store (one
+    ``<digest>.json`` per entry) is listed, and ``gc`` deletes it
+    whole — dry-run totals equal to the real ones — without opening
+    any of its files."""
+    cache = ResultCache(tmp_path, version="v-new")
+    cache.put(_spec(0), _stats(0))
+    cache.flush()
+    legacy = tmp_path / "v-legacy"
+    legacy.mkdir()
+    files = []
+    for i in range(3):
+        path = legacy / f"{_spec(i).digest()}.json"
+        path.write_text(json.dumps({"spec": _spec(i).to_dict(),
+                                    "stats": _stats(i).to_dict()}))
+        files.append(path)
+    size = sum(path.stat().st_size for path in files)
+    assert cache.versions() == ["v-new", "v-legacy"]
+    # stat shows the disk use gc would reclaim, with no entry read
+    stat = cache.stat("v-legacy")
+    assert (stat["entries"], stat["bytes"]) == (0, size)
+    assert main(["--cache-dir", str(tmp_path), "cache", "ls"]) == 0
+    assert "v-legacy" in capsys.readouterr().out
+
+    opened = []
+
+    def spy(real):
+        def wrapper(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real(file, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("builtins.open", spy(open))
+    monkeypatch.setattr(os, "open", spy(os.open))
+    dry = cache.gc(dry_run=True)
+    assert dry[1] == size
+    assert all(path.exists() for path in files)
+    assert cache.gc() == dry
+    monkeypatch.undo()
+    assert not set(opened) & set(files)
+    assert not legacy.exists()
+    assert cache.versions() == ["v-new"]
+    assert cache.get(_spec(0)).to_dict() == _stats(0).to_dict()
+
+
 def test_cache_entry_sizes_account_for_every_byte(tmp_path):
-    cache = ResultCache(tmp_path, version="v1", layout="segment")
+    cache = ResultCache(tmp_path, version="v1")
     cache.put_many([(_spec(i), _stats(i)) for i in range(5)])
     cache.flush()
     entries = cache.entries(labels=False)
@@ -455,16 +494,34 @@ def test_cache_entry_sizes_account_for_every_byte(tmp_path):
     assert all(entry.label.startswith(BENCH) for entry in labeled)
 
 
-def test_engine_cache_layout_threads_through(tmp_path):
-    engine = Engine(cache_dir=tmp_path, cache_layout="file")
-    assert engine.cache.layout == "file"
-    spec = engine.spec(BENCH, "mom", "ideal")
-    engine.run(spec)
-    assert (tmp_path / engine.cache.version /
-            f"{spec.digest()}.json").exists()
-    segmented = Engine(cache_dir=tmp_path / "seg")
-    assert segmented.cache.layout == "segment"
-    segmented.run(spec)
-    segmented.cache.flush()
-    assert list((tmp_path / "seg" / segmented.cache.version)
-                .glob("*.seg"))
+def test_cache_query_opens_a_superseded_store_only_while_scanning(
+        tmp_path, monkeypatch):
+    """``query``/``stat``/``entries`` for another version open its
+    store for the call and close it; a version that names no
+    namespace opens nothing."""
+    import repro.engine.cache as cache_module
+
+    cache = ResultCache(tmp_path, version="v1")
+    cache.put(_spec(0), _stats(0))
+    old = ResultCache(tmp_path, version="v0")
+    old.put(_spec(1), _stats(1))
+    old.flush()
+    opened = []
+    real = cache_module.SegmentStore
+
+    def spy(directory, **kwargs):
+        store = real(directory, **kwargs)
+        opened.append(store)
+        return store
+
+    monkeypatch.setattr(cache_module, "SegmentStore", spy)
+    for version in ("nope", "v0/..", "../v0"):
+        assert cache.query(version=version) == []
+        assert cache.entries(version) == []
+        assert cache.stat(version)["entries"] == 0
+    assert opened == []
+    assert [spec for spec, _ in cache.query(version="v0")] == [_spec(1)]
+    assert [e.digest for e in cache.entries("v0")] == [_spec(1).digest()]
+    assert cache.stat("v0")["entries"] == 1
+    assert len(opened) == 3
+    assert all(store._read_fds == {} for store in opened)

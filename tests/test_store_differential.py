@@ -1,19 +1,16 @@
-"""Layout differential: file vs segment caches must be observationally
-identical.
+"""Store differential: a warm segment-store cache answers exactly what
+the cold run computed.
 
 The acceptance criterion for the segmented store: the fig3 + fig9 +
-table1 grids produce byte-identical ``RunStats.to_dict()`` results and
-identical ``EngineStats`` counters whether the cache is backed by
-loose per-digest JSON files or by append-only segments — cold and
-warm, across the inline, process and remote execution backends — and
-a cache migrated from the file layout answers a warm restart with
-``simulations=0``.
+table1 grids produce byte-identical ``RunStats.to_dict()`` results
+whether they are simulated or read back from the store, and a fresh
+engine over the filled cache answers the whole grid with
+``simulations=0`` — with the inline, process and remote execution
+backends alike.  The reference is the cold inline run.
 """
 
 import dataclasses
 import threading
-
-import pytest
 
 from repro.engine import Engine, InlineBackend, ProcessBackend, RemoteBackend
 from repro.harness.experiments import paper_grids
@@ -30,41 +27,39 @@ def _counters(engine) -> dict:
     return dataclasses.asdict(engine.stats)
 
 
-def _run(cache_dir, layout, backend=None, jobs=1):
-    engine = Engine(jobs=jobs, cache_dir=cache_dir, cache_layout=layout,
-                    backend=backend)
+def _run(cache_dir, backend=None, jobs=1):
+    engine = Engine(jobs=jobs, cache_dir=cache_dir, backend=backend)
     results = engine.run_many(GRID)
     engine.cache.flush()
     return _stats_dicts(results), _counters(engine)
 
 
-def test_paper_grids_file_vs_segment_cold_and_warm(tmp_path):
-    file_cold, file_cold_stats = _run(tmp_path / "file", "file")
-    seg_cold, seg_cold_stats = _run(tmp_path / "seg", "segment")
-    assert file_cold == seg_cold
-    assert file_cold_stats == seg_cold_stats
-    assert seg_cold_stats["simulations"] == len(GRID)
-
-    # warm: fresh engines over the same directories, autodetected
-    file_warm, file_warm_stats = _run(tmp_path / "file", "auto")
-    seg_warm, seg_warm_stats = _run(tmp_path / "seg", "auto")
-    assert file_warm == seg_warm == file_cold
-    assert file_warm_stats == seg_warm_stats
-    assert seg_warm_stats["simulations"] == 0
-    assert seg_warm_stats["disk_hits"] == len(GRID)
+def _assert_warm(cache_dir, reference) -> None:
+    """A fresh engine over ``cache_dir`` replays ``reference``."""
+    warm, warm_stats = _run(cache_dir)
+    assert warm == reference
+    assert warm_stats["simulations"] == 0
+    assert warm_stats["disk_hits"] == len(GRID)
 
 
-def test_paper_grids_layout_parity_across_backends(tmp_path):
-    reference, _ = _run(tmp_path / "ref", "file", backend=InlineBackend())
+def test_paper_grids_cold_and_warm(tmp_path):
+    cold, cold_stats = _run(tmp_path, backend=InlineBackend())
+    assert cold_stats["simulations"] == len(GRID)
+    assert cold_stats["stores"] == len(GRID)
+    _assert_warm(tmp_path, cold)
 
-    process, process_stats = _run(tmp_path / "proc", "segment",
+
+def test_paper_grids_parity_across_backends(tmp_path):
+    reference, _ = _run(tmp_path / "ref", backend=InlineBackend())
+
+    process, process_stats = _run(tmp_path / "proc",
                                   backend=ProcessBackend(jobs=2), jobs=2)
     assert process == reference
     assert process_stats["simulations"] == len(GRID)
+    _assert_warm(tmp_path / "proc", reference)
 
     backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0)
-    engine = Engine(cache_dir=tmp_path / "remote",
-                    cache_layout="segment", backend=backend)
+    engine = Engine(cache_dir=tmp_path / "remote", backend=backend)
     with background_server(engine, window=0.01) as server:
         workers = [ServiceWorker(server.url, Engine(use_cache=False),
                                  worker_id=f"w{i}", poll_interval=0.02)
@@ -83,25 +78,5 @@ def test_paper_grids_layout_parity_across_backends(tmp_path):
     assert _stats_dicts(remote) == reference
     engine.cache.flush()
     # the remote run's admissions persisted: a warm engine over the
-    # same segment cache replays the grid without simulating
-    warm, warm_stats = _run(tmp_path / "remote", "auto")
-    assert warm == reference
-    assert warm_stats["simulations"] == 0
-
-
-def test_migrated_cache_warm_restart_answers_without_simulating(tmp_path):
-    cold, cold_stats = _run(tmp_path, "file")
-    assert cold_stats["simulations"] == len(GRID)
-
-    migrating = Engine(cache_dir=tmp_path, cache_layout="auto")
-    assert migrating.cache.layout == "file"
-    summary = migrating.cache.migrate(to="segment")
-    assert summary["migrated"] == len(GRID)
-    assert summary["skipped"] == 0
-
-    warm = Engine(cache_dir=tmp_path, cache_layout="auto")
-    assert warm.cache.layout == "segment"
-    results = warm.run_many(GRID)
-    assert _stats_dicts(results) == cold
-    assert warm.stats.simulations == 0
-    assert warm.stats.disk_hits == len(GRID)
+    # same cache replays the grid without simulating
+    _assert_warm(tmp_path / "remote", reference)

@@ -140,6 +140,9 @@ def test_cli_requires_command():
 
 
 def test_cli_cache_ls_stat_gc(tmp_path, capsys, monkeypatch):
+    from repro.engine import ResultCache, RunSpec
+    from repro.timing import RunStats
+
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert main(["cache", "stat"]) == 0
     assert "empty" in capsys.readouterr().out
@@ -149,8 +152,8 @@ def test_cli_cache_ls_stat_gc(tmp_path, capsys, monkeypatch):
                  "--memsys", "ideal"]) == 0
     capsys.readouterr()
     stale = tmp_path / "0123456789abcdef"
-    stale.mkdir()
-    (stale / "feed.json").write_text('{"stale": true}')
+    ResultCache(tmp_path, version=stale.name).put(
+        RunSpec("gsm_encode", "mom3d", "ideal"), RunStats(name="stale"))
 
     assert main(["cache", "ls"]) == 0
     out = capsys.readouterr().out
@@ -220,6 +223,20 @@ def test_cli_worker_fails_fast_without_work_queue(capsys):
                      "--max-idle", "5", "--no-cache"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "repro serve --backend remote" in err
+
+
+def test_cli_has_no_cache_layout_or_migrate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-layout", "file", "list"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["list", "--cache-layout", "file"])
+    assert exc.value.code == 2
+    assert "--cache-layout" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "migrate"])
+    assert exc.value.code == 2
+    assert "migrate" in capsys.readouterr().err
 
 
 def test_cli_rejects_non_positive_jobs(capsys):
