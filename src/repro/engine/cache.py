@@ -111,6 +111,14 @@ def _decode_stats(payload) -> RunStats | None:
         return None
 
 
+def _decode_record(raw: bytes) -> RunStats | None:
+    """The stats one stored payload holds (None if it does not decode)."""
+    try:
+        return _decode_stats(json.loads(raw))
+    except ValueError:
+        return None
+
+
 def _files(directory: Path):
     """``(path, bytes)`` for every file in a namespace directory."""
     try:
@@ -192,20 +200,25 @@ class ResultCache:
     def get(self, spec: RunSpec) -> RunStats | None:
         """Load the cached stats for ``spec``, or None on a miss.
 
-        Unreadable/corrupt records count as misses, so the engine
-        re-simulates the spec; the store keeps the first record per
-        digest, so the fresh result does not replace the bad one.  A
-        store that raises outright counts as a degraded read (see
+        A record that does not decode counts as a miss, so the engine
+        re-simulates the spec, and is dropped from the store's index
+        (:meth:`~repro.engine.store.SegmentStore.discard`), so the
+        fresh result is persisted in its place.  A store that raises
+        outright counts as a degraded read (see
         :meth:`degraded_counters`).
         """
+        digest = spec.digest()
         try:
-            payload = self.store().get(spec.digest())
+            raw = self.store().get_raw(digest)
         except OSError:
             self._note_degraded(reads=1)
             return None
-        if payload is None:
+        if raw is None:
             return None
-        return _decode_stats(payload)
+        stats = _decode_record(raw)
+        if stats is None:
+            self._discard(digest)
+        return stats
 
     def put(self, spec: RunSpec, stats: RunStats) -> None:
         """Persist one result (first writer wins on its digest).
@@ -228,7 +241,8 @@ class ResultCache:
         """Bulk hit-resolution for a grid: one index probe per digest,
         then reads grouped per segment.
 
-        Returns only the hits; misses are simply absent.
+        Returns only the hits; misses are simply absent.  Records that
+        do not decode are misses and are discarded, as in :meth:`get`.
         """
         by_digest = {spec.digest(): spec for spec in specs}
         try:
@@ -241,13 +255,19 @@ class ResultCache:
             blob = raw.get(digest)
             if blob is None:
                 continue
-            try:
-                stats = _decode_stats(json.loads(blob))
-            except ValueError:
-                continue
-            if stats is not None:
+            stats = _decode_record(blob)
+            if stats is None:
+                self._discard(digest)
+            else:
                 out[spec] = stats
         return out
+
+    def _discard(self, digest: str) -> None:
+        """Let a fresh result supersede an undecodable record."""
+        try:
+            self.store().discard(digest)
+        except OSError:
+            self._note_degraded(writes=1)
 
     def put_many(self, pairs) -> int:
         """Persist many results in one append batch; returns how many

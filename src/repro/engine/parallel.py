@@ -364,8 +364,9 @@ def simulate_specs(specs, grid_mode: str = "auto"
 
     The in-process execution primitive every backend bottoms out in:
     trace groups go through :class:`~repro.timing.grid.GridPipeline`
-    (one shared decode + traffic replay + lean schedule per
-    configuration), everything else through :func:`execute_spec`.
+    (one shared decode, one traffic replay per cache geometry, one
+    lean schedule per configuration), everything else through
+    :func:`execute_spec`.
     Under ``auto`` a group must also clear a work-volume floor (the
     trace is already built here, so its size is free to consult);
     ``on`` forces the grid path regardless.  Results are bit-identical

@@ -39,10 +39,13 @@ record before it survives.
 Duplicate admission is first-writer-wins: appends for a digest already
 in the index are dropped, and when independent writers raced the same
 digest into different segments, rebuilds keep the record from the
-lowest ``(segment, offset)``.  Duplicates and torn bytes stay on disk
-(dead weight only) until :meth:`SegmentStore.compact` rewrites live
-records into a fresh sealed segment, which it does only when that
-drops a record or reclaims a real share of the store.
+lowest ``(segment, offset)``.  A record its reader cannot decode is
+dropped from the index (:meth:`SegmentStore.discard`), so the next
+append for its digest wins instead.  Duplicates, discarded records and
+torn bytes stay on disk (dead weight only) until
+:meth:`SegmentStore.compact` rewrites live records into a fresh sealed
+segment, which it does only when that drops a record or reclaims a
+real share of the store.
 """
 
 from __future__ import annotations
@@ -489,6 +492,18 @@ class SegmentStore:
 
     def append(self, digest: str, payload: dict) -> bool:
         return bool(self.append_many([(digest, payload)]))
+
+    def discard(self, digest: str) -> None:
+        """Drop a record its reader could not decode from the index.
+
+        The next append for ``digest`` is then admitted and supersedes
+        it.  The index is flushed at once, so a reopened store trusts
+        the drop instead of re-indexing the bad frame; the frame itself
+        is dead weight until :meth:`compact`.
+        """
+        with self._lock:
+            if self.index.pop(digest, None) is not None:
+                self._flush_index()
 
     # -- index persistence -------------------------------------------------
 

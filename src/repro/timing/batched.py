@@ -1,4 +1,4 @@
-"""Two-phase batched timing model (pre-decode + span scheduling).
+"""Two-phase batched timing model (pre-decode + scheduling walk).
 
 This is the default timing pipeline.  It computes the exact same
 schedule as :class:`repro.timing.reference.ReferencePipeline` — the
@@ -8,23 +8,16 @@ phases:
 1. **Pre-decode** (:mod:`repro.timing.predecode`): batch passes lower
    the trace into struct-of-arrays (routing, latencies, occupancies,
    dense register ids, pre-planned memory requests, store-conflict
-   line sets) and partition it into dependence-delimited spans.  All
-   schedule-independent statistics (instruction histograms, Table-1
-   vector lengths) come straight from the decode.
+   line sets).  All schedule-independent statistics (instruction
+   histograms, Table-1 vector lengths) come straight from the decode.
 
-2. **Span scheduling**: hazard-free int/SIMD spans go down a
-   vectorized path — closed-form fetch packing, one numpy gather/
-   reduction for operand readiness, a batch scatter for writeback and
-   the closed-form retire packing — guarded by exact checks against
-   the window/rename gate state; any span that fails a guard (or that
-   contains branches, memory operations or 3D moves) runs through a
-   tuned scalar loop over the decoded rows instead.  Both paths mutate
-   the same resource state, so they interleave freely.
+2. **Scheduling**: one tuned loop walks the decoded rows in program
+   order, with the resource bookkeeping inlined (two-integer
+   fetch/retire pools, dense list scoreboard, pre-planned memory
+   requests) and the memory ports scheduled per request.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.isa.instructions import Program
 from repro.timing.config import MemSysConfig, ProcessorConfig
@@ -96,10 +89,7 @@ class BatchedPipeline:
         self.stats.name = program.name
         self.stats.vector_port = self.vector_port.stats
         self.stats.l1_port = self.l1_port.stats
-        for lo, hi, fast in decoded.spans:
-            if fast and self._run_span_fast(decoded, lo):
-                continue
-            self._run_span_scalar(decoded, lo, hi)
+        self._walk(decoded)
         self._finalize(decoded)
         return self.stats
 
@@ -114,92 +104,10 @@ class BatchedPipeline:
                           primed_layout(program, self.hierarchy,
                                         self.proc.isa))
 
-    # -- vectorized span path ----------------------------------------------
+    # -- the scheduling walk -----------------------------------------------
 
-    def _run_span_fast(self, d: DecodedTrace, lo: int) -> bool:
-        """Schedule one hazard-free int/SIMD span with numpy.
-
-        Returns False (having mutated nothing) when a window or rename
-        gate could bind inside the span, in which case the caller
-        replays the span through the scalar path.  The guards are
-        conservative only in triggering the fallback — when the fast
-        path commits, its schedule is exactly the scalar one.
-        """
-        span = d.fast[lo]
-        n = span.n
-        e0 = self._fetch_min
-        if self._dispatch_min > e0:
-            e0 = self._dispatch_min
-        dispatch = self._fetch_slots.peek_packed(e0, n)
-
-        # window gate guard: pops against pre-span exits only (n is
-        # capped at the window capacity by the span construction)
-        window = self._window
-        w_free, w_gates = window.pending_gates(n)
-        if w_gates and (np.asarray(w_gates) > dispatch[w_free:]).any():
-            return False
-        ren_commits = []
-        for code, limiter in enumerate(self._rename):
-            positions = span.ren_positions[code]
-            if not len(positions):
-                ren_commits.append((limiter, 0, positions))
-                continue
-            free, gates = limiter.pending_gates(len(positions))
-            if gates and (np.asarray(gates)
-                          > dispatch[positions[free:]]).any():
-                return False
-            ren_commits.append((limiter, len(gates), positions))
-
-        # all gates clear: commit the fetch slots, schedule the span
-        self._fetch_slots.commit_packed(e0, n)
-        self._dispatch_min = int(dispatch[-1])
-
-        sb = self._sb
-        board = np.array(sb, dtype=np.int64)
-        ready = np.maximum(dispatch + 1,
-                           board[span.src_pad].max(axis=1))
-        if span.nvl.any():
-            vl_ready = sb[VL_ID]
-            if vl_ready:
-                ready = np.maximum(ready,
-                                   np.where(span.nvl, vl_ready, 0))
-        ready_list = ready.tolist()
-
-        # issue slots + functional units: stateful in claim order
-        int_claim = self._int_issue.claim
-        simd_claim = self._simd_issue.claim
-        int_fu = self._int_fus.claim
-        simd_fu = self._simd_fus.claim
-        occ = span.occ
-        starts = [
-            int_fu(int_claim(rdy), 1) if kind == KIND_INT
-            else simd_fu(simd_claim(rdy), occ[j])
-            for j, (kind, rdy) in enumerate(zip(span.kinds, ready_list))
-        ]
-        complete = np.array(starts, dtype=np.int64) \
-            + span.occ_arr - 1 + span.lat_arr
-
-        # writeback (hazard-free span: every destination is distinct)
-        complete_list = complete.tolist()
-        sb = self._sb
-        for reg, j in zip(span.dst_flat, span.dst_inst):
-            sb[reg] = complete_list[j]
-
-        # in-order retire: closed-form width packing
-        bounds = np.maximum.accumulate(
-            np.maximum(complete + 1, self._last_retire))
-        retires = self._retire_slots.claim_monotone(bounds)
-        self._last_retire = int(retires[-1])
-        window.commit_span(len(w_gates), retires.tolist())
-        for limiter, pops, positions in ren_commits:
-            if len(positions):
-                limiter.commit_span(pops, retires[positions].tolist())
-        return True
-
-    # -- scalar span path --------------------------------------------------
-
-    def _run_span_scalar(self, d: DecodedTrace, lo: int, hi: int) -> None:
-        """Walk one span instruction-at-a-time over the decoded rows.
+    def _walk(self, d: DecodedTrace) -> None:
+        """Walk the trace instruction-at-a-time over the decoded rows.
 
         Semantically the reference model's ``_step`` with every pure
         per-instruction computation already done by the decode pass and
@@ -247,7 +155,7 @@ class BatchedPipeline:
         occ = d.occ
         mem = d.mem
 
-        for i in range(lo, hi):
+        for i in range(d.n):
             (kind, branch, latency, src_ids, dst_ids, ren, in_lsq,
              needs_vl, ptr_kind, ptr) = rows[i]
 

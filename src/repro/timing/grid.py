@@ -7,9 +7,8 @@ the way the paper's 3D insight exploits the hardware's orthogonal
 axis: the program is lowered once (:func:`repro.timing.predecode
 ._decode_core`), the per-configuration overlays are stacked next to
 each other, and everything that is a pure function of the *trace* —
-row decode, hazard runs, limiter gate schedules, store-conflict
-structure, periodicity — is computed once per group instead of once
-per config.
+row decode, limiter gate schedules, store-conflict structure,
+periodicity — is computed once per group instead of once per config.
 
 Per configuration the simulation itself is split into two exact
 phases:
@@ -20,7 +19,10 @@ phases:
    statistics are independent of the schedule.  The replay walks the
    decoded memory stream against a fresh hierarchy and reduces each
    memory instruction to a handful of integers (port busy cycles, a
-   completion offset, per-reference L1 latencies).
+   completion offset, per-reference L1 latencies).  The L2 latency
+   only ever adds to those integers, once per trip to the L2, so the
+   replay runs once per *geometry* (every setting but the L2 latency)
+   and each configuration adds its own latency per recorded trip.
 
 2. **Lean scheduling** (:func:`_schedule_lean`): with the memory
    system reduced to precomputed streams, the cycle-accurate walk is
@@ -37,14 +39,16 @@ phases:
 Both phases compute exactly what :class:`~repro.timing.batched
 .BatchedPipeline` computes — ``tests/test_timing_differential.py``
 pins every paper grid point, warm and cold, to bit-identical
-``RunStats.to_dict()`` across grid-mode on/off/auto.
+``RunStats.to_dict()`` across grid-mode on/off/auto, and
+``tests/test_grid_properties.py`` pins latency sweeps to the per-spec
+path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -268,6 +272,12 @@ class _Traffic:
     L1 latencies for L1-routed requests (``ref_off`` delimits them).
     The port/cache statistics of the whole run are final — cache state
     evolves in program order, untouched by cycle timing.
+
+    ``trips``/``ref_trips`` flag (0/1) the offsets and reference
+    latencies that carry one L2 latency: a vector-port read, an L1
+    load that misses the L1, a store that misses the L2.  Nothing else
+    reads the L2 latency, so :func:`_at_latency` turns one replay at
+    latency 0 into the traffic of any non-negative L2 latency.
     """
 
     kinds: list[int]          # _MK_* per memory ordinal
@@ -275,8 +285,10 @@ class _Traffic:
     lines: list[tuple]
     busy: list[int]
     offset: list[int]
+    trips: list[int]
     ref_off: list[int]
     ref_lat: list[int]
+    ref_trips: list[int]
     vector_stats: PortStats
     l1_stats: PortStats
     rf3d_writes: int
@@ -323,7 +335,10 @@ def _replay_traffic(d: DecodedTrace, proc: ProcessorConfig,
     but decoupled from cycle timing: vector-port schedules are taken
     at ``start = 0`` (their completion offsets are linear in the start
     cycle), and L1 references record their latencies for the lean
-    scheduler's slot packing.
+    scheduler's slot packing.  Offsets and latencies hold ``memsys``'s
+    own L2 latency, and the trip flags mark where it went in;
+    :meth:`GridPipeline.run` replays at L2 latency 0 and lets
+    :func:`_at_latency` add each configuration's own.
     """
     rows = d.core.rows
     kinds: list[int] = []
@@ -331,8 +346,10 @@ def _replay_traffic(d: DecodedTrace, proc: ProcessorConfig,
     lines_out: list[tuple] = []
     busy: list[int] = []
     offset: list[int] = []
+    trips: list[int] = []
     ref_off: list[int] = [0]
     ref_lat: list[int] = []
+    ref_trips: list[int] = []
     rf3d_writes = 0
 
     if memsys.kind == "ideal":
@@ -346,6 +363,7 @@ def _replay_traffic(d: DecodedTrace, proc: ProcessorConfig,
             lines_out.append(lines)
             busy.append(0)
             offset.append(1)
+            trips.append(0)
             ref_off.append(ref_off[-1])
             stats = lstats if to_l1 else vstats
             stats.requests += 1
@@ -355,8 +373,9 @@ def _replay_traffic(d: DecodedTrace, proc: ProcessorConfig,
             else:
                 stats.words_loaded += request.useful_words
         return _Traffic(kinds=kinds, stores=stores, lines=lines_out,
-                        busy=busy, offset=offset, ref_off=ref_off,
-                        ref_lat=ref_lat, vector_stats=vstats,
+                        busy=busy, offset=offset, trips=trips,
+                        ref_off=ref_off, ref_lat=ref_lat,
+                        ref_trips=ref_trips, vector_stats=vstats,
                         l1_stats=lstats, rf3d_writes=0,
                         l2_hit_rate=1.0, coherence_events=0)
 
@@ -399,11 +418,13 @@ def _replay_traffic(d: DecodedTrace, proc: ProcessorConfig,
                     kinds.append(_MK_L1)
                     busy.append(0)
                     offset.append(0)
+                trips.append(0)
                 stores.append(is_store)
                 lines_out.append(lines)
                 n_refs = len(request.refs)
                 if not as_ideal:
                     ref_lat.extend([l1_latency] * n_refs)
+                    ref_trips.extend([0] * n_refs)
                 ref_off.append(len(ref_lat))
                 lstats.requests += 1
                 lstats.port_accesses += n_refs
@@ -416,7 +437,8 @@ def _replay_traffic(d: DecodedTrace, proc: ProcessorConfig,
                     lstats.words_loaded += request.useful_words
             return _Traffic(kinds=kinds, stores=stores,
                             lines=lines_out, busy=busy, offset=offset,
-                            ref_off=ref_off, ref_lat=ref_lat,
+                            trips=trips, ref_off=ref_off,
+                            ref_lat=ref_lat, ref_trips=ref_trips,
                             vector_stats=PortStats(), l1_stats=lstats,
                             rf3d_writes=0, l2_hit_rate=1.0,
                             coherence_events=0)
@@ -440,24 +462,29 @@ def _replay_traffic(d: DecodedTrace, proc: ProcessorConfig,
             kinds.append(_MK_L1)
             busy.append(0)
             offset.append(0)
+            trips.append(0)
             refs = request.refs
             is_write = request.is_write
             hits = 0
             for addr, _nbytes in refs:
                 l1_hit = l1_access(addr, is_write)
                 latency = l1_latency
+                trip = 0
                 if l1_hit:
                     hits += 1
                 if is_write:
                     if not l2_access(addr, True):
                         latency += l2_latency + fetch_line()
+                        trip = 1
                     claim_scalar(addr)
                 elif not l1_hit:
                     latency += l2_latency
+                    trip = 1
                     if not l2_access(addr, False):
                         latency += fetch_line()
                     claim_scalar(addr)
                 ref_lat.append(latency)
+                ref_trips.append(trip)
             ref_off.append(len(ref_lat))
             n_refs = len(refs)
             lstats.requests += 1
@@ -477,14 +504,42 @@ def _replay_traffic(d: DecodedTrace, proc: ProcessorConfig,
             vector_port.stats.add(sched, request.is_write)
             busy.append(sched.busy_cycles)
             offset.append(sched.complete)
+            # a read completes at start + l2_latency + max_k(k + extra_k)
+            # (every request has a reference); a store at start + busy
+            trips.append(0 if request.is_write else 1)
             if rows[i][8]:  # dvload3 fills the 3D register file
                 rf3d_writes += sched.port_accesses
     return _Traffic(kinds=kinds, stores=stores, lines=lines_out,
-                    busy=busy, offset=offset, ref_off=ref_off,
-                    ref_lat=ref_lat, vector_stats=vector_port.stats,
-                    l1_stats=lstats, rf3d_writes=rf3d_writes,
+                    busy=busy, offset=offset, trips=trips,
+                    ref_off=ref_off, ref_lat=ref_lat, ref_trips=ref_trips,
+                    vector_stats=vector_port.stats, l1_stats=lstats,
+                    rf3d_writes=rf3d_writes,
                     l2_hit_rate=hierarchy.l2.stats.hit_rate,
                     coherence_events=hierarchy.coherence_events)
+
+
+def _replay_key(proc: ProcessorConfig, memsys: MemSysConfig) -> tuple:
+    """Everything :func:`_replay_traffic` reads of a configuration
+    (all of it but the memory system's name)."""
+    return (proc, memsys.kind, memsys.vc_width_words, memsys.mb_ports,
+            memsys.mb_banks, astuple(memsys.hierarchy))
+
+
+def _at_latency(base: _Traffic, l2_latency: int) -> _Traffic:
+    """``base`` with ``l2_latency`` more cycles on every L2 trip.
+
+    The statistics are copied, so no two configurations' ``RunStats``
+    share a ``PortStats`` object.
+    """
+    offset, ref_lat = base.offset, base.ref_lat
+    if l2_latency:
+        offset = [value + l2_latency * trip
+                  for value, trip in zip(offset, base.trips)]
+        ref_lat = [value + l2_latency * trip
+                   for value, trip in zip(ref_lat, base.ref_trips)]
+    return replace(base, offset=offset, ref_lat=ref_lat,
+                   vector_stats=replace(base.vector_stats),
+                   l1_stats=replace(base.l1_stats))
 
 
 # -- the lean scheduler ------------------------------------------------------
@@ -791,7 +846,8 @@ class GridPipeline:
 
     Construction cost (core decode, gate tables, periodicity analysis)
     is paid once for the whole group; :meth:`run` then resolves each
-    configuration with the two-phase replay + lean schedule.
+    configuration with the two-phase replay + lean schedule, replaying
+    the traffic once per geometry and instantiating it per L2 latency.
     """
 
     def __init__(self, program: Program,
@@ -807,6 +863,9 @@ class GridPipeline:
         """
         program = self.program
         results: list[RunStats] = []
+        #: one replay per geometry, at L2 latency 0: members that
+        #: differ only in their L2 latency derive their streams from it
+        replays: dict[tuple, _Traffic] = {}
         #: (proc, l2_line, traffic, cycles) of already-scheduled group
         #: members — a config whose processor and timing streams match
         #: an earlier member computes the identical schedule
@@ -814,7 +873,19 @@ class GridPipeline:
         for proc, memsys in self.configs:
             d = decode(program, proc, memsys)
             l2_line = memsys.hierarchy.l2_line
-            traffic = _replay_traffic(d, proc, memsys, warm, program)
+            # a negative latency can clamp a vector read at its issue
+            # cycle, so it is not additive: such a member replays at
+            # its own latency
+            latency = memsys.hierarchy.l2_latency
+            base_latency = min(latency, 0)
+            base_memsys = replace(memsys, hierarchy=replace(
+                memsys.hierarchy, l2_latency=base_latency))
+            key = _replay_key(proc, base_memsys)
+            base = replays.get(key)
+            if base is None:
+                base = replays[key] = _replay_traffic(
+                    d, proc, base_memsys, warm, program)
+            traffic = _at_latency(base, latency - base_latency)
             cycles = None
             for proc2, line2, traffic2, cycles2 in scheduled:
                 if (proc2 == proc and line2 == l2_line

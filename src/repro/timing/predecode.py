@@ -12,18 +12,14 @@ is hoisted here into batch passes over the trace:
 * the L2 lines touched by each memory access (store-conflict gating),
 * the trace's statistics profile (instruction/class/opcode histograms
   and the Table-1 vector-length events), which is independent of the
-  schedule and can be accounted wholesale,
-* **dependence-delimited spans**: maximal runs of int/SIMD
-  instructions with no intra-span register hazards, which the batched
-  scheduler (:mod:`repro.timing.batched`) vectorizes with numpy,
-  falling back to its scalar path per-span otherwise.
+  schedule and can be accounted wholesale.
 
 The pass is split in two cached levels.  The *core* decode depends
 only on the program (dense register ids, routing classes, latencies,
-hazard runs, histograms) and is computed once per trace; the
-per-configuration *overlay* (occupancies, port plans, touched-line
-sets, span packs) reuses it, so sweeping one benchmark across several
-memory systems re-lowers nothing.
+histograms) and is computed once per trace; the per-configuration
+*overlay* (occupancies, port plans, touched-line sets) reuses it, so
+sweeping one benchmark across several memory systems re-lowers
+nothing.
 """
 
 from __future__ import annotations
@@ -54,11 +50,6 @@ KIND_INT = 0  # scalar int / control / branch: int issue + int FUs
 KIND_SIMD = 1  # uSIMD: simd issue + simd FUs
 KIND_D3MOVE = 2  # dvmov3: mem issue + 3D read port
 KIND_MEM = 3  # memory: mem issue + a memory port
-
-#: Spans shorter than this run through the scalar path even when they
-#: are hazard-free: the numpy call overhead only amortizes on longer
-#: runs.  A pure performance knob — both paths are bit-identical.
-FAST_SPAN_MIN = 12
 
 # -- register ids -----------------------------------------------------------
 
@@ -310,7 +301,7 @@ def touched_lines(ea: int, count: int, stride: int, width: int,
 class CoreDecode:
     """Configuration-independent lowering of one program.
 
-    ``rows`` drives the batched scalar loop: one tuple per instruction
+    ``rows`` drives the batched scheduling walk: one tuple per instruction
     ``(kind, branch, latency, src_ids, dst_ids, rename_codes, lsq,
     needs_vl, ptr_kind, ptr_id)`` so the loop does a single list index
     plus one C-level unpack instead of a dozen attribute lookups.  Equal
@@ -320,9 +311,6 @@ class CoreDecode:
 
     n: int
     rows: list[tuple]
-    #: maximal hazard-free int/SIMD runs [lo, hi) — unbounded by any
-    #: capacity; the overlay clips them against the configured limits
-    runs: list[tuple[int, int]]
     #: indices of memory instructions, with their raw access geometry
     #: (index, ea, count, stride, width_bytes, is_scalar, is_store)
     #: for the overlay
@@ -339,34 +327,9 @@ class CoreDecode:
     rf3d_reads: int
     has_dvload3: bool
     #: derived-product memo shared by every overlay of this core
-    #: (occupancy vectors, memory tables, span assemblies — keyed by
-    #: the configuration slice each product actually depends on)
+    #: (occupancy vectors, memory tables, grid tables — keyed by the
+    #: configuration slice each product actually depends on)
     aux: dict = field(default_factory=dict)
-
-
-@dataclass
-class FastSpan:
-    """Numpy pack of one hazard-free int/SIMD span for the vector path."""
-
-    lo: int
-    n: int
-    #: (n, max_srcs) scoreboard ids, 0-padded
-    src_pad: np.ndarray
-    #: True where the instruction also reads the VL register
-    nvl: np.ndarray
-    #: per-instruction kind (KIND_INT / KIND_SIMD), as a python list
-    #: for the issue loop
-    kinds: list[int]
-    #: per-instruction FU occupancy (1 for int ops)
-    occ: list[int]
-    occ_arr: np.ndarray
-    lat_arr: np.ndarray
-    #: flattened destination scoreboard ids and their owning span index
-    dst_flat: list[int]
-    dst_inst: list[int]
-    #: per rename class: span positions of each admission, in admission
-    #: order (one entry per renamed destination register)
-    ren_positions: dict[int, np.ndarray]
 
 
 @dataclass
@@ -381,8 +344,6 @@ class DecodedTrace:
     #: touched-line tuple, is_store); the occurrences of one
     #: instruction object share one entry tuple
     mem: dict[int, tuple[bool, MemRequest, tuple[int, ...], bool]]
-    spans: list[tuple[int, int, bool]] = field(default_factory=list)
-    fast: dict[int, FastSpan] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -441,8 +402,7 @@ def _program_memo(program: Program) -> dict:
 def _overlay_key(proc: ProcessorConfig, memsys: MemSysConfig) -> tuple:
     return (proc.isa, proc.simd_lanes, proc.d3_move_lanes,
             memsys.hierarchy.l2_line, memsys.kind, memsys.vc_width_words,
-            memsys.mb_ports, memsys.mb_banks, proc.window,
-            proc.extra_vector_regs, proc.extra_d3_regs)
+            memsys.mb_ports, memsys.mb_banks)
 
 
 def decode(program: Program, proc: ProcessorConfig,
@@ -465,14 +425,10 @@ def decode(program: Program, proc: ProcessorConfig,
 def _lower(inst: Instruction, intern: dict[tuple, tuple]) -> tuple:
     """Everything the core decode derives from one instruction alone.
 
-    Returns ``(row, vl, kind, watch, veclen event, memory geometry,
-    MemRequest)``.  ``watch`` holds the scoreboard ids whose write
-    earlier in a hazard-free run ends the run here (sources,
-    destinations, and VL when read); it is ``None`` for instructions
-    that cannot join a run (anything but int/SIMD non-branches).  The
-    geometry lacks its leading index, and the last three are ``None``
-    where they do not apply.  The row is interned by value through
-    ``intern``.
+    Returns ``(row, vl, kind, veclen event, memory geometry,
+    MemRequest)``.  The geometry lacks its leading index, and the last
+    three are ``None`` where they do not apply.  The row is interned by
+    value through ``intern``.
     """
     (kind, branch, latency, vl_reader, scalar_mem, store_op, is_dvload3,
      is_vmem) = _OP_INFO[inst.op]
@@ -499,10 +455,7 @@ def _lower(inst: Instruction, intern: dict[tuple, tuple]) -> tuple:
         request = request_for(inst)
     row = (kind, branch, latency, src_ids, dst_ids, ren,
            kind >= KIND_D3MOVE, needs_vl, ptr_kind, ptr)
-    watch = None
-    if kind <= KIND_SIMD and not branch:
-        watch = src_ids + dst_ids + ((VL_ID,) if needs_vl else ())
-    return (intern.setdefault(row, row), vl, kind, watch, event, geometry,
+    return (intern.setdefault(row, row), vl, kind, event, geometry,
             request)
 
 
@@ -518,7 +471,6 @@ def _decode_core(program: Program) -> CoreDecode:
         by_class[cls] = by_class.get(cls, 0) + count
 
     rows: list[tuple] = []
-    runs: list[tuple[int, int]] = []
     mem_geometry: list[tuple] = []
     requests: list[MemRequest | None] = [None] * n
     vl_list: list[int] = []
@@ -536,14 +488,11 @@ def _decode_core(program: Program) -> CoreDecode:
     lowered: dict[int, tuple] = {}
     intern: dict[tuple, tuple] = {}
 
-    # hazard-run detection state: last writer index per register id
-    last_write = [-1] * SB_SIZE
-    run_start = -1
     for i, inst in enumerate(instructions):
         low = lowered.get(id(inst))
         if low is None:
             low = lowered[id(inst)] = _lower(inst, intern)
-        row, vl, kind, watch, event, geometry, request = low
+        row, vl, kind, event, geometry, request = low
         rows.append(row)
         vl_list.append(vl)
         kind_list.append(kind)
@@ -556,28 +505,8 @@ def _decode_core(program: Program) -> CoreDecode:
             mem_geometry.append((i, *geometry))
             requests[i] = request
 
-        # hazard-free run tracking (int/SIMD only, no branches)
-        if watch is not None:
-            if run_start < 0:
-                run_start = i
-            else:
-                for x in watch:
-                    if last_write[x] >= run_start:
-                        if i - run_start > 1:
-                            runs.append((run_start, i))
-                        run_start = i
-                        break
-        elif run_start >= 0:
-            if i - run_start > 1:
-                runs.append((run_start, i))
-            run_start = -1
-        for t in row[4]:
-            last_write[t] = i
-    if run_start >= 0 and n - run_start > 1:
-        runs.append((run_start, n))
-
     return CoreDecode(
-        n=n, rows=rows, runs=runs, mem_geometry=mem_geometry,
+        n=n, rows=rows, mem_geometry=mem_geometry,
         requests=requests, vl_arr=np.array(vl_list, dtype=np.int64),
         kind_arr=np.array(kind_list, dtype=np.int64), by_class=by_class,
         by_opcode=by_opcode, veclen_events=veclen_events,
@@ -658,16 +587,7 @@ def _decode_overlay(core: CoreDecode, proc: ProcessorConfig,
             mem[i] = entry
         aux[mem_key] = mem
 
-    overlay = DecodedTrace(core=core, occ=occ, mem=mem)
-    span_key = ("spans", proc.simd_lanes, proc.d3_move_lanes,
-                proc.window, proc.extra_vector_regs, proc.extra_d3_regs)
-    spans = aux.get(span_key)
-    if spans is None:
-        _assemble_spans(overlay, proc)
-        aux[span_key] = (overlay.spans, overlay.fast)
-    else:
-        overlay.spans, overlay.fast = spans
-    return overlay
+    return DecodedTrace(core=core, occ=occ, mem=mem)
 
 
 def _plan_for(request: MemRequest, memsys: MemSysConfig, l2_line: int,
@@ -707,92 +627,3 @@ def _vc_groups_uniform(ea: int, count: int, stride: int,
         lines.append((first,) if first == last
                      else tuple(range(first, last + 1, l2_line)))
     return groups, lines
-
-
-def _assemble_spans(d: DecodedTrace, proc: ProcessorConfig) -> None:
-    """Clip the core's hazard-free runs against the configured limits
-    and fill the gaps with scalar spans.
-
-    A fast span must fit the graduation window and each rename class's
-    headroom so the batched path can resolve every in-flight gate
-    against pre-span state alone.
-    """
-    core = d.core
-    caps = (proc.extra_vector_regs, proc.extra_d3_regs)
-    window = proc.window
-    spans: list[tuple[int, int, bool]] = []
-    cursor = 0
-    for lo, hi in core.runs:
-        if hi - lo < FAST_SPAN_MIN:
-            continue
-        for flo, fhi in _clip_run(core, lo, hi, window, caps):
-            if fhi - flo < FAST_SPAN_MIN:
-                continue
-            pack = _pack_fast_span(d, flo, fhi)
-            if any(len(pack.ren_positions[c]) > caps[c] for c in (0, 1)):
-                continue  # pathological row; scalar path handles it
-            if flo > cursor:
-                spans.append((cursor, flo, False))
-            spans.append((flo, fhi, True))
-            d.fast[flo] = pack
-            cursor = fhi
-    if cursor < core.n:
-        spans.append((cursor, core.n, False))
-    d.spans = spans
-
-
-def _clip_run(core: CoreDecode, lo: int, hi: int, window: int,
-              caps: tuple[int, int]):
-    """Split one hazard-free run into pieces within the capacity caps."""
-    pieces = []
-    start = lo
-    counts = [0, 0]
-    for i in range(lo, hi):
-        if i - start >= window:
-            pieces.append((start, i))
-            start, counts = i, [0, 0]
-        for code in core.rows[i][5]:
-            counts[code] += 1
-            if counts[code] > caps[code]:
-                pieces.append((start, i))
-                start, counts = i, [0, 0]
-                for code2 in core.rows[i][5]:
-                    counts[code2] += 1
-                break
-    pieces.append((start, hi))
-    return pieces
-
-
-def _pack_fast_span(d: DecodedTrace, lo: int, hi: int) -> FastSpan:
-    rows = d.core.rows
-    n = hi - lo
-    max_srcs = max(max((len(rows[i][3]) for i in range(lo, hi)),
-                       default=1), 1)
-    src_pad = np.zeros((n, max_srcs), dtype=np.int64)
-    nvl = np.zeros(n, dtype=bool)
-    kinds = [0] * n
-    lat = [0] * n
-    dst_flat: list[int] = []
-    dst_inst: list[int] = []
-    ren_positions: dict[int, list[int]] = {REN_VECTOR: [], REN_VEC3D: []}
-    for j in range(n):
-        kind, _branch, latency, src_ids, dst_ids, ren, _lsq, needs_vl, \
-            _pk, _ptr = rows[lo + j]
-        if src_ids:
-            src_pad[j, :len(src_ids)] = src_ids
-        nvl[j] = needs_vl
-        kinds[j] = kind
-        lat[j] = latency
-        for t in dst_ids:
-            dst_flat.append(t)
-            dst_inst.append(j)
-        for c in ren:
-            ren_positions[c].append(j)
-    occ = d.occ[lo:hi]
-    return FastSpan(
-        lo=lo, n=n, src_pad=src_pad, nvl=nvl, kinds=kinds, occ=occ,
-        occ_arr=np.array(occ, dtype=np.int64),
-        lat_arr=np.array(lat, dtype=np.int64),
-        dst_flat=dst_flat, dst_inst=dst_inst,
-        ren_positions={c: np.array(p, dtype=np.intp)
-                       for c, p in ren_positions.items()})

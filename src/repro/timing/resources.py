@@ -1,22 +1,15 @@
 """Structural-resource bookkeeping for the timing pipeline.
 
-Besides the per-claim interfaces the reference model uses, the pools
-expose *bulk* entry points for the batched scheduler: closed-form
-width-packing over a whole hazard-free span
-(:meth:`SlotPool.peek_packed` / :meth:`SlotPool.claim_monotone`) and
-span-granular gate inspection for the in-flight limiters
-(:meth:`InFlightLimiter.pending_gates`).  The bulk forms are exact
-restatements of the sequential semantics under the documented
-monotonicity preconditions — the differential test suite holds the two
-formulations bit-identical.
+The reference model claims through these pools one call at a time; the
+batched scheduler inlines the same bookkeeping into its walk over the
+pools' state (the two-integer :class:`PackedSlots` for in-order fetch
+and retire, the limiters' exit deques, the units' free-at lists), and
+the differential test suite holds the two formulations bit-identical.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from itertools import islice
-
-import numpy as np
 
 
 class SlotPool:
@@ -47,8 +40,7 @@ class PackedSlots:
     (each claim's floor covers the previous result), so the whole
     cycle-count dict of :class:`SlotPool` collapses to two integers:
     the current cycle and its consumed slots.  ``claim`` is exactly
-    ``SlotPool.claim`` under that precondition; the bulk forms are the
-    closed-form restatements the batched scheduler's vector path uses.
+    ``SlotPool.claim`` under that precondition.
     """
 
     __slots__ = ("width", "cycle", "used")
@@ -69,53 +61,6 @@ class PackedSlots:
             self.cycle += 1
             self.used = 1
         return self.cycle
-
-    # -- bulk forms (batched scheduler) ------------------------------------
-
-    def peek_packed(self, earliest: int, count: int) -> np.ndarray:
-        """Cycles ``count`` back-to-back claims would get (read-only).
-
-        Equivalent to ``count`` calls of ``claim(prev_result)`` seeded
-        with ``claim(earliest)`` — the in-order fetch pattern.
-        """
-        used0 = self.used if earliest == self.cycle else 0
-        return earliest + (used0 + np.arange(count, dtype=np.int64)) \
-            // self.width
-
-    def commit_packed(self, earliest: int, count: int) -> None:
-        """Consume the slots :meth:`peek_packed` described."""
-        used0 = self.used if earliest == self.cycle else 0
-        total = used0 + count
-        self.cycle = earliest + (total - 1) // self.width
-        self.used = (total - 1) % self.width + 1
-
-    def claim_monotone(self, bounds: np.ndarray) -> np.ndarray:
-        """Claim one slot per entry of a nondecreasing bound array.
-
-        Exactly ``[claim(b) for b in bounds]`` for ``bounds[0]`` at or
-        beyond the current cycle (the in-order retire pattern).  The
-        closed form is the width-``W`` packing recurrence
-        ``r[i] = max_k(bounds[i - k*W] + k)``: at most ``W`` claims per
-        cycle means the i-th claim sits at least ``k`` cycles after the
-        (i - k*W)-th one's bound.
-        """
-        width = self.width
-        used0 = self.used if int(bounds[0]) == self.cycle else 0
-        if used0:
-            # Model already-consumed slots at the first cycle as
-            # virtual claims ahead of the real ones.
-            bounds = np.concatenate(
-                [np.full(used0, bounds[0], dtype=np.int64), bounds])
-        out = bounds.astype(np.int64, copy=True)
-        shift, k = width, 1
-        while shift < len(out):
-            np.maximum(out[shift:], bounds[:-shift] + k, out=out[shift:])
-            shift += width
-            k += 1
-        last = int(out[-1])
-        self.cycle = last
-        self.used = int(np.count_nonzero(out == last))
-        return out[used0:]
 
 
 class FuPool:
@@ -157,26 +102,3 @@ class InFlightLimiter:
 
     def record_exit(self, cycle: int) -> None:
         self._exits.append(cycle)
-
-    # -- bulk forms (batched scheduler) ------------------------------------
-
-    def pending_gates(self, admissions: int) -> tuple[int, list[int]]:
-        """Gates ``admissions`` in-order admit/record pairs would see.
-
-        Returns ``(free, gates)``: the first ``free`` admissions find
-        headroom and are ungated; each of the next ``len(gates)``
-        admissions pops the corresponding recorded exit.  Exact for
-        ``admissions <= capacity``, where every popped gate predates
-        the span (each admission's own exit is recorded behind the
-        pre-existing queue).  Read-only; pair with :meth:`commit_span`.
-        """
-        free = max(0, self.capacity - len(self._exits))
-        pops = max(0, admissions - free)
-        return free, list(islice(self._exits, pops))
-
-    def commit_span(self, pops: int, exits) -> None:
-        """Apply a span's queue effects: pop the consumed gates, then
-        record the span's exits in order."""
-        for _ in range(pops):
-            self._exits.popleft()
-        self._exits.extend(exits)

@@ -184,6 +184,37 @@ def test_cache_ignores_corrupt_entries(tmp_path):
     assert cache.get_many([spec, shaped]) == {}
 
 
+@pytest.mark.parametrize("payload", (b"{not json", b'{"stats":null}'))
+def test_fresh_result_supersedes_an_undecodable_record(tmp_path,
+                                                       payload):
+    """A CRC-valid record that does not decode is re-simulated once:
+    the fresh result replaces it on disk, a second engine hits, and
+    gc drops the bad frame."""
+    from repro.engine.store import INDEX_NAME, MAGIC, _frame
+
+    spec = RunSpec(BENCH, "mom", "vector")
+    planted = ResultCache(tmp_path)
+    planted.dir.mkdir(parents=True)
+    (planted.dir / "seg-000000.seg").write_bytes(
+        MAGIC + _frame(spec.digest(), payload))
+
+    first = Engine(cache_dir=tmp_path, backend="inline")
+    stats = first.run_many([spec])[spec]
+    assert (first.stats.simulations, first.stats.stores) == (1, 1)
+
+    second = Engine(cache_dir=tmp_path, backend="inline")
+    assert second.run_many([spec])[spec] == stats
+    assert second.stats.simulations == 0
+    assert second.stats.disk_hits == 1
+
+    cache = ResultCache(tmp_path)
+    removed, _reclaimed = cache.gc()
+    assert removed == 1
+    # with the index gone, a full rescan finds only the fresh record
+    (cache.dir / INDEX_NAME).unlink()
+    assert ResultCache(tmp_path).get(spec) == stats
+
+
 def test_cache_management_versions_entries_gc(tmp_path):
     spec = RunSpec(BENCH, "mom", "vector")
     current = ResultCache(tmp_path, version="v-new")

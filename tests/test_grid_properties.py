@@ -16,6 +16,11 @@ path byte for byte:
   same statistics through :class:`~repro.timing.grid.GridPipeline`
   and the batched pipeline across a config group.
 
+* **Shared replays** — a group replays its memory traffic once per
+  cache geometry and derives every L2 latency from that replay; the
+  pool and the random-trace group span several latencies so every
+  property above covers the derivation.
+
 Run under the fixed ``ci`` profile (registered in ``conftest.py``) in
 CI: ``pytest --hypothesis-profile=ci``.
 """
@@ -28,27 +33,47 @@ from repro.engine.keys import RunSpec
 from repro.engine.parallel import (
     GRID_MODES,
     build_configs,
+    build_workload,
     execute_spec,
     simulate_specs,
 )
 from repro.isa import ElemType, Opcode, ProgramBuilder, r, v
-from repro.timing import simulate
+from repro.timing import grid, simulate
 from repro.timing.grid import GridPipeline
+
+#: L2 latencies every replayed group spans (the paper's 20 in between)
+_LATENCIES = (5, 20, 200)
+#: a 16 KiB L2: jpeg_decode's 148-line working set overflows it, so
+#: warm runs evict and miss (the default 2 MiB L2 holds every trace)
+_SMALL_L2 = (("l2_size", 16 * 1024),)
 
 # -- partition invariance ----------------------------------------------------
 
-#: Small spec pool: two trace groups (gsm is the smallest trace) plus
-#: latency variants and an ineligible reference-model spec.
+#: Small spec pool: four trace groups, each spanning several L2
+#: latencies — gsm_encode (the smallest trace) under mom, warm and
+#: cold, and under mom3d (dvload3 line mode), and jpeg_decode under an
+#: evicting L2 — plus ideal members and an ineligible reference-model
+#: spec.
 _POOL = [
-    RunSpec(benchmark="gsm_encode", coding="mom", memsys="vector"),
-    RunSpec(benchmark="gsm_encode", coding="mom", memsys="multibank"),
+    *[RunSpec(benchmark="gsm_encode", coding="mom", memsys=memsys,
+              l2_latency=latency)
+      for memsys in ("vector", "multibank") for latency in _LATENCIES],
     RunSpec(benchmark="gsm_encode", coding="mom", memsys="ideal"),
-    RunSpec(benchmark="gsm_encode", coding="mom", memsys="vector",
-            l2_latency=40),
-    RunSpec(benchmark="gsm_encode", coding="mom3d", memsys="vector"),
+    *[RunSpec(benchmark="gsm_encode", coding="mom3d", memsys="vector",
+              l2_latency=latency) for latency in _LATENCIES],
     RunSpec(benchmark="gsm_encode", coding="mom3d", memsys="ideal"),
     RunSpec(benchmark="gsm_encode", coding="mom", memsys="vector",
             warm=False),
+    RunSpec(benchmark="gsm_encode", coding="mom", memsys="vector",
+            l2_latency=200, warm=False),
+    RunSpec(benchmark="gsm_encode", coding="mom", memsys="multibank",
+            l2_latency=5, warm=False),
+    RunSpec(benchmark="jpeg_decode", coding="mom", memsys="vector",
+            l2_latency=5, overrides=_SMALL_L2),
+    RunSpec(benchmark="jpeg_decode", coding="mom", memsys="vector",
+            l2_latency=200, overrides=_SMALL_L2),
+    RunSpec(benchmark="jpeg_decode", coding="mom", memsys="multibank",
+            overrides=_SMALL_L2),
     RunSpec(benchmark="gsm_encode", coding="mom", memsys="vector",
             overrides=(("timing_model", "reference"),)),
 ]
@@ -93,11 +118,16 @@ def test_single_spec_groups_match(pool_baseline):
 
 # -- random-trace equivalence ------------------------------------------------
 
+#: two port designs x three L2 latencies x two L2 sizes, plus ideal:
+#: four geometries, each replayed once for its three latencies
 _CONFIG_GROUP = [
     build_configs(RunSpec(benchmark="gsm_encode", coding="mom",
-                          memsys=memsys))
-    for memsys in ("vector", "multibank", "ideal")
-]
+                          memsys=memsys, l2_latency=latency,
+                          overrides=overrides))
+    for memsys in ("vector", "multibank") for latency in _LATENCIES
+    for overrides in ((), _SMALL_L2)
+] + [build_configs(RunSpec(benchmark="gsm_encode", coding="mom",
+                           memsys="ideal"))]
 
 
 @st.composite
@@ -135,12 +165,13 @@ def _emit(builder, ops, base_ea=0):
 
 
 def _assert_group_identical(program):
-    grid = GridPipeline(program, _CONFIG_GROUP).run(warm=True)
-    for (proc, memsys), stats in zip(_CONFIG_GROUP, grid):
-        batched = simulate(program, proc, memsys, warm=True,
-                           model="batched")
-        assert stats.to_dict() == batched.to_dict(), \
-            stats.diff(batched)
+    for warm in (True, False):
+        results = GridPipeline(program, _CONFIG_GROUP).run(warm=warm)
+        for (proc, memsys), stats in zip(_CONFIG_GROUP, results):
+            batched = simulate(program, proc, memsys, warm=warm,
+                               model="batched")
+            assert stats.to_dict() == batched.to_dict(), \
+                (warm, memsys, stats.diff(batched))
 
 
 @given(ops=_blocks(min_size=4, max_size=24),
@@ -194,3 +225,66 @@ def test_repeated_block_grid_identical(ops, repeats, moving, vl):
     for k in range(repeats):
         _emit(builder, ops, base_ea=k * 4096 if moving else 0)
     _assert_group_identical(builder.program)
+
+
+# -- shared replays ----------------------------------------------------------
+
+
+def test_latency_sweep_replays_each_geometry_once(pool_baseline,
+                                                  monkeypatch):
+    """3 L2 latencies x 2 port designs: two replays, per-spec results."""
+    specs = [spec for spec in _POOL
+             if spec.coding == "mom" and spec.benchmark == "gsm_encode"
+             and spec.warm and spec.memsys != "ideal"
+             and not spec.overrides]
+    assert len(specs) == 6
+    replays = []
+    original = grid._replay_traffic
+
+    def counting(d, proc, memsys, warm, program):
+        replays.append(memsys)
+        return original(d, proc, memsys, warm, program)
+
+    monkeypatch.setattr(grid, "_replay_traffic", counting)
+    results = simulate_specs(specs, grid_mode="on")
+    assert sorted(memsys.kind for memsys in replays) == [
+        "multibank", "vector"]
+    assert {memsys.hierarchy.l2_latency for memsys in replays} == {0}
+    for spec in specs:
+        assert results[spec].to_dict() == pool_baseline[spec], \
+            spec.label()
+
+
+def test_group_members_do_not_share_port_stats():
+    """Members derived from one replay own their PortStats copies."""
+    program = build_workload("gsm_encode", "mom", 0).program
+    configs = [build_configs(RunSpec(benchmark="gsm_encode", coding="mom",
+                                     memsys="vector", l2_latency=latency,
+                                     warm=False))
+               for latency in _LATENCIES]
+    results = GridPipeline(program, configs).run(warm=False)
+    ports = [stats.vector_port for stats in results] \
+        + [stats.l1_port for stats in results]
+    assert len({id(port) for port in ports}) == len(ports)
+    assert results[1].vector_port.requests > 0
+    before = results[1].to_dict()
+    results[0].vector_port.requests += 1
+    results[0].l1_port.misses += 1
+    assert results[1].to_dict() == before
+
+
+def test_negative_latencies_replay_on_their_own():
+    """A negative L2 latency can clamp a read at its issue cycle, so it
+    is not additive: such members replay at their own latency and
+    still match the per-spec path."""
+    program = build_workload("gsm_encode", "mom", 0).program
+    for warm in (True, False):
+        specs = [RunSpec(benchmark="gsm_encode", coding="mom",
+                         memsys=memsys, l2_latency=latency, warm=warm)
+                 for memsys in ("vector", "multibank")
+                 for latency in (-30, -3, 7)]
+        results = GridPipeline(
+            program, [build_configs(spec) for spec in specs]).run(warm=warm)
+        for spec, stats in zip(specs, results):
+            assert stats.to_dict() == execute_spec(spec).to_dict(), \
+                spec.label()

@@ -307,6 +307,9 @@ class BrokenStore:
     def get(self, digest):
         raise OSError("injected: disk gone")
 
+    def get_raw(self, digest):
+        raise OSError("injected: disk gone")
+
     def fetch_raw_many(self, digests):
         raise OSError("injected: disk gone")
 

@@ -2,15 +2,17 @@
 grid pipeline == batched pipeline.
 
 The batched timing model re-derives the reference model's schedule
-through pre-decoded arrays, span vectorization and closed-form resource
-packing; nothing of that restructuring may move a single statistic.
+through pre-decoded rows, pre-planned memory requests and inlined
+resource bookkeeping; nothing of that restructuring may move a single
+statistic.
 This suite runs both models over every (benchmark, coding, memsys,
 l2_latency) point of the paper's fig3 / fig9 / table1 grids and asserts
 ``RunStats.to_dict()`` equality field by field.
 
 The grid-axis pipeline (:mod:`repro.timing.grid`) re-derives the same
 schedule a third way — shared trace decode, timing-decoupled traffic
-replay, precomputed limiter gates and periodic steady-state
+replay (one per cache geometry, instantiated per L2 latency),
+precomputed limiter gates and periodic steady-state
 fast-forward — and is pinned here to the per-spec batched path for
 every paper grid point, warm and cold, under grid-mode ``on``, ``off``
 and ``auto`` across all three execution backends.
@@ -210,58 +212,3 @@ def test_grid_modes_bit_identical_remote(paper_grid_baseline,
         finally:
             worker.stop()
             thread.join(timeout=30)
-
-
-def _outcome_counts(program, proc, memsys):
-    """Run both models; return (fast commits, fallbacks, identical)."""
-    from repro.timing.batched import BatchedPipeline
-
-    counts = {"committed": 0, "fallback": 0}
-    original = BatchedPipeline._run_span_fast
-
-    def counting(self, decoded, lo):
-        committed = original(self, decoded, lo)
-        counts["committed" if committed else "fallback"] += 1
-        return committed
-
-    BatchedPipeline._run_span_fast = counting
-    try:
-        batched = simulate(program, proc, memsys, model="batched")
-    finally:
-        BatchedPipeline._run_span_fast = original
-    reference = simulate(program, proc, memsys, model="reference")
-    return counts, batched.to_dict() == reference.to_dict()
-
-
-def test_vectorized_span_path_commits_and_matches():
-    """A long hazard-free stream takes the numpy span path (not just
-    the scalar fallback) and still matches the oracle exactly."""
-    from repro.isa import ProgramBuilder, r
-    from repro.timing import ideal_memsys, mom_processor
-
-    builder = ProgramBuilder("independent")
-    for i in range(200):
-        builder.li(r(i % 16), i)
-    counts, identical = _outcome_counts(
-        builder.program, mom_processor(), ideal_memsys())
-    assert counts["committed"] > 0
-    assert identical
-
-
-def test_vectorized_span_gate_fallback_matches():
-    """Slow vector loads push retirement far ahead of fetch, so the
-    window gates bind inside later spans: the fast path must refuse
-    and the scalar replay must still match the oracle."""
-    from repro.isa import ProgramBuilder, r, v
-    from repro.timing import mom_processor, vector_memsys
-
-    builder = ProgramBuilder("gated")
-    builder.setvl(16)
-    for i in range(4):
-        builder.vld(v(i), ea=0x1000 + 4096 * i, stride=720)
-    for i in range(300):
-        builder.li(r(i % 16), i)
-    counts, identical = _outcome_counts(
-        builder.program, mom_processor(), vector_memsys())
-    assert counts["fallback"] > 0
-    assert identical

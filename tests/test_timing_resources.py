@@ -1,6 +1,5 @@
 """Unit + property tests for the pipeline's structural resources."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,51 +58,6 @@ def test_packed_slots_claim_matches_slotpool_on_monotone_streams(
     for delta in deltas:
         assert packed.claim(earliest) == pool.claim(earliest)
         earliest = max(earliest + delta - 3, packed.cycle)
-
-
-@given(st.integers(1, 10), st.integers(1, 40), st.integers(1, 8),
-       st.integers(0, 30))
-@settings(max_examples=60)
-def test_packed_slots_peek_packed_matches_sequential(
-        warmup, count, width, earliest_gap):
-    """peek/commit_packed equal seeded back-to-back sequential claims."""
-    packed = PackedSlots(width)
-    cycle = 0
-    for _ in range(warmup):
-        cycle = packed.claim(cycle)
-    # oracle with the packed pool's exact usage state
-    oracle = SlotPool(width)
-    oracle._used[packed.cycle] = packed.used
-    earliest = packed.cycle + earliest_gap
-    expected = []
-    floor = earliest
-    for _ in range(count):
-        floor = oracle.claim(floor)
-        expected.append(floor)
-    got = packed.peek_packed(earliest, count)
-    assert got.tolist() == expected
-    packed.commit_packed(earliest, count)
-    # state equivalence: the next claim agrees with the oracle's
-    assert packed.claim(expected[-1]) == oracle.claim(expected[-1])
-
-
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=60),
-       st.integers(1, 8), st.integers(1, 8))
-@settings(max_examples=60)
-def test_packed_slots_claim_monotone_matches_sequential(deltas, width,
-                                                        preused):
-    """The closed-form retire packing equals per-claim claims."""
-    packed = PackedSlots(width)
-    packed.cycle, packed.used = 5, min(preused, width)
-    oracle = SlotPool(width)
-    oracle._used[5] = packed.used
-    bounds = np.maximum.accumulate(
-        5 + np.cumsum(np.array(deltas, dtype=np.int64) - 2).clip(0))
-    expected = [oracle.claim(bound) for bound in bounds.tolist()]
-    got = packed.claim_monotone(bounds)
-    assert got.tolist() == expected
-    assert packed.cycle == expected[-1]
-    assert packed.claim(expected[-1]) == oracle.claim(expected[-1])
 
 
 # --- FuPool -----------------------------------------------------------------
