@@ -55,9 +55,10 @@ Engine flags (accepted before or after the subcommand):
   command running the remote backend hosts its work queue on
   ``--work-port`` so workers can attach.
 * ``--grid-mode {auto,on,off}`` — whether specs sharing one trace are
-  simulated as a single grid-axis pass (shared decode, traffic replay
-  and steady-state fast-forward; see ``docs/timing.md``).  Bit-
-  identical statistics in every mode.
+  simulated as a single grid-axis pass (shared decode, one traffic
+  replay per cache geometry, one lean walk per distinct schedule; see
+  ``docs/timing.md``).  ``auto`` takes that pass for every group of
+  two or more eligible specs.  Bit-identical statistics in every mode.
 * ``--lease-ttl SECONDS`` — remote backend only: how long a worker
   may hold a shard before it is re-leased.
 * ``--cache-dir DIR`` — persistent result-cache location (default

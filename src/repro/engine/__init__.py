@@ -74,12 +74,11 @@ class EngineStats:
     stores: int = 0
     #: backend ``execute`` calls issued for uncached specs
     dispatches: int = 0
-    #: trace groups planned for the grid-axis path.  Planner-side
-    #: evidence: the executing side recomputes the same plan per
-    #: shard, where ``auto`` may additionally demote a group below
-    #: the work-volume floor to the per-spec path (see
-    #: ``parallel.simulate_specs``), so these count the plan, not a
-    #: guarantee of grid execution
+    #: trace groups planned for the grid-axis path.  The executing
+    #: side recomputes the same plan (``parallel.simulate_specs``), so
+    #: on the inline backend these counters equal what ran; the
+    #: process backend's ``shard_specs`` can still split a group
+    #: across shards when there are more jobs than groups
     grid_groups: int = 0
     #: specs planned per-spec while grid mode was enabled (ineligible
     #: overrides, or singleton groups under ``auto``)

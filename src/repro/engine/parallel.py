@@ -340,38 +340,17 @@ def plan_grid(specs, grid_mode: str = "auto"
     return grid_groups, fallbacks
 
 
-#: ``auto`` routes a group through the grid path only when the group's
-#: total instruction volume (body length x member count) clears this
-#: floor: below it the grid pass's fixed setup — gate tables, the
-#: steady-state skip index, per-config replay — costs more than the
-#: shared decode and schedule dedup save.  The committed per-group
-#: numbers in ``BENCH_grid.json`` bound the tuning band: the largest
-#: losing group (mpeg2_encode/mom, 3 specs x 3673 instructions ~ 11k
-#: work, 0.87x forced on) must stay below the floor and the smallest
-#: winning one (gsm_encode/mmx, 2 x 14096 ~ 28k work, 1.36x) above
-#: it, so any value in (11k, 28k] routes every measured group to its
-#: faster path; 16384 sits mid-band to tolerate trace drift.  Together
-#: with the two-member minimum in :func:`plan_grid` this keeps every
-#: per-group ``speedup_auto`` at or above break-even — asserted at
-#: 0.95x in ``benchmarks/bench_grid.py``.  A pure performance knob —
-#: results are bit-identical on both sides of it.
-_GRID_AUTO_MIN_WORK = 16384
-
-
 def simulate_specs(specs, grid_mode: str = "auto"
                    ) -> dict[RunSpec, RunStats]:
     """Execute specs in-process, grid-vectorizing trace groups.
 
     The in-process execution primitive every backend bottoms out in:
-    trace groups go through :class:`~repro.timing.grid.GridPipeline`
-    (one shared decode, one traffic replay per cache geometry, one
-    lean schedule per configuration), everything else through
-    :func:`execute_spec`.
-    Under ``auto`` a group must also clear a work-volume floor (the
-    trace is already built here, so its size is free to consult);
-    ``on`` forces the grid path regardless.  Results are bit-identical
-    either way — the timing differential suite pins all three grid
-    modes to the reference pipeline.
+    every group :func:`plan_grid` forms goes through
+    :class:`~repro.timing.grid.GridPipeline` (one shared decode, one
+    traffic replay per cache geometry, one lean walk per distinct
+    schedule), every fallback through :func:`execute_spec`.  Results
+    are bit-identical either way — the timing differential suite pins
+    all three grid modes to the reference pipeline.
     """
     from repro.timing.grid import GridPipeline
 
@@ -380,10 +359,6 @@ def simulate_specs(specs, grid_mode: str = "auto"
     for members in grid_groups:
         workload = build_workload(members[0].benchmark,
                                   members[0].coding, members[0].seed)
-        if grid_mode == "auto" and len(workload.program.instructions) \
-                * len(members) < _GRID_AUTO_MIN_WORK:
-            fallbacks = list(fallbacks) + members
-            continue
         configs = [build_configs(spec) for spec in members]
         stats = GridPipeline(workload.program, configs).run(
             warm=members[0].warm)

@@ -7,8 +7,8 @@ the way the paper's 3D insight exploits the hardware's orthogonal
 axis: the program is lowered once (:func:`repro.timing.predecode
 ._decode_core`), the per-configuration overlays are stacked next to
 each other, and everything that is a pure function of the *trace* —
-row decode, limiter gate schedules, store-conflict structure,
-periodicity — is computed once per group instead of once per config.
+row decode, limiter gate schedules, store-conflict structure — is
+computed once per group instead of once per config.
 
 Per configuration the simulation itself is split into two exact
 phases:
@@ -30,11 +30,8 @@ phases:
    is the final retire cycle.  The in-flight limiter deques of the
    batched model collapse to precomputed gate indices into the retire
    history (retire times are monotone, so each instruction's combined
-   window/LSQ/rename gate is a single array read), and because the
-   recurrence is shift-equivariant (every operation is ``max``/``+``
-   on cycle values), exactly repeating stretches of the trace are
-   fast-forwarded in closed form once the pipeline reaches a periodic
-   steady state (see :class:`_SkipState`).
+   window/LSQ/rename gate is a single array read).  The walk visits
+   every instruction once, in program order.
 
 Both phases compute exactly what :class:`~repro.timing.batched
 .BatchedPipeline` computes — ``tests/test_timing_differential.py``
@@ -46,7 +43,6 @@ path.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import astuple, dataclass, replace
 
@@ -55,7 +51,6 @@ import numpy as np
 from repro.isa.instructions import Program
 from repro.memsys.ports import PortStats
 from repro.timing.config import MemSysConfig, ProcessorConfig
-from repro.timing.gridskip import _SkipState, _skip_state_for
 from repro.timing.predecode import (
     KIND_D3MOVE,
     KIND_INT,
@@ -81,7 +76,7 @@ _MK_IDEAL = 2     # ideal port (either path): complete = slot + 1
 
 @dataclass
 class _GateTables:
-    """Per-(trace, capacity) limiter gates, shared across a group.
+    """Per-(trace, capacity) limiter gates, memoized on the program.
 
     ``gidx[i]`` is the largest retire-history index whose recorded
     exit gates instruction ``i``'s dispatch through the graduation
@@ -212,40 +207,25 @@ def _gate_tables(program: Program, d: DecodedTrace,
 
 
 def _store_gate_lines(program: Program, d: DecodedTrace,
-                      l2_line: int) -> tuple[list, dict, dict, dict]:
+                      l2_line: int) -> list[tuple]:
     """Store-conflict gate plan for one trace/line-size (memoized).
 
-    Returns ``(gate_lines, last_load, readers, writers)``:
-
-    * ``gate_lines`` — per memory ordinal, the lines a store must
-      record a conflict gate for, restricted to lines some *later*
-      load actually touches (a gate nothing ever reads is
-      unobservable);
-    * ``last_load`` — last reader ordinal per line, used to retire
-      gates from the live state once their readers have passed;
-    * ``readers``/``writers`` — ascending reader/writer ordinals per
-      line, used by the skip engine to canonicalize live gates by
-      their *positional* signature (which future accesses see them)
-      instead of the absolute line address.
+    Per memory ordinal, the lines a store must record a conflict gate
+    for, restricted to lines some *later* load actually touches (a
+    gate nothing ever reads is unobservable); loads get ``()``.
     """
     memo = _program_memo(program)
     key = ("grid-store-gates", l2_line)
-    tables = memo.get(key)
-    if tables is not None:
-        return tables
+    gate_lines = memo.get(key)
+    if gate_lines is not None:
+        return gate_lines
     last_load: dict[int, int] = {}
-    readers: dict[int, list[int]] = {}
-    writers: dict[int, list[int]] = {}
     mem = list(d.mem.values())
     for m, (_to_l1, _request, lines, is_store) in enumerate(mem):
-        if is_store:
-            for line in lines:
-                writers.setdefault(line, []).append(m)
-        else:
+        if not is_store:
             for line in lines:
                 last_load[line] = m
-                readers.setdefault(line, []).append(m)
-    gate_lines: list[tuple] = []
+    gate_lines = []
     for m, (_to_l1, _request, lines, is_store) in enumerate(mem):
         if is_store:
             gate_lines.append(tuple(
@@ -253,9 +233,8 @@ def _store_gate_lines(program: Program, d: DecodedTrace,
                 if last_load.get(line, -1) > m))
         else:
             gate_lines.append(())
-    tables = (gate_lines, last_load, readers, writers)
-    memo[key] = tables
-    return tables
+    memo[key] = gate_lines
+    return gate_lines
 
 
 # -- per-configuration traffic replay ----------------------------------------
@@ -547,15 +526,14 @@ def _at_latency(base: _Traffic, l2_latency: int) -> _Traffic:
 
 def _schedule_lean(d: DecodedTrace, proc: ProcessorConfig,
                    traffic: _Traffic, gates: _GateTables,
-                   gate_lines: list, skips: "_SkipState | None" = None
-                   ) -> int:
+                   gate_lines: list) -> int:
     """Exact max-plus walk of the trace; returns the final retire cycle.
 
-    Semantically the batched pipeline's scalar span loop with every
-    schedule-independent quantity already resolved: limiter gates are
-    precomputed indices, memory completions come from the traffic
-    streams, and no statistics are accumulated (the schedule's only
-    observable is the cycle count).
+    Semantically :meth:`~repro.timing.batched.BatchedPipeline._walk`
+    with every schedule-independent quantity already resolved: limiter
+    gates are precomputed indices, memory completions come from the
+    traffic streams, and no statistics are accumulated (the schedule's
+    only observable is the cycle count).
     """
     core = d.core
     n = core.n
@@ -604,201 +582,157 @@ def _schedule_lean(d: DecodedTrace, proc: ProcessorConfig,
     m = 0          # memory-instruction ordinal
     p_ord = 0      # pointer-admission ordinal
 
-    positions = skips.anchor_positions if skips is not None else None
-    store_completes = skips.store_completes if skips is not None else None
-    hot = False
+    for i in range(n):
+        row = rows[i]
+        (kind, branch, latency, src_ids, dst_ids, _ren, _in_lsq,
+         needs_vl, ptr_kind, ptr) = row
 
-    # The walk runs in chunks delimited by anchor positions: inside a
-    # chunk the hot loop is a plain ``for`` over the row list with no
-    # anchor bookkeeping; at each anchor the skip engine gets a chance
-    # to fast-forward the state past verified whole periods.
-    i = 0
-    while i < n:
-        stop = n
-        if positions is not None:
-            j = bisect_left(positions, i)
-            if j < len(positions) and positions[j] == i:
-                jump = skips.visit(
-                    i, m, p_ord, dispatch_min, fetch_cycle, fetch_in_use,
-                    retire_cycle, retire_in_use, fetch_min, last_retire,
-                    int_used, simd_used, mem_used, l1_used, l1_scan,
-                    int_free, simd_free, d3_free, vec_free, sb,
-                    store_lines, store_max, retire_hist, ptr_hist)
-                if jump is not None:
-                    # dicts, free lists, sb and the history tails were
-                    # shifted in place; scalars come back explicitly
-                    (i, m, p_ord, fetch_cycle, fetch_in_use, retire_cycle,
-                     retire_in_use, fetch_min, dispatch_min, last_retire,
-                     l1_scan, d3_free, vec_free, store_max) = jump
-                    continue
-                j += 1
-            if j < len(positions):
-                stop = positions[j]
-
-        for i in range(i, stop):
-            row = rows[i]
-            (kind, branch, latency, src_ids, dst_ids, _ren, _in_lsq,
-             needs_vl, ptr_kind, ptr) = row
-
-            # -- dispatch: fetch packing + precomputed limiter gates
-            cycle = fetch_min if fetch_min > dispatch_min else dispatch_min
-            if cycle > fetch_cycle:
-                fetch_cycle = cycle
-                fetch_in_use = 1
-            elif fetch_in_use < fetch_width:
-                fetch_in_use += 1
-                cycle = fetch_cycle
-            else:
-                fetch_cycle += 1
-                fetch_in_use = 1
-                cycle = fetch_cycle
-            if branch:
-                fetch_min = cycle + 1 + bubble
-            g = gidx[i]
-            if g >= 0:
-                gate = retire_hist[g]
+        # -- dispatch: fetch packing + precomputed limiter gates
+        cycle = fetch_min if fetch_min > dispatch_min else dispatch_min
+        if cycle > fetch_cycle:
+            fetch_cycle = cycle
+            fetch_in_use = 1
+        elif fetch_in_use < fetch_width:
+            fetch_in_use += 1
+            cycle = fetch_cycle
+        else:
+            fetch_cycle += 1
+            fetch_in_use = 1
+            cycle = fetch_cycle
+        if branch:
+            fetch_min = cycle + 1 + bubble
+        g = gidx[i]
+        if g >= 0:
+            gate = retire_hist[g]
+            if gate > cycle:
+                cycle = gate
+        if ptr_kind:
+            pg = ptr_gidx[i]
+            if pg >= 0:
+                gate = ptr_hist[pg]
                 if gate > cycle:
                     cycle = gate
-            if ptr_kind:
-                pg = ptr_gidx[i]
-                if pg >= 0:
-                    gate = ptr_hist[pg]
-                    if gate > cycle:
-                        cycle = gate
-            dispatch_min = cycle
+        dispatch_min = cycle
 
-            # -- operand readiness
-            ready = cycle + 1
-            for reg in src_ids:
-                value = sb[reg]
-                if value > ready:
-                    ready = value
-            if needs_vl:
-                value = sb[VL_ID]
-                if value > ready:
-                    ready = value
+        # -- operand readiness
+        ready = cycle + 1
+        for reg in src_ids:
+            value = sb[reg]
+            if value > ready:
+                ready = value
+        if needs_vl:
+            value = sb[VL_ID]
+            if value > ready:
+                ready = value
 
-            # -- execute
-            ptr_ready = None
-            if kind == KIND_INT:
-                slot = ready
-                while int_used[slot] >= int_width:
-                    slot += 1
-                int_used[slot] += 1
-                unit = min(int_free)
-                start = slot if slot > unit else unit
-                int_free[int_free.index(unit)] = start + 1
-                complete = start + latency
-            elif kind == KIND_MEM:
-                is_store = mstore[m]
-                if not is_store and store_lines and store_max > ready:
-                    for line in mlines[m]:
-                        gate = store_lines.get(line, 0)
-                        if gate > ready:
-                            ready = gate
-                slot = ready
-                while mem_used[slot] >= mem_width:
-                    slot += 1
-                mem_used[slot] += 1
-                path = mk[m]
-                if path == _MK_VEC:
-                    start = slot if slot > vec_free else vec_free
-                    vec_free = start + mbusy[m]
-                    complete = start + moffset[m]
-                    if ptr_kind:  # dvload3
-                        ptr_ready = start + 1
-                elif path == _MK_IDEAL:
-                    complete = slot + 1
-                    if ptr_kind:
-                        ptr_ready = slot + 1
-                else:  # _MK_L1
-                    first = -1
-                    complete = slot
-                    for r in range(ref_off[m], ref_off[m + 1]):
-                        c2 = slot if slot > l1_scan else l1_scan
-                        while l1_used[c2] >= l1_ports:
-                            c2 += 1
-                        l1_used[c2] += 1
-                        if c2 > l1_scan + 4096:
-                            l1_scan = c2 - 2048
-                            if l1_scan > cycle:
-                                # the L1 scan floor went live (a >2048-cycle
-                                # port backlog); its value can now bind
-                                # future claims, so the dead-state
-                                # canonicalization no longer holds — stop
-                                # fast-forwarding, keep walking exactly
-                                hot = True
-                        if first < 0:
-                            first = c2
-                        value = c2 + ref_lat[r]
-                        if value > complete:
-                            complete = value
-                    if is_store:
-                        complete = (first if first >= 0 else slot) + 1
+        # -- execute
+        ptr_ready = None
+        if kind == KIND_INT:
+            slot = ready
+            while int_used[slot] >= int_width:
+                slot += 1
+            int_used[slot] += 1
+            unit = min(int_free)
+            start = slot if slot > unit else unit
+            int_free[int_free.index(unit)] = start + 1
+            complete = start + latency
+        elif kind == KIND_MEM:
+            is_store = mstore[m]
+            if not is_store and store_lines and store_max > ready:
+                for line in mlines[m]:
+                    gate = store_lines.get(line, 0)
+                    if gate > ready:
+                        ready = gate
+            slot = ready
+            while mem_used[slot] >= mem_width:
+                slot += 1
+            mem_used[slot] += 1
+            path = mk[m]
+            if path == _MK_VEC:
+                start = slot if slot > vec_free else vec_free
+                vec_free = start + mbusy[m]
+                complete = start + moffset[m]
+                if ptr_kind:  # dvload3
+                    ptr_ready = start + 1
+            elif path == _MK_IDEAL:
+                complete = slot + 1
+                if ptr_kind:
+                    ptr_ready = slot + 1
+            else:  # _MK_L1
+                first = -1
+                complete = slot
+                for r in range(ref_off[m], ref_off[m + 1]):
+                    c2 = slot if slot > l1_scan else l1_scan
+                    while l1_used[c2] >= l1_ports:
+                        c2 += 1
+                    l1_used[c2] += 1
+                    if c2 > l1_scan + 4096:
+                        l1_scan = c2 - 2048
+                    if first < 0:
+                        first = c2
+                    value = c2 + ref_lat[r]
+                    if value > complete:
+                        complete = value
                 if is_store:
-                    for line in gate_lines[m]:
-                        if complete > store_lines.get(line, 0):
-                            store_lines[line] = complete
-                    if complete > store_max:
-                        store_max = complete
-                    if store_completes is not None:
-                        store_completes[m] = complete
-                m += 1
-            elif kind == KIND_D3MOVE:
-                value = sb[ptr]
-                if value > ready:
-                    ready = value
-                slot = ready
-                while mem_used[slot] >= mem_width:
-                    slot += 1
-                mem_used[slot] += 1
-                start = slot if slot > d3_free else d3_free
-                occupancy = occ[i]
-                d3_free = start + occupancy
-                complete = start + occupancy - 1 + d3_latency
-                ptr_ready = start + 1
-            else:  # KIND_SIMD
-                slot = ready
-                while simd_used[slot] >= simd_width:
-                    slot += 1
-                simd_used[slot] += 1
-                unit = min(simd_free)
-                start = slot if slot > unit else unit
-                occupancy = occ[i]
-                simd_free[simd_free.index(unit)] = start + occupancy
-                complete = start + occupancy - 1 + latency
+                    complete = (first if first >= 0 else slot) + 1
+            if is_store:
+                for line in gate_lines[m]:
+                    if complete > store_lines.get(line, 0):
+                        store_lines[line] = complete
+                if complete > store_max:
+                    store_max = complete
+            m += 1
+        elif kind == KIND_D3MOVE:
+            value = sb[ptr]
+            if value > ready:
+                ready = value
+            slot = ready
+            while mem_used[slot] >= mem_width:
+                slot += 1
+            mem_used[slot] += 1
+            start = slot if slot > d3_free else d3_free
+            occupancy = occ[i]
+            d3_free = start + occupancy
+            complete = start + occupancy - 1 + d3_latency
+            ptr_ready = start + 1
+        else:  # KIND_SIMD
+            slot = ready
+            while simd_used[slot] >= simd_width:
+                slot += 1
+            simd_used[slot] += 1
+            unit = min(simd_free)
+            start = slot if slot > unit else unit
+            occupancy = occ[i]
+            simd_free[simd_free.index(unit)] = start + occupancy
+            complete = start + occupancy - 1 + latency
 
-            # -- writeback + pointer-file recycling
-            for reg in dst_ids:
-                sb[reg] = complete
-            if ptr_ready is not None:
-                sb[ptr] = ptr_ready
-                ptr_hist[p_ord] = ptr_ready
-                p_ord += 1
-            elif ptr_kind:
-                ptr_hist[p_ord] = complete
-                p_ord += 1
+        # -- writeback + pointer-file recycling
+        for reg in dst_ids:
+            sb[reg] = complete
+        if ptr_ready is not None:
+            sb[ptr] = ptr_ready
+            ptr_hist[p_ord] = ptr_ready
+            p_ord += 1
+        elif ptr_kind:
+            ptr_hist[p_ord] = complete
+            p_ord += 1
 
-            # -- in-order retire
-            earliest = complete + 1
-            if last_retire > earliest:
-                earliest = last_retire
-            if earliest > retire_cycle:
-                retire_cycle = earliest
-                retire_in_use = 1
-            elif retire_in_use < retire_width:
-                retire_in_use += 1
-                earliest = retire_cycle
-            else:
-                retire_cycle += 1
-                retire_in_use = 1
-                earliest = retire_cycle
-            last_retire = earliest
-            retire_hist[i] = earliest
+        # -- in-order retire
+        earliest = complete + 1
+        if last_retire > earliest:
+            earliest = last_retire
+        if earliest > retire_cycle:
+            retire_cycle = earliest
+            retire_in_use = 1
+        elif retire_in_use < retire_width:
+            retire_in_use += 1
+            earliest = retire_cycle
         else:
-            i = stop
-        if hot:
-            positions = None
+            retire_cycle += 1
+            retire_in_use = 1
+            earliest = retire_cycle
+        last_retire = earliest
+        retire_hist[i] = earliest
 
     return last_retire
 
@@ -844,10 +778,11 @@ def _assemble_stats(program: Program, d: DecodedTrace,
 class GridPipeline:
     """Simulate one program under N configurations in a shared pass.
 
-    Construction cost (core decode, gate tables, periodicity analysis)
-    is paid once for the whole group; :meth:`run` then resolves each
-    configuration with the two-phase replay + lean schedule, replaying
-    the traffic once per geometry and instantiating it per L2 latency.
+    The core decode, gate tables and store-gate plan are built once per
+    trace and shared by the whole group; :meth:`run` then resolves each
+    configuration with the two-phase replay + lean walk, replaying the
+    traffic once per geometry, instantiating it per L2 latency, and
+    walking once per distinct (processor, timing streams) pair.
     """
 
     def __init__(self, program: Program,
@@ -899,14 +834,9 @@ class GridPipeline:
                     cycles = cycles2
                     break
             if cycles is None:
-                gates = _gate_tables(program, d, proc)
-                gate_lines, last_load, readers, writers = \
-                    _store_gate_lines(program, d, l2_line)
-                skips = _skip_state_for(program, d, proc, memsys,
-                                        gates, traffic, last_load,
-                                        readers, writers, gate_lines)
-                cycles = _schedule_lean(d, proc, traffic, gates,
-                                        gate_lines, skips)
+                cycles = _schedule_lean(
+                    d, proc, traffic, _gate_tables(program, d, proc),
+                    _store_gate_lines(program, d, l2_line))
                 scheduled.append((proc, l2_line, traffic, cycles))
             results.append(_assemble_stats(program, d, traffic, cycles))
         return results

@@ -305,8 +305,8 @@ class CoreDecode:
     ``(kind, branch, latency, src_ids, dst_ids, rename_codes, lsq,
     needs_vl, ptr_kind, ptr_id)`` so the loop does a single list index
     plus one C-level unpack instead of a dozen attribute lookups.  Equal
-    rows are one tuple object (interned by value), so row identity is
-    row equality.
+    rows are one tuple object (interned by value), so an unrolled trace
+    holds one tuple per distinct row rather than one per instruction.
     """
 
     n: int
@@ -484,7 +484,7 @@ def _decode_core(program: Program) -> CoreDecode:
     # call: the program keeps every instruction alive for the duration,
     # so ids cannot be recycled under us.  Rows are interned by value
     # on top: distinct instructions (say, two addresses) often lower to
-    # equal rows, and downstream passes key rows by identity.
+    # equal rows, and one tuple per distinct row keeps memory small.
     lowered: dict[int, tuple] = {}
     intern: dict[tuple, tuple] = {}
 

@@ -27,8 +27,8 @@ FORBIDDEN = (
     "numpy", "asyncio", "multiprocessing", "concurrent.futures.process",
     "http.client", "ssl", "repro.vm", "repro.compiler",
     *(f"repro.timing.{name}" for name in (
-        "pipeline", "batched", "reference", "grid", "gridskip",
-        "predecode", "resources")),
+        "pipeline", "batched", "reference", "grid", "predecode",
+        "resources")),
     *(f"repro.workloads.{name}" for name in (
         "gsm", "jpeg", "mpeg2", "motion", "dctkernels", "dctmath",
         "frames")),

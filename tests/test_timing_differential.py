@@ -11,11 +11,11 @@ l2_latency) point of the paper's fig3 / fig9 / table1 grids and asserts
 
 The grid-axis pipeline (:mod:`repro.timing.grid`) re-derives the same
 schedule a third way — shared trace decode, timing-decoupled traffic
-replay (one per cache geometry, instantiated per L2 latency),
-precomputed limiter gates and periodic steady-state
-fast-forward — and is pinned here to the per-spec batched path for
-every paper grid point, warm and cold, under grid-mode ``on``, ``off``
-and ``auto`` across all three execution backends.
+replay (one per cache geometry, instantiated per L2 latency) and a
+lean walk over precomputed limiter gates — and is pinned here to the
+per-spec batched path for every paper grid point, warm and cold,
+under grid-mode ``on``, ``off`` and ``auto`` across all three
+execution backends.
 """
 
 import threading
@@ -180,6 +180,35 @@ def test_grid_modes_bit_identical_inline(paper_grid_baseline,
     _assert_grid_matches(engine.run_many(specs), baseline)
     if grid_mode != "off":
         assert engine.stats.grid_groups > 0
+
+
+def test_inline_grid_counters_count_execution(monkeypatch):
+    """On the inline backend the ``[engine]`` grid counters report what
+    ran: one ``GridPipeline.run`` per counted grid group and one
+    ``execute_spec`` per counted fallback."""
+    from repro.engine import parallel
+    from repro.timing import grid
+
+    calls = {"grid": 0, "spec": 0}
+    run = grid.GridPipeline.run
+    execute = parallel.execute_spec
+
+    def counting_run(self, warm=True):
+        calls["grid"] += 1
+        return run(self, warm=warm)
+
+    def counting_execute(spec):
+        calls["spec"] += 1
+        return execute(spec)
+
+    monkeypatch.setattr(grid.GridPipeline, "run", counting_run)
+    monkeypatch.setattr(parallel, "execute_spec", counting_execute)
+    engine = Engine(use_cache=False, backend="inline")
+    engine.run_many(paper_grids())
+    assert (engine.stats.grid_groups, engine.stats.grid_fallbacks) \
+        == (10, 5)
+    assert calls == {"grid": engine.stats.grid_groups,
+                     "spec": engine.stats.grid_fallbacks}
 
 
 @pytest.mark.parametrize("grid_mode", ("on", "off", "auto"))
