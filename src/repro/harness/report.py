@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.harness.experiments import EXPERIMENTS
+from repro.harness.experiments import EXPERIMENTS, run_all
 from repro.harness.runner import Runner
 
 
@@ -36,8 +36,7 @@ def generate_report(runner: Runner | None = None) -> str:
         "the annotated paper-vs-measured discussion and DESIGN.md for "
         "modeling decisions.",
     ]
-    for exp_id, func in EXPERIMENTS.items():
-        result = func(runner)
+    for exp_id, result in zip(EXPERIMENTS, run_all(runner)):
         sections.append(f"\n## {exp_id} — {result.title}\n")
         sections.append(_table_to_markdown(result))
         if result.notes:

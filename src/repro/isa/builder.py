@@ -4,12 +4,15 @@ Workload generators use :class:`ProgramBuilder` as a tiny assembler: one
 method per opcode, with the current vector length tracked so MOM
 instructions pick it up implicitly (mirroring the architectural VL
 register).  Traces are unrolled loops, so the builder interns what it
-emits: equal instructions are one shared object.
+emits: equal instructions are one shared object, and a loop body that
+carries no address is emitted once and then replayed
+(:meth:`ProgramBuilder.replay`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import Callable
 
 from repro.errors import IsaError
 from repro.isa.datatypes import ElemType
@@ -35,6 +38,7 @@ class ProgramBuilder:
         self._vl = 1
         self._tag = ""
         self._interned: dict[tuple, Instruction] = {}
+        self._runs: dict[tuple, list[Instruction]] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -51,6 +55,34 @@ class ProgramBuilder:
             yield self
         finally:
             self._tag = prev
+
+    def replay(self, body: Callable[..., None], *args) -> None:
+        """Emit ``body(self, *args)``, recording it the first time.
+
+        The run is keyed by ``(body, args, tag, VL)``: the first call
+        records the instructions the body emits, and every later call
+        with that key appends the same interned objects, so the trace
+        is object for object what the plain emits would build.  The
+        body must therefore emit a pure function of its arguments, the
+        tag and the VL (no addresses from outside them), and leave the
+        VL and the tag as it found them; a recording that changes
+        either raises :class:`IsaError`.  A body that raises is not
+        recorded, so every call raises as a plain emit would.
+        """
+        tag, vl = self._tag, self._vl
+        key = (body, args, tag, vl)
+        instructions = self.program.instructions
+        run = self._runs.get(key)
+        if run is not None:
+            instructions.extend(run)
+            self.program.version += len(run)
+            return
+        start = len(instructions)
+        body(self, *args)
+        if (self._tag, self._vl) != (tag, vl):
+            raise IsaError(f"replay: {body!r} left the tag or VL changed "
+                           f"({tag!r}/{vl} -> {self._tag!r}/{self._vl})")
+        self._runs[key] = instructions[start:]
 
     def _emit(self, op: Opcode, *, dsts: tuple[Register, ...] = (),
               srcs: tuple[Register, ...] = (), imm: int | None = None,

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import astuple, dataclass, replace
+from heapq import heapreplace
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from repro.timing.predecode import (
     KIND_D3MOVE,
     KIND_INT,
     KIND_MEM,
+    KIND_SIMD,
     SB_SIZE,
     VL_ID,
     DecodedTrace,
@@ -570,6 +572,9 @@ def _schedule_lean(d: DecodedTrace, proc: ProcessorConfig,
     mem_used: dict[int, int] = defaultdict(int)
     l1_used: dict[int, int] = defaultdict(int)
     l1_scan = 0
+    # the units of a pool are identical, so only the multiset of their
+    # free times matters: a min-heap claims the least-loaded unit and
+    # books it in one call (all zeros is already a heap)
     int_free = [0] * proc.int_fus
     simd_free = [0] * proc.simd_fus
     d3_free = 0
@@ -582,8 +587,7 @@ def _schedule_lean(d: DecodedTrace, proc: ProcessorConfig,
     m = 0          # memory-instruction ordinal
     p_ord = 0      # pointer-admission ordinal
 
-    for i in range(n):
-        row = rows[i]
+    for i, row, g, occupancy in zip(range(n), rows, gidx, occ):
         (kind, branch, latency, src_ids, dst_ids, _ren, _in_lsq,
          needs_vl, ptr_kind, ptr) = row
 
@@ -601,7 +605,6 @@ def _schedule_lean(d: DecodedTrace, proc: ProcessorConfig,
             cycle = fetch_cycle
         if branch:
             fetch_min = cycle + 1 + bubble
-        g = gidx[i]
         if g >= 0:
             gate = retire_hist[g]
             if gate > cycle:
@@ -625,17 +628,17 @@ def _schedule_lean(d: DecodedTrace, proc: ProcessorConfig,
             if value > ready:
                 ready = value
 
-        # -- execute
-        ptr_ready = None
-        if kind == KIND_INT:
+        # -- execute, most frequent kind first; a 3D instruction also
+        # writes its pointer back and records it for the pointer gate
+        if kind == KIND_SIMD:
             slot = ready
-            while int_used[slot] >= int_width:
+            while simd_used[slot] >= simd_width:
                 slot += 1
-            int_used[slot] += 1
-            unit = min(int_free)
+            simd_used[slot] += 1
+            unit = simd_free[0]
             start = slot if slot > unit else unit
-            int_free[int_free.index(unit)] = start + 1
-            complete = start + latency
+            heapreplace(simd_free, start + occupancy)
+            complete = start + occupancy - 1 + latency
         elif kind == KIND_MEM:
             is_store = mstore[m]
             if not is_store and store_lines and store_max > ready:
@@ -653,12 +656,15 @@ def _schedule_lean(d: DecodedTrace, proc: ProcessorConfig,
                 vec_free = start + mbusy[m]
                 complete = start + moffset[m]
                 if ptr_kind:  # dvload3
-                    ptr_ready = start + 1
+                    sb[ptr] = ptr_hist[p_ord] = start + 1
+                    p_ord += 1
             elif path == _MK_IDEAL:
                 complete = slot + 1
                 if ptr_kind:
-                    ptr_ready = slot + 1
-            else:  # _MK_L1
+                    sb[ptr] = ptr_hist[p_ord] = complete
+                    p_ord += 1
+            else:  # _MK_L1: never a dvload3, which needs the mom3d ISA,
+                # and that ISA sends only scalar LD/ST to the L1
                 first = -1
                 complete = slot
                 for r in range(ref_off[m], ref_off[m + 1]):
@@ -682,7 +688,16 @@ def _schedule_lean(d: DecodedTrace, proc: ProcessorConfig,
                 if complete > store_max:
                     store_max = complete
             m += 1
-        elif kind == KIND_D3MOVE:
+        elif kind == KIND_INT:
+            slot = ready
+            while int_used[slot] >= int_width:
+                slot += 1
+            int_used[slot] += 1
+            unit = int_free[0]
+            start = slot if slot > unit else unit
+            heapreplace(int_free, start + 1)
+            complete = start + latency
+        else:  # KIND_D3MOVE
             value = sb[ptr]
             if value > ready:
                 ready = value
@@ -691,31 +706,14 @@ def _schedule_lean(d: DecodedTrace, proc: ProcessorConfig,
                 slot += 1
             mem_used[slot] += 1
             start = slot if slot > d3_free else d3_free
-            occupancy = occ[i]
             d3_free = start + occupancy
             complete = start + occupancy - 1 + d3_latency
-            ptr_ready = start + 1
-        else:  # KIND_SIMD
-            slot = ready
-            while simd_used[slot] >= simd_width:
-                slot += 1
-            simd_used[slot] += 1
-            unit = min(simd_free)
-            start = slot if slot > unit else unit
-            occupancy = occ[i]
-            simd_free[simd_free.index(unit)] = start + occupancy
-            complete = start + occupancy - 1 + latency
+            sb[ptr] = ptr_hist[p_ord] = start + 1
+            p_ord += 1
 
-        # -- writeback + pointer-file recycling
+        # -- writeback (pointer ids never alias a destination)
         for reg in dst_ids:
             sb[reg] = complete
-        if ptr_ready is not None:
-            sb[ptr] = ptr_ready
-            ptr_hist[p_ord] = ptr_ready
-            p_ord += 1
-        elif ptr_kind:
-            ptr_hist[p_ord] = complete
-            p_ord += 1
 
         # -- in-order retire
         earliest = complete + 1

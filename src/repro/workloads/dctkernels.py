@@ -123,6 +123,10 @@ class BlockGroupPass:
         return out
 
     # -- shared emission pieces ----------------------------------------------------
+    #
+    # The row-pass and column-pass bodies carry no address, so the group
+    # passes emit them through ``ProgramBuilder.replay``: recorded once
+    # per trace, tag and VL, then appended as the same objects.
 
     def _prescale(self, b: ProgramBuilder) -> None:
         for reg in (v(0), v(1)):
@@ -198,14 +202,14 @@ class BlockGroupPass:
                     b.vld(v(1), ea=lin.word_addr(row, 1),
                           stride=lin.elem_stride, etype=ElemType.I16)
                 self._prescale(b)
-                self._row_accumulate(b)
+                b.replay(self._row_accumulate)
                 b.simd(Opcode.POR, v(8 + row), v(2), v(2),
                        etype=ElemType.I16)  # keep t_lo
                 b.vst(v(3), ea=scratch + row * 64, stride=8,
                       etype=ElemType.I16)  # spill t_hi (dense)
                 b.branch()
             for u in range(8):  # column pass, lo halves
-                self._col_row(b, u)
+                b.replay(self._col_row, u)
                 b.vst(v(2), ea=lout.word_addr(u, 0),
                       stride=lout.elem_stride, etype=ElemType.I16)
                 b.branch()
@@ -213,7 +217,7 @@ class BlockGroupPass:
                 b.vld(v(8 + k), ea=scratch + k * 64, stride=8,
                       etype=ElemType.I16)
             for u in range(8):  # column pass, hi halves
-                self._col_row(b, u)
+                b.replay(self._col_row, u)
                 b.vst(v(2), ea=lout.word_addr(u, 1),
                       stride=lout.elem_stride, etype=ElemType.I16)
                 b.branch()
@@ -233,14 +237,14 @@ class BlockGroupPass:
                     b.vld(v(1), ea=lin.word_addr(row, 1, blk),
                           stride=8, vl=1, etype=ElemType.I16)
                     self._prescale(b)
-                    self._row_accumulate(b)
+                    b.replay(self._row_accumulate)
                     b.simd(Opcode.POR, v(8 + row), v(2), v(2),
                            etype=ElemType.I16)
                     b.vst(v(3), ea=scratch + row * 64 + 8 * blk,
                           stride=8, vl=1, etype=ElemType.I16)
                     b.branch()
                 for u in range(8):
-                    self._col_row(b, u)
+                    b.replay(self._col_row, u)
                     b.vst(v(2), ea=lout.word_addr(u, 0, blk),
                           stride=8, vl=1, etype=ElemType.I16)
                     b.branch()
@@ -248,7 +252,7 @@ class BlockGroupPass:
                     b.vld(v(8 + k), ea=scratch + k * 64 + 8 * blk,
                           stride=8, vl=1, etype=ElemType.I16)
                 for u in range(8):
-                    self._col_row(b, u)
+                    b.replay(self._col_row, u)
                     b.vst(v(2), ea=lout.word_addr(u, 1, blk),
                           stride=8, vl=1, etype=ElemType.I16)
                     b.branch()

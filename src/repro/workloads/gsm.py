@@ -86,10 +86,9 @@ class GsmEncode(Benchmark):
         emit_ltp(b, s_addr, results_addr)
         self._emit_fir(b, coding, s_addr, fir_addr)
 
-        ltp_expected = ltp_reference(samples)
-        fir_expected = fir_reference(samples)
-
         def check(state, mem):
+            ltp_expected = ltp_reference(samples)
+            fir_expected = fir_reference(samples)
             for sub, (exp_idx, exp_corr) in enumerate(ltp_expected):
                 got_idx = mem.read_u64(results_addr + 16 * sub)
                 got_corr = _as_signed(mem.read_u64(

@@ -123,16 +123,15 @@ class JpegEncode(Benchmark):
                 quant.emit_mom(b, in_addr, row_bytes, out_addr,
                                row_bytes, use3d=(coding == "mom3d"))
 
-        y_expected = rgb_to_y_reference(red, green, blue)
-        down_expected = downsample_reference(y_expected)
-        dct_expected = np.vstack([
-            fdct.reference_group(pixels[8 * g:8 * g + 8])
-            for g in range(COEF_ROWS // 8)])
-        quant_expected = np.vstack([
-            quant.reference_group(dct_expected[8 * g:8 * g + 8])
-            for g in range(COEF_ROWS // 8)])
-
         def check(state, mem):
+            y_expected = rgb_to_y_reference(red, green, blue)
+            down_expected = downsample_reference(y_expected)
+            dct_expected = np.vstack([
+                fdct.reference_group(pixels[8 * g:8 * g + 8])
+                for g in range(COEF_ROWS // 8)])
+            quant_expected = np.vstack([
+                quant.reference_group(dct_expected[8 * g:8 * g + 8])
+                for g in range(COEF_ROWS // 8)])
             got_y = mem.read_array(y_addr, y_expected.shape, np.uint8)
             np.testing.assert_array_equal(got_y, y_expected)
             got_down = mem.read_array(down_addr, down_expected.shape,
@@ -165,37 +164,32 @@ class JpegEncode(Benchmark):
                       etype=ElemType.U8)
                 b.vld(v(2), ea=b_addr + offset, stride=8, vl=vl,
                       etype=ElemType.U8)
-                for half, unpack in enumerate(
-                        (Opcode.PUNPCKLBZ, Opcode.PUNPCKHBZ)):
-                    b.simd(unpack, v(3), v(0), etype=ElemType.I16)
-                    b.simd(unpack, v(4), v(1), etype=ElemType.I16)
-                    b.simd(unpack, v(5), v(2), etype=ElemType.I16)
-                    b.vbcast64(v(6), bcast16(_YR))
-                    b.simd(Opcode.PMULLW, v(3), v(3), v(6),
-                           etype=ElemType.I16)
-                    b.vbcast64(v(6), bcast16(_YG))
-                    b.simd(Opcode.PMULLW, v(4), v(4), v(6),
-                           etype=ElemType.I16)
-                    b.vbcast64(v(6), bcast16(_YB))
-                    b.simd(Opcode.PMULLW, v(5), v(5), v(6),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.PADDW, v(3), v(3), v(4),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.PADDW, v(3), v(3), v(5),
-                           etype=ElemType.I16)
-                    b.vbcast64(v(6), bcast16(_YBIAS))
-                    b.simd(Opcode.PADDW, v(3), v(3), v(6),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.PSRAW, v(3), v(3),
-                           etype=ElemType.I16, imm=7)
-                    target = v(8) if half == 0 else v(9)
-                    b.simd(Opcode.POR, target, v(3), v(3),
-                           etype=ElemType.I16)
-                b.simd(Opcode.PACKUSWB, v(10), v(8), v(9),
-                       etype=ElemType.U8)
+                b.replay(self._colorconv_word)
                 b.vst(v(10), ea=y_addr + offset, stride=8, vl=vl,
                       etype=ElemType.U8)
                 b.branch()
+
+    @staticmethod
+    def _colorconv_word(b: ProgramBuilder) -> None:
+        """Y of the pixel words in v0/v1/v2 (R/G/B), packed into v10."""
+        for half, unpack in enumerate((Opcode.PUNPCKLBZ, Opcode.PUNPCKHBZ)):
+            b.simd(unpack, v(3), v(0), etype=ElemType.I16)
+            b.simd(unpack, v(4), v(1), etype=ElemType.I16)
+            b.simd(unpack, v(5), v(2), etype=ElemType.I16)
+            b.vbcast64(v(6), bcast16(_YR))
+            b.simd(Opcode.PMULLW, v(3), v(3), v(6), etype=ElemType.I16)
+            b.vbcast64(v(6), bcast16(_YG))
+            b.simd(Opcode.PMULLW, v(4), v(4), v(6), etype=ElemType.I16)
+            b.vbcast64(v(6), bcast16(_YB))
+            b.simd(Opcode.PMULLW, v(5), v(5), v(6), etype=ElemType.I16)
+            b.simd(Opcode.PADDW, v(3), v(3), v(4), etype=ElemType.I16)
+            b.simd(Opcode.PADDW, v(3), v(3), v(5), etype=ElemType.I16)
+            b.vbcast64(v(6), bcast16(_YBIAS))
+            b.simd(Opcode.PADDW, v(3), v(3), v(6), etype=ElemType.I16)
+            b.simd(Opcode.PSRAW, v(3), v(3), etype=ElemType.I16, imm=7)
+            target = v(8) if half == 0 else v(9)
+            b.simd(Opcode.POR, target, v(3), v(3), etype=ElemType.I16)
+        b.simd(Opcode.PACKUSWB, v(10), v(8), v(9), etype=ElemType.U8)
 
     # -- 2:1 downsample (the 3D showcase: even/odd row slabs) ----------------------
 
@@ -353,15 +347,14 @@ class JpegDecode(Benchmark):
         self._emit_ycc2rgb(b, coding, y_addr, cbu_addr, cru_addr,
                            r_addr, g_addr, b_addr2)
 
-        idct_expected = np.vstack([
-            idct.reference_group(coeffs[8 * g:8 * g + 8])
-            for g in range(COEF_ROWS // 8)])
-        cbu_expected = upsample_reference(cb)
-        cru_expected = upsample_reference(cr)
-        rgb_expected = ycc_to_rgb_reference(y_plane, cbu_expected,
-                                            cru_expected)
-
         def check(state, mem):
+            idct_expected = np.vstack([
+                idct.reference_group(coeffs[8 * g:8 * g + 8])
+                for g in range(COEF_ROWS // 8)])
+            cbu_expected = upsample_reference(cb)
+            cru_expected = upsample_reference(cr)
+            rgb_expected = ycc_to_rgb_reference(y_plane, cbu_expected,
+                                                cru_expected)
             got_soa = mem.read_array(idct_addr, (soa_in.size,), np.int16)
             got_idct = np.vstack([
                 soa_to_group(got_soa[512 * g:512 * (g + 1)])
@@ -415,51 +408,7 @@ class JpegDecode(Benchmark):
                       etype=ElemType.U8)
                 b.vld(v(2), ea=cr_addr + offset, stride=8, vl=vl,
                       etype=ElemType.U8)
-                for half, unpack in enumerate(
-                        (Opcode.PUNPCKLBZ, Opcode.PUNPCKHBZ)):
-                    b.simd(unpack, v(3), v(0), etype=ElemType.I16)
-                    b.simd(unpack, v(4), v(1), etype=ElemType.I16)
-                    b.simd(unpack, v(5), v(2), etype=ElemType.I16)
-                    b.vbcast64(v(6), bcast16(128))
-                    b.simd(Opcode.PSUBW, v(4), v(4), v(6),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.PSUBW, v(5), v(5), v(6),
-                           etype=ElemType.I16)
-                    # red = y + (90*cr >> 6)
-                    b.vbcast64(v(6), bcast16(90))
-                    b.simd(Opcode.PMULLW, v(7), v(5), v(6),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.PSRAW, v(7), v(7),
-                           etype=ElemType.I16, imm=6)
-                    b.simd(Opcode.PADDW, v(7), v(7), v(3),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.POR, v(10 + half), v(7), v(7),
-                           etype=ElemType.I16)
-                    # green = y - ((22*cb + 46*cr) >> 6)
-                    b.vbcast64(v(6), bcast16(22))
-                    b.simd(Opcode.PMULLW, v(8), v(4), v(6),
-                           etype=ElemType.I16)
-                    b.vbcast64(v(6), bcast16(46))
-                    b.simd(Opcode.PMULLW, v(9), v(5), v(6),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.PADDW, v(8), v(8), v(9),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.PSRAW, v(8), v(8),
-                           etype=ElemType.I16, imm=6)
-                    b.simd(Opcode.PSUBW, v(8), v(3), v(8),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.POR, v(12 + half), v(8), v(8),
-                           etype=ElemType.I16)
-                    # blue = y + (114*cb >> 6)
-                    b.vbcast64(v(6), bcast16(114))
-                    b.simd(Opcode.PMULLW, v(9), v(4), v(6),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.PSRAW, v(9), v(9),
-                           etype=ElemType.I16, imm=6)
-                    b.simd(Opcode.PADDW, v(9), v(9), v(3),
-                           etype=ElemType.I16)
-                    b.simd(Opcode.POR, v(14 + half), v(9), v(9),
-                           etype=ElemType.I16)
+                b.replay(self._ycc2rgb_word)
                 b.simd(Opcode.PACKUSWB, v(7), v(10), v(11),
                        etype=ElemType.U8)
                 b.vst(v(7), ea=r_addr + offset, stride=8, vl=vl,
@@ -473,3 +422,39 @@ class JpegDecode(Benchmark):
                 b.vst(v(9), ea=b_addr + offset, stride=8, vl=vl,
                       etype=ElemType.U8)
                 b.branch()
+
+    @staticmethod
+    def _ycc2rgb_word(b: ProgramBuilder) -> None:
+        """R, G and B of the pixel words in v0/v1/v2 (Y/Cb/Cr), as i16
+        halves in v10/v11, v12/v13 and v14/v15."""
+        for half, unpack in enumerate((Opcode.PUNPCKLBZ, Opcode.PUNPCKHBZ)):
+            b.simd(unpack, v(3), v(0), etype=ElemType.I16)
+            b.simd(unpack, v(4), v(1), etype=ElemType.I16)
+            b.simd(unpack, v(5), v(2), etype=ElemType.I16)
+            b.vbcast64(v(6), bcast16(128))
+            b.simd(Opcode.PSUBW, v(4), v(4), v(6), etype=ElemType.I16)
+            b.simd(Opcode.PSUBW, v(5), v(5), v(6), etype=ElemType.I16)
+            # red = y + (90*cr >> 6)
+            b.vbcast64(v(6), bcast16(90))
+            b.simd(Opcode.PMULLW, v(7), v(5), v(6), etype=ElemType.I16)
+            b.simd(Opcode.PSRAW, v(7), v(7), etype=ElemType.I16, imm=6)
+            b.simd(Opcode.PADDW, v(7), v(7), v(3), etype=ElemType.I16)
+            b.simd(Opcode.POR, v(10 + half), v(7), v(7),
+                   etype=ElemType.I16)
+            # green = y - ((22*cb + 46*cr) >> 6)
+            b.vbcast64(v(6), bcast16(22))
+            b.simd(Opcode.PMULLW, v(8), v(4), v(6), etype=ElemType.I16)
+            b.vbcast64(v(6), bcast16(46))
+            b.simd(Opcode.PMULLW, v(9), v(5), v(6), etype=ElemType.I16)
+            b.simd(Opcode.PADDW, v(8), v(8), v(9), etype=ElemType.I16)
+            b.simd(Opcode.PSRAW, v(8), v(8), etype=ElemType.I16, imm=6)
+            b.simd(Opcode.PSUBW, v(8), v(3), v(8), etype=ElemType.I16)
+            b.simd(Opcode.POR, v(12 + half), v(8), v(8),
+                   etype=ElemType.I16)
+            # blue = y + (114*cb >> 6)
+            b.vbcast64(v(6), bcast16(114))
+            b.simd(Opcode.PMULLW, v(9), v(4), v(6), etype=ElemType.I16)
+            b.simd(Opcode.PSRAW, v(9), v(9), etype=ElemType.I16, imm=6)
+            b.simd(Opcode.PADDW, v(9), v(9), v(3), etype=ElemType.I16)
+            b.simd(Opcode.POR, v(14 + half), v(9), v(9),
+                   etype=ElemType.I16)

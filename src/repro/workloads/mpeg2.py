@@ -93,16 +93,15 @@ class Mpeg2Encode(Benchmark):
                 quant.emit_mom(b, in_addr, row_bytes, out_addr, row_bytes,
                                use3d=(coding == "mom3d"))
 
-        me_expected = motion.reference(ref, cur, ME_BLOCKS, ME_WIN,
-                                       bsize=ME_BSIZE)
-        dct_expected = np.vstack([
-            fdct.reference_group(residual[8 * g:8 * g + 8])
-            for g in range(COEF_ROWS // 8)])
-        quant_expected = np.vstack([
-            quant.reference_group(dct_expected[8 * g:8 * g + 8])
-            for g in range(COEF_ROWS // 8)])
-
         def check(state, mem):
+            me_expected = motion.reference(ref, cur, ME_BLOCKS, ME_WIN,
+                                           bsize=ME_BSIZE)
+            dct_expected = np.vstack([
+                fdct.reference_group(residual[8 * g:8 * g + 8])
+                for g in range(COEF_ROWS // 8)])
+            quant_expected = np.vstack([
+                quant.reference_group(dct_expected[8 * g:8 * g + 8])
+                for g in range(COEF_ROWS // 8)])
             motion.check_results(mem, results_addr, me_expected)
             got_dct = mem.read_array(dct_addr, dct_expected.shape, np.int16)
             np.testing.assert_array_equal(got_dct, dct_expected)
@@ -158,14 +157,13 @@ class Mpeg2Decode(Benchmark):
         self._emit_mc(b, coding, ref_addr, pred_addr, mc_blocks)
         self._emit_addblock(b, coding, pred_addr, idct_addr, recon_addr)
 
-        idct_expected = np.vstack([
-            idct.reference_group(coeffs[8 * g:8 * g + 8])
-            for g in range(COEF_ROWS // 8)])
-        pred_expected = self._mc_reference(ref, mc_blocks)
-        recon_expected = self._addblock_reference(
-            pred_expected, idct_expected)
-
         def check(state, mem):
+            idct_expected = np.vstack([
+                idct.reference_group(coeffs[8 * g:8 * g + 8])
+                for g in range(COEF_ROWS // 8)])
+            pred_expected = self._mc_reference(ref, mc_blocks)
+            recon_expected = self._addblock_reference(
+                pred_expected, idct_expected)
             got_idct = mem.read_array(idct_addr, idct_expected.shape,
                                       np.int16)
             np.testing.assert_array_equal(got_idct, idct_expected)

@@ -4,7 +4,7 @@ reproduced table/figure (the paper's orderings must hold)."""
 import pytest
 
 from repro.errors import ConfigError
-from repro.harness import EXPERIMENTS, Runner, run_workload
+from repro.harness import EXPERIMENTS, Runner, run_all, run_workload
 from repro.harness.experiments import (
     fig3,
     fig6,
@@ -152,3 +152,17 @@ def test_all_experiments_render(runner):
         text = func(runner).render()
         assert exp_id in text
         assert len(text.splitlines()) >= 4
+
+
+def test_run_all_resolves_the_evaluation_in_one_dispatch():
+    """``run_all`` prefetches every experiment's sweeps as one union, so
+    the experiments themselves only read the memo."""
+    runner = Runner(seed=0, backend="inline", use_cache=False)
+    results = run_all(runner)
+    assert [result.exp_id for result in results] == list(EXPERIMENTS)
+    assert runner.engine.backend.counters() == {"dispatches": 1,
+                                                "executed": 46}
+    stats = runner.engine.stats
+    assert (stats.dispatches, stats.simulations) == (1, 46)
+    # one grid group per trace; only jpeg_decode/mom3d has one spec
+    assert (stats.grid_groups, stats.grid_fallbacks) == (14, 1)

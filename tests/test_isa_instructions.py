@@ -15,6 +15,7 @@ from repro.isa import (
     v,
     d3,
 )
+from repro.isa.encoding import encode_program
 
 
 def test_memory_instruction_requires_ea():
@@ -149,6 +150,114 @@ def test_builder_invalid_emit_raises_on_every_repeat():
         with pytest.raises(IsaError):
             b.ld(r(0), ea=None)
     assert len(b.program) == 0
+
+
+def _shift_add(b, shift):
+    """An address-free body: the kind ``ProgramBuilder.replay`` takes."""
+    b.simd(Opcode.PSRAW, v(1), v(0), etype=ElemType.I16, imm=shift)
+    b.simd(Opcode.PADDW, v(2), v(2), v(1), etype=ElemType.I16)
+
+
+def test_replay_appends_the_recorded_objects():
+    b = ProgramBuilder()
+    b.replay(_shift_add, 3)
+    recorded = list(b.program.instructions)
+    b.nop()
+    version = b.program.version
+    b.replay(_shift_add, 3)
+    replayed = b.program.instructions[3:]
+    assert len(replayed) == len(recorded) == 2
+    assert all(a is r for a, r in zip(replayed, recorded))
+    assert b.program.version == version + 2 == len(b.program)
+
+
+def _kernel(b, replay):
+    for tag in ("row", "col", "row"):
+        with b.tagged(tag):
+            for vl in (4, 8, 4):
+                b.setvl(vl)
+                for shift in (1, 2, 1):
+                    b.vld(v(0), ea=0x100 * shift, stride=8,
+                          etype=ElemType.I16)
+                    if replay:
+                        b.replay(_shift_add, shift)
+                    else:
+                        _shift_add(b, shift)
+                    b.branch()
+    return b.program
+
+
+def test_replayed_trace_equals_the_plain_emits():
+    plain = _kernel(ProgramBuilder(), replay=False)
+    replayed = _kernel(ProgramBuilder(), replay=True)
+    assert replayed.instructions == plain.instructions
+    assert encode_program(replayed) == encode_program(plain)
+    assert replayed.version == plain.version == len(plain) == 117
+    # the replay shares exactly what interning alone shares
+    assert len({id(i) for i in replayed}) == \
+        len({id(i) for i in plain}) == len(set(plain.instructions))
+
+
+def test_replay_runs_are_keyed_by_args_tag_and_vl():
+    recordings = []
+
+    def body(b, shift):
+        recordings.append((shift, b.vl))
+        _shift_add(b, shift)
+
+    b = ProgramBuilder()
+    for _ in range(2):
+        b.replay(body, 1)
+        b.replay(body, 2)
+        with b.tagged("k"):
+            b.replay(body, 1)
+    b.setvl(8)
+    b.replay(body, 1)
+    b.replay(body, 1)
+    assert recordings == [(1, 1), (2, 1), (1, 1), (1, 8)]
+    insts = b.program.instructions
+    assert insts[0].tag == "" and insts[4].tag == "k"
+    assert insts[0].vl == 1 and insts[-1].vl == 8
+    assert insts[0] is insts[6] and insts[4] is insts[10]
+
+
+def test_replay_rejects_a_body_that_changes_vl_or_tag():
+    def set_length(b):
+        b.setvl(8)
+
+    still_open = []
+
+    def leave_tagged(b):
+        still_open.append(b.tagged("k"))
+        still_open[-1].__enter__()
+        b.nop()
+
+    b = ProgramBuilder()
+    for _ in range(2):  # a rejected recording is not kept
+        with pytest.raises(IsaError):
+            b.replay(set_length)
+        b.setvl(1)
+    with pytest.raises(IsaError):
+        ProgramBuilder().replay(leave_tagged)
+    # setting the VL it already holds leaves it unchanged
+    b = ProgramBuilder()
+    b.setvl(8)
+    b.replay(set_length)
+    b.replay(set_length)
+    assert len(b.program) == 3
+
+
+def test_replay_of_an_invalid_emit_raises_on_every_call():
+    def bad(b):
+        b.nop()
+        b.dvmov3(v(1), d3(0), pstride=8, vl=40)
+
+    b = ProgramBuilder()
+    for calls in range(1, 4):
+        with pytest.raises(IsaError):
+            b.replay(bad)
+        # as a plain emit would: the valid prefix is emitted each time
+        assert len(b.program) == calls
 
 
 def test_enum_keyed_dicts_resolve_every_member_after_pickling():

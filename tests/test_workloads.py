@@ -31,6 +31,18 @@ def test_functional_correctness(bench, coding):
 
 
 @pytest.mark.parametrize("bench", ALL_BENCHMARKS)
+@pytest.mark.parametrize("coding", CODINGS)
+def test_check_rejects_wrong_outputs(bench, coding):
+    """A check compares something: wiping memory after a correct run
+    makes it fail."""
+    workload = get_benchmark(bench).build(coding)
+    state = workload.run_functional()
+    workload.memory.data[:] = 0
+    with pytest.raises(AssertionError):
+        workload.check(state, workload.memory)
+
+
+@pytest.mark.parametrize("bench", ALL_BENCHMARKS)
 def test_determinism(bench):
     one = get_benchmark(bench).build("mom", seed=0)
     two = get_benchmark(bench).build("mom", seed=0)
