@@ -4,7 +4,7 @@ import gc
 import os
 import sys
 
-from repro.cli import is_one_shot, parse_args, run
+from repro.cli import is_one_shot, is_traced, parse_args, run
 
 args = parse_args()
 one_shot = is_one_shot(args)
@@ -27,7 +27,7 @@ except BrokenPipeError:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     status = 1
-if one_shot and sys.gettrace() is None and sys.getprofile() is None:
+if one_shot and not is_traced():
     # The command's output is flushed and its files are written (the
     # result store flushes every frame as it appends), so end without
     # the interpreter teardown that frees every object one by one

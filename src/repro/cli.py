@@ -382,11 +382,13 @@ def _cmd_explore(args) -> int:
     query = _explore_query_from_args(args)
     runner = None
     if args.url is not None:
+        from contextlib import closing
+
         from repro.service import ServiceClient, ServiceError
 
         try:
-            client = ServiceClient(args.url)
-            result = client.run_explore(query, timeout=args.timeout)
+            with closing(ServiceClient(args.url)) as client:
+                result = client.run_explore(query, timeout=args.timeout)
         except (ServiceError, TimeoutError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -505,13 +507,15 @@ def _cmd_autoscale(args) -> int:
 
 
 def _cmd_submit(args) -> int:
+    from contextlib import closing
+
     from repro.service import ServiceClient, ServiceError
 
     sweep = _sweep_from_args(args)
     try:
-        client = ServiceClient(args.url)
-        results = client.sweep(sweep, timeout=args.timeout)
-        stats = client.stats()
+        with closing(ServiceClient(args.url)) as client:
+            results = client.sweep(sweep, timeout=args.timeout)
+            stats = client.stats()
     except (ServiceError, TimeoutError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -621,12 +625,14 @@ def _cache_query(args) -> int:
                "memsys": args.memsys, "l2_latency": args.l2_latency}
     filters = {k: v for k, v in filters.items() if v is not None}
     if args.url:
+        from contextlib import closing
+
         from repro.service import ServiceClient, ServiceError
 
-        client = ServiceClient(args.url)
         try:
-            reply = client.query_results(version=args.version,
-                                         limit=args.limit, **filters)
+            with closing(ServiceClient(args.url)) as client:
+                reply = client.query_results(version=args.version,
+                                             limit=args.limit, **filters)
         except (ServiceError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -1044,6 +1050,22 @@ def is_one_shot(args: argparse.Namespace) -> bool:
     """
     return (args.command not in ("serve", "worker", "autoscale")
             and args.backend != "remote")
+
+
+def is_traced() -> bool:
+    """Whether a tracer, profiler or ``sys.monitoring`` tool is attached.
+
+    Such a tool (``python -m cProfile -m repro ...``, a debugger, a
+    coverage run) reports at the interpreter's normal exit, so
+    ``python -m repro`` keeps that exit for it.  From Python 3.12
+    cProfile registers as ``sys.monitoring`` tool 2 instead of setting
+    a profile function.
+    """
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))
 
 
 if __name__ == "__main__":

@@ -257,10 +257,13 @@ class Engine:
             stats = self.cache.get(spec)  # disk read, unlocked
             if stats is not None:
                 with self._lock:
-                    self.stats.disk_hits += 1
                     existing = self._memo.get(spec)
-                    if existing is not None:  # raced: keep the winner
+                    if existing is not None:
+                        # raced a concurrent admit: the caller gets the
+                        # memo's object, so it counts as a memo hit
+                        self.stats.memo_hits += 1
                         return existing
+                    self.stats.disk_hits += 1
                     self._memo[spec] = stats
                     return stats
         return None
@@ -289,11 +292,13 @@ class Engine:
             if found:
                 with self._lock:
                     for spec, stats in found.items():
-                        self.stats.disk_hits += 1
                         existing = self._memo.get(spec)
-                        if existing is None:  # raced: keep the winner
+                        if existing is None:
+                            self.stats.disk_hits += 1
                             self._memo[spec] = stats
                             existing = stats
+                        else:  # raced a concurrent admit, as in _lookup
+                            self.stats.memo_hits += 1
                         results[spec] = existing
         return results, [spec for spec in misses if spec not in results]
 

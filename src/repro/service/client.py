@@ -1,11 +1,11 @@
 """Blocking client SDK for the job service.
 
 :class:`ServiceClient` speaks the versioned wire schema over plain
-``http.client`` (stdlib, one request per connection) and returns the
-same shapes the in-process engine does: ``run_many`` yields a
-``{RunSpec: RunStats}`` dict that is bit-identical (per
-``RunStats.to_dict``) to ``Engine.run_many`` on the same grid — the
-service parity test asserts exactly that.
+``http.client`` (stdlib; each thread keeps one connection open and
+reuses it) and returns the same shapes the in-process engine does:
+``run_many`` yields a ``{RunSpec: RunStats}`` dict that is
+bit-identical (per ``RunStats.to_dict``) to ``Engine.run_many`` on the
+same grid — the service parity test asserts exactly that.
 
     from repro.service import ServiceClient
     client = ServiceClient("http://127.0.0.1:8737")
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 import urllib.parse
 from typing import Iterable, Mapping, Sequence
@@ -75,6 +76,8 @@ _RETRYABLE = (429, 503)
 class ServiceClient:
     """Small blocking SDK over the job endpoints.
 
+    Each thread that uses the client keeps one HTTP/1.1 connection
+    open across requests; :meth:`close` closes the calling thread's.
     ``timeout`` is the per-request connect/read timeout (stdlib
     ``http.client`` applies it to both).  ``retry_budget`` (seconds,
     default 0 = fail fast) lets the client absorb 429/503 refusals and
@@ -114,6 +117,15 @@ class ServiceClient:
         self._sleep = sleep
         from repro.service.faults import resolve_plan
         self._plan = resolve_plan(fault_plan)
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Close the calling thread's connection; a later request
+        opens a new one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            self._local.connection = None
+            connection.close()
 
     # -- HTTP --------------------------------------------------------------
 
@@ -168,27 +180,51 @@ class ServiceClient:
             data = self._send(method, path, payload)
         return data
 
+    def _exchange(self, method: str, path: str, body: bytes | None,
+                  headers: dict) -> tuple[int, bytes, str | None]:
+        """One request over this thread's connection: ``(status, body,
+        Retry-After)``.
+
+        The server closes a connection that sat idle, possibly while
+        this request was on its way; a request that fails on a *reused*
+        connection before a reply arrives is therefore resent once, on
+        a fresh connection.  Any other failure propagates.
+        """
+        while True:
+            connection = getattr(self._local, "connection", None)
+            reused = connection is not None
+            if not reused:
+                connection = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout)
+                self._local.connection = connection
+            replied = False
+            try:
+                connection.request(method, self.prefix + path, body=body,
+                                   headers=headers)
+                response = connection.getresponse()
+                replied = True
+                raw = response.read()
+            except BaseException as exc:
+                self.close()
+                if reused and not replied and \
+                        isinstance(exc, ConnectionError):
+                    continue
+                raise
+            if response.will_close:  # the reply said Connection: close
+                self.close()
+            return response.status, raw, response.getheader("Retry-After")
+
     def _send(self, method: str, path: str,
               payload: Mapping | None = None) -> dict:
-        connection = http.client.HTTPConnection(self.host, self.port,
-                                                timeout=self.timeout)
-        try:
-            body = None
-            headers = {"Accept": "application/json"}
-            if self.client_id:
-                headers["X-Repro-Client"] = self.client_id
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, self.prefix + path, body=body,
-                               headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            status = response.status
-            retry_after = _parse_retry_after(
-                response.getheader("Retry-After"))
-        finally:
-            connection.close()
+        body = None
+        headers = {"Accept": "application/json"}
+        if self.client_id:
+            headers["X-Repro-Client"] = self.client_id
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        status, raw, retry_after = self._exchange(method, path, body,
+                                                  headers)
         try:
             data = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -200,7 +236,9 @@ class ServiceClient:
                     reply = ErrorReply.from_wire(data)
                 except SchemaError:
                     reply = None
-            raise ServiceError(status, reply, retry_after=retry_after)
+            raise ServiceError(
+                status, reply,
+                retry_after=_parse_retry_after(retry_after))
         if not isinstance(data, dict):
             raise ServiceError(status, None)
         return data
@@ -228,16 +266,8 @@ class ServiceClient:
 
         The one non-JSON endpoint, so it bypasses ``_request``.
         """
-        connection = http.client.HTTPConnection(self.host, self.port,
-                                                timeout=self.timeout)
-        try:
-            connection.request("GET", self.prefix + "/v1/metrics",
-                               headers={"Accept": "text/plain"})
-            response = connection.getresponse()
-            raw = response.read()
-            status = response.status
-        finally:
-            connection.close()
+        status, raw, _retry_after = self._exchange(
+            "GET", "/v1/metrics", None, {"Accept": "text/plain"})
         if not 200 <= status < 300:
             reply = None
             try:

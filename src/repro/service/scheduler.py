@@ -25,6 +25,7 @@ HTTP (``GET /v1/jobs/<id>``).
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
@@ -411,14 +412,20 @@ class JobStore:
     new jobs while ``limit`` jobs are still running (the server maps
     :class:`JobStoreFull` to HTTP 429) — running jobs are never
     evicted, so without the refusal the map could grow unboundedly.
+    The jobs not yet seen finished are indexed apart, so counting the
+    running ones looks at those alone.
     """
 
     def __init__(self, limit: int = 256):
         self.limit = limit
         self._jobs: dict[str, Job] = {}
+        self._unfinished: dict[str, Job] = {}
 
     def running(self) -> int:
-        return sum(1 for job in self._jobs.values() if not job.done)
+        for job_id, job in list(self._unfinished.items()):
+            if job.done:  # a job never leaves done
+                del self._unfinished[job_id]
+        return len(self._unfinished)
 
     def ensure_capacity(self) -> None:
         """Raise :class:`JobStoreFull` at the running-jobs limit.
@@ -435,15 +442,19 @@ class JobStore:
     def add(self, job: Job) -> None:
         self.ensure_capacity()
         self._jobs[job.job_id] = job
+        if not job.done:
+            self._unfinished[job.job_id] = job
         for evictable in (lambda j: j.done and j.served,
                           lambda j: j.done):
-            if len(self._jobs) <= self.limit:
+            excess = len(self._jobs) - self.limit
+            if excess <= 0:
                 break
-            for job_id, old in list(self._jobs.items()):
-                if len(self._jobs) <= self.limit:
-                    break
-                if evictable(old):
-                    del self._jobs[job_id]
+            # oldest first, and the scan stops at the excess-th match
+            oldest = (job_id for job_id, old in self._jobs.items()
+                      if evictable(old))
+            for job_id in list(itertools.islice(oldest, excess)):
+                del self._jobs[job_id]
+                self._unfinished.pop(job_id, None)
 
     def get(self, job_id: str) -> Job | None:
         return self._jobs.get(job_id)

@@ -1,9 +1,11 @@
 """Stdlib-asyncio HTTP server exposing the engine as a job service.
 
 No third-party dependencies: requests are parsed straight off an
-``asyncio`` stream (HTTP/1.1, one request per connection).  Endpoints
-(all JSON, schema-versioned — see :mod:`repro.service.schema` and
-``docs/service.md``):
+``asyncio`` stream.  Connections are HTTP/1.1 persistent: one serves
+request after request until the client asks to close, a reply must
+close it (a request not read to its end), or it sits idle for
+``_IDLE_TIMEOUT`` seconds.  Endpoints (all JSON, schema-versioned —
+see :mod:`repro.service.schema` and ``docs/service.md``):
 
 * ``POST /v1/jobs`` — submit a spec grid or declarative sweep; replies
   ``202`` with the job snapshot (poll it; a job whose specs are all in
@@ -88,10 +90,14 @@ from repro.service.schema import (
 
 _MAX_BODY = 8 << 20  # 8 MiB of JSON is far beyond any real grid
 _MAX_HEADERS = 100  # stdlib http.client sends a handful
-#: Seconds a client gets to deliver its complete request.  Bounds the
-#: damage of idle/trickling connections; responses are not limited
-#: (jobs are polled, so replies are always immediate).
+#: Seconds a client gets to deliver the rest of a request once its
+#: request line has arrived.  Bounds the damage of trickling
+#: connections; responses are not limited (jobs are polled, so replies
+#: are always immediate).
 _REQUEST_TIMEOUT = 30.0
+#: Seconds a connection may wait for its next request line; past it the
+#: server closes the connection without a reply.
+_IDLE_TIMEOUT = 15.0
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
@@ -160,6 +166,11 @@ class ServiceServer:
         self._supervisor_stamp: float | None = None
         self._bind_supervisor_metrics()
         self._server: asyncio.AbstractServer | None = None
+        # open connections -> True while one waits for its next
+        # request; drain/close shut the waiting ones, and once
+        # ``_closing`` is set a busy one closes after its reply
+        self._connections: dict[asyncio.StreamWriter, bool] = {}
+        self._closing = False
         # fleet health: the latest cumulative counter report each
         # worker attached to a lease poll or completion (additive
         # wire field, absent from older workers)
@@ -301,7 +312,8 @@ class ServiceServer:
         empty), waits up to ``grace`` seconds for running jobs,
         explorations and leased shards to finish — completions are
         still accepted throughout — then flushes the result cache so
-        nothing already computed is lost.  Returns ``True`` when
+        nothing already computed is lost, and closes the connections
+        waiting idle for a next request.  Returns ``True`` when
         everything landed inside the grace period, ``False`` when work
         had to be abandoned.
         """
@@ -329,11 +341,22 @@ class ServiceServer:
         if cache is not None:
             with contextlib.suppress(OSError):
                 cache.flush()
+        self._close_idle()
         return clean
+
+    def _close_idle(self) -> None:
+        for writer, idle in list(self._connections.items()):
+            if idle:
+                writer.close()
 
     async def close(self) -> None:
         if self._server is not None:
+            # stop listening and shut the idle connections; a busy one
+            # closes after its reply.  From Python 3.12 ``wait_closed``
+            # waits for every open connection to go.
+            self._closing = True
             self._server.close()
+            self._close_idle()
             await self._server.wait_closed()
             self._server = None
         # closing the scheduler fails any futures in-flight
@@ -343,14 +366,6 @@ class ServiceServer:
         self._explore_executor.shutdown(wait=False,
                                         cancel_futures=True)
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
@@ -359,11 +374,47 @@ class ServiceServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        self._connections[writer] = True
+        try:
+            while await self._exchange(reader, writer):
+                self._connections[writer] = True
+        finally:
+            del self._connections[writer]
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+
+    async def _exchange(self, reader: asyncio.StreamReader,
+                        writer: asyncio.StreamWriter) -> bool:
+        """Serve the connection's next request; True to keep it open.
+
+        Returns False without a reply once the client has closed the
+        connection or sent no request line for ``_IDLE_TIMEOUT``
+        seconds.  The reply closes the connection when the request
+        asked for that (HTTP/1.0, ``Connection: close``), when the
+        server is closing, and when the request was not read to its
+        end (framing errors, 413, a header flood, a timeout): its
+        leftover bytes would be misread as the next request.
+        """
+        keep_alive = False
         extra_headers: dict[str, str] = {}
         try:
-            status, payload = await asyncio.wait_for(
-                self._handle_request(reader), _REQUEST_TIMEOUT)
-        except asyncio.TimeoutError:
+            try:
+                async with asyncio.timeout(_IDLE_TIMEOUT):
+                    request_line = await reader.readline()
+            except TimeoutError:
+                return False
+            if not request_line:
+                return False
+            self._connections[writer] = False
+            async with asyncio.timeout(_REQUEST_TIMEOUT):
+                method, path, query, headers, body, keep_alive = \
+                    await self._read_request(request_line, reader)
+            status, payload = await self._route(method, path, body, query,
+                                                headers)
+        except ConnectionError:
+            return False
+        except TimeoutError:
             status = 400
             payload = ErrorReply(
                 code="bad-request",
@@ -389,36 +440,36 @@ class ServiceServer:
         else:
             body = json.dumps(payload).encode("utf-8")
             content_type = "application/json"
+        keep_alive = keep_alive and not self._closing
         extras = "".join(f"{name}: {value}\r\n"
                          for name, value in extra_headers.items())
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"{extras}"
-                f"Connection: close\r\n\r\n").encode("ascii")
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                f"\r\n\r\n").encode("ascii")
         try:
             writer.write(head + body)
             await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+        except ConnectionError:
+            return False
+        return keep_alive
 
-    async def _handle_request(self, reader: asyncio.StreamReader
-                              ) -> tuple[int, dict | str]:
-        request_line = (await reader.readline()).decode(
-            "ascii", "replace").strip()
-        if not request_line:
+    async def _read_request(self, request_line: bytes,
+                            reader: asyncio.StreamReader) -> tuple:
+        """Parse one request after its line: ``(method, path, query,
+        headers, body, keep_alive)``, or raise for a 4xx reply."""
+        line = request_line.decode("ascii", "replace").strip()
+        if not line:
             raise _HttpReply(400, ErrorReply(
                 code="bad-request", message="empty request"))
-        parts = request_line.split()
+        parts = line.split()
         if len(parts) != 3:
             raise _HttpReply(400, ErrorReply(
                 code="bad-request",
-                message=f"malformed request line {request_line!r}"))
-        method, target, _version = parts
+                message=f"malformed request line {line!r}"))
+        method, target, version = parts
         headers = {}
         while True:
             if len(headers) > _MAX_HEADERS:
@@ -438,8 +489,14 @@ class ServiceServer:
                 query_string, keep_blank_values=True).items():
             query[key] = values[-1]
         body = await self._read_body(reader, headers)
-        return await self._route(method.upper(), path, body, query,
-                                 headers)
+        # a chunked body is never read, so its bytes must not be
+        # parsed as a next request
+        keep_alive = (version == "HTTP/1.1"
+                      and "transfer-encoding" not in headers
+                      and "close" not in {
+                          token.strip().lower() for token in
+                          headers.get("connection", "").split(",")})
+        return method.upper(), path, query, headers, body, keep_alive
 
     async def _read_body(self, reader: asyncio.StreamReader,
                          headers: dict) -> bytes:
@@ -847,8 +904,9 @@ def serve(engine: Engine | None = None, *, host: str = "127.0.0.1",
 
     SIGTERM triggers a graceful drain: new submissions get 503 and
     lease polls come back empty while in-flight work runs down (up to
-    ``drain_grace`` seconds), the result cache is flushed, and the
-    process exits 0.  SIGINT stays an immediate stop.
+    ``drain_grace`` seconds), the result cache is flushed, idle
+    connections are closed, and the process exits 0.  SIGINT stays an
+    immediate stop.
     """
 
     async def _main() -> None:
@@ -879,16 +937,9 @@ def serve(engine: Engine | None = None, *, host: str = "127.0.0.1",
 
         with contextlib.suppress(NotImplementedError, RuntimeError):
             loop.add_signal_handler(signal.SIGTERM, _on_sigterm)
-        serve_task = asyncio.create_task(server.serve_forever())
-        stop_task = asyncio.create_task(stopped.wait())
         try:
-            await asyncio.wait({serve_task, stop_task},
-                               return_when=asyncio.FIRST_COMPLETED)
+            await stopped.wait()
         finally:
-            for task in (serve_task, stop_task):
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
             await server.close()
 
     try:

@@ -328,3 +328,5 @@ def autoscale(url: str, announce=None, **kwargs) -> SupervisorStats:
     except KeyboardInterrupt:
         supervisor.shutdown()
         return supervisor.stats
+    finally:
+        supervisor.client.close()

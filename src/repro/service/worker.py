@@ -280,3 +280,5 @@ def work(url: str, engine: Engine | None = None,
         return worker.run()
     except KeyboardInterrupt:
         return worker.stats
+    finally:
+        worker.client.close()

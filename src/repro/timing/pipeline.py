@@ -4,15 +4,17 @@ The timing layer ships two formulations of the same out-of-order
 model:
 
 * :class:`~repro.timing.batched.BatchedPipeline` — the default.  A
-  pre-decode pass lowers the trace to struct-of-arrays, then a span
-  scheduler vectorizes the resource math over dependence-free spans
-  and walks the rest through a tuned scalar loop.
+  pre-decode pass lowers the trace to struct-of-arrays, then one
+  scalar walk (``BatchedPipeline._walk``) schedules the decoded rows
+  in program order with the resource bookkeeping inlined.
 * :class:`~repro.timing.reference.ReferencePipeline` — the original
   per-instruction walk, kept as the differential test oracle.
 
 ``simulate`` dispatches to the batched model unless told otherwise;
 the two produce bit-identical :class:`RunStats` on every paper grid
-point (enforced by ``tests/test_timing_differential.py``).  The
+point (enforced by ``tests/test_timing_differential.py``).  The grid
+path (:mod:`repro.timing.grid`) computes the same schedule a third
+way, for many configurations of one trace, in ``_schedule_lean``.  The
 modeling rationale (what the approximation preserves of the paper's
 measurements) is documented on :mod:`repro.timing.reference`; the
 batching design is documented in ``docs/timing.md``.

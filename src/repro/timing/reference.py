@@ -16,12 +16,16 @@ retirement cycles from:
 * the memory ports of the configured memory system, which account
   cache activity, effective bandwidth and traffic along the way.
 
-The batched model (:mod:`repro.timing.batched`) restructures this walk
-into a pre-decode pass plus span-vectorized scheduling; this class is
-kept as the per-instruction formulation whose :class:`RunStats` the
-batched model must reproduce **bit-identically** (enforced by
+Two faster models compute the same schedule.  The batched model
+(:mod:`repro.timing.batched`) restructures this walk into a pre-decode
+pass plus one scalar walk over the decoded rows
+(``BatchedPipeline._walk``); the grid path (:mod:`repro.timing.grid`)
+replays a trace's cache traffic once per cache geometry and then runs
+a lean walk per configuration (``_schedule_lean``).  This class is kept
+as the per-instruction formulation whose :class:`RunStats` both must
+reproduce **bit-identically** (enforced by
 ``tests/test_timing_differential.py``).  Any semantic change to the
-timing model must be made to both.
+timing model must be made to all three.
 """
 
 from __future__ import annotations

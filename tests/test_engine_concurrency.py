@@ -9,6 +9,7 @@ and every thread observes the same memoized object per spec.
 import threading
 
 from repro.engine import Engine, RunSpec, Sweep
+from repro.timing.stats import RunStats
 
 BENCH = "gsm_encode"
 IDEAL = RunSpec(BENCH, "mom", "ideal")
@@ -75,6 +76,42 @@ def test_cold_race_admits_one_object_per_spec(tmp_path):
     assert engine.stats.stores == 1
     assert 1 <= engine.stats.simulations <= threads
     assert engine.stats.memo_hits + engine.stats.simulations == threads
+
+
+class RacingCache:
+    """A result cache whose every read loses the race to a concurrent
+    admit: the winner's object reaches the engine's memo before
+    ``get``/``get_many`` returns the stored copy."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.winner = RunStats(name="winner")
+
+    def _read(self, spec):
+        self.engine._admit(spec, self.winner)
+        return RunStats(name="stored copy")
+
+    def get(self, spec):
+        return self._read(spec)
+
+    def get_many(self, specs):
+        return {spec: self._read(spec) for spec in specs}
+
+    def put(self, spec, stats):
+        pass
+
+
+def test_disk_read_losing_the_admit_race_counts_as_memo_hit():
+    """The caller of a raced read gets the memo's object, so the read
+    counts where that object came from: the memo, not the disk."""
+    engine = Engine(use_cache=False)
+    engine.cache = cache = RacingCache(engine)
+    assert engine.run(IDEAL) is cache.winner
+    other = RunSpec(BENCH, "mom", "vector")
+    assert engine.run_many([other]) == {other: cache.winner}
+    assert engine.stats.memo_hits == 2
+    assert engine.stats.disk_hits == 0
+    assert engine.stats.simulations == 0
 
 
 def test_concurrent_run_many_grids_agree(tmp_path):

@@ -8,8 +8,12 @@ service over the same result cache answers the whole grid with
 ``simulations=0``.
 """
 
+import asyncio
 import http.client
 import json
+import socket
+import threading
+import time
 
 import pytest
 
@@ -423,3 +427,174 @@ def test_running_job_limit_maps_to_429(service):
         assert excinfo.value.reply.code == "too-many-jobs"
     finally:
         server.jobs.limit = old_limit
+
+
+# --- persistent connections ---------------------------------------------------
+
+
+def _until_closed(server, request: bytes) -> bytes:
+    """Send raw bytes; return all the server writes until it closes."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_two_requests_share_one_connection(service):
+    server, _client, _cache = service
+    connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                            timeout=10)
+    try:
+        connection.request("GET", "/v1/health")
+        first = connection.getresponse()
+        assert first.getheader("Connection") == "keep-alive"
+        assert json.loads(first.read())["status"] == "ok"
+        sock = connection.sock
+        # a 4xx whose body was read to its end keeps the connection too
+        connection.request("POST", "/v1/jobs", body=b"{nope")
+        second = connection.getresponse()
+        assert (second.status, second.getheader("Connection")) == \
+            (400, "keep-alive")
+        second.read()
+        connection.request("GET", "/v1/stats")
+        third = connection.getresponse()
+        assert third.status == 200
+        json.loads(third.read())
+        assert connection.sock is sock
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /v1/health HTTP/1.0\r\n\r\n",
+    b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n",
+], ids=["http-1.0", "connection-close"])
+def test_close_requests_get_one_reply_then_eof(service, request_bytes):
+    server, _client, _cache = service
+    reply = _until_closed(server, request_bytes)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert b"\r\nConnection: close" in head
+    assert json.loads(body)["status"] == "ok"
+
+
+@pytest.mark.parametrize("length, status", [("-1", 400),
+                                            (str(64 << 20), 413)])
+def test_reply_to_an_unread_body_closes(service, length, status):
+    """The body was never read, so nothing after the reply could be
+    parsed as a next request: the server closes."""
+    server, _client, _cache = service
+    reply = _until_closed(
+        server, f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}"
+                f"\r\n\r\n".encode("ascii"))
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+    assert b"\r\nConnection: close" in head
+    assert json.loads(body)["error"]["code"] in ("bad-request",
+                                                 "payload-too-large")
+
+
+def test_idle_connection_closes_without_a_reply(service, monkeypatch):
+    import repro.service.server as server_module
+
+    server, _client, _cache = service
+    monkeypatch.setattr(server_module, "_IDLE_TIMEOUT", 0.2)
+    assert _until_closed(server, b"") == b""
+    # after a kept-alive reply, the idle close writes nothing more
+    reply = _until_closed(server, b"GET /v1/health HTTP/1.1\r\n\r\n")
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert b"\r\nConnection: keep-alive" in head
+    assert json.loads(body)["status"] == "ok"
+
+
+class OneReplyServer:
+    """A bare TCP server that reads one request per connection, answers
+    it with a kept-alive health reply when ``reply`` is set, and then
+    closes the connection without a word."""
+
+    def __init__(self, reply: bool):
+        self.reply = reply
+        self.accepted = 0
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}"
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self) -> None:
+        body = json.dumps({"schema_version": SCHEMA_VERSION,
+                           "status": "ok"}).encode("ascii")
+        while True:
+            try:
+                conn, _address = self.sock.accept()
+            except OSError:  # closed at the end of the test
+                return
+            self.accepted += 1
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(65536)
+                if self.reply:
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\n"
+                        b"Content-Type: application/json\r\n"
+                        b"Content-Length: %d\r\n"
+                        b"Connection: keep-alive\r\n\r\n%s"
+                        % (len(body), body))
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def test_client_resends_only_on_a_reused_connection():
+    answering = OneReplyServer(reply=True)
+    silent = OneReplyServer(reply=False)
+    try:
+        client = ServiceClient(answering.url, timeout=5)
+        assert client.health()["status"] == "ok"
+        assert answering.accepted == 1
+        # the kept connection was closed under the client: resent once
+        assert client.health()["status"] == "ok"
+        assert answering.accepted == 2
+        client.close()
+        # a failure on a fresh connection is raised, not resent (a
+        # thread bounds the call, so a client that resends forever
+        # fails here instead of hanging the suite)
+        failures = []
+
+        def fresh_request():
+            try:
+                ServiceClient(silent.url, timeout=5).health()
+            except ConnectionError as exc:
+                failures.append(exc)
+
+        caller = threading.Thread(target=fresh_request, daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+        assert len(failures) == 1
+        assert silent.accepted == 1
+    finally:
+        answering.close()
+        silent.close()
+
+
+def test_drain_and_close_shut_idle_connections():
+    """From Python 3.12 the listener's ``wait_closed`` waits for every
+    open connection, so a held idle one must not keep it waiting."""
+    with background_server(Engine(use_cache=False)) as server:
+        held = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10)
+        held.request("GET", "/v1/health")
+        held.getresponse().read()
+        loop = server._server.get_loop()
+        started = time.monotonic()
+        assert asyncio.run_coroutine_threadsafe(
+            server.drain(5.0), loop).result(timeout=10)
+        asyncio.run_coroutine_threadsafe(
+            server.close(), loop).result(timeout=10)
+        assert time.monotonic() - started < 2.0
+        assert held.sock.recv(1) == b""  # the server closed it
+        held.close()

@@ -2,6 +2,7 @@
 
 import asyncio
 import threading
+import uuid
 
 import pytest
 
@@ -322,3 +323,40 @@ def test_job_store_refuses_past_running_limit():
         assert store.running() == 1
     finally:
         loop.close()
+
+
+class CountingJob:
+    """A stored-job stub that counts how often ``done`` is read."""
+
+    def __init__(self, done: bool):
+        self.job_id = uuid.uuid4().hex
+        self.finished = done
+        self.served = True
+        self.reads = 0
+
+    @property
+    def done(self) -> bool:
+        self.reads += 1
+        return self.finished
+
+
+def test_job_store_counts_running_jobs_without_touching_finished_ones():
+    store = JobStore(limit=256)
+    finished = [CountingJob(done=True) for _ in range(256)]
+    for job in finished:
+        store.add(job)
+    for job in finished:
+        job.reads = 0
+    assert store.running() == 0
+    store.ensure_capacity()
+    assert sum(job.reads for job in finished) == 0
+    running = CountingJob(done=False)
+    store.add(running)  # evicts the oldest finished job
+    assert store.get(finished[0].job_id) is None
+    for job in finished:
+        job.reads = 0
+    assert store.running() == 1
+    assert sum(job.reads for job in finished) == 0
+    running.finished = True
+    assert store.running() == 0
+    assert len(store) == 256

@@ -320,6 +320,38 @@ def test_one_shot_predicate():
         assert not is_one_shot(parse_args(argv)), argv
 
 
+class MonitoringStub:
+    """``sys.monitoring`` with the given tool ids registered."""
+
+    def __init__(self, tools):
+        self.tools = tools
+
+    def get_tool(self, tool_id):
+        return self.tools.get(tool_id)
+
+
+def test_traced_predicate_sees_monitoring_tools(monkeypatch):
+    """From Python 3.12 cProfile registers as ``sys.monitoring`` tool 2
+    and sets no profile function; it must still keep the normal exit."""
+    import sys
+
+    from repro.cli import is_traced
+
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.delattr(sys, "monitoring", raising=False)
+    assert not is_traced()
+    monkeypatch.setattr(sys, "monitoring", MonitoringStub({}),
+                        raising=False)
+    assert not is_traced()
+    monkeypatch.setattr(sys, "monitoring",
+                        MonitoringStub({2: "cProfile"}))
+    assert is_traced()
+    monkeypatch.setattr(sys, "getprofile", lambda: print)
+    monkeypatch.setattr(sys, "monitoring", MonitoringStub({}))
+    assert is_traced()
+
+
 def test_one_shot_command_skips_interpreter_teardown(tmp_path):
     """An ``atexit`` hook runs only where the command keeps the normal
     exit: here ``--backend remote``, whose work queue closes from one."""
