@@ -470,14 +470,17 @@ def _cmd_serve(args) -> int:
     from repro.service import serve
 
     runner = _make_runner(args)
-    serve(runner.engine, host=args.host, port=args.port,
-          window=args.window, max_batch=args.max_batch,
-          max_workers=args.workers, max_jobs=args.max_jobs,
-          quota_requests=args.quota_requests,
-          quota_specs=args.quota_specs,
-          drain_grace=args.drain_grace,
-          announce=lambda url: print(f"[service] listening on {url}",
-                                     file=sys.stderr))
+    try:
+        serve(runner.engine, host=args.host, port=args.port,
+              window=args.window, max_batch=args.max_batch,
+              max_workers=args.workers, max_jobs=args.max_jobs,
+              quota_requests=args.quota_requests,
+              quota_specs=args.quota_specs,
+              drain_grace=args.drain_grace,
+              announce=lambda url: print(f"[service] listening on {url}",
+                                         file=sys.stderr))
+    finally:
+        runner.engine.close()
     return 0
 
 
@@ -550,6 +553,8 @@ def _cmd_worker(args) -> int:
     except (ServiceError, TimeoutError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        runner.engine.close()
     print(f"[worker] {stats.summary()}", file=sys.stderr)
     _print_engine_summary(runner)
     return 0

@@ -27,37 +27,50 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 from repro.engine.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    InlineBackend,
-    ProcessBackend,
-    RemoteBackend,
-    WorkQueue,
     make_backend,
 )
 from repro.engine.cache import ResultCache, code_version, default_cache_root
-from repro.engine.keys import RunSpec
+from repro.engine.keys import GRID_MODES, RunSpec
 from repro.engine.store import SegmentStore
-from repro.engine.parallel import (
-    GRID_MODES,
-    build_configs,
-    build_memsys,
-    build_processor,
-    build_workload,
-    execute_spec,
-    grid_eligible,
-    grid_group_key,
-    plan_grid,
-    register_trace,
-    shard_specs,
-    simulate_specs,
-    validate_spec,
-)
 from repro.engine.sweep import Sweep, axes_product
+from repro.lazy import lazy_exports
 from repro.timing.stats import RunStats
-from repro.workloads import BuiltWorkload
+
+if TYPE_CHECKING:
+    from repro.workloads import BuiltWorkload
+
+# The backend classes and the spec executor load when a backend is
+# built or a spec is dispatched: a cache hit runs neither.
+__getattr__ = lazy_exports(__name__, {
+    "repro.engine.backends.inline": ("InlineBackend",),
+    "repro.engine.backends.process": ("ProcessBackend",),
+    "repro.engine.backends.remote": ("RemoteBackend",),
+    "repro.engine.backends.workqueue": ("WorkQueue",),
+    "repro.engine.parallel": (
+        "build_configs", "build_memsys", "build_processor",
+        "execute_spec", "grid_eligible", "grid_group_key", "plan_grid",
+        "register_trace", "shard_specs", "simulate_specs",
+        "validate_spec"),
+})
+
+
+def build_workload(benchmark: str, coding: str, seed: int = 0
+                   ) -> BuiltWorkload:
+    """:func:`repro.engine.parallel.build_workload`, importing that
+    module on the first call.
+
+    A function here rather than a lazy export: a tool that wraps
+    ``repro.engine.build_workload`` in place (a tracer) finds it in the
+    module's namespace.
+    """
+    from repro.engine import parallel
+
+    return parallel.build_workload(benchmark, coding, seed)
 
 
 @dataclass
@@ -133,8 +146,8 @@ class Engine:
         self.jobs = jobs
         self.grid_mode = grid_mode
         if backend is None:
-            backend = ProcessBackend(jobs=jobs)
-        elif isinstance(backend, str):
+            backend = "process"
+        if isinstance(backend, str):
             backend = make_backend(backend, jobs=jobs)
         self.backend: ExecutionBackend = backend
         self.cache: ResultCache | None = (
@@ -239,9 +252,22 @@ class Engine:
         so recomputing it on the executing side costs nothing)."""
         if grid_mode == "off":
             return
+        from repro.engine.parallel import plan_grid
+
         groups, fallbacks = plan_grid(pending, grid_mode)
         self.stats.grid_groups += len(groups)
         self.stats.grid_fallbacks += len(fallbacks)
+
+    def close(self) -> None:
+        """Close the result store (flushing its index) and the backend.
+
+        Whoever owns the engine calls this where its use ends.  The
+        memo stays and the store reopens on demand, so a closed engine
+        still answers from memory and disk.
+        """
+        if self.cache is not None:
+            self.cache.close()
+        self.backend.close()
 
     # -- internals ---------------------------------------------------------
     #
@@ -357,7 +383,10 @@ def run_many(specs, jobs: int = 1, cache_dir=None, use_cache: bool = True,
     """One-shot convenience: resolve a grid with an ephemeral Engine."""
     engine = Engine(jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
                     backend=backend, grid_mode=grid_mode)
-    return engine.run_many(specs)
+    try:
+        return engine.run_many(specs)
+    finally:
+        engine.close()
 
 
 __all__ = [

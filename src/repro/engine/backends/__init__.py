@@ -28,19 +28,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.engine.backends.inline import InlineBackend
-from repro.engine.backends.process import ProcessBackend
-from repro.engine.backends.remote import RemoteBackend
-from repro.engine.backends.workqueue import (
-    WorkLease,
-    WorkQueue,
-    WorkQueueError,
-    WorkShard,
-)
+from repro.lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.engine.keys import RunSpec
     from repro.timing.stats import RunStats
+
+# Each backend class loads when first named or built: they import the
+# spec executor (``engine.parallel``), and the process and remote ones
+# their pool and queue machinery, none of which a cache hit runs.
+__getattr__ = lazy_exports(__name__, {
+    "repro.engine.backends.inline": ("InlineBackend",),
+    "repro.engine.backends.process": ("ProcessBackend",),
+    "repro.engine.backends.remote": ("RemoteBackend",),
+    "repro.engine.backends.workqueue": ("WorkLease", "WorkQueue",
+                                        "WorkQueueError", "WorkShard"),
+})
 
 
 @runtime_checkable
@@ -84,10 +87,13 @@ def make_backend(name: str, *, jobs: int = 1, lease_ttl: float = 30.0,
     fan-out; ``lease_ttl``/``wait_timeout`` are remote-only.
     """
     if name == "inline":
+        from repro.engine.backends.inline import InlineBackend
         return InlineBackend()
     if name == "process":
+        from repro.engine.backends.process import ProcessBackend
         return ProcessBackend(jobs=jobs)
     if name == "remote":
+        from repro.engine.backends.remote import RemoteBackend
         return RemoteBackend(lease_ttl=lease_ttl,
                              wait_timeout=wait_timeout, shards=jobs)
     raise ValueError(f"unknown execution backend {name!r}; expected "

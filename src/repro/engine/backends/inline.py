@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
-from repro.engine.keys import RunSpec
-from repro.engine.parallel import simulate_specs
-from repro.timing.stats import RunStats
+if TYPE_CHECKING:
+    from repro.engine.keys import RunSpec
+    from repro.timing.stats import RunStats
 
 
 class InlineBackend:
@@ -28,6 +29,8 @@ class InlineBackend:
 
     def execute(self, specs: list[RunSpec], jobs: int | None = None,
                 grid_mode: str = "auto") -> dict[RunSpec, RunStats]:
+        from repro.engine.parallel import simulate_specs
+
         results = simulate_specs(specs, grid_mode=grid_mode)
         with self._lock:
             self._dispatches += 1

@@ -39,11 +39,13 @@ def _pool_worker(specs: tuple[RunSpec, ...],
 
 
 def _load_simulator(specs) -> None:
-    """Import the timing pipelines and the specs' trace generators.
+    """Import the timing pipelines, the memory ports and the specs'
+    trace generators.
 
     Called in the parent just before a pool forks: forked workers
     inherit what is loaded, so no worker imports the simulator itself.
     """
+    import repro.memsys.ideal  # noqa: F401
     import repro.timing.grid  # noqa: F401
     import repro.timing.pipeline  # noqa: F401
 

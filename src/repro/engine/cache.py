@@ -70,23 +70,52 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+def numpy_version() -> str:
+    """numpy's installed version, found without importing numpy.
+
+    An install records the version in the name of one
+    ``numpy-<version>.dist-info`` (or ``.egg-info``) entry beside the
+    package that ``importlib.util.find_spec`` locates, so listing that
+    directory is enough.  Only without exactly one such entry (an
+    editable install, say) does this ask ``importlib.metadata``, which
+    loads some 30 stdlib modules (``email``, ``csv``, ``socket``, ...).
+    """
+    import importlib.util
+
+    spec = importlib.util.find_spec("numpy")
+    if spec is not None and spec.origin:
+        site = Path(spec.origin).parent.parent
+        try:
+            names = os.listdir(site)
+        except OSError:
+            names = []
+        found = [name for name in names if name.startswith("numpy-")
+                 and name.endswith((".dist-info", ".egg-info"))]
+        if len(found) == 1:
+            # numpy-2.4.6.dist-info, numpy-1.26.4-py3.11.egg-info
+            return found[0][len("numpy-"):].rsplit(".", 1)[0] \
+                .split("-")[0]
+    from importlib import metadata
+
+    return metadata.version("numpy")
+
+
 @functools.lru_cache(maxsize=1)
 def code_version() -> str:
     """Fingerprint of the simulator's source code.
 
     Hashes every ``*.py`` file under the installed ``repro`` package in
     a deterministic order, together with the interpreter and numpy
-    versions.  Any change to the simulation code yields a new cache
-    namespace.  numpy's version is read from its installed metadata,
-    so a cache hit never imports numpy.
+    versions.  Any change to the simulation code, or another numpy
+    release, yields a new cache namespace.  :func:`numpy_version`
+    reads numpy's version from its install record, so a cache hit
+    imports neither numpy nor ``importlib.metadata``.
     """
-    from importlib import metadata
-
     import repro
 
     hasher = hashlib.sha256()
     hasher.update(f"py{sys.version_info.major}.{sys.version_info.minor}"
-                  f";numpy{metadata.version('numpy')}"
+                  f";numpy{numpy_version()}"
                   f";schema{_ENTRY_SCHEMA}".encode())
     root = Path(repro.__file__).resolve().parent
     for path in sorted(root.rglob("*.py")):
@@ -194,6 +223,13 @@ class ResultCache:
         """Persist any lazily-buffered index state."""
         if self._store is not None:
             self._store.flush()
+
+    def close(self) -> None:
+        """Flush the index and close the active store's files.  The
+        store reopens them on its next read or write."""
+        with self._store_lock:
+            if self._store is not None:
+                self._store.close()
 
     # -- single-spec reads/writes ------------------------------------------
 

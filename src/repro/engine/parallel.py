@@ -25,7 +25,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from repro.engine.keys import RunSpec
+from repro.engine.keys import GRID_MODES, RunSpec
 from repro.errors import ConfigError
 from repro.memsys.hierarchy import HierarchyConfig
 from repro.timing import (
@@ -282,10 +282,6 @@ def execute_spec(spec: RunSpec) -> RunStats:
     workload = build_workload(spec.benchmark, spec.coding, spec.seed)
     return simulate(workload.program, proc, memsys, warm=spec.warm,
                     model=model)
-
-
-#: Accepted ``grid_mode`` values (the ``--grid-mode`` CLI choices).
-GRID_MODES = ("auto", "on", "off")
 
 
 def grid_group_key(spec: RunSpec) -> tuple:

@@ -23,31 +23,22 @@ Served as ``POST /v1/explore`` by the job service and as the ``repro
 explore`` CLI subcommand; see ``docs/explore.md``.
 """
 
-from repro.explore.objectives import (
-    ESTIMATED_OBJECTIVES,
-    OBJECTIVE_NAMES,
-    Candidate,
-    ExploreRecord,
-    Objectives,
-    baseline_spec,
-    candidate_objectives,
-    spec_objectives,
-)
-from repro.explore.pareto import (
-    dominates,
-    epsilon_constraint,
-    halving_survivors,
-    pareto_frontier,
-    prunes,
-)
-from repro.explore.search import (
-    Constraint,
-    ExploreQuery,
-    ExploreReport,
-    ExploreStats,
-    Exploration,
-    explore,
-)
+from repro.lazy import lazy_exports
+
+# Names load on first access: the CLI parser needs only
+# ``OBJECTIVE_NAMES``, and only an exploration runs the search.
+__getattr__ = lazy_exports(__name__, {
+    "repro.explore.objectives": (
+        "ESTIMATED_OBJECTIVES", "OBJECTIVE_NAMES", "Candidate",
+        "ExploreRecord", "Objectives", "baseline_spec",
+        "candidate_objectives", "spec_objectives"),
+    "repro.explore.pareto": (
+        "dominates", "epsilon_constraint", "halving_survivors",
+        "pareto_frontier", "prunes"),
+    "repro.explore.search": (
+        "Constraint", "ExploreQuery", "ExploreReport", "ExploreStats",
+        "Exploration", "explore"),
+})
 
 __all__ = [
     "ESTIMATED_OBJECTIVES", "OBJECTIVE_NAMES", "Candidate",

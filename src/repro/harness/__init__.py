@@ -19,7 +19,11 @@ def run_workload(benchmark: str, isa: str = "mom3d",
         stats = run_workload("mpeg2_encode", isa="mom3d")
         print(stats.summary())
     """
-    return Runner().run(benchmark, isa, memsys, l2_latency)
+    runner = Runner()
+    try:
+        return runner.run(benchmark, isa, memsys, l2_latency)
+    finally:
+        runner.engine.close()
 
 
 __all__ = [

@@ -10,26 +10,20 @@ Public surface:
 * :mod:`~repro.isa.encoding` — binary trace (de)serialization.
 """
 
-from repro.isa.builder import ProgramBuilder
-from repro.isa.datatypes import WORD_BITS, WORD_BYTES, ElemType
-from repro.isa.instructions import Instruction, Program
-from repro.isa.opcodes import ExecClass, Opcode
-from repro.isa.registers import (
-    ACC_BITS,
-    D3_ELEM_BYTES,
-    D3_ELEMS,
-    D3_POINTER_BITS,
-    MOM_ELEM_BYTES,
-    MOM_ELEMS,
-    VL,
-    VS,
-    RegClass,
-    Register,
-    acc,
-    d3,
-    r,
-    v,
-)
+from repro.lazy import lazy_exports
+
+# Every name loads on first access: the timing layer's statistics need
+# only the opcode enums, and a cache hit builds no trace.
+__getattr__ = lazy_exports(__name__, {
+    "repro.isa.builder": ("ProgramBuilder",),
+    "repro.isa.datatypes": ("WORD_BITS", "WORD_BYTES", "ElemType"),
+    "repro.isa.instructions": ("Instruction", "Program"),
+    "repro.isa.opcodes": ("ExecClass", "Opcode"),
+    "repro.isa.registers": (
+        "ACC_BITS", "D3_ELEM_BYTES", "D3_ELEMS", "D3_POINTER_BITS",
+        "MOM_ELEM_BYTES", "MOM_ELEMS", "VL", "VS", "RegClass",
+        "Register", "acc", "d3", "r", "v"),
+})
 
 __all__ = [
     "ACC_BITS", "D3_ELEMS", "D3_ELEM_BYTES", "D3_POINTER_BITS",

@@ -6,24 +6,26 @@ baseline all share the :class:`~repro.memsys.ports.VectorPort`
 interface, so the timing model is agnostic to which one is plugged in.
 """
 
-from repro.memsys.cache import CacheStats, SetAssocCache
-from repro.memsys.hierarchy import CacheHierarchy, HierarchyConfig
-from repro.memsys.ideal import IdealPort
-from repro.memsys.l1port import L1Port
-from repro.memsys.mainmem import MainMemory
-from repro.memsys.multibank import MultiBankedPort
-from repro.memsys.ports import (
-    MemRequest,
-    PortSchedule,
-    PortStats,
-    VectorPort,
-    request_for,
-)
-from repro.memsys.vectorcache import VectorCachePort
+from repro.lazy import lazy_exports
+
+# Names load on first access: a processor configuration needs only the
+# hierarchy geometry, and the port designs load when a memory system
+# is built for a simulation.
+__getattr__ = lazy_exports(__name__, {
+    "repro.memsys.cache": ("CacheStats", "SetAssocCache"),
+    "repro.memsys.hierarchy": ("CacheHierarchy", "HierarchyConfig"),
+    "repro.memsys.ideal": ("IdealL1Port", "IdealPort"),
+    "repro.memsys.l1port": ("L1Port",),
+    "repro.memsys.mainmem": ("MainMemory",),
+    "repro.memsys.multibank": ("MultiBankedPort",),
+    "repro.memsys.ports": ("MemRequest", "PortSchedule", "PortStats",
+                           "VectorPort", "request_for"),
+    "repro.memsys.vectorcache": ("VectorCachePort",),
+})
 
 __all__ = [
-    "CacheHierarchy", "CacheStats", "HierarchyConfig", "IdealPort",
-    "L1Port", "MainMemory", "MemRequest", "MultiBankedPort",
+    "CacheHierarchy", "CacheStats", "HierarchyConfig", "IdealL1Port",
+    "IdealPort", "L1Port", "MainMemory", "MemRequest", "MultiBankedPort",
     "PortSchedule", "PortStats", "SetAssocCache", "VectorCachePort",
     "VectorPort", "request_for",
 ]

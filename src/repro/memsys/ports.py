@@ -17,10 +17,13 @@ occupancy plus the accounting the paper's figures need:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
-from repro.memsys.hierarchy import CacheHierarchy
+
+if TYPE_CHECKING:
+    from repro.isa.instructions import Instruction
+    from repro.memsys.hierarchy import CacheHierarchy
 
 WORD = 8  # bytes per 64-bit word
 

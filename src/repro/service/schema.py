@@ -41,8 +41,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.engine.parallel import GRID_MODES
-from repro.engine.keys import RunSpec
+from repro.engine.keys import GRID_MODES, RunSpec
 from repro.engine.sweep import Sweep
 from repro.errors import ConfigError, ReproError
 from repro.explore import Constraint, ExploreQuery, ExploreRecord

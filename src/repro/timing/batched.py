@@ -313,13 +313,6 @@ class BatchedPipeline:
         stats.rf3d_words = core.rf3d_words
         stats.rf3d_reads = core.rf3d_reads
         stats.rf3d_writes = self._rf3d_writes
-        veclen = stats.veclen
-        for event, reg, packed in core.veclen_events:
-            if event == 0:
-                veclen.record_vector_memory(packed >> 8, packed & 0xFF)
-            elif event == 1:
-                veclen.record_dvload3(reg, packed >> 8, packed & 0xFF)
-            else:
-                veclen.record_dvmov3(reg)
+        stats.veclen = core.veclen.copy()
         stats.l2_hit_rate = self.hierarchy.l2.stats.hit_rate
         stats.coherence_events = self.hierarchy.coherence_events

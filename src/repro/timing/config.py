@@ -17,18 +17,14 @@ latency (Fig. 10 sweeps the latter).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.isa.opcodes import Opcode
-from repro.memsys import (
-    CacheHierarchy,
-    HierarchyConfig,
-    IdealPort,
-    L1Port,
-    MultiBankedPort,
-    VectorCachePort,
-    VectorPort,
-)
+from repro.memsys.hierarchy import HierarchyConfig
+
+if TYPE_CHECKING:
+    from repro.memsys import CacheHierarchy, L1Port, VectorPort
 
 #: Operation latencies in cycles (MMX-era pipeline depths).
 OP_LATENCY: dict[Opcode, int] = {
@@ -115,10 +111,19 @@ class MemSysConfig:
 
     def build(self) -> tuple[CacheHierarchy, VectorPort, L1Port]:
         """Instantiate fresh hierarchy + ports for one simulation run."""
+        from repro.memsys import (
+            CacheHierarchy,
+            IdealL1Port,
+            IdealPort,
+            L1Port,
+            MultiBankedPort,
+            VectorCachePort,
+        )
+
         hierarchy = CacheHierarchy(self.hierarchy)
         if self.kind == "ideal":
             vector_port: VectorPort = IdealPort(hierarchy)
-            l1 = _IdealL1(hierarchy)
+            l1: L1Port = IdealL1Port(hierarchy)
         elif self.kind == "vector":
             vector_port = VectorCachePort(hierarchy, self.vc_width_words)
             l1 = L1Port(hierarchy, n_ports=4)
@@ -127,22 +132,6 @@ class MemSysConfig:
                                           self.mb_banks)
             l1 = L1Port(hierarchy, n_ports=4)
         return hierarchy, vector_port, l1
-
-
-class _IdealL1(L1Port):
-    """Perfect scalar path for the idealistic configuration."""
-
-    def __init__(self, hierarchy: CacheHierarchy):
-        super().__init__(hierarchy, n_ports=1_000_000)
-
-    def schedule(self, request, earliest):
-        from repro.memsys.ports import PortSchedule
-        sched = PortSchedule(
-            start=earliest, complete=earliest + 1, busy_cycles=0,
-            port_accesses=0, cache_accesses=0, hits=len(request.refs),
-            misses=0, words=request.useful_words)
-        self.stats.add(sched, request.is_write)
-        return sched
 
 
 def ideal_memsys() -> MemSysConfig:

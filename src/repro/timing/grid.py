@@ -757,14 +757,7 @@ def _assemble_stats(program: Program, d: DecodedTrace,
     stats.rf3d_writes = traffic.rf3d_writes
     stats.vector_port = traffic.vector_stats
     stats.l1_port = traffic.l1_stats
-    veclen = stats.veclen
-    for event, reg, packed in core.veclen_events:
-        if event == 0:
-            veclen.record_vector_memory(packed >> 8, packed & 0xFF)
-        elif event == 1:
-            veclen.record_dvload3(reg, packed >> 8, packed & 0xFF)
-        else:
-            veclen.record_dvmov3(reg)
+    stats.veclen = core.veclen.copy()
     stats.l2_hit_rate = traffic.l2_hit_rate
     stats.coherence_events = traffic.coherence_events
     return stats

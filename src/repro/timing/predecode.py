@@ -43,6 +43,7 @@ from repro.timing.config import (
     OP_LATENCY,
     ProcessorConfig,
 )
+from repro.timing.stats import VecLenStats
 
 # -- instruction kinds (pipeline routing) ----------------------------------
 
@@ -322,7 +323,9 @@ class CoreDecode:
     kind_arr: np.ndarray
     by_class: dict[ExecClass, int]
     by_opcode: dict[Opcode, int]
-    veclen_events: list[tuple[int, int, int]]
+    #: the trace's Table 1 vector-length profile (schedule-independent;
+    #: every run reports a copy of it)
+    veclen: VecLenStats
     rf3d_words: int
     rf3d_reads: int
     has_dvload3: bool
@@ -426,9 +429,10 @@ def _lower(inst: Instruction, intern: dict[tuple, tuple]) -> tuple:
     """Everything the core decode derives from one instruction alone.
 
     Returns ``(row, vl, kind, veclen event, memory geometry,
-    MemRequest)``.  The geometry lacks its leading index, and the last
-    three are ``None`` where they do not apply.  The row is interned by
-    value through ``intern``.
+    MemRequest)``.  The veclen event is the ``VecLenStats`` recording
+    method with its arguments.  The geometry lacks its leading index,
+    and the last three are ``None`` where they do not apply.  The row
+    is interned by value through ``intern``.
     """
     (kind, branch, latency, vl_reader, scalar_mem, store_op, is_dvload3,
      is_vmem) = _OP_INFO[inst.op]
@@ -442,14 +446,15 @@ def _lower(inst: Instruction, intern: dict[tuple, tuple]) -> tuple:
     event = geometry = request = None
     if kind == KIND_D3MOVE:
         ptr_kind, ptr = 1, ptr_id(inst.srcs[0].index)
-        event = (2, inst.srcs[0].index, 0)
+        event = (VecLenStats.record_dvmov3, (inst.srcs[0].index,))
     elif kind == KIND_MEM:
         lanes = inst.etype.lanes if inst.etype is not None else 8
         if is_dvload3:
             ptr_kind, ptr = 2, ptr_id(inst.dsts[0].index)
-            event = (1, inst.dsts[0].index, (lanes << 8) | vl)
+            event = (VecLenStats.record_dvload3,
+                     (inst.dsts[0].index, lanes, vl))
         elif is_vmem:
-            event = (0, 0, (lanes << 8) | vl)
+            event = (VecLenStats.record_vector_memory, (lanes, vl))
         geometry = (inst.ea, 1 if scalar_mem else vl, inst.stride or 0,
                     (inst.wwords or 1) * 8, scalar_mem, store_op)
         request = request_for(inst)
@@ -475,7 +480,7 @@ def _decode_core(program: Program) -> CoreDecode:
     requests: list[MemRequest | None] = [None] * n
     vl_list: list[int] = []
     kind_list: list[int] = []
-    veclen_events: list[tuple[int, int, int]] = []
+    veclen = VecLenStats()
     rf3d_words = rf3d_reads = 0
 
     # Each distinct instruction object is lowered once (the builder
@@ -497,7 +502,8 @@ def _decode_core(program: Program) -> CoreDecode:
         vl_list.append(vl)
         kind_list.append(kind)
         if event is not None:
-            veclen_events.append(event)
+            record, args = event
+            record(veclen, *args)
         if kind == KIND_D3MOVE:
             rf3d_words += vl
             rf3d_reads += 1
@@ -509,7 +515,7 @@ def _decode_core(program: Program) -> CoreDecode:
         n=n, rows=rows, mem_geometry=mem_geometry,
         requests=requests, vl_arr=np.array(vl_list, dtype=np.int64),
         kind_arr=np.array(kind_list, dtype=np.int64), by_class=by_class,
-        by_opcode=by_opcode, veclen_events=veclen_events,
+        by_opcode=by_opcode, veclen=veclen,
         rf3d_words=rf3d_words, rf3d_reads=rf3d_reads,
         has_dvload3=Opcode.DVLOAD3 in by_opcode)
 

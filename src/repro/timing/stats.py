@@ -9,7 +9,7 @@ the engine test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from repro.isa.opcodes import ExecClass, Opcode
 from repro.memsys.ports import PortStats
@@ -55,6 +55,10 @@ class VecLenStats:
 
     def _flush(self, reg_index: int) -> None:
         self._current_slices[reg_index] = 0
+
+    def copy(self) -> VecLenStats:
+        """An independent copy (its open-slice counts included)."""
+        return replace(self, _current_slices=dict(self._current_slices))
 
     @property
     def dim1(self) -> float:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigError
-from repro.isa.instructions import Program
 
 if TYPE_CHECKING:
+    from repro.isa.instructions import Program
     from repro.vm.memory import FlatMemory
     from repro.vm.state import MachineState
 

@@ -311,6 +311,30 @@ def test_engine_without_cache_simulates_once_per_spec(tmp_path):
     assert engine.stats.stores == 0
 
 
+def test_closed_engine_reads_back_and_drops_without_warning(tmp_path):
+    """``Engine.close`` closes the store's files and the backend: a
+    dropped engine leaves no file to the GC, and a closed engine still
+    reads its results back from disk (the store reopens on demand)."""
+    import gc
+    import warnings
+
+    closed = []
+    engine = Engine(cache_dir=tmp_path, backend="inline")
+    engine.backend.close = lambda: closed.append(True)
+    spec = engine.spec(BENCH, "mom", "ideal")
+    stats = engine.run(spec)
+    engine.close()
+    assert closed == [True]
+    assert engine.cache.get(spec).to_dict() == stats.to_dict()
+    engine.close()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del engine
+        gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+
+
 # --- sharding -----------------------------------------------------------------
 
 

@@ -76,6 +76,7 @@ def test_cold_race_admits_one_object_per_spec(tmp_path):
     assert engine.stats.stores == 1
     assert 1 <= engine.stats.simulations <= threads
     assert engine.stats.memo_hits + engine.stats.simulations == threads
+    engine.close()
 
 
 class RacingCache:
@@ -138,3 +139,4 @@ def test_concurrent_run_many_grids_agree(tmp_path):
             assert grid[spec] is baseline[spec]
     assert engine.stats.stores == len(unique)
     assert engine.stats.simulations <= 4 * len(unique)
+    engine.close()

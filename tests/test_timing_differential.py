@@ -159,6 +159,29 @@ def test_grid_pipeline_bit_identical(bench, coding, memsystems, warm):
             f"{stats.diff(batched)}")
 
 
+def test_veclen_profile_is_copied_per_run():
+    """The trace's vector-length profile is built once, in the core
+    decode, and each run reports its own copy: equal to the oracle's
+    through ``RunStats.to_dict()`` (open 3D slice counts included), and
+    shared with no other run, so changing one run's profile moves no
+    other run's, nor the next run's."""
+    program = build_workload("mpeg2_encode", "mom3d", 0).program
+    configs = [build_configs(RunSpec(benchmark="mpeg2_encode",
+                                     coding="mom3d", memsys=memsys))
+               for memsys in ("vector", "multibank")]
+    oracle = simulate(program, *configs[0],
+                      model="reference").to_dict()["veclen"]
+    assert oracle["loads3d"] and oracle["current_slices"]
+    runs = [*GridPipeline(program, configs).run(),
+            simulate(program, *configs[1], model="batched")]
+    assert [run.to_dict()["veclen"] for run in runs] == [oracle] * 3
+    runs[0].veclen.record_dvmov3(0)
+    runs[0].veclen.record_dvload3(1, 8, 4)
+    runs += [*GridPipeline(program, configs).run(),
+             simulate(program, *configs[0], model="batched")]
+    assert [run.to_dict()["veclen"] for run in runs[1:]] == [oracle] * 5
+
+
 @pytest.fixture(scope="module")
 def paper_grid_baseline():
     """Per-spec batched results for the deduped fig3+fig9+table1 grid."""
