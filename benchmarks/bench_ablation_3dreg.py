@@ -16,7 +16,6 @@ cache (and fan out across processes under ``run_many(jobs=N)``).
 from repro.engine import Sweep, axes_product, run_many
 from repro.harness.tables import Table
 from repro.models import rf_area_tracks
-from repro.regfile3d import RegFile3DGeometry
 
 DEPTHS = (1, 2, 4, 8)
 
@@ -37,9 +36,9 @@ def run_width_area_sweep():
     table = Table(["element bytes", "total bits", "area (wt^2)"],
                   title="3D RF element-width area cost")
     for width in (32, 64, 128, 256):
-        geo = RegFile3DGeometry(element_bytes=width)
-        table.add_row(width, geo.total_bits,
-                      rf_area_tracks(geo.total_bits, 1, 1))
+        # 4 physical registers x 16 elements x width bytes
+        total_bits = 4 * 16 * width * 8
+        table.add_row(width, total_bits, rf_area_tracks(total_bits, 1, 1))
     return table
 
 

@@ -5,11 +5,11 @@ Stands up the full production topology itself —
 * ``repro serve --backend remote`` with ``store.write:torn@1`` in its
   environment (the server's first result-cache segment write is torn
   mid-frame: the cache must degrade to memo-only and keep serving);
-* ``repro autoscale`` whose spawned worker inherits
-  ``worker.simulate:sigkill@1`` (every supervised worker is SIGKILLed
-  mid-shard: the supervisor must restart it, and the orphaned lease
-  must expire back into the queue for the healthy worker);
-* one healthy ``repro worker`` that actually lands the grid —
+* one ``repro worker`` started with ``worker.simulate:sigkill@1``
+  (it is SIGKILLed mid-shard on its first lease and must exit by that
+  signal; the orphaned lease must expire back into the queue);
+* one healthy ``repro worker``, started once the first has died, that
+  actually lands the grid —
 
 then asserts what resilience promises:
 
@@ -17,14 +17,12 @@ then asserts what resilience promises:
   an in-process ``Engine.run_many`` (chaos may cost latency, never
   correctness);
 * zero lost or duplicated shards (``completed_specs`` == grid size,
-  ``duplicate_completions`` == 0, nothing left pending or leased);
-* the supervisor restarted the SIGKILLed worker (``restarts >= 1`` in
-  its ``/v1/supervisor/report`` pushes, ``repro_supervisor_*`` on
-  ``/v1/metrics``);
+  ``duplicate_completions`` == 0, nothing left pending or leased) and
+  at least one TTL re-lease (``releases >= 1``);
 * the torn write shows up as ``repro_degraded_cache_writes_total >= 1``
   with the service still answering;
 * ``SIGTERM`` drains the server cleanly: exit code 0 within the grace
-  window, and the supervisor (seeing the drain flag) exits 0 too.
+  window.
 
 Usage::
 
@@ -99,12 +97,12 @@ def main(argv=None) -> int:
     base.setdefault("PYTHONPATH", "src")
     root = Path.cwd()
     caches = {name: root / f".chaos-cache-{name}"
-              for name in ("server", "fleet", "healthy")}
+              for name in ("server", "doomed", "healthy")}
 
     server_env = dict(base, REPRO_FAULTS=SERVER_FAULTS,
                       REPRO_FAULTS_SEED=FAULT_SEED)
-    fleet_env = dict(base, REPRO_FAULTS=WORKER_FAULTS,
-                     REPRO_FAULTS_SEED=FAULT_SEED)
+    doomed_env = dict(base, REPRO_FAULTS=WORKER_FAULTS,
+                      REPRO_FAULTS_SEED=FAULT_SEED)
 
     procs = {}
     try:
@@ -117,41 +115,27 @@ def main(argv=None) -> int:
         client = ServiceClient(url)
         _wait_health(client, time.monotonic() + 30)
 
-        # the supervised fleet: every worker it spawns inherits the
-        # sigkill plan, so each incarnation dies on its first shard —
-        # a permanent crash loop the restart backoff must pace
-        procs["autoscale"] = _spawn(
-            [python, "-m", "repro", "autoscale", "--url", url,
-             "--min-workers", "1", "--max-workers", "2",
-             "--sweep-interval", "0.5", "--cooldown", "2",
-             "--stale-lease-age", "5",
-             f"--worker-arg=--cache-dir",
-             f"--worker-arg={caches['fleet']}"],
-            fleet_env, "chaos-autoscale.log")
-
         specs = fig3_sweep().specs()
         unique = list(dict.fromkeys(specs))
         print(f"[chaos] submitting the fig3 grid "
               f"({len(unique)} specs) into the storm")
         job = client.submit(specs)
 
-        # with only doomed workers attached, the first lease is
-        # guaranteed to meet the SIGKILL; hold the healthy worker back
-        # until the supervisor has actually performed a restart
-        deadline = time.monotonic() + 60
-        while True:
-            report = client.stats().get("supervisor", {})
-            if report.get("restarts", 0) >= 1:
-                break
-            assert time.monotonic() < deadline, (
-                f"supervisor never reported a restart: {report}")
-            time.sleep(0.5)
-        print(f"[chaos] worker SIGKILLed mid-shard and restarted "
-              f"(restarts={report['restarts']}, "
-              f"spawned={report['spawned']})")
+        # with only the doomed worker attached, its first lease is
+        # guaranteed to meet the SIGKILL
+        procs["doomed"] = _spawn(
+            [python, "-m", "repro", "worker", "--url", url,
+             "--id", "chaos-doomed",
+             "--cache-dir", str(caches["doomed"])],
+            doomed_env, "chaos-doomed.log")
+        code = procs["doomed"].wait(timeout=60)
+        assert code == -signal.SIGKILL, (
+            f"doomed worker exited {code}, wanted SIGKILL "
+            f"({-signal.SIGKILL})")
+        print("[chaos] worker SIGKILLed mid-shard")
 
         # now the healthy worker that actually lands the grid once
-        # the doomed workers' leases expire back into the queue
+        # the doomed worker's lease expires back into the queue
         procs["worker"] = _spawn(
             [python, "-m", "repro", "worker", "--url", url,
              "--id", "chaos-healthy",
@@ -185,12 +169,9 @@ def main(argv=None) -> int:
               f"0 duplicates, 0 lost")
 
         series = _scrape(client)
-        for name in ("repro_supervisor_restarts_total",
-                     "repro_supervisor_workers",
-                     "repro_degraded_cache_writes_total",
+        for name in ("repro_degraded_cache_writes_total",
                      "repro_degraded_cache"):
             assert name in series, f"/v1/metrics is missing {name}"
-        assert series["repro_supervisor_restarts_total"] >= 1, series
         # the torn segment write degraded the server cache to
         # memo-only — counted, not fatal
         assert series["repro_degraded_cache_writes_total"] >= 1, series
@@ -210,13 +191,6 @@ def main(argv=None) -> int:
         code = procs["server"].wait(timeout=40)
         assert code == 0, f"server drain exited {code}, wanted 0"
         print("[chaos] SIGTERM drain: server exited 0")
-
-        # the supervisor sees the drain (or the server going away);
-        # SIGINT asks it to tear the fleet down and report
-        procs["autoscale"].send_signal(signal.SIGINT)
-        code = procs["autoscale"].wait(timeout=30)
-        assert code == 0, f"supervisor exited {code}, wanted 0"
-        print("[chaos] supervisor drained the fleet and exited 0")
         return 0
     finally:
         for name, proc in procs.items():
@@ -226,7 +200,7 @@ def main(argv=None) -> int:
                     proc.wait(timeout=10)
                 except subprocess.TimeoutExpired:
                     proc.kill()
-        for log in ("chaos-serve.log", "chaos-autoscale.log",
+        for log in ("chaos-serve.log", "chaos-doomed.log",
                     "chaos-worker.log"):
             if Path(log).exists():
                 print(f"--- {log} ---")

@@ -474,38 +474,11 @@ def _cmd_serve(args) -> int:
         serve(runner.engine, host=args.host, port=args.port,
               window=args.window, max_batch=args.max_batch,
               max_workers=args.workers, max_jobs=args.max_jobs,
-              quota_requests=args.quota_requests,
-              quota_specs=args.quota_specs,
               drain_grace=args.drain_grace,
               announce=lambda url: print(f"[service] listening on {url}",
                                          file=sys.stderr))
     finally:
         runner.engine.close()
-    return 0
-
-
-def _cmd_autoscale(args) -> int:
-    from repro.service import ServiceError, autoscale
-
-    try:
-        stats = autoscale(
-            args.url, min_workers=args.min_workers,
-            max_workers=args.max_workers, high_water=args.high_water,
-            idle_sweeps=args.idle_sweeps, cooldown=args.cooldown,
-            sweep_interval=args.sweep_interval,
-            stale_lease_age=args.stale_lease_age,
-            worker_args=tuple(args.worker_arg or ()),
-            announce=lambda url: print(
-                f"[autoscale] supervising workers for {url}",
-                file=sys.stderr))
-    except (ServiceError, TimeoutError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"[autoscale] sweeps={stats.sweeps} spawned={stats.spawned} "
-          f"restarts={stats.restarts} retired={stats.retired} "
-          f"scale-ups={stats.scale_ups} "
-          f"scale-downs={stats.scale_downs} "
-          f"poll-errors={stats.poll_errors}", file=sys.stderr)
     return 0
 
 
@@ -904,15 +877,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                          metavar="N",
                          help="running-jobs limit (further submissions "
                               "get HTTP 429 until some finish)")
-    p_serve.add_argument("--quota-requests", type=float, default=0,
-                         metavar="PER_MIN",
-                         help="per-client job submissions per minute "
-                              "(0 = unlimited); over-quota clients "
-                              "get HTTP 429 with Retry-After")
-    p_serve.add_argument("--quota-specs", type=float, default=0,
-                         metavar="PER_MIN",
-                         help="per-client submitted specs per minute "
-                              "(0 = unlimited)")
     p_serve.add_argument("--drain-grace", type=_positive_float,
                          default=30.0, metavar="SECONDS",
                          help="SIGTERM drain: seconds to let in-flight "
@@ -948,45 +912,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     p_worker.add_argument("--max-shards", type=int, default=None,
                           metavar="N",
                           help="exit after completing N shards")
-
-    p_autoscale = sub.add_parser(
-        "autoscale", parents=[common],
-        help="supervise a fleet of 'repro worker' subprocesses, "
-             "scaling with the server's queue depth")
-    p_autoscale.add_argument("--url",
-                             default="http://127.0.0.1:8737",
-                             help="service base URL")
-    p_autoscale.add_argument("--min-workers", type=int, default=1,
-                             metavar="N",
-                             help="never run fewer workers (default 1)")
-    p_autoscale.add_argument("--max-workers", type=int, default=4,
-                             metavar="N",
-                             help="never run more workers (default 4)")
-    p_autoscale.add_argument("--high-water", type=int, default=4,
-                             metavar="SHARDS",
-                             help="scale up past this many pending "
-                                  "shards per live worker (default 4)")
-    p_autoscale.add_argument("--idle-sweeps", type=int, default=3,
-                             metavar="N",
-                             help="consecutive empty sweeps before "
-                                  "retiring a worker (default 3)")
-    p_autoscale.add_argument("--cooldown", type=_positive_float,
-                             default=10.0, metavar="SECONDS",
-                             help="minimum pause between scaling "
-                                  "actions (default 10)")
-    p_autoscale.add_argument("--sweep-interval", type=_positive_float,
-                             default=2.0, metavar="SECONDS",
-                             help="control-loop period (default 2)")
-    p_autoscale.add_argument("--stale-lease-age",
-                             type=_positive_float, default=60.0,
-                             metavar="SECONDS",
-                             help="lease age treated as a dead worker "
-                                  "holding a shard (default 60)")
-    p_autoscale.add_argument("--worker-arg", action="append",
-                             metavar="ARG",
-                             help="extra argument passed through to "
-                                  "each spawned 'repro worker' "
-                                  "(repeatable)")
 
     p_cache = sub.add_parser(
         "cache", parents=[common],
@@ -1030,8 +955,7 @@ def run(args: argparse.Namespace) -> int:
                 "report": _cmd_report,
                 "trace": _cmd_trace, "replay": _cmd_replay,
                 "serve": _cmd_serve, "submit": _cmd_submit,
-                "worker": _cmd_worker, "autoscale": _cmd_autoscale,
-                "cache": _cmd_cache}
+                "worker": _cmd_worker, "cache": _cmd_cache}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
@@ -1047,13 +971,13 @@ def is_one_shot(args: argparse.Namespace) -> bool:
     """Whether nothing of ``args``'s command outlives its return.
 
     ``python -m repro`` runs such a command with the cyclic GC off and
-    ends it without interpreter teardown.  ``serve``, ``worker`` and
-    ``autoscale`` run until stopped and own threads, sockets or child
-    processes, and any command on the remote backend closes its hosted
-    work queue from an ``atexit`` hook (:func:`_host_work_queue`), so
-    those keep the GC and the normal exit.
+    ends it without interpreter teardown.  ``serve`` and ``worker``
+    run until stopped and own threads and sockets, and any command on
+    the remote backend closes its hosted work queue from an ``atexit``
+    hook (:func:`_host_work_queue`), so those keep the GC and the
+    normal exit.
     """
-    return (args.command not in ("serve", "worker", "autoscale")
+    return (args.command not in ("serve", "worker")
             and args.backend != "remote")
 
 

@@ -16,13 +16,8 @@ class MainMemory:
 
     latency: int = 100
     line_fetches: int = 0
-    line_writebacks: int = 0
 
     def fetch_line(self) -> int:
         """Record a line fill from memory; returns its latency."""
         self.line_fetches += 1
         return self.latency
-
-    def writeback_line(self) -> None:
-        """Record a dirty-line writeback (off the critical path)."""
-        self.line_writebacks += 1

@@ -29,19 +29,6 @@ class MultiBankedPort(VectorPort):
         self.n_ports = n_ports
         self.n_banks = n_banks
 
-    def _bank(self, addr: int) -> int:
-        return (addr // WORD) % self.n_banks
-
-    def _word_refs(self, request: MemRequest) -> list[int]:
-        """Decompose the request into word-granularity references."""
-        return _word_refs(request)
-
-    def plan_request(self, request: MemRequest):
-        """Greedy bank-conflict cycle packing — pure in the request and
-        the port/bank geometry."""
-        return self.plan_for(request, self.n_ports, self.n_banks,
-                             self.hierarchy.config.l2_line)
-
     @staticmethod
     def plan_for(request: MemRequest, n_ports: int, n_banks: int,
                  l2_line: int | None = None):

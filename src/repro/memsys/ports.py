@@ -39,12 +39,11 @@ class MemRequest:
     useful_words: int = 0
     #: True for DVLOAD3: fetch whole-line chunks into the 3D RF.
     line_mode: bool = False
-    #: Optional pre-computed port decomposition (see
-    #: :meth:`VectorPort.plan_request`).  A plan is a pure function of
-    #: the request and the port geometry, so the batched pipeline's
-    #: pre-decode pass attaches it once per trace instead of
-    #: recomputing it on every ``schedule`` call.  Treated as
-    #: immutable by the ports.
+    #: Optional pre-computed port decomposition (see the ports' static
+    #: ``plan_for``).  A plan is a pure function of the request and the
+    #: port geometry, so the pre-decode pass attaches it once per
+    #: trace instead of recomputing it on every ``schedule`` call.
+    #: Treated as immutable by the ports.
     plan: object | None = None
 
 
@@ -118,20 +117,6 @@ def request_for(inst: Instruction) -> MemRequest:
     raise ValueError(f"not a memory opcode: {inst.op}")
 
 
-def requests_for(program) -> list[MemRequest | None]:
-    """Batched :func:`request_for`: lower a whole trace in one pass.
-
-    Returns a list aligned with the program's instruction indices;
-    non-memory slots hold ``None``.  Convenience entry point for
-    callers that replay a trace's traffic against a port (the batched
-    pipeline's pre-decode pass calls :func:`request_for` per memory
-    instruction inside its own trace walk and attaches port plans on
-    top — see ``repro.timing.predecode``).
-    """
-    return [request_for(inst) if inst.is_memory else None
-            for inst in program]
-
-
 class VectorPort:
     """Base class: owns the hierarchy handle, stats and the busy pointer."""
 
@@ -148,28 +133,6 @@ class VectorPort:
         self._next_free = sched.start + sched.busy_cycles
         self.stats.add(sched, request.is_write)
         return sched
-
-    def schedule_batch(self, requests, earliests) -> list[PortSchedule]:
-        """Schedule several requests in order.
-
-        The port is a serially-reused structural resource, so batching
-        cannot reorder: each request is scheduled no earlier than its
-        own ``earliest`` and behind its predecessors.  Entry point for
-        callers that have already resolved all issue cycles (tests and
-        traffic replays; the timing pipelines resolve issue cycles one
-        instruction at a time and call :meth:`schedule` directly).
-        """
-        return [self.schedule(request, earliest)
-                for request, earliest in zip(requests, earliests)]
-
-    def plan_request(self, request: MemRequest):
-        """Pure decomposition of ``request`` for this port design.
-
-        Returns an opaque plan ``_schedule`` accepts via
-        ``request.plan`` to skip recomputing the grouping; the base
-        design has nothing to precompute.
-        """
-        return None
 
     def _schedule(self, request: MemRequest, start: int) -> PortSchedule:
         raise NotImplementedError

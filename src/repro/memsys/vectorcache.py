@@ -27,12 +27,6 @@ class VectorCachePort(VectorPort):
         super().__init__(hierarchy)
         self.width_words = width_words
 
-    def plan_request(self, request: MemRequest):
-        """Wide-access groups (or line-mode distinct lines) for one
-        request — pure in the request and port geometry."""
-        return self.plan_for(request, self.width_words,
-                             self.hierarchy.config.l2_line)
-
     @staticmethod
     def plan_for(request: MemRequest, width_words: int, l2_line: int):
         """Decompose without a port instance (pre-decode entry point).

@@ -20,18 +20,13 @@ The execution API, redesigned around *jobs* instead of direct calls:
 * :mod:`repro.service.worker` — the pull-based ``ServiceWorker`` loop
   behind ``repro worker`` (lease a shard, simulate locally, upload —
   the execution half of the engine's remote backend);
-* :mod:`repro.service.supervisor` — the ``repro autoscale`` control
-  loop: spawn/retire/restart ``repro worker`` subprocesses from the
-  server's queue-depth and lease-age signals;
-* :mod:`repro.service.admission` — per-client token quotas and rate
-  limits behind ``repro serve --quota-requests/--quota-specs``;
 * :mod:`repro.service.faults` — the deterministic fault-injection
   harness (``FaultPlan``) behind the chaos tests and
   ``REPRO_FAULTS``.
 
 ``repro serve`` hosts it; ``repro submit`` talks to it; ``repro
-worker`` executes for it; ``repro autoscale`` keeps the workers
-running.  See ``docs/service.md`` for endpoints, wire schema and
+worker`` executes for it, and an operator sizes the fleet by starting
+more of them.  See ``docs/service.md`` for endpoints, wire schema and
 batching semantics, ``docs/backends.md`` for the worker protocol, and
 ``docs/operations.md`` for running a resilient fleet.
 """
@@ -49,8 +44,6 @@ from repro.service.faults import (
 # HTTP, the explorer) loads on first access, when a command serves,
 # submits or works.
 __getattr__ = lazy_exports(__name__, {
-    "repro.service.admission": ("AdmissionController", "QuotaExceeded",
-                                "instrument_admission"),
     "repro.service.client": ("ServiceClient", "ServiceError"),
     "repro.service.metrics": ("Counter", "Gauge", "Histogram", "Metrics",
                               "instrument_engine",
@@ -64,21 +57,17 @@ __getattr__ = lazy_exports(__name__, {
                              "explore_query_to_wire"),
     "repro.service.server": ("ServiceServer", "background_server",
                              "serve"),
-    "repro.service.supervisor": ("AutoscaleSupervisor", "SupervisorStats",
-                                 "autoscale"),
     "repro.service.worker": ("ServiceWorker", "WorkerStats", "work"),
 })
 
 __all__ = [
-    "NO_FAULTS", "SCHEMA_VERSION", "AdmissionController",
-    "AutoscaleSupervisor", "BatchScheduler", "Counter", "ErrorReply",
-    "ExploreJob", "ExploreResult", "FaultPlan", "FaultSpecError",
-    "Gauge", "Histogram", "InjectedFault", "Job", "JobRequest",
-    "JobResult", "JobStore", "Metrics", "QuotaExceeded",
+    "NO_FAULTS", "SCHEMA_VERSION", "BatchScheduler", "Counter",
+    "ErrorReply", "ExploreJob", "ExploreResult", "FaultPlan",
+    "FaultSpecError", "Gauge", "Histogram", "InjectedFault", "Job",
+    "JobRequest", "JobResult", "JobStore", "Metrics",
     "SchedulerStats", "SchemaError", "ServiceClient", "ServiceError",
-    "ServiceServer", "ServiceWorker", "SupervisorStats",
-    "WorkCompletion", "WorkLeaseGrant", "WorkerStats", "autoscale",
-    "background_server", "explore_query_from_wire",
-    "explore_query_to_wire", "instrument_admission",
+    "ServiceServer", "ServiceWorker", "WorkCompletion",
+    "WorkLeaseGrant", "WorkerStats", "background_server",
+    "explore_query_from_wire", "explore_query_to_wire",
     "instrument_engine", "instrument_work_queue", "serve", "work",
 ]

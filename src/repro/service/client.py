@@ -55,8 +55,7 @@ class ServiceError(ReproError):
     """The server answered with a non-2xx reply (or unreadable JSON).
 
     ``retry_after`` carries the server's ``Retry-After`` hint in
-    seconds when one was sent (429 quota refusals, 503 drain), else
-    ``None``.
+    seconds when one was sent (the drain's 503), else ``None``.
     """
 
     def __init__(self, status: int, reply: ErrorReply | None,
@@ -69,7 +68,7 @@ class ServiceError(ReproError):
 
 
 #: Statuses worth retrying when a retry budget is configured: the
-#: server said "not now" (throttled or draining), not "never".
+#: server said "not now" (job store full or draining), not "never".
 _RETRYABLE = (429, 503)
 
 
@@ -83,9 +82,8 @@ class ServiceClient:
     default 0 = fail fast) lets the client absorb 429/503 refusals and
     transient connection errors: it sleeps the server's ``Retry-After``
     hint (or an exponential backoff) and retries until the budget
-    would be exceeded.  ``client_id`` is sent as ``X-Repro-Client`` so
-    server-side quotas charge the right bucket.  ``clock`` and
-    ``sleep`` are injectable for tests; ``fault_plan`` threads a
+    would be exceeded.  ``clock`` and ``sleep`` are injectable for
+    tests; ``fault_plan`` threads a
     :class:`~repro.service.faults.FaultPlan` under the transport for
     chaos testing (``transport.lease`` / ``transport.complete`` /
     ``transport.request`` sites).
@@ -94,7 +92,6 @@ class ServiceClient:
     def __init__(self, base_url: str, *, timeout: float = 30.0,
                  poll_interval: float = 0.05,
                  retry_budget: float = 0.0,
-                 client_id: str | None = None,
                  clock=time.monotonic, sleep=time.sleep,
                  fault_plan=None):
         if "//" not in base_url:  # bare host[:port] shorthand
@@ -112,7 +109,6 @@ class ServiceClient:
         self.timeout = timeout
         self.poll_interval = poll_interval
         self.retry_budget = retry_budget
-        self.client_id = client_id
         self._clock = clock
         self._sleep = sleep
         from repro.service.faults import resolve_plan
@@ -218,8 +214,6 @@ class ServiceClient:
               payload: Mapping | None = None) -> dict:
         body = None
         headers = {"Accept": "application/json"}
-        if self.client_id:
-            headers["X-Repro-Client"] = self.client_id
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -247,16 +241,6 @@ class ServiceClient:
 
     def health(self) -> dict:
         return self._request("GET", "/v1/health")
-
-    def supervisor_report(self, report: Mapping) -> dict:
-        """``POST /v1/supervisor/report``: the autoscaler heartbeat.
-
-        The reply echoes the server's ``draining`` flag so the
-        supervisor learns of a SIGTERM drain on its next sweep.
-        """
-        return self._request(
-            "POST", "/v1/supervisor/report",
-            {"schema_version": SCHEMA_VERSION, "report": dict(report)})
 
     def stats(self) -> dict:
         return self._request("GET", "/v1/stats")

@@ -29,7 +29,8 @@ plan parsed from ``REPRO_FAULTS``):
 * **worker-simulate** — :class:`~repro.service.worker.ServiceWorker`
   fires ``worker.simulate`` before simulating a leased shard:
   ``crash`` raises (exercising the crash guard), ``sigkill`` kills
-  the worker process outright (the supervisor's restart path).
+  the worker process outright (its lease expires back into the
+  queue for another worker).
 
 Rule syntax (also accepted by ``REPRO_FAULTS``)::
 

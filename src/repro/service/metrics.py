@@ -11,13 +11,13 @@ any third-party client library.
 Three instrument kinds, all thread-safe:
 
 * :class:`Counter` — monotonically increasing total (``*_total``
-  names by convention).  Either incremented directly (``inc``) or
-  backed by a zero-argument callback evaluated at scrape time, which
-  is how existing counter structs (``EngineStats``,
-  ``SchedulerStats``, ``WorkQueue.counters()``) surface without
-  double-accounting.
+  names by convention), backed by a zero-argument callback evaluated
+  at scrape time, which is how existing counter structs
+  (``EngineStats``, ``SchedulerStats``, ``WorkQueue.counters()``)
+  surface without double-accounting.
 * :class:`Gauge` — a value that can go up and down (queue depth,
-  oldest lease age, cache occupancy).  Direct ``set`` or callback.
+  oldest lease age, cache occupancy), read from a callback the same
+  way.
 * :class:`Histogram` — fixed cumulative buckets plus ``_sum`` and
   ``_count`` series; p50/p99 are derivable from the bucket counts the
   standard Prometheus way (``histogram_quantile``).
@@ -60,66 +60,37 @@ def _check_name(name: str) -> str:
 
 
 class _Instrument:
-    """Shared plumbing: name, help text, a lock, optional callback."""
+    """Shared plumbing: a validated name and help text."""
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str = "",
-                 fn: Callable[[], float] | None = None):
+    def __init__(self, name: str, help: str = ""):
         self.name = _check_name(name)
         self.help = help
-        self._fn = fn
-        self._value = 0.0
-        self._lock = threading.Lock()
 
-    @property
-    def value(self) -> float:
-        """Current value (callback instruments evaluate ``fn``)."""
-        if self._fn is not None:
-            return float(self._fn())
-        with self._lock:
-            return self._value
+
+class _Callback(_Instrument):
+    """A series whose value is ``fn()``, evaluated at scrape time."""
+
+    def __init__(self, name: str, help: str, fn: Callable[[], float]):
+        super().__init__(name, help)
+        self._fn = fn
 
     def samples(self) -> Iterable[tuple[str, str, float]]:
         """Yield ``(series name, label clause, value)`` triples."""
-        yield self.name, "", self.value
+        yield self.name, "", float(self._fn())
 
 
-class Counter(_Instrument):
+class Counter(_Callback):
     """Monotonically increasing total."""
 
     kind = "counter"
 
-    def inc(self, amount: float = 1.0) -> None:
-        if self._fn is not None:
-            raise RuntimeError(
-                f"counter {self.name!r} is callback-backed")
-        if amount < 0:
-            raise ValueError(
-                f"counter {self.name!r} cannot decrease (inc {amount})")
-        with self._lock:
-            self._value += amount
 
-
-class Gauge(_Instrument):
+class Gauge(_Callback):
     """A value that may go up or down."""
 
     kind = "gauge"
-
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise RuntimeError(f"gauge {self.name!r} is callback-backed")
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self._fn is not None:
-            raise RuntimeError(f"gauge {self.name!r} is callback-backed")
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
 
 class Histogram(_Instrument):
@@ -130,6 +101,7 @@ class Histogram(_Instrument):
     def __init__(self, name: str, help: str = "",
                  buckets: Sequence[float] = LATENCY_BUCKETS):
         super().__init__(name, help)
+        self._lock = threading.Lock()
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError(f"histogram {name!r} needs >= 1 bucket")
@@ -151,17 +123,6 @@ class Histogram(_Instrument):
                 if value <= bound:
                     self._counts[i] += 1
                     break
-
-    def snapshot(self) -> dict:
-        """Plain-data view (bucket -> cumulative count), for tests."""
-        with self._lock:
-            cumulative = 0
-            counts = {}
-            for bound, count in zip(self.buckets, self._counts):
-                cumulative += count
-                counts[bound] = cumulative
-            return {"buckets": counts, "sum": self._sum,
-                    "count": self._count}
 
     def samples(self) -> Iterable[tuple[str, str, float]]:
         with self._lock:
@@ -198,12 +159,12 @@ class Metrics:
             self._instruments[instrument.name] = instrument
         return instrument
 
-    def counter(self, name: str, help: str = "",
-                fn: Callable[[], float] | None = None) -> Counter:
+    def counter(self, name: str, help: str = "", *,
+                fn: Callable[[], float]) -> Counter:
         return self._register(Counter(name, help, fn))
 
-    def gauge(self, name: str, help: str = "",
-              fn: Callable[[], float] | None = None) -> Gauge:
+    def gauge(self, name: str, help: str = "", *,
+              fn: Callable[[], float]) -> Gauge:
         return self._register(Gauge(name, help, fn))
 
     def histogram(self, name: str, help: str = "",
@@ -214,10 +175,6 @@ class Metrics:
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._instruments
-
-    def get(self, name: str) -> _Instrument | None:
-        with self._lock:
-            return self._instruments.get(name)
 
     def render(self) -> str:
         """The whole registry in Prometheus text format 0.0.4."""
@@ -346,7 +303,7 @@ def instrument_work_queue(metrics: Metrics, queue) -> None:
         metrics.counter(f"repro_queue_{key}_total", help_text,
                         fn=lambda k=key: queue.counters().get(k, 0))
     metrics.gauge("repro_queue_pending_shards",
-                  "Shards enqueued but not yet leased (the autoscaling "
+                  "Shards enqueued but not yet leased (the fleet-sizing "
                   "signal)",
                   fn=lambda: queue.counters().get("pending_shards", 0))
     metrics.gauge("repro_queue_leased_shards",

@@ -57,11 +57,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.engine import Engine
 from repro.engine.backends.workqueue import WorkQueue, WorkQueueError
 from repro.explore import Exploration
-from repro.service.admission import (
-    AdmissionController,
-    QuotaExceeded,
-    instrument_admission,
-)
 from repro.service.metrics import (
     LATENCY_BUCKETS,
     Metrics,
@@ -109,7 +104,7 @@ class _HttpReply(Exception):
     """Internal control flow: abort the handler with this reply.
 
     ``headers`` carries extra response headers (``Retry-After`` on
-    throttled/draining refusals) onto the wire.
+    the drain's refusals) onto the wire.
     """
 
     def __init__(self, status: int, reply: ErrorReply,
@@ -128,7 +123,6 @@ class ServiceServer:
                  window: float = 0.02, max_batch: int = 64,
                  max_workers: int = 2, max_jobs: int = 256,
                  metrics: Metrics | None = None,
-                 admission: AdmissionController | None = None,
                  drain_grace: float = 30.0):
         self.engine = engine if engine is not None else Engine()
         self.host = host
@@ -146,10 +140,6 @@ class ServiceServer:
                                         max_workers=max_workers,
                                         metrics=self.metrics)
         self.jobs = JobStore(limit=max_jobs)
-        self.admission = (admission if admission is not None
-                          else AdmissionController())
-        if self.admission.enabled:
-            instrument_admission(self.metrics, self.admission)
         #: graceful-shutdown state: once :meth:`drain` flips
         #: ``draining``, submissions get 503 and workers get no new
         #: leases while in-flight jobs run down within ``drain_grace``
@@ -160,11 +150,6 @@ class ServiceServer:
             "repro_server_draining",
             "1 once SIGTERM drain has begun (no new jobs or leases)",
             fn=lambda: 1.0 if self.draining else 0.0)
-        # the autoscale supervisor's latest self-report (POST
-        # /v1/supervisor/report) backing the repro_supervisor_* series
-        self._supervisor: dict = {}
-        self._supervisor_stamp: float | None = None
-        self._bind_supervisor_metrics()
         self._server: asyncio.AbstractServer | None = None
         # open connections -> True while one waits for its next
         # request; drain/close shut the waiting ones, and once
@@ -221,38 +206,6 @@ class ServiceServer:
             "repro_worker_shard_seconds",
             "Worker-reported wall time per completed shard.",
             buckets=LATENCY_BUCKETS)
-
-    def _bind_supervisor_metrics(self) -> None:
-        def field(key: str) -> float:
-            return float(self._supervisor.get(key, 0) or 0)
-
-        self.metrics.gauge(
-            "repro_supervisor_workers",
-            "Live workers under the autoscale supervisor (its last "
-            "report)", fn=lambda: field("workers"))
-        self.metrics.gauge(
-            "repro_supervisor_target",
-            "Worker count the supervisor is currently steering toward",
-            fn=lambda: field("target"))
-        self.metrics.counter(
-            "repro_supervisor_spawned_total",
-            "Workers the supervisor has spawned (scale-ups plus "
-            "restarts)", fn=lambda: field("spawned"))
-        self.metrics.counter(
-            "repro_supervisor_restarts_total",
-            "Crashed workers the supervisor restarted",
-            fn=lambda: field("restarts"))
-        self.metrics.counter(
-            "repro_supervisor_retired_total",
-            "Workers retired on scale-down",
-            fn=lambda: field("retired"))
-        self.metrics.gauge(
-            "repro_supervisor_report_age_seconds",
-            "Seconds since the supervisor last reported in (0 when it "
-            "never has)",
-            fn=lambda: (0.0 if self._supervisor_stamp is None
-                        else max(0.0, time.monotonic()
-                                 - self._supervisor_stamp)))
 
     def _bind_explore_metrics(self) -> None:
         totals = self._explore_totals
@@ -408,10 +361,9 @@ class ServiceServer:
                 return False
             self._connections[writer] = False
             async with asyncio.timeout(_REQUEST_TIMEOUT):
-                method, path, query, headers, body, keep_alive = \
+                method, path, query, body, keep_alive = \
                     await self._read_request(request_line, reader)
-            status, payload = await self._route(method, path, body, query,
-                                                headers)
+            status, payload = await self._route(method, path, body, query)
         except ConnectionError:
             return False
         except TimeoutError:
@@ -459,7 +411,7 @@ class ServiceServer:
     async def _read_request(self, request_line: bytes,
                             reader: asyncio.StreamReader) -> tuple:
         """Parse one request after its line: ``(method, path, query,
-        headers, body, keep_alive)``, or raise for a 4xx reply."""
+        body, keep_alive)``, or raise for a 4xx reply."""
         line = request_line.decode("ascii", "replace").strip()
         if not line:
             raise _HttpReply(400, ErrorReply(
@@ -496,7 +448,7 @@ class ServiceServer:
                       and "close" not in {
                           token.strip().lower() for token in
                           headers.get("connection", "").split(",")})
-        return method.upper(), path, query, headers, body, keep_alive
+        return method.upper(), path, query, body, keep_alive
 
     async def _read_body(self, reader: asyncio.StreamReader,
                          headers: dict) -> bytes:
@@ -517,20 +469,17 @@ class ServiceServer:
         return await reader.readexactly(length) if length else b""
 
     async def _route(self, method: str, path: str, body: bytes,
-                     query: dict | None = None,
-                     headers: dict | None = None
-                     ) -> tuple[int, dict | str]:
+                     query: dict | None = None) -> tuple[int, dict | str]:
         query = query or {}
-        headers = headers or {}
         if path == "/v1/jobs":
             self._require_method(method, "POST", path)
-            return await self._post_job(body, headers)
+            return await self._post_job(body)
         if path.startswith("/v1/jobs/"):
             self._require_method(method, "GET", path)
             return self._get_job(path[len("/v1/jobs/"):])
         if path == "/v1/explore":
             self._require_method(method, "POST", path)
-            return await self._post_explore(body, headers)
+            return await self._post_explore(body)
         if path.startswith("/v1/explore/"):
             self._require_method(method, "GET", path)
             return self._get_explore(path[len("/v1/explore/"):])
@@ -540,9 +489,6 @@ class ServiceServer:
         if path == "/v1/work/complete":
             self._require_method(method, "POST", path)
             return self._post_work_complete(body)
-        if path == "/v1/supervisor/report":
-            self._require_method(method, "POST", path)
-            return self._post_supervisor_report(body)
         if path == "/v1/results":
             self._require_method(method, "GET", path)
             return await self._get_results(query)
@@ -578,30 +524,6 @@ class ServiceServer:
                 message=f"request body is not valid JSON: {exc}"
             )) from None
 
-    @staticmethod
-    def _client_identity(headers: dict) -> str | None:
-        """Who is submitting: ``X-Repro-Client``, else bearer token."""
-        client = headers.get("x-repro-client", "").strip()
-        if client:
-            return client
-        auth = headers.get("authorization", "")
-        scheme, _, token = auth.partition(" ")
-        if scheme.lower() == "bearer" and token.strip():
-            return token.strip()
-        return None
-
-    def _admit(self, headers: dict, specs: int) -> None:
-        """Charge admission quotas; 429 + ``Retry-After`` on refusal."""
-        try:
-            self.admission.admit(self._client_identity(headers), specs)
-        except QuotaExceeded as exc:
-            raise _HttpReply(
-                429,
-                ErrorReply(code="quota-exceeded", message=str(exc)),
-                headers={"Retry-After":
-                         str(max(1, math.ceil(exc.retry_after)))},
-            ) from None
-
     def _refuse_when_draining(self) -> None:
         if self.draining:
             raise _HttpReply(
@@ -612,8 +534,7 @@ class ServiceServer:
                 headers={"Retry-After":
                          str(max(1, math.ceil(self.drain_grace)))})
 
-    async def _post_job(self, body: bytes,
-                        headers: dict | None = None) -> tuple[int, dict]:
+    async def _post_job(self, body: bytes) -> tuple[int, dict]:
         self._refuse_when_draining()
         payload = self._parse_json(body)
         try:
@@ -621,7 +542,6 @@ class ServiceServer:
         except SchemaError as exc:
             raise _HttpReply(
                 400, ErrorReply.from_schema_error(exc)) from None
-        self._admit(headers or {}, len(request.specs))
         # check capacity before queueing anything on the scheduler
         try:
             self.jobs.ensure_capacity()
@@ -653,9 +573,7 @@ class ServiceServer:
 
     # -- design-space exploration ------------------------------------------
 
-    async def _post_explore(self, body: bytes,
-                            headers: dict | None = None
-                            ) -> tuple[int, dict]:
+    async def _post_explore(self, body: bytes) -> tuple[int, dict]:
         self._refuse_when_draining()
         payload = self._parse_json(body)
         try:
@@ -663,10 +581,6 @@ class ServiceServer:
         except SchemaError as exc:
             raise _HttpReply(
                 400, ErrorReply.from_schema_error(exc)) from None
-        # charge the request-rate bucket; an exploration's true spec
-        # volume is adaptive (halving rungs), so it is accounted as a
-        # single submission rather than a grid
-        self._admit(headers or {}, 1)
         try:
             self.jobs.ensure_capacity()
         except JobStoreFull as exc:
@@ -775,29 +689,6 @@ class ServiceServer:
         return 200, {"schema_version": SCHEMA_VERSION, "accepted": True,
                      "fresh": fresh, "duplicate": duplicate}
 
-    def _post_supervisor_report(self, body: bytes) -> tuple[int, dict]:
-        """``POST /v1/supervisor/report``: the autoscaler's heartbeat.
-
-        The supervisor pushes its cumulative counters (workers, target,
-        spawned, restarts, retired, sweeps) so fleet dashboards see the
-        control loop through this server's ``repro_supervisor_*``
-        series without scraping a second process.
-        """
-        payload = self._parse_json(body)
-        if not isinstance(payload, dict):
-            raise _HttpReply(400, ErrorReply(
-                code="bad-request",
-                message="supervisor report must be a JSON object"))
-        report = payload.get("report")
-        if not isinstance(report, dict):
-            raise _HttpReply(400, ErrorReply(
-                code="bad-request",
-                message="supervisor report needs a 'report' object"))
-        self._supervisor = report
-        self._supervisor_stamp = time.monotonic()
-        return 200, {"schema_version": SCHEMA_VERSION,
-                     "accepted": True, "draining": self.draining}
-
     async def _get_results(self, query: dict) -> tuple[int, dict]:
         """``GET /v1/results``: bulk-scan the engine's result cache.
 
@@ -876,8 +767,6 @@ class ServiceServer:
             "engine": self.engine.stats.to_dict(),
             "backend": {"name": backend.name, **backend.counters()},
             "scheduler": self.scheduler.stats.to_dict(),
-            "admission": self.admission.stats(),
-            "supervisor": dict(self._supervisor),
             "explore": {
                 **self._explore_totals,
                 "running": sum(1 for job in self._explore_jobs
@@ -897,7 +786,6 @@ class ServiceServer:
 def serve(engine: Engine | None = None, *, host: str = "127.0.0.1",
           port: int = 8737, window: float = 0.02, max_batch: int = 64,
           max_workers: int = 2, max_jobs: int = 256,
-          quota_requests: float = 0, quota_specs: float = 0,
           drain_grace: float = 30.0,
           announce: Callable[[str], None] | None = None) -> None:
     """Blocking entry point (the ``repro serve`` subcommand).
@@ -910,14 +798,10 @@ def serve(engine: Engine | None = None, *, host: str = "127.0.0.1",
     """
 
     async def _main() -> None:
-        admission = AdmissionController(
-            requests_per_minute=quota_requests,
-            specs_per_minute=quota_specs)
         server = ServiceServer(engine, host=host, port=port,
                                window=window, max_batch=max_batch,
                                max_workers=max_workers,
-                               max_jobs=max_jobs, admission=admission,
-                               drain_grace=drain_grace)
+                               max_jobs=max_jobs, drain_grace=drain_grace)
         await server.start()
         if announce is not None:
             announce(server.url)
@@ -954,14 +838,13 @@ def background_server(engine: Engine | None = None, *,
                       window: float = 0.02, max_batch: int = 64,
                       max_workers: int = 2, max_jobs: int = 256,
                       metrics: Metrics | None = None,
-                      admission: AdmissionController | None = None,
                       drain_grace: float = 30.0):
     """Run a server on a daemon thread; yields the started server.
 
     The event loop lives on the thread; the caller gets the bound
     ``server.url`` for a :class:`~repro.service.client.ServiceClient`.
     Every :class:`ServiceServer` knob plumbs through — ``max_jobs``
-    included, so admission-control tests exercise the same 429 path a
+    included, so tests exercise the same ``too-many-jobs`` 429 path a
     foreground ``serve`` enforces.  Used by the tests, the examples
     and the CI smoke job.
     """
@@ -974,7 +857,6 @@ def background_server(engine: Engine | None = None, *,
                                window=window, max_batch=max_batch,
                                max_workers=max_workers,
                                max_jobs=max_jobs, metrics=metrics,
-                               admission=admission,
                                drain_grace=drain_grace)
         try:
             await server.start()

@@ -207,10 +207,10 @@ class ServiceWorker:
 
         ``crash`` raises (exercising the ordinary shard-failure path:
         counted, logged, lease expires into a re-lease); ``sigkill``
-        kills this process outright mid-shard — the supervisor's
-        restart path and the server's TTL re-lease both get exercised
-        for real; ``delay`` stalls past the injected seconds (holding
-        the lease toward expiry).
+        kills this process outright mid-shard, so the server's TTL
+        re-lease hands the shard to another worker for real; ``delay``
+        stalls past the injected seconds (holding the lease toward
+        expiry).
         """
         if not self._plan:
             return

@@ -18,7 +18,7 @@ from repro.timing.stats import RunStats, VecLenStats
 # The pipelines load on first access: they import numpy and the whole
 # decode/schedule stack, which a cache hit never runs.
 __getattr__ = lazy_exports(__name__, {
-    "repro.timing.grid": ("GridPipeline", "simulate_grid"),
+    "repro.timing.grid": ("GridPipeline",),
     "repro.timing.pipeline": ("DEFAULT_TIMING_MODEL", "TIMING_MODELS",
                               "BatchedPipeline", "Pipeline",
                               "ReferencePipeline", "simulate"),
@@ -30,5 +30,5 @@ __all__ = [
     "ProcessorConfig", "ReferencePipeline", "RunStats",
     "TIMING_MODELS", "VecLenStats", "ideal_memsys", "mmx_processor",
     "mom3d_processor", "mom_processor", "multibank_memsys", "simulate",
-    "simulate_grid", "vector_memsys",
+    "vector_memsys",
 ]

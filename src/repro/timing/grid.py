@@ -833,10 +833,3 @@ class GridPipeline:
         return results
 
 
-def simulate_grid(program: Program,
-                  configs: list[tuple[ProcessorConfig, MemSysConfig]],
-                  warm: bool = True) -> list[RunStats]:
-    """Convenience wrapper: one :class:`GridPipeline` run."""
-    return GridPipeline(program, configs).run(warm=warm)
-
-

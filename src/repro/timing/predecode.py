@@ -157,7 +157,6 @@ def prime_hierarchy(program: Program, hierarchy, isa: str) -> None:
     hierarchy.l1.stats = CacheStats()
     hierarchy.l2.stats = CacheStats()
     hierarchy.mainmem.line_fetches = 0
-    hierarchy.mainmem.line_writebacks = 0
 
 
 def primed_layout(program: Program, hierarchy, isa: str) -> tuple:
@@ -275,7 +274,6 @@ def prime_from_layout(hierarchy, layout: tuple) -> None:
     hierarchy.l1.stats = CacheStats()
     hierarchy.l2.stats = CacheStats()
     hierarchy.mainmem.line_fetches = 0
-    hierarchy.mainmem.line_writebacks = 0
 
 
 def touched_lines(ea: int, count: int, stride: int, width: int,

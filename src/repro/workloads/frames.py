@@ -51,23 +51,6 @@ def synthetic_rgb(width: int, height: int,
             synthetic_frame(width, height, seed + 2))
 
 
-def synthetic_coefficients(width: int, height: int, seed: int = 0,
-                           amplitude: int = 255) -> np.ndarray:
-    """Pseudo-DCT coefficient field (int16): big DC, decaying AC."""
-    rng = np.random.default_rng(seed)
-    coeffs = np.zeros((height, width), dtype=np.int16)
-    for by in range(0, height, 8):
-        for bx in range(0, width, 8):
-            block = rng.integers(-amplitude, amplitude + 1,
-                                 size=(8, 8)).astype(np.float64)
-            decay = np.outer(1.0 / (1 + np.arange(8)),
-                             1.0 / (1 + np.arange(8)))
-            block = block * decay * 4
-            block[0, 0] = rng.integers(-amplitude * 4, amplitude * 4)
-            coeffs[by:by + 8, bx:bx + 8] = block.astype(np.int16)
-    return coeffs
-
-
 def synthetic_speech(n_samples: int, seed: int = 0,
                      pitch_lag: int = 57) -> np.ndarray:
     """Pitched int16 "speech" signal for the GSM long-term predictor.

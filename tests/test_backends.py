@@ -37,6 +37,15 @@ SMALL = Sweep(benchmarks=(BENCH, "jpeg_encode"),
               codings=("mom", "mom3d"), memsystems=("ideal",)).specs()
 
 
+def _work_then_close(worker: ServiceWorker) -> None:
+    """Run ``worker`` on this thread, then close the connection its
+    client keeps for this thread."""
+    try:
+        worker.run()
+    finally:
+        worker.client.close()
+
+
 @pytest.fixture()
 def remote_service():
     """A remote-backend service plus two live worker threads."""
@@ -46,7 +55,8 @@ def remote_service():
         workers = [ServiceWorker(server.url, Engine(use_cache=False),
                                  worker_id=f"w{i}", poll_interval=0.02)
                    for i in range(2)]
-        threads = [threading.Thread(target=worker.run, daemon=True)
+        threads = [threading.Thread(target=_work_then_close,
+                                    args=(worker,), daemon=True)
                    for worker in workers]
         for thread in threads:
             thread.start()
@@ -351,7 +361,8 @@ def test_worker_death_releases_shard_without_double_admission(tmp_path):
 
         live = ServiceWorker(server.url, Engine(use_cache=False),
                              worker_id="w-live", poll_interval=0.02)
-        live_thread = threading.Thread(target=live.run, daemon=True)
+        live_thread = threading.Thread(target=_work_then_close,
+                                       args=(live,), daemon=True)
         live_thread.start()
         coordinator.join(timeout=60)
         assert not coordinator.is_alive()
@@ -360,6 +371,7 @@ def test_worker_death_releases_shard_without_double_admission(tmp_path):
         ghost_results = {spec: execute_spec(spec)
                          for spec in grant.specs}
         reply = dead.complete_work("w-dead", grant, ghost_results)
+        dead.close()
         assert reply["accepted"] is True
         assert reply["fresh"] == 0
         assert reply["duplicate"] == len(grant.specs)
@@ -381,3 +393,4 @@ def test_worker_death_releases_shard_without_double_admission(tmp_path):
     assert counters["releases"] >= 1
     assert counters["duplicate_completions"] >= 1
     assert counters["completed_specs"] == len(specs)
+    engine.close()

@@ -327,6 +327,9 @@ def test_closed_engine_reads_back_and_drops_without_warning(tmp_path):
     assert closed == [True]
     assert engine.cache.get(spec).to_dict() == stats.to_dict()
     engine.close()
+    # collect other tests' garbage now, so only this engine is
+    # collected inside the window
+    gc.collect()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         del engine

@@ -180,30 +180,14 @@ def test_l1_port_width_limits_throughput():
     assert starts == [100, 100, 101, 101]
 
 
-# --- batched entry points: requests_for / plans / schedule_batch ------------
-
-
-def test_requests_for_aligns_with_program():
-    from repro.isa import ProgramBuilder, r
-    from repro.memsys.ports import requests_for
-
-    b = ProgramBuilder()
-    b.li(r(0), 1)
-    b.setvl(8)
-    b.vld(v(0), ea=0x1000, stride=720)
-    b.ld(r(1), ea=0x2000)
-    program = b.program
-    requests = requests_for(program)
-    assert len(requests) == len(program)
-    assert requests[0] is None and requests[1] is None
-    assert len(requests[2].refs) == 8
-    assert requests[3].refs == [(0x2000, 8)]
+# --- pre-decode plans ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("port_cls", [VectorCachePort, MultiBankedPort])
 def test_planned_schedule_equals_unplanned(port_cls):
-    """A request with its plan pre-attached schedules identically to
-    the same request decomposed inside the port."""
+    """A request with its pre-decode plan (the static ``plan_for``)
+    attached schedules identically to the same request decomposed
+    inside the port."""
     for inst in (vld(0x1000, 8, 16), vld(0x1003, 720, 7),
                  dvload(0x4000, 720, 8, 2)):
         if inst.op is Opcode.DVLOAD3 and port_cls is MultiBankedPort:
@@ -212,21 +196,17 @@ def test_planned_schedule_equals_unplanned(port_cls):
         planned_port = port_cls(hierarchy())
         plain = plain_port.schedule(request_for(inst), earliest=3)
         request = request_for(inst)
-        request.plan = planned_port.plan_request(request)
+        l2_line = planned_port.hierarchy.config.l2_line
+        if port_cls is MultiBankedPort:
+            request.plan = MultiBankedPort.plan_for(
+                request, planned_port.n_ports, planned_port.n_banks,
+                l2_line)
+        else:
+            request.plan = VectorCachePort.plan_for(
+                request, planned_port.width_words, l2_line)
         planned = planned_port.schedule(request, earliest=3)
         assert planned == plain
         assert vars(planned_port.stats) == vars(plain_port.stats)
-
-
-def test_schedule_batch_matches_sequential_schedules():
-    insts = [vld(0x1000, 8, 8), vld(0x8000, 720, 4), vld(0x1000, 8, 8)]
-    one_by_one = VectorCachePort(hierarchy())
-    batch = VectorCachePort(hierarchy())
-    expected = [one_by_one.schedule(request_for(i), e)
-                for i, e in zip(insts, (0, 2, 4))]
-    got = batch.schedule_batch([request_for(i) for i in insts],
-                               (0, 2, 4))
-    assert got == expected
 
 
 # --- coherence ---------------------------------------------------------------------

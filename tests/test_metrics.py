@@ -25,59 +25,63 @@ SPECS = (RunSpec(BENCH, "mom", "ideal"),
          RunSpec(BENCH, "mom3d", "ideal"))
 
 
+def _series(text: str) -> dict:
+    out = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        name, _, value = line.rpartition(" ")
+        out[name] = float(value)
+    return out
+
+
 # --- registry units -----------------------------------------------------------
 
 
 def test_counter_math_and_render():
+    state = {"n": 3.5}
     metrics = Metrics()
-    counter = metrics.counter("repro_test_total", "Things counted.")
-    counter.inc()
-    counter.inc(2.5)
-    assert counter.value == 3.5
-    with pytest.raises(ValueError, match="cannot decrease"):
-        counter.inc(-1)
+    metrics.counter("repro_test_total", "Things counted.",
+                    fn=lambda: state["n"])
     text = metrics.render()
     assert "# HELP repro_test_total Things counted." in text
     assert "# TYPE repro_test_total counter" in text
     assert "repro_test_total 3.5" in text
     assert text.endswith("\n")
-
-
-def test_gauge_set_inc_dec():
-    gauge = Metrics().gauge("depth")
-    gauge.set(5)
-    gauge.inc(2)
-    gauge.dec()
-    assert gauge.value == 6
+    state["n"] = 7.0  # whole values render without a stray ".0"
+    assert "repro_test_total 7\n" in metrics.render()
 
 
 def test_callback_instruments_read_at_scrape_time():
     state = {"n": 0}
     metrics = Metrics()
-    counter = metrics.counter("live_total", fn=lambda: state["n"])
+    metrics.counter("live_total", fn=lambda: state["n"])
+    metrics.gauge("live_gauge", fn=lambda: -state["n"] / 2)
+    assert "# TYPE live_gauge gauge" in metrics.render()
+    assert _series(metrics.render()) == {"live_total": 0,
+                                         "live_gauge": 0}
     state["n"] = 7
-    assert counter.value == 7
-    with pytest.raises(RuntimeError, match="callback-backed"):
-        counter.inc()
-    with pytest.raises(RuntimeError, match="callback-backed"):
-        metrics.gauge("live_gauge", fn=lambda: 1).set(2)
+    assert _series(metrics.render()) == {"live_total": 7,
+                                         "live_gauge": -3.5}
 
 
 def test_duplicate_name_rejected():
     metrics = Metrics()
-    metrics.counter("twice_total")
+    metrics.counter("twice_total", fn=lambda: 1)
     with pytest.raises(ValueError, match="already registered"):
-        metrics.gauge("twice_total")
+        metrics.gauge("twice_total", fn=lambda: 2)
     assert "twice_total" in metrics
     assert "absent" not in metrics
-    assert metrics.get("twice_total") is not None
+    # the first registration keeps the series
+    assert "# TYPE twice_total counter" in metrics.render()
+    assert _series(metrics.render()) == {"twice_total": 1}
 
 
 def test_invalid_metric_names_rejected():
     metrics = Metrics()
     for bad in ("", "has space", "9starts_with_digit", "dash-ed"):
         with pytest.raises(ValueError):
-            metrics.counter(bad)
+            metrics.counter(bad, fn=lambda: 0)
 
 
 def test_histogram_buckets_cumulative_and_quantile_ready():
@@ -86,12 +90,11 @@ def test_histogram_buckets_cumulative_and_quantile_ready():
                              buckets=(0.1, 1.0, 10.0))
     for value in (0.05, 0.5, 0.5, 5.0, 50.0):
         hist.observe(value)
-    snap = hist.snapshot()
-    assert snap["count"] == 5
-    assert snap["sum"] == pytest.approx(56.05)
-    # cumulative per-bucket counts, the histogram_quantile contract
-    assert snap["buckets"] == {0.1: 1, 1.0: 3, 10.0: 4}
     text = metrics.render()
+    series = _series(text)
+    assert series["lat_seconds_count"] == 5
+    assert series["lat_seconds_sum"] == pytest.approx(56.05)
+    # cumulative per-bucket counts, the histogram_quantile contract
     assert 'lat_seconds_bucket{le="0.1"} 1' in text
     assert 'lat_seconds_bucket{le="1"} 3' in text
     assert 'lat_seconds_bucket{le="10"} 4' in text
@@ -115,24 +118,26 @@ def test_instrument_engine_series_and_hit_ratio(tmp_path):
     metrics = Metrics()
     instrument_engine(metrics, engine)
     instrument_engine(metrics, engine)  # idempotent: no duplicate error
-    hit_ratio = metrics.get("repro_engine_cache_hit_ratio")
-    assert hit_ratio.value == 0.0  # nothing resolved yet
+    # nothing resolved yet
+    assert _series(metrics.render())["repro_engine_cache_hit_ratio"] == 0
     engine.run_many(SPECS)
-    assert metrics.get("repro_engine_simulations_total").value == 2
+    assert _series(metrics.render())["repro_engine_simulations_total"] == 2
     engine.run_many(SPECS)  # all memo hits now
-    assert hit_ratio.value == pytest.approx(0.5)
-    assert metrics.get("repro_cache_enabled").value == 1
-    assert metrics.get("repro_cache_entries").value == 2
+    series = _series(metrics.render())
+    assert series["repro_engine_cache_hit_ratio"] == pytest.approx(0.5)
+    assert series["repro_cache_enabled"] == 1
+    assert series["repro_cache_entries"] == 2
     # segment-store footprint gauges
-    assert metrics.get("repro_cache_store_bytes").value > 0
-    assert metrics.get("repro_cache_segments").value >= 1
+    assert series["repro_cache_store_bytes"] > 0
+    assert series["repro_cache_segments"] >= 1
 
 
 def test_store_gauges_zero_when_cache_disabled():
     metrics = Metrics()
     instrument_engine(metrics, Engine(use_cache=False, backend="inline"))
-    assert metrics.get("repro_cache_store_bytes").value == 0
-    assert metrics.get("repro_cache_segments").value == 0
+    series = _series(metrics.render())
+    assert series["repro_cache_store_bytes"] == 0
+    assert series["repro_cache_segments"] == 0
 
 
 def test_instrument_work_queue_series():
@@ -143,13 +148,14 @@ def test_instrument_work_queue_series():
     instrument_work_queue(metrics, queue)
     instrument_work_queue(metrics, queue)  # idempotent
     queue.enqueue([SPECS])
-    assert metrics.get("repro_queue_pending_shards").value == 1
-    assert metrics.get("repro_queue_enqueued_specs_total").value == 2
+    series = _series(metrics.render())
+    assert series["repro_queue_pending_shards"] == 1
+    assert series["repro_queue_enqueued_specs_total"] == 2
     lease = queue.lease("w1")
     assert lease is not None
-    assert metrics.get("repro_queue_leased_shards").value == 1
-    assert metrics.get("repro_queue_oldest_lease_age_seconds").value \
-        >= 0.0
+    series = _series(metrics.render())
+    assert series["repro_queue_leased_shards"] == 1
+    assert series["repro_queue_oldest_lease_age_seconds"] >= 0.0
 
 
 # --- incremental cache occupancy ----------------------------------------------
@@ -175,16 +181,6 @@ def test_cache_len_is_incremental(tmp_path):
 
 
 # --- the /v1/metrics endpoint -------------------------------------------------
-
-
-def _series(text: str) -> dict:
-    out = {}
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.rpartition(" ")
-        out[name] = float(value)
-    return out
 
 
 CORE_SERIES = (

@@ -1,6 +1,5 @@
-"""Admission control, job deadlines, client retry budget, graceful
-drain, and cache degradation — the service's refusal-and-recovery
-surfaces.
+"""Job deadlines, client retry budget, graceful drain, and cache
+degradation — the service's refusal-and-recovery surfaces.
 
 Unit halves run on injectable clocks (no real sleeping); the HTTP
 halves run over a real socket through :func:`background_server` to pin
@@ -14,16 +13,13 @@ import pytest
 from repro.engine import Engine, ResultCache, RunSpec
 from repro.engine.store import CorruptFrameError, SegmentStore
 from repro.service import (
-    AdmissionController,
     Job,
     JobRequest,
-    QuotaExceeded,
     SchemaError,
     ServiceClient,
     ServiceError,
     background_server,
 )
-from repro.service.admission import TokenBucket
 from repro.service.client import _parse_retry_after
 from repro.service.schema import JOB_STATUSES, spec_to_wire
 from repro.timing.stats import RunStats
@@ -38,84 +34,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-# --- token buckets and the admission controller ------------------------------
-
-
-def test_token_bucket_refills_continuously():
-    clock = FakeClock()
-    bucket = TokenBucket(60, clock=clock)  # 1 token/second
-    assert bucket.take(60) == 0.0  # full burst admitted
-    wait = bucket.take(1)
-    assert wait == pytest.approx(1.0)  # empty: 1s to mint one token
-    clock.now += 1.0
-    assert bucket.take(1) == 0.0
-
-
-def test_token_bucket_caps_impossible_requests():
-    clock = FakeClock()
-    bucket = TokenBucket(10, clock=clock)
-    # 100 tokens can never fit a 10-token bucket: the hint is the
-    # time to refill to *capacity*, not to the impossible amount
-    assert bucket.take(100) == pytest.approx(60.0)
-
-
-def test_admission_controller_rate_limit():
-    clock = FakeClock()
-    controller = AdmissionController(requests_per_minute=2,
-                                     clock=clock)
-    controller.admit("alice")
-    controller.admit("alice")
-    with pytest.raises(QuotaExceeded) as info:
-        controller.admit("alice")
-    assert info.value.what == "request-rate"
-    assert info.value.retry_after > 0
-    assert "alice" in str(info.value)
-    controller.admit("bob")  # other clients have their own bucket
-    clock.now += 60.0
-    controller.admit("alice")  # refilled
-    stats = controller.stats()
-    assert stats["throttled"] == 1
-    assert stats["admitted"] == 4
-    assert stats["clients"] == 2
-
-
-def test_admission_controller_spec_volume_limit():
-    clock = FakeClock()
-    controller = AdmissionController(specs_per_minute=10, clock=clock)
-    controller.admit("alice", specs=10)
-    with pytest.raises(QuotaExceeded) as info:
-        controller.admit("alice", specs=1)
-    assert info.value.what == "spec-volume"
-
-
-def test_disabled_controller_admits_everything_statelessly():
-    controller = AdmissionController()
-    assert not controller.enabled
-    for _ in range(1000):
-        controller.admit("anyone", specs=10_000)
-    assert controller.clients() == 0  # no per-client state allocated
-
-
-def test_quota_429_with_retry_after_over_http():
-    controller = AdmissionController(requests_per_minute=1)
-    engine = Engine(use_cache=False)
-    with background_server(engine, window=0.01,
-                           admission=controller) as server:
-        client = ServiceClient(server.url, client_id="tester")
-        client.submit([SPEC])
-        with pytest.raises(ServiceError) as info:
-            client.submit([SPEC])
-        assert info.value.status == 429
-        assert info.value.reply.code == "quota-exceeded"
-        assert info.value.retry_after is not None
-        assert info.value.retry_after >= 1
-        # a different identity is not throttled by alice's bucket
-        other = ServiceClient(server.url, client_id="other")
-        other.submit([SPEC])
-        stats = client.stats()
-        assert stats["admission"]["throttled"] == 1
 
 
 # --- client retry budget ------------------------------------------------------

@@ -313,7 +313,7 @@ def test_one_shot_predicate():
                  ["--backend", "inline", "sweep", "-b", "gsm_encode"],
                  ["trace", "gsm_encode", "mmx", "-o", "t.bin"]):
         assert is_one_shot(parse_args(argv)), argv
-    for argv in (["serve"], ["worker"], ["autoscale"],
+    for argv in (["serve"], ["worker"],
                  ["--backend", "remote", "tables"],
                  ["tables", "--backend", "remote"],
                  ["serve", "--backend", "remote"]):
