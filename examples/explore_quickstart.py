@@ -6,9 +6,10 @@ what is the *cheapest register file* whose average slowdown stays
 within 5% of the best observed — and how many of the 45 exhaustive
 simulation points did answering it actually require?
 
-The same query runs remotely with
-``ServiceClient(url).run_explore(query)`` against ``repro serve``, or
-from the shell as::
+The same query simulates on a ``repro serve`` instance with
+``explore(ServiceClient(url), query)`` — the search runs here and
+sends each rung to the server as one job — or runs from the shell
+as::
 
     repro explore -c mmx mom mom3d -m multibank vector ideal --within 5
 

@@ -5,14 +5,14 @@ Run against a live ``repro serve`` instance:
     python scripts/explore_smoke.py --url http://127.0.0.1:8737 \
         --phase cold --out cold.json
 
-* submits the acceptance query — cheapest register-file area with
+* runs the acceptance query — cheapest register-file area with
   slowdown within 5% of the best, over codings x {vector, ideal} on
-  two workloads — via ``POST /v1/explore`` and waits for the answer;
+  two workloads — with ``explore(ServiceClient(url), query)``: the
+  search runs here and sends each rung to the server as one
+  ``/v1/jobs`` job;
 * asserts the server-side engine counters match the phase: ``cold``
   simulated exactly the specs the exploration requested, ``warm`` (a
   restart over the same result cache) simulated **zero**;
-* checks the ``/v1/stats`` explore section and the ``repro_explore_*``
-  series on ``/v1/metrics`` recorded the job;
 * writes the frontier, optimum, bound and search counters to ``--out``
   (sorted, canonical JSON) so CI can ``cmp`` the cold and warm phases
   — the answer must be bit-identical across the restart.
@@ -21,11 +21,12 @@ Run against a live ``repro serve`` instance:
 import argparse
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.explore import Constraint, ExploreQuery  # noqa: E402
+from repro.explore import Constraint, ExploreQuery, explore  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 
 BENCHMARKS = ("gsm_encode", "mpeg2_decode")
@@ -45,48 +46,32 @@ def main(argv=None) -> int:
         benchmarks=BENCHMARKS,
         constraint=Constraint("slowdown", within=0.05),
         minimize="area_tracks")
-    client = ServiceClient(args.url)
-
-    result = client.run_explore(query, timeout=600)
-    assert result.status == "done", result
-    assert result.frontier and result.best is not None, result
-    search = result.stats
-    engine_stats = client.stats()["engine"]
-    explore_stats = client.stats()["explore"]
-    print(f"[smoke] {args.phase}: frontier={len(result.frontier)} "
-          f"best={result.best.candidate.label()} "
-          f"specs={search['specs_requested']}/"
-          f"{search['exhaustive_specs']}; "
+    with closing(ServiceClient(args.url)) as client:
+        report = explore(client, query)
+        engine_stats = client.stats()["engine"]
+    assert report.frontier and report.best is not None, report
+    search = report.stats
+    print(f"[smoke] {args.phase}: frontier={len(report.frontier)} "
+          f"best={report.best.candidate.label()} "
+          f"specs={search.specs_requested}/{search.exhaustive_specs}; "
           f"server engine counters: {engine_stats}")
 
     if args.phase == "cold":
-        assert engine_stats["simulations"] == \
-            search["specs_requested"], (
-                f"cold explore requested {search['specs_requested']} "
-                f"specs but the engine simulated "
-                f"{engine_stats['simulations']}")
+        assert engine_stats["simulations"] == search.specs_requested, (
+            f"cold explore requested {search.specs_requested} specs but "
+            f"the engine simulated {engine_stats['simulations']}")
     else:
         assert engine_stats["simulations"] == 0, (
             f"warm explore re-query must report simulations=0, got "
             f"{engine_stats['simulations']}")
 
-    assert explore_stats["jobs"] >= 1, explore_stats
-    assert explore_stats["failed"] == 0, explore_stats
-    metrics = client.metrics()
-    for series in ("repro_explore_jobs_total",
-                   "repro_explore_specs_requested_total",
-                   "repro_explore_last_frontier_size"):
-        assert series in metrics, f"missing {series} on /v1/metrics"
-    print(f"[smoke] {args.phase}: explore stats + metrics series "
-          f"present: {explore_stats}")
-
     payload = {
-        "frontier": [record.to_dict() for record in result.frontier],
-        "best": result.best.to_dict(),
-        "bound": result.bound,
-        "specs_requested": search["specs_requested"],
-        "exhaustive_specs": search["exhaustive_specs"],
-        "candidates_pruned": search["candidates_pruned"],
+        "frontier": [record.to_dict() for record in report.frontier],
+        "best": report.best.to_dict(),
+        "bound": report.bound,
+        "specs_requested": search.specs_requested,
+        "exhaustive_specs": search.exhaustive_specs,
+        "candidates_pruned": search.candidates_pruned,
     }
     Path(args.out).write_text(
         json.dumps(payload, sort_keys=True, indent=1) + "\n")

@@ -20,9 +20,10 @@ Subcommands:
   x L2 power x register-file area, or an epsilon-constraint query such
   as ``--within 5`` ("cheapest area within 5% of the best slowdown").
   Successive-halving pruning and ``--budget`` proposals decide which
-  grid points are actually simulated.  Runs on the local engine, or
-  against a ``repro serve`` instance via ``--url``
-  (``POST /v1/explore``).  See ``docs/explore.md``.
+  grid points are actually simulated.  The search runs here; with
+  ``--url`` each of its rungs is one ``/v1/jobs`` job on a ``repro
+  serve`` instance instead of a local engine call.  See
+  ``docs/explore.md``.
 * ``report -o results.md`` — regenerate the full measured-results
   document.
 * ``trace <name> <coding> -o trace.bin`` / ``replay trace.bin`` — save
@@ -36,7 +37,7 @@ Subcommands:
   exposition on ``GET /v1/metrics`` (latency histograms, queue depth,
   lease ages, fleet health).  With ``--backend remote`` it also
   serves the ``/v1/work/*`` pull endpoints for ``repro worker``
-  processes.
+  processes; no other command runs that backend.
 * ``submit`` — run a declarative grid on a ``repro serve`` instance
   through the client SDK (same axes flags as ``sweep``).
 * ``worker`` — attach to a remote-backend service and execute leased
@@ -51,9 +52,8 @@ Engine flags (accepted before or after the subcommand):
 * ``--jobs N`` — shard uncached simulations across N worker processes.
 * ``--backend {inline,process,remote}`` — how uncached simulations
   execute: serially, across a local process pool (the default), or
-  dispatched to pull-based ``repro worker`` processes.  A non-serve
-  command running the remote backend hosts its work queue on
-  ``--work-port`` so workers can attach.
+  dispatched to pull-based ``repro worker`` processes (``serve``
+  only).
 * ``--grid-mode {auto,on,off}`` — whether specs sharing one trace are
   simulated as a single grid-axis pass (shared decode, one traffic
   replay per cache geometry, one lean walk per distinct schedule; see
@@ -92,36 +92,9 @@ def _make_backend(args):
 
 
 def _make_runner(args) -> Runner:
-    runner = Runner(seed=args.seed, jobs=args.jobs,
-                    cache_dir=args.cache_dir,
-                    use_cache=not args.no_cache,
-                    backend=_make_backend(args),
-                    grid_mode=args.grid_mode)
-    if args.backend == "remote" and args.command != "serve":
-        _host_work_queue(args, runner)
-    return runner
-
-
-def _host_work_queue(args, runner: Runner) -> None:
-    """Expose a non-serve command's remote work queue over HTTP.
-
-    ``repro serve`` publishes its queue on its own listener; any other
-    command running the remote backend would otherwise block forever
-    with no way for a worker to reach it, so a background service is
-    hosted for the life of the process (closed at exit).
-    """
-    import atexit
-    import contextlib
-
-    from repro.service import background_server
-
-    stack = contextlib.ExitStack()
-    server = stack.enter_context(
-        background_server(runner.engine, port=args.work_port))
-    atexit.register(stack.close)
-    print(f"[backend] remote work queue at {server.url} — attach "
-          f"workers with: repro worker --url {server.url}",
-          file=sys.stderr)
+    return Runner(seed=args.seed, jobs=args.jobs,
+                  cache_dir=args.cache_dir, use_cache=not args.no_cache,
+                  backend=_make_backend(args), grid_mode=args.grid_mode)
 
 
 def _print_engine_summary(runner: Runner) -> None:
@@ -382,38 +355,39 @@ def _cmd_explore(args) -> int:
     query = _explore_query_from_args(args)
     runner = None
     if args.url is not None:
+        import time
         from contextlib import closing
 
+        from repro.explore import Exploration
         from repro.service import ServiceClient, ServiceError
 
+        # the search runs here, each rung one job on the service;
+        # --timeout bounds the whole query, not each job
+        deadline = time.monotonic() + args.timeout
         try:
             with closing(ServiceClient(args.url)) as client:
-                result = client.run_explore(query, timeout=args.timeout)
+                report = Exploration(query).run(
+                    lambda specs: client.run_many(specs, timeout=max(
+                        0.0, deadline - time.monotonic())))
         except (ServiceError, TimeoutError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        frontier, best, bound = (result.frontier or (), result.best,
-                                 result.bound)
-        stats_line = " ".join(f"{k}={v}" for k, v in
-                              (result.stats or {}).items())
     else:
         from repro.explore import explore
 
         runner = _make_runner(args)
         report = explore(runner.engine, query)
-        frontier, best, bound = (report.frontier, report.best,
-                                 report.bound)
-        stats_line = report.stats.summary()
-    print(_explore_table(frontier, best, query.minimize).render())
+    best = report.best
+    print(_explore_table(report.frontier, best, query.minimize).render())
     if query.constraint is not None:
         if best is None:
             print(f"no candidate satisfies "
                   f"{query.constraint.objective} <= bound")
         else:
             print(f"best {query.minimize} with "
-                  f"{query.constraint.objective} <= {bound:.4f}: "
+                  f"{query.constraint.objective} <= {report.bound:.4f}: "
                   f"{best.candidate.label()}")
-    print(f"[explore] {stats_line}", file=sys.stderr)
+    print(f"[explore] {report.stats.summary()}", file=sys.stderr)
     if runner is not None:
         _print_engine_summary(runner)
     return 0
@@ -511,10 +485,6 @@ def _cmd_submit(args) -> int:
 def _cmd_worker(args) -> int:
     from repro.service import ServiceError, work
 
-    if args.backend == "remote":
-        print("error: a worker executes its shards locally; run it "
-              "with --backend inline or process", file=sys.stderr)
-        return 2
     runner = _make_runner(args)
     try:
         stats = work(
@@ -656,18 +626,6 @@ def _positive_float(value: str) -> float:
     return number
 
 
-def _port(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {value!r}") from None
-    if not 0 <= number <= 65535:
-        raise argparse.ArgumentTypeError(
-            f"expected a port between 0 and 65535, got {value}")
-    return number
-
-
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse a ``repro`` command line (``sys.argv[1:]`` by default)."""
     from repro.engine import BACKEND_NAMES, GRID_MODES
@@ -688,7 +646,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     group.add_argument("--backend", choices=BACKEND_NAMES,
                        default=argparse.SUPPRESS,
                        help="execution backend for uncached "
-                            "simulations (default: process)")
+                            "simulations (default: process; remote "
+                            "only under serve)")
     group.add_argument("--grid-mode", choices=GRID_MODES,
                        default=argparse.SUPPRESS,
                        help="grid-axis execution of trace groups: "
@@ -701,11 +660,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                        help="remote backend: seconds a worker may hold "
                             "a shard before it is re-leased "
                             "(default 30)")
-    group.add_argument("--work-port", type=_port,
-                       default=argparse.SUPPRESS, metavar="PORT",
-                       help="remote backend on a non-serve command: "
-                            "port to host the work queue on "
-                            "(default 8737, 0 picks a free one)")
     group.add_argument("--cache-dir", default=argparse.SUPPRESS,
                        metavar="DIR",
                        help="persistent result-cache directory (default "
@@ -726,7 +680,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                         default="auto")
     parser.add_argument("--lease-ttl", type=_positive_float,
                         default=30.0)
-    parser.add_argument("--work-port", type=_port, default=8737)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true", default=False)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -826,11 +779,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                            metavar="SEED",
                            help="seed for the budgeted proposal order")
     p_explore.add_argument("--url", default=None,
-                           help="run on a 'repro serve' instance "
-                                "(POST /v1/explore) instead of locally")
+                           help="simulate on a 'repro serve' instance: "
+                                "each search rung is one job there")
     p_explore.add_argument("--timeout", type=float, default=300.0,
                            metavar="SECONDS",
-                           help="--url only: give up after this long")
+                           help="--url only: give up on the query "
+                                "after this long")
 
     p_report = sub.add_parser("report", parents=[common],
                               help="write the measured-results markdown")
@@ -949,6 +903,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def run(args: argparse.Namespace) -> int:
     """Run a parsed command; returns its exit status."""
+    if args.backend == "remote" and args.command != "serve":
+        # only serve's listener lets workers reach the work queue
+        print("error: --backend remote runs only under 'repro serve'; "
+              "run this command locally with --backend inline or "
+              "process", file=sys.stderr)
+        return 2
     handlers = {"list": _cmd_list, "run": _cmd_run, "all": _cmd_all,
                 "tables": _cmd_all, "bench": _cmd_bench,
                 "sweep": _cmd_sweep, "explore": _cmd_explore,
@@ -972,13 +932,10 @@ def is_one_shot(args: argparse.Namespace) -> bool:
 
     ``python -m repro`` runs such a command with the cyclic GC off and
     ends it without interpreter teardown.  ``serve`` and ``worker``
-    run until stopped and own threads and sockets, and any command on
-    the remote backend closes its hosted work queue from an ``atexit``
-    hook (:func:`_host_work_queue`), so those keep the GC and the
-    normal exit.
+    run until stopped and own threads and sockets, so they keep the GC
+    and the normal exit.
     """
-    return (args.command not in ("serve", "worker")
-            and args.backend != "remote")
+    return args.command not in ("serve", "worker")
 
 
 def is_traced() -> bool:

@@ -15,12 +15,14 @@ and let the driver decide which simulations are actually needed.
   margin-guarded pruning and epsilon-constraint filtering as pure,
   property-tested functions;
 * :mod:`repro.explore.search` — the :class:`Exploration` driver over
-  ``Engine.run_many``: grid-group-shaped batches, successive-halving
+  any ``run_many``: grid-group-shaped batches, successive-halving
   early pruning, budgeted random/neighborhood proposals, and a
   seeded, clock-free determinism contract.
 
-Served as ``POST /v1/explore`` by the job service and as the ``repro
-explore`` CLI subcommand; see ``docs/explore.md``.
+Run as the ``repro explore`` CLI subcommand, on a local engine or,
+with ``--url``, against a ``repro serve`` instance whose
+``ServiceClient.run_many`` takes each rung as one ordinary job; see
+``docs/explore.md``.
 """
 
 from repro.lazy import lazy_exports

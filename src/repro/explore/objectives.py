@@ -15,10 +15,10 @@ paper's own models:
 
 Extraction is *total* and round-trippable: :class:`Candidate`,
 :class:`Objectives` and :class:`ExploreRecord` all carry lossless
-``to_dict``/``from_dict`` pairs (the wire schema and the regression
-tests lean on this), and every constructor validates up front so a bad
-coding or memory system is a :class:`~repro.errors.ConfigError` at
-build time, never a mid-search ``KeyError``.
+``to_dict``/``from_dict`` pairs (the regression tests lean on this),
+and every constructor validates up front so a bad coding or memory
+system is a :class:`~repro.errors.ConfigError` at build time, never a
+mid-search ``KeyError``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ question — the Pareto frontier over the chosen objectives, optionally
 narrowed by an epsilon constraint ("cheapest area within 5% of the
 best slowdown").  :class:`Exploration` answers it against any
 ``evaluate(specs) -> {RunSpec: RunStats}`` callable — the in-process
-``Engine.run_many``, or the service scheduler's coalescing bridge —
+``Engine.run_many``, or a service's ``ServiceClient.run_many`` —
 issuing as few simulations as it can get away with:
 
 * **Batch shaping** — each rung is fetched as ONE evaluate call over

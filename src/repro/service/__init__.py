@@ -9,9 +9,9 @@ The execution API, redesigned around *jobs* instead of direct calls:
   shared, lock-protected :class:`~repro.engine.Engine` (in-flight
   dedup, windowed ``run_many`` coalescing, executor offload);
 * :mod:`repro.service.server` — stdlib-asyncio HTTP server
-  (``POST /v1/jobs``, ``GET /v1/jobs/<id>``, ``POST /v1/explore``,
-  ``GET /v1/explore/<id>``, ``/v1/health``, ``/v1/stats``,
-  ``/v1/metrics``);
+  (``POST /v1/jobs``, ``GET /v1/jobs/<id>``, ``/v1/results``,
+  ``/v1/health``, ``/v1/stats``, ``/v1/metrics`` and the worker
+  ``/v1/work/*`` endpoints);
 * :mod:`repro.service.metrics` — dependency-free metric registry
   (counters / gauges / fixed-bucket histograms) rendered as a
   Prometheus text exposition on ``GET /v1/metrics``;
@@ -41,20 +41,18 @@ from repro.service.faults import (
 
 # Only the fault harness loads with the package: the engine's segment
 # store reads its fault plan whenever it opens.  The rest (asyncio,
-# HTTP, the explorer) loads on first access, when a command serves,
-# submits or works.
+# HTTP) loads on first access, when a command serves, submits or
+# works.
 __getattr__ = lazy_exports(__name__, {
     "repro.service.client": ("ServiceClient", "ServiceError"),
     "repro.service.metrics": ("Counter", "Gauge", "Histogram", "Metrics",
                               "instrument_engine",
                               "instrument_work_queue"),
-    "repro.service.scheduler": ("BatchScheduler", "ExploreJob", "Job",
-                                "JobStore", "SchedulerStats"),
-    "repro.service.schema": ("SCHEMA_VERSION", "ErrorReply",
-                             "ExploreResult", "JobRequest", "JobResult",
-                             "SchemaError", "WorkCompletion",
-                             "WorkLeaseGrant", "explore_query_from_wire",
-                             "explore_query_to_wire"),
+    "repro.service.scheduler": ("BatchScheduler", "Job", "JobStore",
+                                "SchedulerStats"),
+    "repro.service.schema": ("SCHEMA_VERSION", "ErrorReply", "JobRequest",
+                             "JobResult", "SchemaError", "WorkCompletion",
+                             "WorkLeaseGrant"),
     "repro.service.server": ("ServiceServer", "background_server",
                              "serve"),
     "repro.service.worker": ("ServiceWorker", "WorkerStats", "work"),
@@ -62,12 +60,10 @@ __getattr__ = lazy_exports(__name__, {
 
 __all__ = [
     "NO_FAULTS", "SCHEMA_VERSION", "BatchScheduler", "Counter",
-    "ErrorReply", "ExploreJob", "ExploreResult", "FaultPlan",
-    "FaultSpecError", "Gauge", "Histogram", "InjectedFault", "Job",
-    "JobRequest", "JobResult", "JobStore", "Metrics",
-    "SchedulerStats", "SchemaError", "ServiceClient", "ServiceError",
-    "ServiceServer", "ServiceWorker", "WorkCompletion",
+    "ErrorReply", "FaultPlan", "FaultSpecError", "Gauge", "Histogram",
+    "InjectedFault", "Job", "JobRequest", "JobResult", "JobStore",
+    "Metrics", "SchedulerStats", "SchemaError", "ServiceClient",
+    "ServiceError", "ServiceServer", "ServiceWorker", "WorkCompletion",
     "WorkLeaseGrant", "WorkerStats", "background_server",
-    "explore_query_from_wire", "explore_query_to_wire",
     "instrument_engine", "instrument_work_queue", "serve", "work",
 ]

@@ -24,18 +24,15 @@ from typing import Iterable, Mapping, Sequence
 from repro.engine.keys import RunSpec
 from repro.engine.sweep import Sweep
 from repro.errors import ReproError
-from repro.explore import ExploreQuery
 from repro.service.schema import (
     SCHEMA_VERSION,
     CacheQueryReply,
     ErrorReply,
-    ExploreResult,
     JobRequest,
     JobResult,
     SchemaError,
     WorkCompletion,
     WorkLeaseGrant,
-    explore_query_to_wire,
 )
 from repro.timing.stats import RunStats
 
@@ -339,44 +336,6 @@ class ServiceClient:
                 raise TimeoutError(
                     f"job {job_id} still running after {timeout:.0f}s")
             self._sleep(self.poll_interval)
-
-    # -- design-space exploration ------------------------------------------
-
-    def explore(self, query: ExploreQuery) -> ExploreResult:
-        """POST an exploration query; returns the initial snapshot."""
-        return ExploreResult.from_wire(
-            self._request("POST", "/v1/explore",
-                          explore_query_to_wire(query)))
-
-    def poll_explore(self, job_id: str) -> ExploreResult:
-        return ExploreResult.from_wire(
-            self._request("GET", f"/v1/explore/{job_id}"))
-
-    def wait_explore(self, job_id: str,
-                     timeout: float = 300.0) -> ExploreResult:
-        """Poll an exploration until it leaves ``running``."""
-        deadline = self._clock() + timeout
-        while True:
-            result = self.poll_explore(job_id)
-            if result.status != "running":
-                if result.status == "failed":
-                    raise ServiceError(200, ErrorReply(
-                        code="explore-failed",
-                        message=result.error or "exploration failed"))
-                return result
-            if self._clock() >= deadline:
-                raise TimeoutError(
-                    f"exploration {job_id} still running after "
-                    f"{timeout:.0f}s")
-            self._sleep(self.poll_interval)
-
-    def run_explore(self, query: ExploreQuery,
-                    timeout: float = 300.0) -> ExploreResult:
-        """Submit an exploration and wait for its terminal snapshot."""
-        job = self.explore(query)
-        if job.status != "running":
-            return job
-        return self.wait_explore(job.job_id, timeout=timeout)
 
     # -- worker pull protocol (remote execution backend) -------------------
 

@@ -34,8 +34,7 @@ from typing import Iterable, Sequence
 
 from repro.engine import Engine, validate_spec
 from repro.engine.keys import RunSpec
-from repro.service.schema import ExploreResult, JobResult
-from repro.timing.stats import RunStats
+from repro.service.schema import JobResult
 
 
 @dataclass
@@ -201,11 +200,6 @@ class BatchScheduler:
             self._kick.set()
         return futures
 
-    async def run_specs(self, specs: Sequence[RunSpec]
-                        ) -> list[RunStats]:
-        """Submit and await a grid (convenience for in-process use)."""
-        return list(await asyncio.gather(*self.submit(specs)))
-
     # -- dispatch ----------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
@@ -350,56 +344,6 @@ class Job:
                        "unresolved; the simulations continue and "
                        "will be cached for a resubmission"))
         return JobResult(job_id=self.job_id, status=status)
-
-
-class ExploreJob:
-    """One exploration under a stable, pollable id.
-
-    Shares the :class:`JobStore` with ordinary jobs (same capacity
-    bound, same eviction policy) via the same duck-typed surface —
-    ``job_id`` / ``done`` / ``served`` / ``snapshot()`` — but its
-    snapshot is an :class:`~repro.service.schema.ExploreResult`: live
-    driver counters while running, the frontier and constraint answer
-    once done.  The driver itself runs on the server's dedicated
-    explore executor; ``future`` resolves to its
-    :class:`~repro.explore.ExploreReport`.
-    """
-
-    def __init__(self, exploration, future: asyncio.Future):
-        self.job_id = uuid.uuid4().hex[:12]
-        self.exploration = exploration
-        self.future = future
-        self.served = False
-
-    @property
-    def done(self) -> bool:
-        return self.future.done()
-
-    def status(self) -> str:
-        if not self.done:
-            return "running"
-        if self.future.cancelled() \
-                or self.future.exception() is not None:
-            return "failed"
-        return "done"
-
-    def snapshot(self) -> ExploreResult:
-        """The job's current state as a wire-ready snapshot."""
-        status = self.status()
-        stats = self.exploration.stats.to_dict()
-        if status == "done":
-            report = self.future.result()
-            return ExploreResult(job_id=self.job_id, status=status,
-                                 frontier=report.frontier,
-                                 best=report.best, bound=report.bound,
-                                 stats=report.stats.to_dict())
-        if status == "failed":
-            error = ("cancelled" if self.future.cancelled()
-                     else str(self.future.exception()))
-            return ExploreResult(job_id=self.job_id, status=status,
-                                 stats=stats, error=error)
-        return ExploreResult(job_id=self.job_id, status=status,
-                             stats=stats)
 
 
 class JobStore:

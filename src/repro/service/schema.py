@@ -9,10 +9,6 @@ JSON-serializable dicts:
 * :class:`JobResult` — a job snapshot: id, status, and — once done —
   one ``{spec, stats}`` entry per unique submitted spec, in submission
   order;
-* :func:`explore_query_to_wire` / :func:`explore_query_from_wire` and
-  :class:`ExploreResult` — the design-space exploration protocol
-  behind ``POST /v1/explore`` and ``GET /v1/explore/<id>`` (frontier
-  queries over performance x power x area; see ``docs/explore.md``);
 * :class:`WorkLeaseGrant` / :class:`WorkCompletion` — the pull-based
   worker protocol behind ``POST /v1/work/lease`` and
   ``POST /v1/work/complete`` (remote execution backend; see
@@ -44,7 +40,6 @@ from dataclasses import dataclass, field
 from repro.engine.keys import GRID_MODES, RunSpec
 from repro.engine.sweep import Sweep
 from repro.errors import ConfigError, ReproError
-from repro.explore import Constraint, ExploreQuery, ExploreRecord
 from repro.timing.stats import RunStats
 from repro.workloads import benchmark_names
 
@@ -472,238 +467,6 @@ class JobResult:
             results = tuple(results)
         return cls(job_id=job_id, status=status, results=results,
                    error=error)
-
-
-# -- explore ---------------------------------------------------------------
-
-
-def explore_query_to_wire(query: ExploreQuery) -> dict:
-    """Encode one exploration query as a ``POST /v1/explore`` body."""
-    explore: dict = {
-        "codings": list(query.codings),
-        "memsystems": list(query.memsystems),
-        "l2_latencies": list(query.l2_latencies),
-        "overrides": [dict(over) for over in query.overrides],
-        "warm": query.warm,
-        "seed": query.seed,
-        "objectives": list(query.objectives),
-        "minimize": query.minimize,
-        "prune": query.prune,
-        "rung_fraction": query.rung_fraction,
-        "margin": query.margin,
-        "proposal_seed": query.proposal_seed,
-    }
-    if query.benchmarks is not None:
-        explore["benchmarks"] = list(query.benchmarks)
-    if query.constraint is not None:
-        explore["constraint"] = query.constraint.to_dict()
-    if query.budget is not None:
-        explore["budget"] = query.budget
-    return {"schema_version": SCHEMA_VERSION, "explore": explore}
-
-
-_EXPLORE_FIELDS = {
-    "codings", "memsystems", "l2_latencies", "overrides", "benchmarks",
-    "warm", "seed", "objectives", "constraint", "minimize", "budget",
-    "prune", "rung_fraction", "margin", "proposal_seed",
-}
-
-
-def _str_list(data: Mapping, name: str, path: str, default):
-    values = _get_typed(data, name, Sequence, path, default)
-    if values is _OMITTED:
-        return values
-    if isinstance(values, str) or not all(
-            isinstance(v, str) for v in values):
-        raise _fail(f"{path}.{name}", "expected a list of strings")
-    return tuple(values)
-
-
-def _constraint_from_wire(data, path: str) -> Constraint:
-    data = _require_mapping(data, path)
-    unknown = sorted(set(data) - {"objective", "within", "limit"})
-    if unknown:
-        raise _fail(f"{path}.{unknown[0]}", "unknown constraint field")
-    objective = _get_typed(data, "objective", str, path, _REQUIRED)
-    within = _get_typed(data, "within", (int, float), path, None)
-    limit = _get_typed(data, "limit", (int, float), path, None)
-    try:
-        return Constraint(objective=objective,
-                          within=float(within)
-                          if within is not None else None,
-                          limit=float(limit)
-                          if limit is not None else None)
-    except ConfigError as exc:
-        raise _fail(path, str(exc)) from None
-
-
-def explore_query_from_wire(payload) -> ExploreQuery:
-    """Decode and validate a ``POST /v1/explore`` submission.
-
-    Structural problems (types, unknown fields/benchmarks) and
-    semantic ones (bad objectives, empty axes, a space whose
-    exhaustive sweep would exceed :data:`MAX_GRID`) all surface as
-    :class:`SchemaError` with a JSON path — never a traceback.
-    """
-    payload = _require_mapping(payload, "$")
-    check_schema_version(payload)
-    if "explore" not in payload:
-        raise _fail("$.explore", "required field is missing")
-    data = _require_mapping(payload["explore"], "$.explore")
-    path = "$.explore"
-    unknown = sorted(set(data) - _EXPLORE_FIELDS)
-    if unknown:
-        raise _fail(f"{path}.{unknown[0]}", "unknown explore field")
-
-    kwargs: dict = {}
-    kwargs["codings"] = _str_list(data, "codings", path, _REQUIRED)
-    for axis in ("memsystems", "objectives"):
-        values = _str_list(data, axis, path, _OMITTED)
-        if values is not _OMITTED:
-            kwargs[axis] = values
-    benchmarks = _str_list(data, "benchmarks", path, _OMITTED)
-    if benchmarks is not _OMITTED:
-        unknown_benchmarks = [b for b in benchmarks
-                              if b not in benchmark_names()]
-        if unknown_benchmarks:
-            raise _fail(f"{path}.benchmarks",
-                        f"unknown benchmark {unknown_benchmarks[0]!r}; "
-                        f"known: {benchmark_names()}")
-        kwargs["benchmarks"] = benchmarks
-    latencies = _get_typed(data, "l2_latencies", Sequence, path,
-                           _OMITTED)
-    if latencies is not _OMITTED:
-        if isinstance(latencies, str) or not all(
-                isinstance(v, int) and not isinstance(v, bool)
-                for v in latencies):
-            raise _fail(f"{path}.l2_latencies",
-                        "expected a list of integers")
-        kwargs["l2_latencies"] = tuple(latencies)
-    raw_overrides = _get_typed(data, "overrides", Sequence, path,
-                               _OMITTED)
-    if raw_overrides is not _OMITTED:
-        overrides = []
-        for i, over in enumerate(raw_overrides):
-            opath = f"{path}.overrides[{i}]"
-            over = _require_mapping(over, opath)
-            for name, value in over.items():
-                if not isinstance(name, str) \
-                        or not isinstance(value, _SCALAR):
-                    raise _fail(opath,
-                                "override mappings take string fields "
-                                "and JSON scalar values")
-            overrides.append(dict(over))
-        kwargs["overrides"] = tuple(overrides)
-    for name, kind in (("warm", bool), ("seed", int),
-                       ("minimize", str), ("budget", int),
-                       ("prune", bool), ("proposal_seed", int)):
-        value = _get_typed(data, name, kind, path, _OMITTED)
-        if value is not _OMITTED:
-            kwargs[name] = value
-    for name in ("rung_fraction", "margin"):
-        value = _get_typed(data, name, (int, float), path, _OMITTED)
-        if value is not _OMITTED:
-            kwargs[name] = float(value)
-    if "constraint" in data and data["constraint"] is not None:
-        kwargs["constraint"] = _constraint_from_wire(
-            data["constraint"], f"{path}.constraint")
-    try:
-        query = ExploreQuery(**kwargs)
-        # building the candidate space validates codings/memsystems
-        exhaustive = query.exhaustive_specs()
-    except ConfigError as exc:
-        raise _fail(path, str(exc)) from None
-    if exhaustive > MAX_GRID:
-        raise _fail(path,
-                    f"the declared space needs {exhaustive} specs "
-                    f"exhaustively; the limit is {MAX_GRID}")
-    return query
-
-
-def record_to_wire(record: ExploreRecord) -> dict:
-    """Encode one frontier record (candidate + objectives)."""
-    return record.to_dict()
-
-
-def record_from_wire(data, path: str = "record") -> ExploreRecord:
-    """Decode one frontier record; total inverse of ``record_to_wire``."""
-    data = _require_mapping(data, path)
-    try:
-        return ExploreRecord.from_dict(data)
-    except (ConfigError, KeyError, ValueError, TypeError) as exc:
-        raise _fail(path,
-                    f"malformed explore record: {exc!r}") from None
-
-
-@dataclass(frozen=True)
-class ExploreResult:
-    """One exploration job's externally visible snapshot.
-
-    While ``status == "running"`` only ``stats`` is populated (live
-    counters); a ``done`` snapshot carries the frontier, the
-    epsilon-constraint winner (if the query had a constraint and any
-    candidate satisfied it) and the resolved bound.
-    """
-
-    job_id: str
-    status: str
-    frontier: tuple[ExploreRecord, ...] | None = None
-    best: ExploreRecord | None = None
-    bound: float | None = None
-    stats: Mapping | None = None
-    error: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.status not in JOB_STATUSES:
-            raise _fail("$.status",
-                        f"unknown job status {self.status!r}; "
-                        f"expected one of {JOB_STATUSES}")
-
-    def to_wire(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "job_id": self.job_id,
-            "status": self.status,
-            "frontier": ([record_to_wire(r) for r in self.frontier]
-                         if self.frontier is not None else None),
-            "best": (record_to_wire(self.best)
-                     if self.best is not None else None),
-            "bound": self.bound,
-            "stats": dict(self.stats) if self.stats is not None
-            else None,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "ExploreResult":
-        payload = _require_mapping(payload, "$")
-        check_schema_version(payload)
-        job_id = _get_typed(payload, "job_id", str, "$", _REQUIRED)
-        status = _get_typed(payload, "status", str, "$", _REQUIRED)
-        error = payload.get("error")
-        if error is not None and not isinstance(error, str):
-            raise _fail("$.error", "expected a string or null")
-        raw = payload.get("frontier")
-        frontier = None
-        if raw is not None:
-            if isinstance(raw, str) or not isinstance(raw, Sequence):
-                raise _fail("$.frontier", "expected a list or null")
-            frontier = tuple(record_from_wire(item, f"$.frontier[{i}]")
-                             for i, item in enumerate(raw))
-        best = payload.get("best")
-        if best is not None:
-            best = record_from_wire(best, "$.best")
-        bound = payload.get("bound")
-        if bound is not None:
-            if isinstance(bound, bool) \
-                    or not isinstance(bound, (int, float)):
-                raise _fail("$.bound", "expected a number or null")
-            bound = float(bound)
-        stats = payload.get("stats")
-        if stats is not None:
-            stats = dict(_require_mapping(stats, "$.stats"))
-        return cls(job_id=job_id, status=status, frontier=frontier,
-                   best=best, bound=bound, stats=stats, error=error)
 
 
 # -- worker protocol -------------------------------------------------------

@@ -12,11 +12,6 @@ see :mod:`repro.service.schema` and ``docs/service.md``):
   the engine's memo is already ``done``, with its results).
 * ``GET /v1/jobs/<id>`` — job status; includes per-spec results once
   ``status == "done"``.
-* ``POST /v1/explore`` / ``GET /v1/explore/<id>`` — design-space
-  exploration jobs: Pareto-frontier / epsilon-constraint queries over
-  performance x power x area, driven through the same batching
-  scheduler so candidate batches coalesce with ordinary jobs (see
-  ``docs/explore.md``).
 * ``GET /v1/results`` — bulk-query the engine's result cache by spec
   fields (``?benchmark=...&memsys=...&limit=...``); analytics over
   accumulated runs without resimulating anything.
@@ -52,24 +47,15 @@ import time
 import urllib.parse
 from typing import Awaitable, Callable
 
-from concurrent.futures import ThreadPoolExecutor
-
 from repro.engine import Engine
 from repro.engine.backends.workqueue import WorkQueue, WorkQueueError
-from repro.explore import Exploration
 from repro.service.metrics import (
     LATENCY_BUCKETS,
     Metrics,
     instrument_engine,
     instrument_work_queue,
 )
-from repro.service.scheduler import (
-    BatchScheduler,
-    ExploreJob,
-    Job,
-    JobStore,
-    JobStoreFull,
-)
+from repro.service.scheduler import BatchScheduler, Job, JobStore, JobStoreFull
 from repro.service.schema import (
     MAX_GRID,
     SCHEMA_VERSION,
@@ -79,7 +65,6 @@ from repro.service.schema import (
     SchemaError,
     WorkCompletion,
     WorkLeaseGrant,
-    explore_query_from_wire,
     work_lease_request_from_wire,
 )
 
@@ -161,21 +146,6 @@ class ServiceServer:
         # wire field, absent from older workers)
         self._fleet: dict[str, dict] = {}
         self._bind_fleet_metrics()
-        # exploration drivers block on scheduler futures while the
-        # scheduler's own executor resolves their batches, so they
-        # need their own threads (sharing the batch executor would
-        # deadlock once max_workers explorations are in flight)
-        self._explore_executor = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="repro-explore")
-        self._explore_jobs: list[ExploreJob] = []
-        # terminal explorations folded into monotonic totals (the
-        # JobStore evicts finished jobs, the counters must not rewind)
-        self._explore_totals = {
-            "jobs": 0, "failed": 0, "candidates_evaluated": 0,
-            "candidates_pruned": 0, "specs_requested": 0,
-            "specs_saved": 0, "last_frontier_size": 0,
-        }
-        self._bind_explore_metrics()
 
     def _bind_fleet_metrics(self) -> None:
         fleet = self._fleet
@@ -207,48 +177,6 @@ class ServiceServer:
             "Worker-reported wall time per completed shard.",
             buckets=LATENCY_BUCKETS)
 
-    def _bind_explore_metrics(self) -> None:
-        totals = self._explore_totals
-        jobs = self._explore_jobs
-        for key, help_text in (
-                ("jobs", "Exploration jobs finished"),
-                ("failed", "Exploration jobs that failed"),
-                ("candidates_evaluated",
-                 "Candidates fully evaluated by finished explorations"),
-                ("candidates_pruned",
-                 "Candidates killed at a halving rung before full "
-                 "evaluation"),
-                ("specs_requested",
-                 "Specs exploration drivers asked the scheduler for"),
-                ("specs_saved",
-                 "Specs saved versus exhaustively sweeping the "
-                 "declared spaces")):
-            self.metrics.counter(f"repro_explore_{key}_total",
-                                 help_text,
-                                 fn=lambda k=key: totals[k])
-        self.metrics.gauge(
-            "repro_explore_running", "Exploration jobs in flight",
-            fn=lambda: sum(1 for job in jobs if not job.done))
-        self.metrics.gauge(
-            "repro_explore_last_frontier_size",
-            "Frontier size of the most recently finished exploration",
-            fn=lambda: totals["last_frontier_size"])
-
-    def _fold_explore(self, job: ExploreJob) -> None:
-        """Move one finished exploration into the monotonic totals."""
-        totals = self._explore_totals
-        totals["jobs"] += 1
-        if job.status() == "failed":
-            totals["failed"] += 1
-        stats = job.exploration.stats
-        totals["candidates_evaluated"] += stats.candidates_evaluated
-        totals["candidates_pruned"] += stats.candidates_pruned
-        totals["specs_requested"] += stats.specs_requested
-        totals["specs_saved"] += stats.specs_saved
-        totals["last_frontier_size"] = stats.frontier_size
-        self._explore_jobs[:] = [j for j in self._explore_jobs
-                                 if not j.done]
-
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
@@ -262,13 +190,12 @@ class ServiceServer:
         """Graceful rundown: refuse new work, land what's in flight.
 
         Flips :attr:`draining` (submissions 503, lease polls come back
-        empty), waits up to ``grace`` seconds for running jobs,
-        explorations and leased shards to finish — completions are
-        still accepted throughout — then flushes the result cache so
-        nothing already computed is lost, and closes the connections
-        waiting idle for a next request.  Returns ``True`` when
-        everything landed inside the grace period, ``False`` when work
-        had to be abandoned.
+        empty), waits up to ``grace`` seconds for running jobs and
+        leased shards to finish — completions are still accepted
+        throughout — then flushes the result cache so nothing already
+        computed is lost, and closes the connections waiting idle for
+        a next request.  Returns ``True`` when everything landed inside
+        the grace period, ``False`` when work had to be abandoned.
         """
         grace = self.drain_grace if grace is None else grace
         self.draining = True
@@ -277,8 +204,6 @@ class ServiceServer:
 
         def busy() -> bool:
             if self.jobs.running():
-                return True
-            if any(not job.done for job in self._explore_jobs):
                 return True
             if isinstance(queue, WorkQueue):
                 return bool(queue.counters()["leased_shards"])
@@ -312,12 +237,7 @@ class ServiceServer:
             self._close_idle()
             await self._server.wait_closed()
             self._server = None
-        # closing the scheduler fails any futures in-flight
-        # explorations are blocked on, so their threads unwind before
-        # the (non-waiting) executor shutdown below
         await self.scheduler.close()
-        self._explore_executor.shutdown(wait=False,
-                                        cancel_futures=True)
 
     @property
     def url(self) -> str:
@@ -477,12 +397,6 @@ class ServiceServer:
         if path.startswith("/v1/jobs/"):
             self._require_method(method, "GET", path)
             return self._get_job(path[len("/v1/jobs/"):])
-        if path == "/v1/explore":
-            self._require_method(method, "POST", path)
-            return await self._post_explore(body)
-        if path.startswith("/v1/explore/"):
-            self._require_method(method, "GET", path)
-            return self._get_explore(path[len("/v1/explore/"):])
         if path == "/v1/work/lease":
             self._require_method(method, "POST", path)
             return self._post_work_lease(body)
@@ -561,62 +475,6 @@ class ServiceServer:
         if job is None:
             raise _HttpReply(404, ErrorReply(
                 code="unknown-job", message=f"no job {job_id!r}"))
-        if isinstance(job, ExploreJob):
-            raise _HttpReply(404, ErrorReply(
-                code="wrong-endpoint",
-                message=f"{job_id!r} is an exploration job; poll "
-                        f"GET /v1/explore/{job_id}"))
-        snapshot = job.snapshot()
-        if snapshot.status != "running":
-            job.served = True
-        return 200, snapshot.to_wire()
-
-    # -- design-space exploration ------------------------------------------
-
-    async def _post_explore(self, body: bytes) -> tuple[int, dict]:
-        self._refuse_when_draining()
-        payload = self._parse_json(body)
-        try:
-            query = explore_query_from_wire(payload)
-        except SchemaError as exc:
-            raise _HttpReply(
-                400, ErrorReply.from_schema_error(exc)) from None
-        try:
-            self.jobs.ensure_capacity()
-        except JobStoreFull as exc:
-            raise _HttpReply(429, ErrorReply(
-                code="too-many-jobs", message=str(exc))) from None
-        loop = asyncio.get_running_loop()
-        exploration = Exploration(query)
-
-        def evaluate(specs):
-            # called from the explore executor thread: hop the
-            # candidate batch onto the event loop's scheduler so it
-            # coalesces (and dedups) with ordinary jobs, then block
-            # this thread until the batch resolves
-            handle = asyncio.run_coroutine_threadsafe(
-                self.scheduler.run_specs(specs), loop)
-            return dict(zip(specs, handle.result()))
-
-        future = loop.run_in_executor(self._explore_executor,
-                                      exploration.run, evaluate)
-        job = ExploreJob(exploration, future)
-        self._explore_jobs.append(job)
-        future.add_done_callback(
-            lambda _f, j=job: self._fold_explore(j))
-        self.jobs.add(job)
-        return 202, job.snapshot().to_wire()
-
-    def _get_explore(self, job_id: str) -> tuple[int, dict]:
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise _HttpReply(404, ErrorReply(
-                code="unknown-job", message=f"no job {job_id!r}"))
-        if not isinstance(job, ExploreJob):
-            raise _HttpReply(404, ErrorReply(
-                code="wrong-endpoint",
-                message=f"{job_id!r} is not an exploration job; poll "
-                        f"GET /v1/jobs/{job_id}"))
         snapshot = job.snapshot()
         if snapshot.status != "running":
             job.served = True
@@ -767,11 +625,6 @@ class ServiceServer:
             "engine": self.engine.stats.to_dict(),
             "backend": {"name": backend.name, **backend.counters()},
             "scheduler": self.scheduler.stats.to_dict(),
-            "explore": {
-                **self._explore_totals,
-                "running": sum(1 for job in self._explore_jobs
-                               if not job.done),
-            },
             "cache": {
                 "enabled": cache is not None,
                 "entries": len(cache) if cache is not None else 0,

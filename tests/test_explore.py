@@ -2,8 +2,8 @@
 
 Four layers, cheapest first:
 
-* lossless ``to_dict``/``from_dict``/wire round-trips for every
-  explore record type (the schema regression surface);
+* lossless ``to_dict``/``from_dict`` round-trips for every explore
+  record type;
 * objective pinning — the ``(slowdown, l2_watts, area_tracks)`` vector
   extracted from real runs equals the fig9 / fig11 / table3 models
   called directly, and matches ``Runner.slowdown``'s convention;
@@ -11,10 +11,14 @@ Four layers, cheapest first:
   epsilon-constraint answer equal an exhaustive post-hoc sweep (as
   vector sets), reruns are deterministic, and a warm re-query performs
   zero new simulations;
-* the HTTP surface: ``POST /v1/explore`` through ``ServiceClient``,
-  validation errors, wrong-endpoint guards, ``/v1/stats`` and
-  ``/v1/metrics`` observability.
+* the same search over a live service, each rung one ``/v1/jobs`` job
+  through ``ServiceClient.run_many``: the engine's answer, and no new
+  server simulations on a re-query.
 """
+
+import threading
+import time
+from contextlib import closing
 
 import pytest
 
@@ -32,18 +36,10 @@ from repro.explore import (
     explore,
     pareto_frontier,
 )
+from repro.cli import main
 from repro.harness import Runner
 from repro.models import config_area, run_power
-from repro.service import (
-    SCHEMA_VERSION,
-    ExploreResult,
-    SchemaError,
-    ServiceClient,
-    ServiceError,
-    background_server,
-    explore_query_from_wire,
-    explore_query_to_wire,
-)
+from repro.service import ServiceClient, background_server
 from repro.timing.stats import RunStats
 
 BENCH = "gsm_encode"  # the smallest trace
@@ -63,8 +59,9 @@ def parity_query() -> ExploreQuery:
 
 @pytest.fixture(scope="module")
 def engine(tmp_path_factory):
-    return Engine(jobs=2,
-                  cache_dir=tmp_path_factory.mktemp("explore-cache"))
+    with closing(Engine(jobs=2, cache_dir=tmp_path_factory.mktemp(
+            "explore-cache"))) as engine:
+        yield engine
 
 
 # -- round-trips -------------------------------------------------------------
@@ -99,54 +96,6 @@ def test_record_and_constraint_roundtrip():
         Constraint("slowdown")  # neither bound
     with pytest.raises(ConfigError):
         Constraint("slowdown", within=0.1, limit=2.0)
-
-
-def test_query_wire_roundtrip():
-    query = ExploreQuery(
-        codings=("mom", "mom3d"), memsystems=("vector", "ideal"),
-        l2_latencies=(10, 20), overrides=({}, {"l2_line_words": 16}),
-        benchmarks=(BENCH,), warm=False, seed=3,
-        constraint=Constraint("l2_watts", limit=5.0),
-        minimize="slowdown", budget=7, prune=False,
-        rung_fraction=0.25, margin=0.1, proposal_seed=11)
-    wire = explore_query_to_wire(query)
-    assert wire["schema_version"] == SCHEMA_VERSION
-    assert explore_query_from_wire(wire) == query
-    # defaults survive omission too
-    minimal = ExploreQuery(codings=("mom",))
-    assert explore_query_from_wire(
-        explore_query_to_wire(minimal)) == minimal
-
-
-def test_query_wire_validation():
-    wire = explore_query_to_wire(ExploreQuery(codings=("mom",)))
-    wire["explore"]["codings"] = ["sse2"]
-    with pytest.raises(SchemaError):
-        explore_query_from_wire(wire)
-    stray = explore_query_to_wire(ExploreQuery(codings=("mom",)))
-    stray["explore"]["surprise"] = 1
-    with pytest.raises(SchemaError):
-        explore_query_from_wire(stray)
-    # grids past the service admission cap are rejected at the schema
-    huge = explore_query_to_wire(ExploreQuery(
-        codings=("mom",), l2_latencies=tuple(range(1, 2000))))
-    with pytest.raises(SchemaError):
-        explore_query_from_wire(huge)
-
-
-def test_explore_result_wire_roundtrip():
-    record = ExploreRecord(
-        candidate=Candidate(coding="mom3d"),
-        objectives=Objectives(slowdown=0.9, l2_watts=2.0,
-                              area_tracks=4646464.0),
-        benchmarks=(BENCH,))
-    result = ExploreResult(
-        job_id="abc123", status="done", frontier=(record,),
-        best=record, bound=1.05,
-        stats={"specs_requested": 3, "exhaustive_specs": 4})
-    assert ExploreResult.from_wire(result.to_wire()) == result
-    running = ExploreResult(job_id="abc123", status="running")
-    assert ExploreResult.from_wire(running.to_wire()) == running
 
 
 # -- objective pinning against the paper models ------------------------------
@@ -266,67 +215,61 @@ def test_budgeted_proposals_are_seeded_and_bounded():
     assert a.stats.specs_requested < a.stats.exhaustive_specs
 
 
-# -- the HTTP surface --------------------------------------------------------
+# -- over the service -------------------------------------------------------
+
+#: the explore-smoke query: two workloads, so halving takes two rungs
+SERVICE_FLAGS = ["-b", *PARITY_BENCHMARKS, "-c", "mmx", "mom", "mom3d",
+                 "-m", "vector", "ideal", "--within", "5"]
 
 
-@pytest.fixture(scope="module")
-def service(engine):
-    with background_server(engine, window=0.01) as server:
-        yield server, ServiceClient(server.url)
+def test_explore_over_the_service_matches_the_engine(engine, capsys):
+    """Each rung one ``/v1/jobs`` job: the engine's answer, no new
+    server simulations on a re-query, and ``repro explore --url``
+    prints what a local run prints."""
+    query = ExploreQuery(
+        codings=("mmx", "mom", "mom3d"), memsystems=("vector", "ideal"),
+        benchmarks=PARITY_BENCHMARKS,
+        constraint=Constraint("slowdown", within=0.05))
+    local = explore(engine, query)
+    with closing(Engine(use_cache=False, backend="inline")) as served, \
+            background_server(served, window=0.01) as server, \
+            closing(ServiceClient(server.url)) as client:
+        remote = explore(client, query)
+        assert served.stats.simulations == remote.stats.specs_requested
+        again = explore(client, query)
+        assert served.stats.simulations == remote.stats.specs_requested
+        assert main(["explore", *SERVICE_FLAGS, "--url", server.url]) == 0
+        over_url = capsys.readouterr()
+    for report in (remote, again):
+        assert report.frontier == local.frontier
+        assert report.best == local.best
+        assert report.bound == local.bound
+        assert report.stats.to_dict() == local.stats.to_dict()
+    assert main(["--backend", "inline", "--no-cache", "explore",
+                 *SERVICE_FLAGS]) == 0
+    here = capsys.readouterr()
+    assert over_url.out == here.out
+    assert over_url.err.splitlines()[0] == here.err.splitlines()[0]
 
 
-def http_query() -> ExploreQuery:
-    return ExploreQuery(codings=("mmx", "mom", "mom3d"),
-                        memsystems=("vector", "ideal"),
-                        benchmarks=(BENCH,),
-                        constraint=Constraint("slowdown", within=0.05))
+def test_explore_url_timeout_bounds_the_query(capsys):
+    """A query whose first job is held on the service is given up on
+    once ``--timeout`` has passed."""
+    release = threading.Event()
+    with closing(Engine(use_cache=False, backend="inline")) as engine:
+        run_many = engine.run_many
 
+        def held(specs, **kwargs):
+            release.wait(timeout=30)
+            return run_many(specs, **kwargs)
 
-def test_http_explore_end_to_end(service):
-    _server, client = service
-    result = client.run_explore(http_query(), timeout=120)
-    assert result.status == "done"
-    assert result.frontier and result.best is not None
-    assert all(isinstance(r, ExploreRecord) for r in result.frontier)
-    assert result.stats["specs_requested"] >= 1
-
-    # warm re-query: the shared engine performs zero new simulations
-    before = client.stats()
-    again = client.run_explore(http_query(), timeout=120)
-    after = client.stats()
-    assert after["engine"]["simulations"] \
-        == before["engine"]["simulations"]
-    assert again.frontier == result.frontier
-    assert again.bound == result.bound
-
-    assert after["explore"]["jobs"] >= 2
-    assert after["explore"]["failed"] == 0
-    assert after["explore"]["last_frontier_size"] \
-        == len(result.frontier)
-    assert "repro_explore_jobs_total" in client.metrics()
-
-
-def test_http_explore_validation_and_guards(service):
-    _server, client = service
-    wire = explore_query_to_wire(http_query())
-    wire["explore"]["codings"] = ["sse2"]
-    with pytest.raises(ServiceError) as err:
-        client._request("POST", "/v1/explore", wire)
-    assert err.value.status == 400
-
-    with pytest.raises(ServiceError) as err:
-        client.poll_explore("no-such-exploration")
-    assert err.value.status == 404
-    assert err.value.reply.code == "unknown-job"
-
-    # a plain job is not visible through the explore endpoint...
-    job = client.submit([baseline_spec(BENCH)])
-    with pytest.raises(ServiceError) as err:
-        client.poll_explore(job.job_id)
-    assert err.value.reply.code == "wrong-endpoint"
-    # ...and an exploration is not visible through the jobs endpoint
-    exploration = client.explore(http_query())
-    client.wait_explore(exploration.job_id, timeout=120)
-    with pytest.raises(ServiceError) as err:
-        client.poll(exploration.job_id)
-    assert err.value.reply.code == "wrong-endpoint"
+        engine.run_many = held
+        with background_server(engine, window=0.01) as server:
+            started = time.monotonic()
+            try:
+                assert main(["explore", *SERVICE_FLAGS, "--url",
+                             server.url, "--timeout", "0.2"]) == 1
+                assert time.monotonic() - started < 5
+            finally:
+                release.set()
+    assert "still running" in capsys.readouterr().err

@@ -14,7 +14,10 @@ path byte for byte:
   free-form and block-repeated, the latter shaped like the unrolled
   loops of the paper's media kernels) simulate to the same statistics
   through :class:`~repro.timing.grid.GridPipeline` and the batched
-  pipeline across a config group.
+  pipeline across a config group.  Their SIMD ops may write two vector
+  registers, which the grid's rename gates replay symbolically; at a
+  rename capacity small enough to bind, that replay is pinned to the
+  reference oracle.
 
 * **Shared replays** — a group replays its memory traffic once per
   cache geometry and derives every L2 latency from that replay; the
@@ -24,6 +27,9 @@ path byte for byte:
 Run under the fixed ``ci`` profile (registered in ``conftest.py``) in
 CI: ``pytest --hypothesis-profile=ci``.
 """
+
+import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -137,7 +143,7 @@ def _blocks(draw, min_size=2, max_size=14):
     count = draw(st.integers(min_size, max_size))
     for _ in range(count):
         kind = draw(st.sampled_from(
-            ("int", "int", "simd", "vld", "vst", "ld", "st")))
+            ("int", "int", "simd", "simd2", "vld", "vst", "ld", "st")))
         ops.append((kind,
                     draw(st.integers(0, 7)), draw(st.integers(0, 7)),
                     draw(st.integers(0, 1 << 14)),
@@ -149,9 +155,15 @@ def _emit(builder, ops, base_ea=0):
     for kind, a, b, ea, stride in ops:
         if kind == "int":
             builder.addi(r(a), r(b), 1)
-        elif kind == "simd":
+        elif kind in ("simd", "simd2"):
             builder.simd(Opcode.PADDW, v(a % 4), v(b % 4),
                          v((a + b) % 4), etype=ElemType.I16)
+            if kind == "simd2":
+                # a second destination (a decoded trace may carry any
+                # count) takes a second rename admission
+                insts = builder.program.instructions
+                insts[-1] = dataclasses.replace(
+                    insts[-1], dsts=(v(a % 4), v(4 + b % 4)))
         elif kind == "vld":
             builder.vld(v(a % 4), ea=base_ea + ea, stride=stride,
                         etype=ElemType.I16)
@@ -197,6 +209,35 @@ def test_repeated_block_grid_identical(ops, repeats, moving, vl):
     for k in range(repeats):
         _emit(builder, ops, base_ea=k * 4096 if moving else 0)
     _assert_group_identical(builder.program)
+
+
+@given(ops=_blocks(max_size=24), vl=st.integers(1, 16),
+       cap=st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_two_destination_renames_match_the_oracle(ops, vl, cap):
+    """Two leading two-destination ops make four admissions, so a
+    rename capacity of 1-3 binds: the grid's symbolic pop replay
+    (``grid._simulate_pops``) runs and every member equals the oracle,
+    warm and cold."""
+    builder = ProgramBuilder("grid-renames")
+    builder.setvl(vl)
+    _emit(builder, [("simd2", 0, 1, 0, 8), ("simd2", 1, 2, 64, 8), *ops])
+    program = builder.program
+    configs = [build_configs(RunSpec(
+        benchmark="gsm_encode", coding="mom", memsys=memsys,
+        overrides=(("extra_vector_regs", cap),)))
+        for memsys in ("vector", "multibank", "ideal")]
+    with mock.patch.object(grid, "_simulate_pops",
+                           wraps=grid._simulate_pops) as pops:
+        results = {warm: GridPipeline(program, configs).run(warm=warm)
+                   for warm in (True, False)}
+    assert pops.called
+    for warm, runs in results.items():
+        for (proc, memsys), stats in zip(configs, runs):
+            oracle = simulate(program, proc, memsys, warm=warm,
+                              model="reference")
+            assert stats.to_dict() == oracle.to_dict(), \
+                (warm, memsys, stats.diff(oracle))
 
 
 # -- shared replays ----------------------------------------------------------

@@ -154,6 +154,16 @@ def test_warm_tables_loads_no_heavy_layer(tmp_path):
     assert "simulations=0 disk-hits=46 " in warm
 
 
+def test_service_loads_no_explorer_or_models(tmp_path):
+    """The service runs one job kind: serving, submitting and working
+    load neither the explorer nor the power and area models, which
+    ``repro explore --url`` runs in the client."""
+    modules, _proc = _fresh(tmp_path, "import repro.service.server, "
+                            "repro.service.client, repro.service.worker")
+    assert [module for module in sorted(modules) if _matches(
+        module, ("repro.explore", "repro.models"))] == []
+
+
 def test_engine_build_workload_can_be_wrapped_in_place(tmp_path):
     """``repro.engine.build_workload`` is a real module attribute, not a
     lazy export: the end-to-end benchmark's tracer

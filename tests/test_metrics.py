@@ -8,6 +8,8 @@ depend on: presence, typing, monotone counters across scrapes, and
 cache occupancy surviving a warm restart.
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro.engine import Engine, ResultCache, RunSpec
@@ -114,16 +116,17 @@ def test_default_latency_buckets_are_sorted():
 
 
 def test_instrument_engine_series_and_hit_ratio(tmp_path):
-    engine = Engine(cache_dir=tmp_path, backend="inline")
     metrics = Metrics()
-    instrument_engine(metrics, engine)
-    instrument_engine(metrics, engine)  # idempotent: no duplicate error
-    # nothing resolved yet
-    assert _series(metrics.render())["repro_engine_cache_hit_ratio"] == 0
-    engine.run_many(SPECS)
-    assert _series(metrics.render())["repro_engine_simulations_total"] == 2
-    engine.run_many(SPECS)  # all memo hits now
-    series = _series(metrics.render())
+    with closing(Engine(cache_dir=tmp_path, backend="inline")) as engine:
+        instrument_engine(metrics, engine)
+        instrument_engine(metrics, engine)  # idempotent: no duplicate error
+        # nothing resolved yet
+        assert _series(metrics.render())["repro_engine_cache_hit_ratio"] == 0
+        engine.run_many(SPECS)
+        assert _series(metrics.render())[
+            "repro_engine_simulations_total"] == 2
+        engine.run_many(SPECS)  # all memo hits now
+        series = _series(metrics.render())
     assert series["repro_engine_cache_hit_ratio"] == pytest.approx(0.5)
     assert series["repro_cache_enabled"] == 1
     assert series["repro_cache_entries"] == 2
@@ -162,22 +165,22 @@ def test_instrument_work_queue_series():
 
 
 def test_cache_len_is_incremental(tmp_path):
-    engine = Engine(cache_dir=tmp_path, backend="inline")
-    results = engine.run_many(SPECS)
-    cache = engine.cache
-    assert len(cache) == 2
-    # overwriting an existing digest does not inflate the count
-    cache.put(SPECS[0], results[SPECS[0]])
-    assert len(cache) == 2
-    # a new view over the same directory scans the same entries
-    other = ResultCache(tmp_path)
-    assert len(other) == 2
-    # ...and picks up this process's later writes via refresh_count
-    spec = RunSpec(BENCH, "mmx", "ideal")
-    cache.put(spec, results[SPECS[0]])
-    assert len(cache) == 3
-    assert len(other) == 2  # stale by design until refreshed
-    assert other.refresh_count() == 3
+    with closing(Engine(cache_dir=tmp_path, backend="inline")) as engine, \
+            closing(ResultCache(tmp_path)) as other:
+        results = engine.run_many(SPECS)
+        cache = engine.cache
+        assert len(cache) == 2
+        # overwriting an existing digest does not inflate the count
+        cache.put(SPECS[0], results[SPECS[0]])
+        assert len(cache) == 2
+        # a new view over the same directory scans the same entries
+        assert len(other) == 2
+        # ...and picks up this process's later writes via refresh_count
+        spec = RunSpec(BENCH, "mmx", "ideal")
+        cache.put(spec, results[SPECS[0]])
+        assert len(cache) == 3
+        assert len(other) == 2  # stale by design until refreshed
+        assert other.refresh_count() == 3
 
 
 # --- the /v1/metrics endpoint -------------------------------------------------
@@ -201,9 +204,9 @@ CORE_SERIES = (
 
 
 def test_metrics_endpoint_scrape_and_warm_restart(tmp_path):
-    engine = Engine(cache_dir=tmp_path, backend="inline")
-    with background_server(engine, window=0.01) as server:
-        client = ServiceClient(server.url)
+    with closing(Engine(cache_dir=tmp_path, backend="inline")) as engine, \
+            background_server(engine, window=0.01) as server, \
+            closing(ServiceClient(server.url)) as client:
         first = _series(client.metrics())
         for name in CORE_SERIES:
             assert name in first, f"missing series {name}"
@@ -225,9 +228,9 @@ def test_metrics_endpoint_scrape_and_warm_restart(tmp_path):
                 assert third[name] >= value, name
     # warm restart over the same cache directory: a fresh server sees
     # the stored entries and serves the grid without simulating
-    warm_engine = Engine(cache_dir=tmp_path, backend="inline")
-    with background_server(warm_engine, window=0.01) as server:
-        client = ServiceClient(server.url)
+    with closing(Engine(cache_dir=tmp_path, backend="inline")) as engine, \
+            background_server(engine, window=0.01) as server, \
+            closing(ServiceClient(server.url)) as client:
         assert _series(client.metrics())["repro_cache_entries"] == 2
         client.run_many(SPECS)
         warm = _series(client.metrics())
@@ -237,8 +240,9 @@ def test_metrics_endpoint_scrape_and_warm_restart(tmp_path):
 
 
 def test_metrics_content_type_and_method():
-    engine = Engine(use_cache=False, backend="inline")
-    with background_server(engine, window=0.01) as server:
+    with closing(Engine(use_cache=False, backend="inline")) as engine, \
+            background_server(engine, window=0.01) as server, \
+            closing(ServiceClient(server.url)) as client:
         import http.client
 
         connection = http.client.HTTPConnection(server.host,
@@ -254,16 +258,14 @@ def test_metrics_content_type_and_method():
         assert content_type.startswith("text/plain")
         assert "version=0.0.4" in content_type
         assert "# TYPE repro_engine_simulations_total counter" in body
-        client = ServiceClient(server.url)
         with pytest.raises(ServiceError):  # POST is not allowed
             client._request("POST", "/v1/metrics", {})
 
 
 def test_background_server_plumbs_max_jobs():
-    engine = Engine(use_cache=False, backend="inline")
-    with background_server(engine, window=0.01,
-                           max_jobs=0) as server:
-        client = ServiceClient(server.url)
+    with closing(Engine(use_cache=False, backend="inline")) as engine, \
+            background_server(engine, window=0.01, max_jobs=0) as server, \
+            closing(ServiceClient(server.url)) as client:
         with pytest.raises(ServiceError) as excinfo:
             client.submit(SPECS)
         assert excinfo.value.status == 429

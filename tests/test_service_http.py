@@ -14,6 +14,7 @@ import json
 import socket
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -32,9 +33,10 @@ BENCH = "gsm_encode"
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("service-cache")
-    engine = Engine(jobs=2, cache_dir=cache_dir)
-    with background_server(engine, window=0.01) as server:
-        yield server, ServiceClient(server.url), cache_dir
+    with closing(Engine(jobs=2, cache_dir=cache_dir)) as engine, \
+            background_server(engine, window=0.01) as server, \
+            closing(ServiceClient(server.url)) as client:
+        yield server, client, cache_dir
 
 
 def test_health_and_stats_shape(service):
@@ -60,7 +62,8 @@ def test_paper_grids_parity_and_warm_restart(service, tmp_path):
     grid = paper_grids()
 
     remote = client.run_many(grid)
-    local = Engine(use_cache=False, jobs=2).run_many(grid)
+    with closing(Engine(use_cache=False, jobs=2)) as engine:
+        local = engine.run_many(grid)
     assert set(remote) == set(local) == set(grid)
     for spec in grid:
         assert remote[spec].to_dict() == local[spec].to_dict(), spec
@@ -79,9 +82,9 @@ def test_paper_grids_parity_and_warm_restart(service, tmp_path):
 
     # cold-started service over the same cache: zero simulations; the
     # first fetch reads the disk (through a batch), the next is inline
-    warm_engine = Engine(jobs=2, cache_dir=cache_dir)
-    with background_server(warm_engine, window=0.01) as warm_server:
-        warm_client = ServiceClient(warm_server.url)
+    with closing(Engine(jobs=2, cache_dir=cache_dir)) as warm_engine, \
+            background_server(warm_engine, window=0.01) as warm_server, \
+            closing(ServiceClient(warm_server.url)) as warm_client:
         warm = warm_client.run_many(grid)
         stats = warm_client.stats()
         rerun = warm_client.submit(grid)
@@ -109,19 +112,17 @@ def test_sweep_submission_expands_server_side(service):
 def test_concurrent_clients_share_one_simulation_pass(tmp_path):
     """Many threads fanning the same grid in: one simulation per unique
     spec, the rest coalesced server-side."""
-    import threading
-
-    engine = Engine(use_cache=False)
     specs = Sweep(benchmarks=(BENCH,), codings=("mom", "mom3d"),
                   memsystems=("ideal",)).specs()
-    with background_server(engine, window=0.05) as server:
+    with closing(Engine(use_cache=False)) as engine, \
+            background_server(engine, window=0.05) as server:
         results: list[dict] = []
         errors: list[Exception] = []
 
         def fan_in():
             try:
-                client = ServiceClient(server.url)
-                got = client.run_many(specs)
+                with closing(ServiceClient(server.url)) as client:
+                    got = client.run_many(specs)
                 results.append({s: r.to_dict() for s, r in got.items()})
             except Exception as exc:  # pragma: no cover - fail loudly
                 errors.append(exc)
@@ -217,8 +218,6 @@ def test_results_endpoint_rejects_bad_queries(service, monkeypatch):
 def test_results_scan_does_not_block_other_requests(tmp_path):
     """``GET /v1/results`` scans the store on a thread: a health probe
     is answered while a slow scan is still held."""
-    import threading
-
     engine = Engine(cache_dir=tmp_path, backend="inline")
     spec = RunSpec(BENCH, "mom", "ideal")
     scanning, release = threading.Event(), threading.Event()
@@ -235,14 +234,19 @@ def test_results_scan_does_not_block_other_requests(tmp_path):
 
     engine.cache.query = held_query
     replies = []
-    with background_server(engine, window=0.01) as server:
-        ServiceClient(server.url).run_many([spec])
-        scan = threading.Thread(target=lambda: replies.append(
-            ServiceClient(server.url).query_results(benchmark=BENCH)))
+
+    def scan_results():
+        with closing(ServiceClient(server.url)) as scanner:
+            replies.append(scanner.query_results(benchmark=BENCH))
+
+    with closing(engine), background_server(engine, window=0.01) as server, \
+            closing(ServiceClient(server.url)) as client:
+        client.run_many([spec])
+        scan = threading.Thread(target=scan_results)
         scan.start()
         try:
             assert scanning.wait(timeout=10)
-            assert ServiceClient(server.url).health()["status"] == "ok"
+            assert client.health()["status"] == "ok"
             assert not returned.is_set()  # answered mid-scan
         finally:
             release.set()
@@ -253,10 +257,11 @@ def test_results_scan_does_not_block_other_requests(tmp_path):
 
 
 def test_results_endpoint_404_without_cache():
-    engine = Engine(use_cache=False, backend="inline")
-    with background_server(engine, window=0.01) as server:
+    with closing(Engine(use_cache=False, backend="inline")) as engine, \
+            background_server(engine, window=0.01) as server, \
+            closing(ServiceClient(server.url)) as client:
         with pytest.raises(ServiceError) as excinfo:
-            ServiceClient(server.url).query_results()
+            client.query_results()
         assert excinfo.value.status == 404
         assert excinfo.value.reply.code == "no-cache"
 
@@ -362,7 +367,7 @@ def test_work_lease_rejects_malformed_payload():
 
     engine = Engine(use_cache=False,
                     backend=RemoteBackend(wait_timeout=5))
-    with background_server(engine) as server:
+    with closing(engine), background_server(engine) as server:
         payload = json.dumps({"schema_version": SCHEMA_VERSION}).encode()
         status, body = _raw(server, "POST", "/v1/work/lease",
                             body=payload)
@@ -584,7 +589,8 @@ def test_client_resends_only_on_a_reused_connection():
 def test_drain_and_close_shut_idle_connections():
     """From Python 3.12 the listener's ``wait_closed`` waits for every
     open connection, so a held idle one must not keep it waiting."""
-    with background_server(Engine(use_cache=False)) as server:
+    with closing(Engine(use_cache=False)) as engine, \
+            background_server(engine) as server:
         held = http.client.HTTPConnection("127.0.0.1", server.port,
                                           timeout=10)
         held.request("GET", "/v1/health")

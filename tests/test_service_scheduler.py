@@ -134,9 +134,9 @@ def test_distinct_specs_coalesce_into_one_batch():
     async def main():
         async with BatchScheduler(engine, window=0.05,
                                   max_batch=64) as scheduler:
-            tasks = [asyncio.create_task(scheduler.run_specs([spec]))
-                     for spec in specs]
-            await asyncio.gather(*tasks)
+            # one submission per spec, all inside one window
+            await asyncio.gather(*(future for spec in specs
+                                   for future in scheduler.submit([spec])))
             return scheduler
 
     scheduler = _run(main())
@@ -155,7 +155,7 @@ def test_max_batch_splits_dispatches():
     async def main():
         async with BatchScheduler(engine, window=0.05,
                                   max_batch=2) as scheduler:
-            await scheduler.run_specs(specs)
+            await asyncio.gather(*scheduler.submit(specs))
             return scheduler
 
     scheduler = _run(main())

@@ -204,6 +204,23 @@ def test_cli_worker_rejects_remote_backend(capsys):
     assert "locally" in capsys.readouterr().err
 
 
+def test_cli_refuses_remote_backend_outside_serve(capsys):
+    """Workers reach a remote work queue only through serve's listener,
+    so every other command refuses the backend, with one message."""
+    messages = set()
+    for argv in (["list"], ["tables"], ["run", "fig3"], ["sweep"],
+                 ["explore"], ["bench", "gsm_encode"], ["report"],
+                 ["trace", "gsm_encode", "mmx", "-o", "t.bin"],
+                 ["replay", "t.bin"], ["submit"], ["worker"],
+                 ["cache", "ls"]):
+        assert main(["--backend", "remote", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        messages.add(captured.err)
+    assert len(messages) == 1
+    assert "only under 'repro serve'" in messages.pop()
+
+
 def test_cli_worker_gives_up_when_idle(capsys):
     assert main(["worker", "--url", "http://127.0.0.1:1",
                  "--max-idle", "0.2", "--no-cache"]) == 0
@@ -249,9 +266,6 @@ def test_cli_rejects_bad_backend_tuning(capsys):
     with pytest.raises(SystemExit):
         main(["--lease-ttl", "0", "list"])
     assert "positive" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        main(["--work-port", "-1", "list"])
-    assert "port" in capsys.readouterr().err
 
 
 def test_cli_submit_unreachable_service(capsys):
@@ -308,14 +322,15 @@ def _repro(*args, pythonpath=(), launcher=("-m", "repro")):
 def test_one_shot_predicate():
     from repro.cli import is_one_shot, parse_args
 
+    # a non-serve command on the remote backend is refused at once
     for argv in (["tables"], ["list"], ["run", "fig3"],
                  ["--backend", "process", "tables"],
                  ["--backend", "inline", "sweep", "-b", "gsm_encode"],
-                 ["trace", "gsm_encode", "mmx", "-o", "t.bin"]):
+                 ["trace", "gsm_encode", "mmx", "-o", "t.bin"],
+                 ["--backend", "remote", "tables"],
+                 ["tables", "--backend", "remote"]):
         assert is_one_shot(parse_args(argv)), argv
     for argv in (["serve"], ["worker"],
-                 ["--backend", "remote", "tables"],
-                 ["tables", "--backend", "remote"],
                  ["serve", "--backend", "remote"]):
         assert not is_one_shot(parse_args(argv)), argv
 
@@ -354,7 +369,8 @@ def test_traced_predicate_sees_monitoring_tools(monkeypatch):
 
 def test_one_shot_command_skips_interpreter_teardown(tmp_path):
     """An ``atexit`` hook runs only where the command keeps the normal
-    exit: here ``--backend remote``, whose work queue closes from one."""
+    exit: here a ``worker``, which runs until its idle budget is
+    spent."""
     marker = tmp_path / "teardown-ran"
     (tmp_path / "sitecustomize.py").write_text(
         "import atexit\n"
@@ -364,9 +380,11 @@ def test_one_shot_command_skips_interpreter_teardown(tmp_path):
     assert fast.returncode == 0
     assert "experiments:" in fast.stdout
     assert not marker.exists()
-    normal = _repro("--backend", "remote", "list", pythonpath=[tmp_path])
-    assert normal.returncode == 0
-    assert normal.stdout == fast.stdout
+    normal = _repro("worker", "--url", "http://127.0.0.1:1",
+                    "--max-idle", "0.2", "--no-cache",
+                    pythonpath=[tmp_path])
+    assert normal.returncode == 0, normal.stderr
+    assert "[worker]" in normal.stderr
     assert marker.exists()
 
 
@@ -392,7 +410,7 @@ def test_only_one_shot_commands_run_without_the_cyclic_gc():
 
     for argv, enabled in ((["list"], False), (["serve"], True),
                           (["worker"], True),
-                          (["--backend", "remote", "list"], True)):
+                          (["--backend", "remote", "serve"], True)):
         proc = _repro(*argv, launcher=("-c", _GC_PROBE))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"gc enabled: {enabled}\n", argv

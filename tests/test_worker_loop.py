@@ -17,6 +17,7 @@ exactly once while the broken worker keeps polling.
 
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -245,14 +246,17 @@ def test_fleet_survives_a_worker_with_a_broken_engine(tmp_path):
     keeps polling the whole time, and the failures surface in the
     server's fleet gauges."""
     backend = RemoteBackend(lease_ttl=0.4, wait_timeout=60.0)
-    engine = Engine(use_cache=False, backend=backend)
     expected = Engine(use_cache=False,
                       backend="inline").run_many(SPECS)
-    with background_server(engine, window=0.01) as server:
-        bad = ServiceWorker(server.url, Engine(use_cache=False),
-                            worker_id="w-bad", poll_interval=0.02)
+    with closing(Engine(use_cache=False, backend=backend)) as engine, \
+            closing(Engine(use_cache=False)) as bad_engine, \
+            closing(Engine(use_cache=False)) as good_engine, \
+            background_server(engine, window=0.01) as server:
+        bad = ServiceWorker(server.url, bad_engine, worker_id="w-bad",
+                            poll_interval=0.02)
         bad.engine.run_many = _always_raise
-        bad_thread = threading.Thread(target=bad.run, daemon=True)
+        bad_thread = threading.Thread(target=_work_then_close, args=(bad,),
+                                      daemon=True)
         bad_thread.start()
 
         results_holder: dict = {}
@@ -270,9 +274,10 @@ def test_fleet_survives_a_worker_with_a_broken_engine(tmp_path):
             time.sleep(0.02)
         assert bad.stats.failed_shards >= 1
 
-        good = ServiceWorker(server.url, Engine(use_cache=False),
-                             worker_id="w-good", poll_interval=0.02)
-        good_thread = threading.Thread(target=good.run, daemon=True)
+        good = ServiceWorker(server.url, good_engine, worker_id="w-good",
+                             poll_interval=0.02)
+        good_thread = threading.Thread(target=_work_then_close,
+                                       args=(good,), daemon=True)
         good_thread.start()
         try:
             coordinator.join(timeout=60)
@@ -283,7 +288,8 @@ def test_fleet_survives_a_worker_with_a_broken_engine(tmp_path):
             assert counters["completions"] == \
                 counters["enqueued_shards"]
             assert counters["releases"] >= 1  # expired bad leases
-            scrape = ServiceClient(server.url).metrics()
+            with closing(ServiceClient(server.url)) as client:
+                scrape = client.metrics()
             lines = dict(line.rsplit(" ", 1)
                          for line in scrape.splitlines()
                          if line and not line.startswith("#"))
@@ -299,6 +305,15 @@ def test_fleet_survives_a_worker_with_a_broken_engine(tmp_path):
             for spec, stats in results.items()} == \
         {spec: stats.to_dict() for spec, stats in expected.items()}
     assert good.stats.completions >= 1
+
+
+def _work_then_close(worker: ServiceWorker) -> None:
+    """Run ``worker`` on this thread, then close the connection its
+    client keeps for this thread."""
+    try:
+        worker.run()
+    finally:
+        worker.client.close()
 
 
 def _always_raise(_specs, **_kwargs):
