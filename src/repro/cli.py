@@ -7,12 +7,7 @@ Subcommands:
   ``fig9 table4``) and print the paper-style tables.
 * ``all`` / ``tables`` — run the full evaluation suite.
 * ``bench <name> [--coding C] [--memsys M]`` — simulate one benchmark
-  configuration and print its statistics.  Given a perf-suite name
-  instead (``repro bench grid``, ``repro bench timing_pipeline`` — any
-  ``benchmarks/bench_*.py``), runs that suite: suites with a
-  ``BENCH_*.json`` artifact re-record it and print a field-by-field
-  diff against the previous record; the pytest-benchmark suites run
-  under pytest.
+  configuration and print its statistics.
 * ``sweep`` — expand a declarative grid (benchmarks x codings x memory
   systems x latencies x ``--set`` overrides) and print one row per
   simulation point.
@@ -114,11 +109,6 @@ def _cmd_list(_args) -> int:
 
     print("explore objectives (repro explore): "
           f"{', '.join(OBJECTIVE_NAMES)}")
-    suites = bench_suites()
-    if suites:
-        print("perf suites (repro bench <suite>):")
-        for name in suites:
-            print(f"  {name}")
     return 0
 
 
@@ -145,79 +135,7 @@ def _cmd_all(args) -> int:
     return 0
 
 
-def _bench_dir():
-    """The perf-benchmark directory of a source checkout."""
-    from pathlib import Path
-
-    import repro
-
-    return Path(repro.__file__).resolve().parents[2] / "benchmarks"
-
-
-def bench_suites() -> list[str]:
-    """Names of the runnable ``benchmarks/bench_*.py`` suites."""
-    prefix = "bench_"
-    return sorted(path.stem[len(prefix):]
-                  for path in _bench_dir().glob("bench_*.py"))
-
-
-def _diff_payload(before, after, prefix=""):
-    """Yield ``key: old -> new`` lines for changed payload entries."""
-    for key in sorted(set(before) | set(after)):
-        label = f"{prefix}{key}"
-        if key not in before:
-            yield f"  {label}: (new) -> {after[key]!r}"
-        elif key not in after:
-            yield f"  {label}: {before[key]!r} -> (gone)"
-        elif isinstance(before[key], dict) and isinstance(after[key], dict):
-            yield from _diff_payload(before[key], after[key],
-                                     prefix=f"{label}.")
-        elif before[key] != after[key]:
-            yield f"  {label}: {before[key]!r} -> {after[key]!r}"
-
-
-def _run_bench_suite(name: str) -> int:
-    """Run one ``benchmarks/bench_<name>.py`` suite.
-
-    Suites exposing ``run_benchmark()`` re-record their ``BENCH_*.json``
-    artifact; the previous record is diffed against the fresh one so a
-    perf regression (or win) is visible at a glance.  The remaining
-    pytest-benchmark suites run under pytest and report timings only.
-    """
-    import importlib.util
-    import json
-
-    path = _bench_dir() / f"bench_{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    run_suite = getattr(module, "run_benchmark", None)
-    if run_suite is None:
-        # pytest-benchmark style experiment timings: no JSON artifact
-        import pytest
-
-        return int(pytest.main(["-q", str(path)]))
-    artifact = module.BENCH_OUT
-    before = (json.loads(artifact.read_text(encoding="utf-8"))
-              if artifact.exists() else None)
-    payload = run_suite()
-    print(json.dumps(payload, indent=2))
-    if before is None:
-        print(f"wrote {artifact} (no previous record to diff)")
-        return 0
-    changes = list(_diff_payload(before, payload))
-    if changes:
-        print(f"updated {artifact}:")
-        for line in changes:
-            print(line)
-    else:
-        print(f"{artifact} unchanged")
-    return 0
-
-
 def _cmd_bench(args) -> int:
-    if args.name in bench_suites():
-        return _run_bench_suite(args.name)
     runner = _make_runner(args)
     stats = runner.run(args.name, args.coding, args.memsys,
                        args.l2_latency)
@@ -699,13 +617,10 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
     p_bench = sub.add_parser(
         "bench", parents=[common],
-        help="simulate one benchmark, or run a perf suite from "
-             "benchmarks/ (re-recording and diffing its BENCH_*.json)")
+        help="simulate one benchmark configuration")
     p_bench.add_argument("name", metavar="NAME",
-                         choices=benchmark_names() + bench_suites(),
-                         help="a workload (see 'repro list') or a perf "
-                              "suite such as 'grid' or "
-                              "'timing_pipeline'")
+                         choices=benchmark_names(),
+                         help="a workload (see 'repro list')")
     p_bench.add_argument("--coding", default="mom3d", choices=CODINGS)
     p_bench.add_argument("--memsys", default="vector",
                          choices=_MEMSYS_CHOICES)

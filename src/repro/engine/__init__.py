@@ -176,10 +176,6 @@ class Engine:
                        l2_latency=l2_latency, warm=warm, seed=self.seed,
                        overrides=overrides)
 
-    def workload(self, benchmark: str, coding: str) -> BuiltWorkload:
-        """The (memoized) built trace for one benchmark/coding pair."""
-        return build_workload(benchmark, coding, self.seed)
-
     # -- execution ---------------------------------------------------------
 
     def run(self, spec: RunSpec) -> RunStats:
@@ -188,17 +184,10 @@ class Engine:
         Repeated calls with an equal spec return the *same* object
         (identity-preserving memoization, like the original Runner).
         """
-        hit = self._lookup(spec)
+        hit = self.memo_lookup(spec)
         if hit is not None:
             return hit
-        with self._lock:
-            self.stats.dispatches += 1
-            self._plan([spec], self.grid_mode)
-        stats = self.backend.execute([spec], jobs=1,
-                                     grid_mode=self.grid_mode)[spec]
-        with self._lock:
-            self.stats.simulations += 1
-        return self._admit(spec, stats)
+        return self.run_many([spec], jobs=1)[spec]
 
     def run_many(self, specs, jobs: int | None = None,
                  grid_mode: str | None = None
@@ -259,7 +248,7 @@ class Engine:
         self.stats.grid_fallbacks += len(fallbacks)
 
     def close(self) -> None:
-        """Close the result store (flushing its index) and the backend.
+        """Close the result store's files and the backend.
 
         Whoever owns the engine calls this where its use ends.  The
         memo stays and the store reopens on demand, so a closed engine
@@ -275,33 +264,13 @@ class Engine:
     # reads and writes happen outside it so one thread's cache I/O
     # never stalls another thread's pure memo hits.
 
-    def _lookup(self, spec: RunSpec) -> RunStats | None:
-        hit = self.memo_lookup(spec)
-        if hit is not None:
-            return hit
-        if self.cache is not None:
-            stats = self.cache.get(spec)  # disk read, unlocked
-            if stats is not None:
-                with self._lock:
-                    existing = self._memo.get(spec)
-                    if existing is not None:
-                        # raced a concurrent admit: the caller gets the
-                        # memo's object, so it counts as a memo hit
-                        self.stats.memo_hits += 1
-                        return existing
-                    self.stats.disk_hits += 1
-                    self._memo[spec] = stats
-                    return stats
-        return None
-
     def _lookup_many(self, specs) -> tuple[dict, list]:
         """Bulk three-level lookup for a whole grid.
 
         One locked pass resolves the memo hits, then a single
         ``cache.get_many`` resolves every remaining spec against the
         segment store — one index probe per digest, reads grouped per
-        segment.  Returns ``(hits dict, pending list)``; counters
-        match N ``_lookup`` calls exactly.
+        segment.  Returns ``(hits dict, pending list)``.
         """
         results: dict[RunSpec, RunStats] = {}
         misses: list[RunSpec] = []
@@ -323,7 +292,10 @@ class Engine:
                             self.stats.disk_hits += 1
                             self._memo[spec] = stats
                             existing = stats
-                        else:  # raced a concurrent admit, as in _lookup
+                        else:
+                            # raced a concurrent admit: the caller gets
+                            # the memo's object, so it counts as a memo
+                            # hit
                             self.stats.memo_hits += 1
                         results[spec] = existing
         return results, [spec for spec in misses if spec not in results]
@@ -331,7 +303,10 @@ class Engine:
     def _admit_many(self, fresh) -> dict:
         """Admit a batch of fresh results; first writer wins per spec.
 
-        The winners are decided under one lock pass and persisted in a
+        When another thread simulated the same spec concurrently and
+        admitted first, its object is kept (and returned), so
+        identity-preserving memoization survives concurrent use.  The
+        winners are decided under one lock pass and persisted in a
         single ``cache.put_many`` append batch after releasing it, so
         a shard's worth of results costs one store write, not N.
         """
@@ -352,29 +327,6 @@ class Engine:
         if winners:
             self.cache.put_many(winners)  # disk writes, unlocked
         return out
-
-    def _admit(self, spec: RunSpec, stats: RunStats) -> RunStats:
-        """Admit one fresh result; first writer wins.
-
-        Returns the memoized object — when another thread simulated the
-        same spec concurrently and admitted first, its result is kept
-        (and returned) so identity-preserving memoization survives
-        concurrent use.  Only the winning thread persists to disk, and
-        it does so after releasing the lock (the segment store
-        serializes its own appends and keeps the first record per
-        digest).
-        """
-        with self._lock:
-            existing = self._memo.get(spec)
-            if existing is not None:
-                return existing
-            self._memo[spec] = stats
-            store = self.cache is not None
-            if store:
-                self.stats.stores += 1
-        if store:
-            self.cache.put(spec, stats)  # disk write, unlocked
-        return stats
 
 
 def run_many(specs, jobs: int = 1, cache_dir=None, use_cache: bool = True,

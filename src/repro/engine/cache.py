@@ -2,7 +2,7 @@
 
 Layout::
 
-    <cache root>/<code version>/seg-NNNNNN.seg ... index.json
+    <cache root>/<code version>/seg-NNNNNN.seg ...
 
 * **cache root** — ``$REPRO_CACHE_DIR``, or ``~/.cache/repro`` when the
   variable is unset; ``--cache-dir`` overrides both from the CLI.
@@ -12,9 +12,9 @@ Layout::
 * **spec digest** — :meth:`repro.engine.keys.RunSpec.digest`.
 
 Each version namespace is one :class:`repro.engine.store.SegmentStore`:
-append-only segment files plus a side index, so bulk lookups cost one
-index probe per digest, and ``stat``/``gc`` never walk per-record
-files.  See ``docs/store.md``.  A record's payload is the spec (for
+append-only segment files, scanned into an in-memory index when the
+store opens, so bulk lookups cost one index probe per digest, and
+``stat``/``gc`` never walk per-record files.  See ``docs/store.md``.  A record's payload is the spec (for
 inspection) and the run statistics in the lossless
 ``RunStats.to_dict`` form.
 
@@ -219,14 +219,9 @@ class ResultCache:
         finally:
             store.close()
 
-    def flush(self) -> None:
-        """Persist any lazily-buffered index state."""
-        if self._store is not None:
-            self._store.flush()
-
     def close(self) -> None:
-        """Flush the index and close the active store's files.  The
-        store reopens them on its next read or write."""
+        """Close the active store's files.  The store reopens them on
+        its next read or write."""
         with self._store_lock:
             if self._store is not None:
                 self._store.close()
@@ -234,42 +229,12 @@ class ResultCache:
     # -- single-spec reads/writes ------------------------------------------
 
     def get(self, spec: RunSpec) -> RunStats | None:
-        """Load the cached stats for ``spec``, or None on a miss.
-
-        A record that does not decode counts as a miss, so the engine
-        re-simulates the spec, and is dropped from the store's index
-        (:meth:`~repro.engine.store.SegmentStore.discard`), so the
-        fresh result is persisted in its place.  A store that raises
-        outright counts as a degraded read (see
-        :meth:`degraded_counters`).
-        """
-        digest = spec.digest()
-        try:
-            raw = self.store().get_raw(digest)
-        except OSError:
-            self._note_degraded(reads=1)
-            return None
-        if raw is None:
-            return None
-        stats = _decode_record(raw)
-        if stats is None:
-            self._discard(digest)
-        return stats
+        """The cached stats for ``spec``, or None on a miss."""
+        return self.get_many([spec]).get(spec)
 
     def put(self, spec: RunSpec, stats: RunStats) -> None:
-        """Persist one result (first writer wins on its digest).
-
-        A store that raises an I/O error does **not** fail the job:
-        the failure is absorbed and counted (the cache degrades to
-        memo-only — the engine's memo still serves the result, only
-        persistence is lost until the disk recovers).
-        """
-        try:
-            self.store().append_many(
-                [(spec.digest(),
-                  _entry_payload(self.version, spec, stats))])
-        except OSError:
-            self._note_degraded(writes=1)
+        """Persist one result (first writer wins on its digest)."""
+        self.put_many([(spec, stats)])
 
     # -- bulk paths --------------------------------------------------------
 
@@ -277,8 +242,13 @@ class ResultCache:
         """Bulk hit-resolution for a grid: one index probe per digest,
         then reads grouped per segment.
 
-        Returns only the hits; misses are simply absent.  Records that
-        do not decode are misses and are discarded, as in :meth:`get`.
+        Returns only the hits; misses are simply absent.  A record
+        that does not decode counts as a miss, so the engine
+        re-simulates the spec, and is dropped from the store's index
+        (:meth:`~repro.engine.store.SegmentStore.discard`), so the
+        fresh result is persisted in its place.  A store that raises
+        outright counts as a degraded read (see
+        :meth:`degraded_counters`).
         """
         by_digest = {spec.digest(): spec for spec in specs}
         try:
@@ -307,7 +277,13 @@ class ResultCache:
 
     def put_many(self, pairs) -> int:
         """Persist many results in one append batch; returns how many
-        were fresh (first writer wins on the rest)."""
+        were fresh (first writer wins on the rest).
+
+        A store that raises an I/O error does **not** fail the job:
+        the failure is absorbed and counted (the cache degrades to
+        memo-only — the engine's memo still serves the result, only
+        persistence is lost until the disk recovers).
+        """
         items = [(spec.digest(),
                   _entry_payload(self.version, spec, stats))
                  for spec, stats in pairs]
@@ -406,7 +382,7 @@ class ResultCache:
         """Code-version namespaces present under the cache root.
 
         Only directories that actually look like cache namespaces
-        (nothing but entry/segment/index files inside — the same
+        (nothing but entry/segment files inside — the same
         predicate :meth:`gc` deletes by) are listed, so ``ls``/``stat``
         and ``gc`` agree on what the cache contains even when the root
         is mispointed at a directory with unrelated content.  The
@@ -464,13 +440,12 @@ class ResultCache:
         version = self.version if version is None else version
         with self._open(version) as store:
             s = (store.stat() if store is not None else
-                 {"records": 0, "bytes": 0, "segments": 0, "sealed": 0})
+                 {"records": 0, "bytes": 0, "segments": 0})
         if version != self.version:
             s["bytes"] = sum(size for _, size in
                              _files(self.root / version))
         return {"version": version, "entries": s["records"],
-                "bytes": s["bytes"], "segments": s["segments"],
-                "sealed": s["sealed"]}
+                "bytes": s["bytes"], "segments": s["segments"]}
 
     @staticmethod
     def _is_namespace(directory: Path) -> bool:
@@ -478,10 +453,11 @@ class ResultCache:
 
         ``gc`` must never destroy unrelated data when the cache root
         is mispointed (``--cache-dir ~/data``), so only directories
-        whose entire content is segment/index/temp/quarantine files
-        qualify as deletable namespaces.  ``.json`` also covers the
-        per-digest entry files of namespaces written before the
-        segment store, so those stay collectable.
+        whose entire content is segment/temp/quarantine files qualify
+        as deletable namespaces.  ``.json`` also covers the side index
+        of older segment stores and the per-digest entry files of
+        namespaces written before the segment store, so those stay
+        collectable.
         """
         try:
             children = list(directory.iterdir())
@@ -511,10 +487,11 @@ class ResultCache:
         describe what a real ``gc`` *would* do (files that vanish or
         appear between the two calls can shift the numbers).
 
-        Compaction CRC-verifies every live frame it carries over.  A
-        frame that fails is quarantined to a ``.corrupt`` sidecar and
-        dropped, and after the store is left compacted and consistent
-        this method re-raises the store's
+        The store's open scan sets aside every frame that fails its
+        CRC, and compaction re-checks every live frame it carries
+        over.  Each such frame is quarantined to a ``.corrupt`` sidecar
+        and dropped, and after the store is left compacted and
+        consistent this method re-raises the store's
         :class:`~repro.engine.store.CorruptFrameError` so callers
         (``repro cache gc``) can report the loss loudly instead of
         pretending the record survived.

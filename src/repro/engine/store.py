@@ -1,11 +1,11 @@
 """Segmented append-only record store backing the result cache.
 
-One ``SegmentStore`` manages a directory of segment files plus a side
-index.  Records append to single-file **segments** instead of one file
-per digest, trading filesystem metadata traffic (``open``/``stat``/
-``unlink`` per record) for sequential bandwidth — the same
-streamed-over-random access bargain the paper's memory vectorization
-makes.
+One ``SegmentStore`` manages a directory of segment files, and the
+segments are its only on-disk state.  Records append to single-file
+**segments** instead of one file per digest, trading filesystem
+metadata traffic (``open``/``stat``/``unlink`` per record) for
+sequential bandwidth — the same streamed-over-random access bargain
+the paper's memory vectorization makes.
 
 On-disk format
 --------------
@@ -17,35 +17,38 @@ magic.  Every record is a length-prefixed frame::
     64s   spec digest (ascii sha256 hex)
     ...   compact-JSON payload
 
-The digest lives in the frame header (not only in the payload) so index
-rebuilds and tail scans never JSON-parse payloads they don't need.  A
-segment is **sealed** by a footer record — an ordinary frame whose
-digest field is the reserved all-zero digest and whose payload records
-the segment's record count.  Sealed segments are immutable; unsealed
-segments only ever grow at the tail, and only under the process that
-created them (creation uses ``O_CREAT | O_EXCL``, so two processes can
-never interleave appends into one file — each writer claims its own
-active segment).
+The digest lives in the frame header (not only in the payload) so the
+scan that opens a store never JSON-parses a payload.  Segments only
+ever grow at the tail, and only under the process that created them
+(creation uses ``O_CREAT | O_EXCL``, so two processes can never
+interleave appends into one file — each writer claims its own active
+segment).  A segment that reaches ``max_segment_bytes`` is synced to
+disk (``fsync``) and closed, and the next append claims a fresh one.
 
-The side index (``index.json``) maps ``digest -> (segment, offset,
-payload length)`` and caches per-segment sizes.  It is advisory: on
-open the store trusts it only up to each segment's recorded size and
-**tail-scans** anything that grew past it (or full-scans segments the
-index has never seen), so a crash between appends and an index flush
-loses nothing.  A torn tail — a partial frame from a crashed writer —
-fails its length/CRC check and scanning stops there; every complete
-record before it survives.
+Opening
+-------
 
-Duplicate admission is first-writer-wins: appends for a digest already
-in the index are dropped, and when independent writers raced the same
-digest into different segments, rebuilds keep the record from the
-lowest ``(segment, offset)``.  A record its reader cannot decode is
-dropped from the index (:meth:`SegmentStore.discard`), so the next
-append for its digest wins instead.  Duplicates, discarded records and
-torn bytes stay on disk (dead weight only) until
-:meth:`SegmentStore.compact` rewrites live records into a fresh sealed
-segment, which it does only when that drops a record or reclaims a
-real share of the store.
+Every open scans every frame of every segment, in name and offset
+order, and checks its CRC to build the in-memory index ``digest ->
+(segment, offset, payload length)``; when a digest has two frames, the
+newer one wins.  A frame cut short by the end of its file is a **torn
+tail** (a crashed writer): scanning that segment stops there, and
+every record before it survives.  A whole frame that fails its CRC is
+**rotted** (bit rot, or an external writer): the scan sets it aside,
+so reads miss it, and goes on past it.  When the rotted frame's digest
+field is not 64 hex characters, its length field is suspect too, so
+scanning that segment stops there.
+
+Within one process the first append for a digest wins: appends for a
+digest already in the index are dropped.  A record its reader cannot
+decode is dropped from the index (:meth:`SegmentStore.discard`), so
+the next append for its digest is admitted; that frame is the newer
+one, so it also wins when the store reopens.  Duplicates, discarded
+records, rotted frames and torn bytes stay on disk (dead weight only)
+until :meth:`SegmentStore.compact` rewrites the live records into a
+fresh segment, quarantining each rotted frame to a ``.corrupt``
+sidecar on the way.  It rewrites only when that drops a record or
+reclaims a real share of the store.
 """
 
 from __future__ import annotations
@@ -53,50 +56,49 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 import threading
 import zlib
 from pathlib import Path
 
-class CorruptFrameError(RuntimeError):
-    """Compaction found live frames whose stored CRC no longer
-    matches their bytes (disk bit-rot, or an external writer).
 
-    The offending frames are quarantined to ``<digest>.corrupt``
-    sidecar files and dropped from the index *before* this is raised,
-    so the store is left compacted and consistent — the error exists
-    to make the loss loud (``repro cache gc`` exits non-zero) instead
-    of silently laundering corrupt bytes into a fresh segment with a
-    recomputed CRC.
+class CorruptFrameError(RuntimeError):
+    """Compaction found frames whose stored CRC no longer matches their
+    bytes (disk bit-rot, or an external writer).
+
+    The offending frames are quarantined to ``.corrupt`` sidecar files
+    and the store is compacted without them *before* this is raised,
+    so it is left compacted and consistent — the error exists to make
+    the loss loud (``repro cache gc`` exits non-zero) instead of
+    silently dropping the records or laundering corrupt bytes into a
+    fresh segment with a recomputed CRC.
     """
 
-    def __init__(self, quarantined: list[tuple[str, str]],
+    def __init__(self, quarantined: list[tuple[str, str | None]],
                  dead: int, reclaimed: int):
-        #: ``(digest, sidecar path)`` per quarantined frame
+        #: ``(digest, sidecar path)`` per quarantined frame; a frame
+        #: whose digest field is mangled is named ``<segment>-<offset>``
+        #: instead, and the path is None when the sidecar write failed
         self.quarantined = quarantined
         self.dead = dead
         self.reclaimed = reclaimed
         digests = ", ".join(d[:12] for d, _ in quarantined)
         super().__init__(
-            f"{len(quarantined)} live frame(s) failed their CRC "
-            f"during compaction and were quarantined to .corrupt "
-            f"sidecars (digests: {digests}); the records are lost "
-            "and must be recomputed")
+            f"{len(quarantined)} frame(s) failed their CRC check and "
+            f"were quarantined to .corrupt sidecars (digests: "
+            f"{digests}); the records are lost and must be recomputed")
 
 
 MAGIC = b"RSEG0001"
-INDEX_NAME = "index.json"
-_INDEX_SCHEMA = 1
 _HEADER = struct.Struct("<II")
 _DIGEST_LEN = 64
 _FRAME_OVERHEAD = _HEADER.size + _DIGEST_LEN
-FOOTER_DIGEST = "0" * _DIGEST_LEN
+_HEX = frozenset(b"0123456789abcdefABCDEF")
 SEGMENT_SUFFIX = ".seg"
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 #: with no dead record, compaction rewrites the store only to reclaim
-#: more than this share of its bytes (torn tails, the magic and footer
-#: of each segment beyond the first): full 4 MiB segments never
-#: qualify, a pile of tiny ones does
+#: more than this share of its bytes (torn tails, the magic of each
+#: segment beyond the first): full 4 MiB segments never qualify, a
+#: pile of tiny ones does
 MIN_RECLAIM_SHARE = 0.01
 
 
@@ -110,8 +112,8 @@ def _frame(digest: str, raw: bytes) -> bytes:
     return _HEADER.pack(len(raw), zlib.crc32(dig + raw)) + dig + raw
 
 
-def _footer_frame(records: int) -> bytes:
-    return _frame(FOOTER_DIGEST, _dumps({"footer": {"records": records}}))
+def _is_digest(field: bytes) -> bool:
+    return len(field) == _DIGEST_LEN and _HEX.issuperset(field)
 
 
 class SegmentStore:
@@ -124,10 +126,9 @@ class SegmentStore:
 
     def __init__(self, directory, *,
                  max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 index_flush_min: int = 512, fault_plan=None):
+                 fault_plan=None):
         self.directory = Path(directory)
         self.max_segment_bytes = max_segment_bytes
-        self.index_flush_min = index_flush_min
         if fault_plan is None:
             # lazy: the engine package must not import the service
             # package at module load (the service imports us)
@@ -136,137 +137,80 @@ class SegmentStore:
         self._faults = fault_plan
         #: digest -> (segment name, frame offset, payload length)
         self.index: dict[str, tuple[str, int, int]] = {}
-        # segment name -> {"size": validated frontier, "sealed": bool,
-        #                  "records": frames scanned/appended (footer
-        #                  excluded)}
+        # segment name -> {"size": scanned/appended bytes (a torn tail
+        #                  excluded), "records": whole frames in it}
         self._segments: dict[str, dict] = {}
+        #: (segment name, frame offset, payload length) per whole
+        #: frame that failed its CRC when scanned
+        self._rotted: list[tuple[str, int, int]] = []
         self._active_name: str | None = None
         self._active_fh = None
         self._active_size = 0
         self._read_fds: dict[str, int] = {}
-        self._dirty = 0  # index mutations since last flush
         self._lock = threading.RLock()
         self._load()
 
     # -- open / recovery ---------------------------------------------------
 
     def _load(self) -> None:
-        """Build the in-memory index: persisted index + disk scans."""
-        persisted_entries: dict[str, tuple[str, int, int]] = {}
-        persisted_segments: dict[str, dict] = {}
-        try:
-            with open(self.directory / INDEX_NAME, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if doc.get("schema") == _INDEX_SCHEMA:
-                for name, meta in doc.get("segments", {}).items():
-                    persisted_segments[str(name)] = {
-                        "size": int(meta["size"]),
-                        "sealed": bool(meta["sealed"]),
-                        "records": int(meta["records"]),
-                    }
-                for digest, ref in doc.get("entries", {}).items():
-                    persisted_entries[str(digest)] = (
-                        str(ref[0]), int(ref[1]), int(ref[2]))
-        except (OSError, ValueError, KeyError, TypeError, IndexError):
-            persisted_entries = {}
-            persisted_segments = {}
-
-        try:
-            on_disk = sorted(
-                p.name for p in self.directory.iterdir()
-                if p.is_file() and p.suffix == SEGMENT_SUFFIX)
-        except OSError:
-            on_disk = []
-
+        """Build the in-memory index by scanning every segment."""
         self.index = {}
         self._segments = {}
-        trusted: dict[str, int] = {}  # name -> trusted prefix length
-        rescan: list[str] = []
-        for name in on_disk:
-            path = self.directory / name
-            try:
-                actual = path.stat().st_size
-            except OSError:
-                continue
-            meta = persisted_segments.get(name)
-            if meta is not None and actual >= meta["size"]:
-                self._segments[name] = dict(meta)
-                trusted[name] = meta["size"]
-            else:
-                # unknown segment, or shrunk below the recorded
-                # frontier (external truncation): rescan from scratch
-                self._segments[name] = {"size": len(MAGIC), "sealed": False,
-                                        "records": 0}
-                rescan.append(name)
-        # one pass over the persisted entries covers every trusted
-        # prefix; segment name order decides first-writer ties
-        for digest, ref in sorted(persisted_entries.items(),
-                                  key=lambda kv: kv[1]):
-            frontier = trusted.get(ref[0])
-            if frontier is not None and ref[1] < frontier:
-                self.index.setdefault(digest, ref)
-        for name in rescan:
-            if not self._scan_segment(self.directory / name, name, start=0):
-                del self._segments[name]  # foreign file: never touch it
-        for name, frontier in trusted.items():
-            meta = self._segments[name]
-            if not meta["sealed"]:
-                # trust the persisted prefix, scan only the tail
-                self._scan_segment(self.directory / name, name,
-                                   start=frontier)
-        self._dirty = 0
-
-    def _scan_segment(self, path: Path, name: str, start: int) -> bool:
-        """Stream frames from ``start``, stopping at the first torn or
-        invalid frame (always the true end of an append-only file).
-        Returns False only for files that are not segments at all."""
-        meta = self._segments[name]
+        self._rotted = []
         try:
-            with open(path, "rb") as fh:
-                if start == 0:
-                    if fh.read(len(MAGIC)) != MAGIC:
-                        return False  # not one of ours; leave it alone
-                    pos = len(MAGIC)
-                else:
-                    fh.seek(start)
-                    pos = start
-                while True:
-                    header = fh.read(_HEADER.size)
-                    if len(header) < _HEADER.size:
-                        break
-                    length, crc = _HEADER.unpack(header)
-                    rest = fh.read(_DIGEST_LEN + length)
-                    if len(rest) < _DIGEST_LEN + length:
-                        break
-                    digest_raw = rest[:_DIGEST_LEN]
-                    if zlib.crc32(digest_raw + rest[_DIGEST_LEN:]) != crc:
-                        break
-                    frame_off = pos
-                    pos += _FRAME_OVERHEAD + length
-                    meta["size"] = pos
-                    digest = digest_raw.decode("ascii", "replace")
-                    if digest == FOOTER_DIGEST:
-                        meta["sealed"] = True
-                        continue
-                    meta["records"] += 1
-                    self.index.setdefault(digest, (name, frame_off, length))
+            names = sorted(p.name for p in self.directory.iterdir()
+                           if p.suffix == SEGMENT_SUFFIX and p.is_file())
         except OSError:
-            pass
-        return True
+            names = []
+        for name in names:
+            self._scan_segment(name)
+
+    def _scan_segment(self, name: str) -> None:
+        """Index one segment's frames, newer frames replacing older
+        ones.  A file without the magic is not a segment: it is never
+        indexed, compacted or deleted."""
+        try:
+            with open(self.directory / name, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            return
+        if not data.startswith(MAGIC):
+            return
+        view = memoryview(data)
+        index = self.index
+        unpack = _HEADER.unpack_from
+        crc32 = zlib.crc32
+        end = len(data)
+        pos = len(MAGIC)
+        records = 0
+        while pos + _FRAME_OVERHEAD <= end:
+            length, crc = unpack(data, pos)
+            body = pos + _HEADER.size
+            stop = pos + _FRAME_OVERHEAD + length
+            if stop > end:
+                break  # torn tail
+            records += 1
+            digest = data[body:body + _DIGEST_LEN]
+            if crc32(view[body:stop]) == crc:
+                index[digest.decode("ascii", "replace")] = \
+                    (name, pos, length)
+                pos = stop
+                continue
+            self._rotted.append((name, pos, length))
+            pos = stop
+            if not _is_digest(digest):
+                break  # a mangled header frames nothing after it
+        self._segments[name] = {"size": pos, "records": records}
 
     def refresh(self) -> None:
-        """Re-validate against the directory (other writers' appends,
-        external compaction or deletion)."""
+        """Re-scan the directory (other writers' appends, external
+        compaction or deletion)."""
         with self._lock:
             self._close_read_fds()
             self._load()
-            if self._active_name is not None:
-                # our own active segment survived only if still on disk
-                if self._active_name in self._segments:
-                    meta = self._segments[self._active_name]
-                    meta["size"] = max(meta["size"], self._active_size)
-                else:
-                    self._close_active()
+            if self._active_name not in self._segments:
+                # our own active segment was deleted under us
+                self._close_active()
 
     # -- reads -------------------------------------------------------------
 
@@ -290,6 +234,8 @@ class SegmentStore:
         return fd
 
     def _read_frame(self, ref: tuple[str, int, int]) -> bytes | None:
+        """One whole frame, header included (None if it cannot be read
+        in full)."""
         name, offset, length = ref
         fd = self._fd(name)
         if fd is None:
@@ -300,22 +246,18 @@ class SegmentStore:
             return None
         if len(frame) < _FRAME_OVERHEAD + length:
             return None
-        return frame[_FRAME_OVERHEAD:]
-
-    def get_raw(self, digest: str) -> bytes | None:
-        """Raw payload bytes for one digest (None on a miss)."""
-        with self._lock:
-            ref = self.index.get(digest)
-            if ref is None:
-                return None
-            return self._read_frame(ref)
+        return frame
 
     def get(self, digest: str) -> dict | None:
-        raw = self.get_raw(digest)
-        if raw is None:
+        """The payload stored for ``digest`` (None on a miss, or when
+        the record does not decode)."""
+        with self._lock:
+            ref = self.index.get(digest)
+            frame = None if ref is None else self._read_frame(ref)
+        if frame is None:
             return None
         try:
-            payload = json.loads(raw)
+            payload = json.loads(frame[_FRAME_OVERHEAD:])
         except ValueError:
             return None
         return payload if isinstance(payload, dict) else None
@@ -361,17 +303,17 @@ class SegmentStore:
         """Yield ``(digest, payload dict)`` for every live record.
 
         Streams segments in name order; only the record the index
-        points at is yielded for each digest (duplicates and torn
-        bytes are skipped).
+        points at is yielded for each digest (duplicates, rotted
+        frames and torn bytes are skipped).
         """
         with self._lock:
             refs = sorted(self.index.items(), key=lambda kv: kv[1])
         for digest, ref in refs:
-            raw = self._read_frame(ref)
-            if raw is None:
+            frame = self._read_frame(ref)
+            if frame is None:
                 continue
             try:
-                payload = json.loads(raw)
+                payload = json.loads(frame[_FRAME_OVERHEAD:])
             except ValueError:
                 continue
             if isinstance(payload, dict):
@@ -384,14 +326,12 @@ class SegmentStore:
                     for digest, ref in self.index.items()}
 
     def stat(self) -> dict:
-        """O(1) store metrics from in-memory state (no record opens)."""
+        """Store metrics from in-memory state (no record opens)."""
         with self._lock:
             return {
                 "records": len(self.index),
                 "segments": len(self._segments),
                 "bytes": sum(m["size"] for m in self._segments.values()),
-                "sealed": sum(1 for m in self._segments.values()
-                              if m["sealed"]),
             }
 
     # -- writes ------------------------------------------------------------
@@ -421,8 +361,7 @@ class SegmentStore:
         self._active_fh.flush()
         self._active_name = name
         self._active_size = len(MAGIC)
-        self._segments[name] = {"size": len(MAGIC), "sealed": False,
-                                "records": 0}
+        self._segments[name] = {"size": len(MAGIC), "records": 0}
 
     def _close_active(self) -> None:
         if self._active_fh is not None:
@@ -434,18 +373,13 @@ class SegmentStore:
         self._active_name = None
         self._active_size = 0
 
-    def _seal_active(self) -> None:
-        """Write the footer, fsync and close the active segment."""
+    def _retire_active(self) -> None:
+        """``fsync`` and close the active segment; the next append
+        claims a fresh one."""
         if self._active_fh is None:
             return
-        meta = self._segments[self._active_name]
-        footer = _footer_frame(meta["records"])
-        self._active_fh.write(footer)
         self._active_fh.flush()
         os.fsync(self._active_fh.fileno())
-        self._active_size += len(footer)
-        meta["size"] = self._active_size
-        meta["sealed"] = True
         self._close_active()
 
     def append_many(self, items) -> list[str]:
@@ -454,7 +388,7 @@ class SegmentStore:
         fresh: list[str] = []
         with self._lock:
             for digest, payload in items:
-                if digest in self.index or digest == FOOTER_DIGEST:
+                if digest in self.index:
                     continue
                 if self._active_fh is None:
                     self._open_active()
@@ -465,7 +399,7 @@ class SegmentStore:
                 if rule is not None:
                     # injected I/O failure: behave exactly like a
                     # crashed writer — a torn write leaves a partial
-                    # frame on disk (recovery's tail scan stops
+                    # frame on disk (the next open's scan stops
                     # there), and the abandoned segment is closed so
                     # later appends claim a fresh one
                     if rule.action == "torn":
@@ -481,13 +415,10 @@ class SegmentStore:
                 meta["records"] += 1
                 self.index[digest] = (self._active_name, offset, len(raw))
                 fresh.append(digest)
-                self._dirty += 1
                 if self._active_size >= self.max_segment_bytes:
-                    self._seal_active()
+                    self._retire_active()
             if self._active_fh is not None:
                 self._active_fh.flush()
-            if self._dirty >= self._flush_threshold():
-                self._flush_index()
         return fresh
 
     def append(self, digest: str, payload: dict) -> bool:
@@ -496,63 +427,32 @@ class SegmentStore:
     def discard(self, digest: str) -> None:
         """Drop a record its reader could not decode from the index.
 
-        The next append for ``digest`` is then admitted and supersedes
-        it.  The index is flushed at once, so a reopened store trusts
-        the drop instead of re-indexing the bad frame; the frame itself
-        is dead weight until :meth:`compact`.
+        The next append for ``digest`` is then admitted; its frame is
+        newer than the dropped one, so it also wins when the store
+        reopens.  The dropped frame is dead weight until
+        :meth:`compact`.
         """
         with self._lock:
-            if self.index.pop(digest, None) is not None:
-                self._flush_index()
-
-    # -- index persistence -------------------------------------------------
-
-    def _flush_threshold(self) -> int:
-        # rewrite cost is O(index), so flush geometrically: always
-        # after index_flush_min mutations, sooner only while small
-        return max(self.index_flush_min, len(self.index) // 4)
-
-    def _flush_index(self) -> None:
-        doc = {
-            "schema": _INDEX_SCHEMA,
-            "segments": {name: meta for name, meta
-                         in sorted(self._segments.items())},
-            "entries": {digest: list(ref)
-                        for digest, ref in self.index.items()},
-        }
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, separators=(",", ":"))
-            os.replace(tmp, self.directory / INDEX_NAME)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._dirty = 0
-
-    def flush(self) -> None:
-        """Persist the index now (appends flush it lazily)."""
-        with self._lock:
-            if self._dirty:
-                self._flush_index()
+            self.index.pop(digest, None)
 
     # -- compaction --------------------------------------------------------
 
     def compact(self, dry_run: bool = False) -> tuple[int, int]:
-        """Rewrite live records into one fresh sealed segment.
+        """Rewrite live records into one fresh segment.
 
-        Drops duplicate frames, torn tails and footers of superseded
-        segments.  Returns ``(dead records, bytes reclaimed)``; with
+        Drops duplicate frames, discarded records, rotted frames and
+        torn tails.  Returns ``(dead records, bytes reclaimed)``; with
         ``dry_run=True`` nothing is rewritten and the same totals are
-        computed from the index alone.  The rewrite costs every live
-        byte, so it runs only when it drops a dead record or reclaims
-        more than :data:`MIN_RECLAIM_SHARE` of the store; otherwise
-        (say, a store of full segments and nothing dead) this returns
-        ``(0, 0)`` without touching a file.
+        computed from the in-memory index alone.  The rewrite costs
+        every live byte, so it runs only when it drops a dead record
+        or reclaims more than :data:`MIN_RECLAIM_SHARE` of the store;
+        otherwise (say, a store of full segments and nothing dead)
+        this returns ``(0, 0)`` without touching a file.
+
+        Every rotted frame, and every live frame that fails its CRC on
+        the way through, is quarantined to a ``.corrupt`` sidecar; the
+        store is compacted without them, then :class:`CorruptFrameError`
+        names them.
         """
         with self._lock:
             live = dict(self.index)
@@ -569,8 +469,7 @@ class SegmentStore:
             if live:
                 bytes_after = (len(MAGIC)
                                + sum(_FRAME_OVERHEAD + ref[2]
-                                     for ref in live.values())
-                               + len(_footer_frame(len(live))))
+                                     for ref in live.values()))
             else:
                 bytes_after = 0
             reclaimed = max(0, bytes_before - bytes_after)
@@ -587,29 +486,28 @@ class SegmentStore:
             # launder the corruption into a "valid" record
             old_segments = list(self._segments)
             self._close_active()
+            quarantined = [self._quarantine(ref) for ref in self._rotted]
             new_index: dict[str, tuple[str, int, int]] = {}
-            quarantined: list[tuple[str, str]] = []
             if live:
                 self._open_active()
                 name = self._active_name
+                meta = self._segments[name]
                 for digest, ref in sorted(live.items(),
                                           key=lambda kv: kv[1]):
-                    frame = self._read_whole_frame(ref)
+                    frame = self._read_frame(ref)
                     if frame is None:
                         continue  # lost to a concurrent deletion
-                    _length, crc = _HEADER.unpack(frame[:_HEADER.size])
+                    _length, crc = _HEADER.unpack_from(frame)
                     if zlib.crc32(frame[_HEADER.size:]) != crc:
-                        quarantined.append(
-                            (digest, self._quarantine(digest, frame)))
+                        quarantined.append(self._quarantine(ref, frame))
                         continue
-                    raw = frame[_FRAME_OVERHEAD:]
                     new_index[digest] = (name, self._active_size,
-                                         len(raw))
+                                         ref[2])
                     self._active_fh.write(frame)
                     self._active_size += len(frame)
-                    self._segments[name]["size"] = self._active_size
-                    self._segments[name]["records"] += 1
-                self._seal_active()
+                    meta["size"] = self._active_size
+                    meta["records"] += 1
+                self._retire_active()
             self._close_read_fds()
             for name in old_segments:
                 try:
@@ -618,35 +516,37 @@ class SegmentStore:
                     pass
                 self._segments.pop(name, None)
             self.index = new_index
-            self._flush_index()
+            self._rotted = []
             if quarantined:
                 raise CorruptFrameError(quarantined, dead_records,
                                         reclaimed)
             return dead_records, reclaimed
 
-    def _read_whole_frame(self, ref: tuple[str, int, int]
-                          ) -> bytes | None:
-        """One frame including its header (for CRC re-verification)."""
-        name, offset, length = ref
-        fd = self._fd(name)
-        if fd is None:
-            return None
-        try:
-            frame = os.pread(fd, _FRAME_OVERHEAD + length, offset)
-        except OSError:
-            return None
-        if len(frame) < _FRAME_OVERHEAD + length:
-            return None
-        return frame
+    def _quarantine(self, ref: tuple[str, int, int],
+                    frame: bytes | None = None
+                    ) -> tuple[str, str | None]:
+        """Preserve a CRC-failing frame as a ``.corrupt`` sidecar.
 
-    def _quarantine(self, digest: str, frame: bytes) -> str:
-        """Preserve a CRC-failing frame as a ``.corrupt`` sidecar."""
-        path = self.directory / f"{digest}.corrupt"
+        The sidecar is named by the frame's digest field when that is
+        64 hex characters, else by its segment and offset.  Returns
+        that name and the sidecar's path (None if it was not written:
+        quarantine is best-effort, the frame is dropped either way).
+        """
+        name, offset, _length = ref
+        if frame is None:
+            frame = self._read_frame(ref)
+        field = b"" if frame is None else \
+            frame[_HEADER.size:_FRAME_OVERHEAD]
+        label = (field.decode("ascii") if _is_digest(field)
+                 else f"{Path(name).stem}-{offset}")
+        if frame is None:
+            return label, None
+        path = self.directory / f"{label}.corrupt"
         try:
             path.write_bytes(frame)
         except OSError:
-            pass  # quarantine is best-effort; the drop still happens
-        return str(path)
+            return label, None
+        return label, str(path)
 
     # -- teardown ----------------------------------------------------------
 
@@ -659,10 +559,9 @@ class SegmentStore:
         self._read_fds = {}
 
     def close(self) -> None:
-        """Flush the index and drop descriptors (reopen-safe)."""
+        """Close the active segment and the read descriptors; the
+        store reopens them on its next read or write."""
         with self._lock:
-            if self._dirty:
-                self._flush_index()
             self._close_active()
             self._close_read_fds()
 

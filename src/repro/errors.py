@@ -25,5 +25,17 @@ class ConfigError(ReproError):
     """A processor or memory-system configuration is inconsistent."""
 
 
+def require_positive(config, names) -> None:
+    """Raise :class:`ConfigError` unless every field of ``config`` named
+    in ``names`` (a width, count or size: no machine has 0 of it) is at
+    least 1."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ConfigError(
+                f"{type(config).__name__}.{name} must be >= 1, "
+                f"got {value}")
+
+
 class CompileError(ReproError):
     """The loop-nest compiler could not vectorize the given nest."""

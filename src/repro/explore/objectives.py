@@ -13,11 +13,10 @@ paper's own models:
   from the Table 3 area model (:func:`repro.models.config_area`);
   exact and workload-independent.
 
-Extraction is *total* and round-trippable: :class:`Candidate`,
-:class:`Objectives` and :class:`ExploreRecord` all carry lossless
-``to_dict``/``from_dict`` pairs (the regression tests lean on this),
-and every constructor validates up front so a bad coding or memory
-system is a :class:`~repro.errors.ConfigError` at build time, never a
+Extraction is *total*: :class:`Candidate`, :class:`Objectives` and
+:class:`ExploreRecord` render as plain data through ``to_dict``, and
+every constructor validates up front so a bad coding or memory system
+is a :class:`~repro.errors.ConfigError` at build time, never a
 mid-search ``KeyError``.
 """
 
@@ -125,13 +124,6 @@ class Candidate:
                           for name, value in self.overrides],
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Candidate":
-        return cls(coding=data["coding"], memsys=data["memsys"],
-                   l2_latency=data.get("l2_latency", 20),
-                   overrides=tuple((name, value) for name, value
-                                   in data.get("overrides", ())))
-
 
 @dataclass(frozen=True)
 class Objectives:
@@ -149,12 +141,6 @@ class Objectives:
     def to_dict(self) -> dict:
         return {"slowdown": self.slowdown, "l2_watts": self.l2_watts,
                 "area_tracks": self.area_tracks}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Objectives":
-        return cls(slowdown=float(data["slowdown"]),
-                   l2_watts=float(data["l2_watts"]),
-                   area_tracks=float(data["area_tracks"]))
 
 
 @dataclass(frozen=True)
@@ -175,12 +161,6 @@ class ExploreRecord:
         return {"candidate": self.candidate.to_dict(),
                 "objectives": self.objectives.to_dict(),
                 "benchmarks": list(self.benchmarks)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ExploreRecord":
-        return cls(candidate=Candidate.from_dict(data["candidate"]),
-                   objectives=Objectives.from_dict(data["objectives"]),
-                   benchmarks=tuple(data["benchmarks"]))
 
 
 def spec_objectives(spec: RunSpec, stats: RunStats,

@@ -78,19 +78,6 @@ class Constraint:
             raise ConfigError(
                 f"constraint within must be >= 0, got {self.within}")
 
-    def to_dict(self) -> dict:
-        out: dict = {"objective": self.objective}
-        if self.within is not None:
-            out["within"] = self.within
-        if self.limit is not None:
-            out["limit"] = self.limit
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Constraint":
-        return cls(objective=data["objective"],
-                   within=data.get("within"), limit=data.get("limit"))
-
 
 @dataclass(frozen=True)
 class ExploreQuery:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from repro.engine import Engine
 from repro.timing import RunStats
-from repro.workloads import BuiltWorkload
 
 
 class Runner:
-    """Builds workloads and runs timing simulations via the engine."""
+    """Runs timing simulations via the engine."""
 
     def __init__(self, seed: int = 0, engine: Engine | None = None,
                  jobs: int = 1, cache_dir=None, use_cache: bool = True,
@@ -28,10 +27,6 @@ class Runner:
                                  use_cache=use_cache, backend=backend,
                                  grid_mode=grid_mode)
         self.seed = self.engine.seed
-
-    def workload(self, benchmark: str, coding: str) -> BuiltWorkload:
-        """Build (once) the trace for one benchmark/coding pair."""
-        return self.engine.workload(benchmark, coding)
 
     def run(self, benchmark: str, coding: str, memsys: str = "vector",
             l2_latency: int = 20, warm: bool = True,

@@ -16,13 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError, require_positive
 from repro.memsys.cache import SetAssocCache
 from repro.memsys.mainmem import MainMemory
 
 
 @dataclass
 class HierarchyConfig:
-    """Geometry and latency of the cache hierarchy (paper Sec. 5.3)."""
+    """Geometry and latency of the cache hierarchy (paper Sec. 5.3).
+
+    Sizes, ways and lines must be at least 1, and each cache's size a
+    multiple of line x ways.  Latencies are not range-checked: a
+    negative L2 latency is a what-if the timing models accept (the
+    grid path replays it on its own instead of deriving it).
+    """
 
     l1_size: int = 64 * 1024
     l1_ways: int = 2
@@ -34,6 +41,18 @@ class HierarchyConfig:
     l2_latency: int = 20
     mem_latency: int = 100
     coherence_penalty: int = 2
+
+    def __post_init__(self) -> None:
+        require_positive(self, ("l1_size", "l1_ways", "l1_line",
+                                "l2_size", "l2_ways", "l2_line"))
+        for level in ("l1", "l2"):
+            size = getattr(self, f"{level}_size")
+            block = getattr(self, f"{level}_line") * \
+                getattr(self, f"{level}_ways")
+            if size % block:
+                raise ConfigError(
+                    f"{level}_size {size} is not a multiple of "
+                    f"{level}_line x {level}_ways = {block}")
 
 
 class CacheHierarchy:

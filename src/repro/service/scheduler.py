@@ -185,6 +185,7 @@ class BatchScheduler:
                     self._latency.observe(0.0)
             else:
                 future = loop.create_future()
+                future.add_done_callback(_retrieve_exception)
                 self._inflight[spec] = future
                 self._queue.append(spec)
                 if self._latency is not None:
@@ -249,6 +250,11 @@ class BatchScheduler:
         try:
             results = await loop.run_in_executor(
                 self._executor, self.engine.run_many, valid)
+        except TimeoutError as exc:
+            # the backend gave up waiting for workers: re-running each
+            # spec alone would wait as long again, once per spec
+            for spec in valid:
+                self._fail_spec(spec, exc)
         except Exception:  # noqa: BLE001 - re-resolved per spec below
             # Unexpected mid-simulation failure: resolve per spec so
             # only the offending specs' futures carry an exception.
@@ -270,6 +276,17 @@ class BatchScheduler:
                 future = self._inflight.pop(spec, None)
                 if future is not None and not future.done():
                     future.set_result(results[spec])
+
+
+def _retrieve_exception(future: asyncio.Future) -> None:
+    """Mark a failed future's exception retrieved as it resolves.
+
+    A job whose client stopped polling still holds its futures, and
+    asyncio would log each unretrieved exception, with a traceback,
+    when the future is collected.  Its waiters still receive it.
+    """
+    if not future.cancelled():
+        future.exception()
 
 
 # -- jobs ------------------------------------------------------------------

@@ -192,10 +192,11 @@ class ServiceServer:
         Flips :attr:`draining` (submissions 503, lease polls come back
         empty), waits up to ``grace`` seconds for running jobs and
         leased shards to finish — completions are still accepted
-        throughout — then flushes the result cache so nothing already
-        computed is lost, and closes the connections waiting idle for
-        a next request.  Returns ``True`` when everything landed inside
-        the grace period, ``False`` when work had to be abandoned.
+        throughout, and the result store writes each admitted result
+        to its segment file as it appends — then closes the
+        connections waiting idle for a next request.
+        Returns ``True`` when everything landed inside the grace
+        period, ``False`` when work had to be abandoned.
         """
         grace = self.drain_grace if grace is None else grace
         self.draining = True
@@ -215,10 +216,6 @@ class ServiceServer:
                 clean = False
                 break
             await asyncio.sleep(0.05)
-        cache = self.engine.cache
-        if cache is not None:
-            with contextlib.suppress(OSError):
-                cache.flush()
         self._close_idle()
         return clean
 

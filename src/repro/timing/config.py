@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_positive
 from repro.isa.opcodes import Opcode
 from repro.memsys.hierarchy import HierarchyConfig
 
@@ -64,7 +64,6 @@ class ProcessorConfig:
     branch_bubble: int = 1
     #: rename headroom: physical minus logical registers per class
     extra_vector_regs: int = 48  # MMX: 80 physical - 32 logical
-    extra_acc_regs: int = 2
     extra_d3_regs: int = 2
     extra_ptr_regs: int = 6
     d3_move_latency: int = 3
@@ -73,6 +72,12 @@ class ProcessorConfig:
     def __post_init__(self) -> None:
         if self.isa not in ("mmx", "mom", "mom3d"):
             raise ConfigError(f"unknown isa style {self.isa!r}")
+        # latencies, decode_depth and branch_bubble are not range-checked
+        require_positive(self, (
+            "fetch_width", "window", "lsq", "retire_width", "int_issue",
+            "int_fus", "simd_issue", "simd_fus", "simd_lanes",
+            "mem_issue", "l1_ports", "extra_vector_regs",
+            "extra_d3_regs", "extra_ptr_regs", "d3_move_lanes"))
 
 
 def mmx_processor() -> ProcessorConfig:
@@ -108,6 +113,7 @@ class MemSysConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("ideal", "vector", "multibank"):
             raise ConfigError(f"unknown memory system kind {self.kind!r}")
+        require_positive(self, ("vc_width_words", "mb_ports", "mb_banks"))
 
     def build(self) -> tuple[CacheHierarchy, VectorPort, L1Port]:
         """Instantiate fresh hierarchy + ports for one simulation run."""

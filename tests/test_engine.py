@@ -12,7 +12,9 @@ from repro.engine import (
     axes_product,
     build_configs,
     execute_spec,
+    validate_spec,
 )
+from repro.cli import main
 from repro.errors import ConfigError
 from repro.harness import Runner
 from repro.timing.stats import RunStats
@@ -114,6 +116,29 @@ def test_build_configs_rejects_mistyped_values():
         build_configs(RunSpec(BENCH, "mom", overrides={"l2_line": "128"}))
 
 
+#: overrides no machine can have: each used to raise mid-simulation,
+#: simulate (and cache) an impossible machine or, for mem_issue=0,
+#: never finish
+IMPOSSIBLE_OVERRIDES = [
+    ("mem_issue", 0), ("l2_size", 0), ("l2_ways", 0), ("l1_line", 0),
+    ("window", 0), ("lsq", 0), ("int_fus", 0), ("vc_width_words", 0),
+    ("mb_banks", 0), ("extra_vector_regs", 0), ("extra_d3_regs", 0),
+    ("extra_ptr_regs", 0), ("l2_line", 3), ("l1_size", 100),
+    ("simd_lanes", 0), ("fetch_width", 0), ("retire_width", 0),
+    ("l1_ports", 0), ("mb_ports", 0)]
+
+
+@pytest.mark.parametrize("field,value", IMPOSSIBLE_OVERRIDES)
+def test_impossible_overrides_fail_validation(field, value, capsys):
+    spec = RunSpec(BENCH, "mom3d", "multibank", overrides={field: value})
+    with pytest.raises(ConfigError, match=field):
+        validate_spec(spec)
+    assert main(["sweep", "-b", BENCH, "-c", "mom3d", "-m", "multibank",
+                 "--set", f"{field}={value}", "--backend", "inline",
+                 "--no-cache"]) == 2
+    assert field in capsys.readouterr().err
+
+
 # --- RunStats serialization ---------------------------------------------------
 
 
@@ -190,7 +215,7 @@ def test_fresh_result_supersedes_an_undecodable_record(tmp_path,
     """A CRC-valid record that does not decode is re-simulated once:
     the fresh result replaces it on disk, a second engine hits, and
     gc drops the bad frame."""
-    from repro.engine.store import INDEX_NAME, MAGIC, _frame
+    from repro.engine.store import MAGIC, _frame
 
     spec = RunSpec(BENCH, "mom", "vector")
     planted = ResultCache(tmp_path)
@@ -210,8 +235,6 @@ def test_fresh_result_supersedes_an_undecodable_record(tmp_path,
     cache = ResultCache(tmp_path)
     removed, _reclaimed = cache.gc()
     assert removed == 1
-    # with the index gone, a full rescan finds only the fresh record
-    (cache.dir / INDEX_NAME).unlink()
     assert ResultCache(tmp_path).get(spec) == stats
 
 

@@ -82,23 +82,17 @@ def test_cold_race_admits_one_object_per_spec(tmp_path):
 class RacingCache:
     """A result cache whose every read loses the race to a concurrent
     admit: the winner's object reaches the engine's memo before
-    ``get``/``get_many`` returns the stored copy."""
+    ``get_many`` returns the stored copy."""
 
     def __init__(self, engine):
         self.engine = engine
         self.winner = RunStats(name="winner")
 
-    def _read(self, spec):
-        self.engine._admit(spec, self.winner)
-        return RunStats(name="stored copy")
-
-    def get(self, spec):
-        return self._read(spec)
-
     def get_many(self, specs):
-        return {spec: self._read(spec) for spec in specs}
+        self.engine._admit_many({spec: self.winner for spec in specs})
+        return {spec: RunStats(name="stored copy") for spec in specs}
 
-    def put(self, spec, stats):
+    def put_many(self, pairs):
         pass
 
 

@@ -2,8 +2,7 @@
 
 Four layers, cheapest first:
 
-* lossless ``to_dict``/``from_dict`` round-trips for every explore
-  record type;
+* explore record construction: normalization and validation;
 * objective pinning — the ``(slowdown, l2_watts, area_tracks)`` vector
   extracted from real runs equals the fig9 / fig11 / table3 models
   called directly, and matches ``Runner.slowdown``'s convention;
@@ -64,13 +63,13 @@ def engine(tmp_path_factory):
         yield engine
 
 
-# -- round-trips -------------------------------------------------------------
+# -- records -----------------------------------------------------------------
 
 
 def test_candidate_roundtrip_and_normalization():
     cand = Candidate(coding="mom3d", memsys="vector", l2_latency=40,
                      overrides=(("l2_line_words", 16),))
-    assert Candidate.from_dict(cand.to_dict()) == cand
+    assert cand.overrides == (("l2_line_words", 16),)
     # ideal memory canonicalizes the latency: one candidate, one spec
     ideal_a = Candidate(coding="mom", memsys="ideal", l2_latency=20)
     ideal_b = Candidate(coding="mom", memsys="ideal", l2_latency=99)
@@ -88,10 +87,8 @@ def test_record_and_constraint_roundtrip():
         objectives=Objectives(slowdown=1.25, l2_watts=3.5,
                               area_tracks=2939392.0),
         benchmarks=PARITY_BENCHMARKS)
-    assert ExploreRecord.from_dict(record.to_dict()) == record
-    for constraint in (Constraint("slowdown", within=0.05),
-                       Constraint("area_tracks", limit=3e6)):
-        assert Constraint.from_dict(constraint.to_dict()) == constraint
+    assert record.to_dict()["objectives"] == {
+        "slowdown": 1.25, "l2_watts": 3.5, "area_tracks": 2939392.0}
     with pytest.raises(ConfigError):
         Constraint("slowdown")  # neither bound
     with pytest.raises(ConfigError):

@@ -225,16 +225,10 @@ class BrokenStore:
     def get(self, digest):
         raise OSError("injected: disk gone")
 
-    def get_raw(self, digest):
-        raise OSError("injected: disk gone")
-
     def fetch_raw_many(self, digests):
         raise OSError("injected: disk gone")
 
     def append_many(self, items):
-        raise OSError("injected: disk gone")
-
-    def flush(self):
         raise OSError("injected: disk gone")
 
 
@@ -275,7 +269,6 @@ def test_compaction_quarantines_crc_failures(tmp_path):
     store = SegmentStore(tmp_path, max_segment_bytes=1)
     store.append_many([(_digest(1), {"tag": "alpha"}),
                        (_digest(2), {"tag": "beta"})])
-    store.flush()
 
     # rot one payload byte on disk without touching the framing
     for segment in sorted(tmp_path.glob("*.seg")):
@@ -311,7 +304,6 @@ def test_cache_gc_cli_exits_nonzero_on_corruption(tmp_path, capsys):
     other = RunSpec(BENCH, "mom3d", "ideal")
     cache.put(SPEC, stats)
     cache.put(other, stats)
-    cache.flush()
 
     target = SPEC.digest().encode("ascii")
     for segment in sorted(cache.dir.glob("*.seg")):
@@ -335,5 +327,4 @@ def test_cache_gc_cli_clean_store_exits_zero(tmp_path, capsys):
 
     cache = ResultCache(tmp_path)
     cache.put(SPEC, RunStats(name="x"))
-    cache.flush()
     assert main(["--cache-dir", str(tmp_path), "cache", "gc"]) == 0

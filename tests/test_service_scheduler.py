@@ -1,13 +1,19 @@
 """Scheduler tests: in-flight dedup, batch coalescing, job snapshots."""
 
 import asyncio
+import gc
+import logging
 import threading
+import time
 import uuid
+from contextlib import closing
 
 import pytest
 
-from repro.engine import Engine, RunSpec, Sweep
+from repro.engine import Engine, RemoteBackend, RunSpec, Sweep
+from repro.service import ServiceClient, ServiceError, background_server
 from repro.service.scheduler import BatchScheduler, Job, JobStore
+from repro.timing.stats import RunStats
 
 BENCH = "gsm_encode"
 IDEAL = RunSpec(BENCH, "mom", "ideal")  # cheapest simulation point
@@ -232,6 +238,91 @@ def test_close_fails_pending_futures():
             scheduler.submit([IDEAL])
 
     _run(main())
+
+
+class PickyBackend:
+    """Fails every batch that holds ``doomed``; answers the other
+    specs with stub stats."""
+
+    name = "picky"
+
+    def __init__(self, doomed: RunSpec):
+        self.doomed = doomed
+        self.batches: list[list[RunSpec]] = []
+
+    def execute(self, specs, jobs=None, grid_mode="auto"):
+        self.batches.append(list(specs))
+        if self.doomed in specs:
+            raise RuntimeError(f"cannot simulate {self.doomed.label()}")
+        return {spec: RunStats(name=spec.label()) for spec in specs}
+
+    def counters(self) -> dict:
+        return {}
+
+    def close(self) -> None:
+        pass
+
+
+def test_failed_batch_reruns_its_specs_alone():
+    """A batch the backend fails for one spec's sake is re-run spec by
+    spec: that spec fails alone and its batchmate resolves."""
+    doomed = RunSpec(BENCH, "mom", "vector")
+    backend = PickyBackend(doomed)
+    engine = Engine(use_cache=False, backend=backend)
+
+    async def main():
+        async with BatchScheduler(engine, window=0.05) as scheduler:
+            return await asyncio.gather(*scheduler.submit([IDEAL, doomed]),
+                                        return_exceptions=True)
+
+    good, failed = _run(main())
+    assert good.name == IDEAL.label()
+    assert isinstance(failed, RuntimeError)
+    assert "cannot simulate" in str(failed)
+    assert backend.batches == [[IDEAL, doomed], [IDEAL], [doomed]]
+
+
+def test_remote_timeout_fails_the_whole_job_at_once():
+    """With no worker attached the remote backend times the batch out.
+    The job fails then, instead of re-running each spec alone and
+    waiting out the timeout once more per spec."""
+    backend = RemoteBackend(wait_timeout=0.5)
+    specs = Sweep(benchmarks=(BENCH,), codings=("mom", "mom3d"),
+                  memsystems=("ideal", "vector", "multibank")).specs()
+    assert len(specs) == 6
+    with closing(Engine(use_cache=False, backend=backend)) as engine, \
+            background_server(engine, window=0.01) as server, \
+            closing(ServiceClient(server.url,
+                                  poll_interval=0.02)) as client:
+        start = time.monotonic()
+        job = client.submit(specs)
+        with pytest.raises(ServiceError, match="worker attached"):
+            client.wait(job.job_id, timeout=30)
+        elapsed = time.monotonic() - start
+    assert elapsed < 2 * backend.wait_timeout
+    assert backend.counters()["pending_shards"] == 0
+
+
+def test_failed_job_nobody_polls_logs_nothing(caplog):
+    """A job that fails after its client stopped polling leaves
+    exceptions no waiter retrieves; asyncio must not log them as lost
+    when the futures are collected."""
+    backend = PickyBackend(IDEAL)
+    engine = Engine(use_cache=False, backend=backend)
+    specs = [IDEAL, RunSpec(BENCH, "mom3d", "ideal")]
+
+    async def main():
+        async with BatchScheduler(engine, window=0.0) as scheduler:
+            job = Job(specs, scheduler.submit(specs))
+            await asyncio.wait(job.futures)  # retrieves nothing
+            return job.futures[0].done() and job.futures[1].done()
+
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        assert _run(main())
+        gc.collect()
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "asyncio"] == []
+    assert backend.batches == [specs, [IDEAL], [specs[1]]]
 
 
 # --- jobs ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Segment-store tests: format, recovery, concurrency, cache facade.
 
-Covers the tentpole storage engine directly (round-trips, rollover,
-index rebuilds, torn-tail crash recovery, two-process admission,
-compaction) and the :class:`ResultCache` behaviors layered on it
+Covers the storage engine directly (round-trips, rollover, rebuilds
+by scan, torn-tail crash recovery, rotted frames set aside and
+quarantined, two-process admission, compaction) and the
+:class:`ResultCache` behaviors layered on it
 (bulk round-trips, stray per-digest files ignored, query filters,
 stat, ``gc`` of superseded namespaces, and the ``__len__``-after-``gc``
 resync).
@@ -13,6 +14,7 @@ import multiprocessing
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +22,11 @@ from repro.cli import main
 from repro.engine import RunSpec
 from repro.engine.cache import ResultCache
 from repro.engine.store import (
-    FOOTER_DIGEST,
-    INDEX_NAME,
     MAGIC,
+    CorruptFrameError,
     SegmentStore,
+    _dumps,
+    _frame,
 )
 from repro.timing.stats import RunStats
 
@@ -31,8 +34,7 @@ BENCH = "gsm_encode"
 
 
 def _digest(i: int) -> str:
-    # i+1: the all-zero digest is the reserved footer sentinel
-    return "%064x" % (i + 1)
+    return "%064x" % i
 
 
 def _payload(i: int) -> dict:
@@ -62,13 +64,11 @@ def test_store_round_trip_and_reopen(tmp_path):
             {_digest(i): _payload(i) for i in range(20)}
 
 
-def test_store_first_writer_wins_and_footer_digest_refused(tmp_path):
+def test_store_first_writer_wins_in_process(tmp_path):
     with SegmentStore(tmp_path) as store:
         assert store.append(_digest(0), {"v": "first"})
         assert not store.append(_digest(0), {"v": "second"})
         assert store.get(_digest(0)) == {"v": "first"}
-        assert not store.append(FOOTER_DIGEST, {"v": "sneaky"})
-        assert FOOTER_DIGEST not in store
         assert store.append_many(
             [(_digest(1), {"v": 1}), (_digest(1), {"v": "dup"}),
              (_digest(2), {"v": 2})]) == [_digest(1), _digest(2)]
@@ -80,27 +80,33 @@ def test_store_rollover_seals_segments(tmp_path):
         stat = store.stat()
         assert stat["records"] == 30
         assert stat["segments"] > 1
-        # every non-active segment is sealed by a footer
-        assert stat["sealed"] >= stat["segments"] - 1
+    # the segments are the store: nothing else is written
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == \
+        [".seg"] * stat["segments"]
     with SegmentStore(tmp_path) as reopened:
         assert len(reopened) == 30
         assert reopened.get(_digest(29)) == _payload(29)
 
 
 def test_store_index_rebuild_after_deletion(tmp_path):
+    """The index is rebuilt from the segments alone: deleting one
+    segment file deletes exactly the records it held."""
     with SegmentStore(tmp_path, max_segment_bytes=512) as store:
         _fill(store, 30)
-    (tmp_path / INDEX_NAME).unlink()
+        doomed = store.index[_digest(0)][0]
+        gone = {d for d, ref in store.index.items() if ref[0] == doomed}
+    (tmp_path / doomed).unlink()
     with SegmentStore(tmp_path) as rebuilt:
-        assert len(rebuilt) == 30
+        assert set(rebuilt.digests()) == \
+            {_digest(i) for i in range(30)} - gone
         assert rebuilt.get(_digest(17)) == _payload(17)
 
 
-def test_store_stale_index_tail_scan(tmp_path):
+def test_store_dropped_without_close_loses_nothing(tmp_path):
     store = SegmentStore(tmp_path)
     _fill(store, 5)
-    store.flush()  # index knows exactly 5 records
-    _fill(store, 5, start=5)  # appended but never re-flushed
+    store.close()
+    _fill(store, 5, start=5)  # a second session, never closed
     # crash: drop the store without close() (data was written through)
     del store
     with SegmentStore(tmp_path) as recovered:
@@ -113,7 +119,6 @@ def test_store_torn_tail_recovery(tmp_path):
         _fill(store, 8)
         (name,) = [n for n in store._segments]
     path = tmp_path / name
-    (tmp_path / INDEX_NAME).unlink()  # force a full rescan
     with open(path, "ab") as fh:  # a partial frame from a dead writer
         fh.write(b"\xff\x00\x01torn-frame-gibberish")
     with SegmentStore(tmp_path) as recovered:
@@ -129,12 +134,65 @@ def test_store_truncated_mid_record_drops_only_the_tail(tmp_path):
     with SegmentStore(tmp_path) as store:
         _fill(store, 4)
         ref = store.index[_digest(3)]
-    (tmp_path / INDEX_NAME).unlink()
     path = tmp_path / ref[0]
     os.truncate(path, ref[1] + 10)  # cut into the last record
     with SegmentStore(tmp_path) as recovered:
         assert sorted(recovered.digests()) == \
             sorted(_digest(i) for i in range(3))
+
+
+def _rot(tmp_path, i: int, at: int, value: int) -> tuple[str, int, bytes]:
+    """Write ``value`` over the byte ``at`` bytes into record ``i``'s
+    frame, in a one-segment store of five records; returns the
+    segment name, the frame's offset and the rotted frame."""
+    with SegmentStore(tmp_path) as store:
+        _fill(store, 5)
+        name, offset, length = store.index[_digest(i)]
+    assert os.listdir(tmp_path) == [name]
+    path = tmp_path / name
+    data = bytearray(path.read_bytes())
+    assert data[offset + at] != value
+    data[offset + at] = value
+    path.write_bytes(bytes(data))
+    return name, offset, bytes(data[offset:offset + 72 + length])
+
+
+def test_store_rotted_middle_frame_is_set_aside_and_quarantined(tmp_path):
+    """A whole frame that fails its CRC is not a torn tail: the scan
+    sets it aside and reads on, and compaction quarantines it."""
+    # a payload byte: '{"tag":' becomes '{"tbg":'
+    _name, _offset, frame = _rot(tmp_path, 2, at=72 + 3, value=ord("b"))
+    healthy = {_digest(i): _payload(i) for i in (0, 1, 3, 4)}
+    with SegmentStore(tmp_path) as store:
+        assert _digest(2) not in store
+        assert store.get(_digest(2)) is None
+        assert store.get_many([_digest(i) for i in range(5)]) == healthy
+        assert store.compact(dry_run=True)[0] == 1
+        with pytest.raises(CorruptFrameError) as info:
+            store.compact()
+        sidecar = tmp_path / f"{_digest(2)}.corrupt"
+        assert info.value.quarantined == [(_digest(2), str(sidecar))]
+        assert sidecar.read_bytes() == frame
+        assert dict(store.scan()) == healthy
+    with SegmentStore(tmp_path) as reopened:
+        # the records after the rotted one survived the compaction
+        assert dict(reopened.scan()) == healthy
+        assert reopened.compact() == (0, 0)
+
+
+def test_store_mangled_digest_field_stops_its_segment(tmp_path):
+    """A rotted frame whose digest field is not a digest frames
+    nothing after it: its sidecar is named by segment and offset, and
+    the records before it survive."""
+    name, offset, frame = _rot(tmp_path, 2, at=8, value=ord("z"))
+    with SegmentStore(tmp_path) as store:
+        assert sorted(store.digests()) == [_digest(0), _digest(1)]
+        with pytest.raises(CorruptFrameError) as info:
+            store.compact()
+    label = f"{name[:-len('.seg')]}-{offset}"
+    sidecar = tmp_path / f"{label}.corrupt"
+    assert info.value.quarantined == [(label, str(sidecar))]
+    assert sidecar.read_bytes() == frame
 
 
 def test_store_foreign_files_left_alone(tmp_path):
@@ -154,28 +212,30 @@ def test_store_compact_drops_duplicates_dry_run_matches(tmp_path):
     with SegmentStore(tmp_path, max_segment_bytes=512) as store:
         _fill(store, 20)
     # a second writer re-appends overlapping digests into its own
-    # segments (as after a racy dual-process run with a cold index)
-    (tmp_path / INDEX_NAME).unlink()
+    # segment (as after a racy dual-process run)
     with open(tmp_path / "seg-900000.seg", "wb") as fh:
-        from repro.engine.store import _dumps, _frame
         fh.write(MAGIC)
         for i in range(5):
-            fh.write(_frame(_digest(i), _dumps({"v": "loser"})))
+            fh.write(_frame(_digest(i), _dumps({"v": "newer"})))
+    expected = {_digest(i): _payload(i) for i in range(20)}
+    expected.update({_digest(i): {"v": "newer"} for i in range(5)})
     with SegmentStore(tmp_path) as store:
         assert len(store) == 20
-        # name order makes the original segments win the tie
-        assert store.get(_digest(0)) == _payload(0)
+        # a rebuild keeps the newest frame of a digest: the later
+        # segment wins the tie
+        assert store.get(_digest(0)) == {"v": "newer"}
+        assert store.get(_digest(5)) == _payload(5)
         dry = store.compact(dry_run=True)
         real = store.compact()
         assert dry == real
-        assert real[0] == 5  # five duplicate frames dropped
+        assert real[0] == 5  # five superseded frames dropped
         assert real[1] > 0
         stat = store.stat()
-        assert stat == {"records": 20, "segments": 1, "bytes": stat["bytes"],
-                        "sealed": 1}
-        assert dict(store.scan()) == \
-            {_digest(i): _payload(i) for i in range(20)}
+        assert stat == {"records": 20, "segments": 1, "bytes": stat["bytes"]}
+        assert dict(store.scan()) == expected
         assert store.compact() == (0, 0)  # already tight: no-op
+    with SegmentStore(tmp_path) as reopened:
+        assert dict(reopened.scan()) == expected
 
 
 def test_store_compact_leaves_full_segments_alone(tmp_path):
@@ -191,7 +251,7 @@ def test_store_compact_leaves_full_segments_alone(tmp_path):
 
     before = files()
     with SegmentStore(directory, max_segment_bytes=64 * 1024) as store:
-        assert store.stat()["sealed"] >= 3
+        assert store.stat()["segments"] >= 3
         assert store.compact(dry_run=True) == (0, 0)
         assert store.compact() == (0, 0)
     assert files() == before
@@ -233,7 +293,7 @@ def test_store_stat_counts_without_reads(tmp_path):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ops=st.lists(st.tuples(
-    st.sampled_from(["put", "put_many", "reopen", "compact", "flush"]),
+    st.sampled_from(["put", "put_many", "reopen", "compact"]),
     st.lists(st.integers(min_value=0, max_value=40),
              min_size=1, max_size=6)), max_size=25))
 def test_store_matches_dict_oracle(tmp_path, ops):
@@ -267,10 +327,8 @@ def test_store_matches_dict_oracle(tmp_path, ops):
             elif op == "reopen":
                 store.close()
                 store = SegmentStore(root, max_segment_bytes=2048)
-            elif op == "compact":
-                store.compact()
             else:
-                store.flush()
+                store.compact()
             assert len(store) == len(oracle)
         assert store.get_many(list(oracle)) == oracle
         store.close()
@@ -309,8 +367,8 @@ def test_store_two_process_writers_never_interleave(tmp_path):
     written = dict(queue.get(timeout=5) for _ in procs)
     # overlapping digests (20..39) may land twice — once per writer,
     # as duplicate frames in separate segments — or once, when the
-    # slower writer happened to open after the faster one flushed its
-    # index; never fewer than each writer's 20 exclusive digests
+    # slower writer happened to open after the faster one wrote them;
+    # never fewer than each writer's 20 exclusive digests
     assert 20 <= written[0] <= 40 and 20 <= written[20] <= 40
     duplicates = written[0] + written[20] - 60
     assert duplicates >= 0
@@ -407,12 +465,10 @@ def test_cache_len_resyncs_after_gc(tmp_path):
     assert len(cache) == 4
     old = ResultCache(tmp_path, version="v-old")
     old.put_many([(_spec(i), _stats(i)) for i in range(3)])
-    old.flush()
     del old
     # external writer appears mid-session: len must resync after gc
     extra = ResultCache(tmp_path, version="v-new")
     extra.put(_spec(10), _stats(10))
-    extra.flush()
     removed, reclaimed = cache.gc()
     assert removed >= 3 and reclaimed > 0
     assert not (tmp_path / "v-old").exists()
@@ -425,7 +481,6 @@ def test_cache_gc_dry_run_reports_real_bytes(tmp_path):
     cache.put(_spec(0), _stats(0))
     old = ResultCache(tmp_path, version="v-old")
     old.put_many([(_spec(i), _stats(i)) for i in range(5)])
-    old.flush()
     del old
     dry = cache.gc(dry_run=True)
     assert (tmp_path / "v-old").is_dir()  # dry run touched nothing
@@ -444,7 +499,6 @@ def test_cache_gc_collects_a_pre_segment_namespace_unread(
     any of its files."""
     cache = ResultCache(tmp_path, version="v-new")
     cache.put(_spec(0), _stats(0))
-    cache.flush()
     legacy = tmp_path / "v-legacy"
     legacy.mkdir()
     files = []
@@ -485,7 +539,6 @@ def test_cache_gc_collects_a_pre_segment_namespace_unread(
 def test_cache_entry_sizes_account_for_every_byte(tmp_path):
     cache = ResultCache(tmp_path, version="v1")
     cache.put_many([(_spec(i), _stats(i)) for i in range(5)])
-    cache.flush()
     entries = cache.entries(labels=False)
     assert len(entries) == 5
     assert all(entry.size > 72 for entry in entries)
@@ -505,7 +558,6 @@ def test_cache_query_opens_a_superseded_store_only_while_scanning(
     cache.put(_spec(0), _stats(0))
     old = ResultCache(tmp_path, version="v0")
     old.put(_spec(1), _stats(1))
-    old.flush()
     opened = []
     real = cache_module.SegmentStore
 

@@ -30,7 +30,6 @@ def _counters(engine) -> dict:
 def _run(cache_dir, backend=None, jobs=1):
     engine = Engine(jobs=jobs, cache_dir=cache_dir, backend=backend)
     results = engine.run_many(GRID)
-    engine.cache.flush()
     return _stats_dicts(results), _counters(engine)
 
 
@@ -76,7 +75,6 @@ def test_paper_grids_parity_across_backends(tmp_path):
             for thread in threads:
                 thread.join(timeout=30)
     assert _stats_dicts(remote) == reference
-    engine.cache.flush()
     # the remote run's admissions persisted: a warm engine over the
     # same cache replays the grid without simulating
     _assert_warm(tmp_path / "remote", reference)

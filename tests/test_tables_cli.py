@@ -73,44 +73,6 @@ def test_cli_bench_rejects_bad_name():
         main(["bench", "not_a_benchmark"])
 
 
-def test_cli_bench_suite_records_and_diffs(tmp_path, capsys, monkeypatch):
-    """``repro bench <suite>`` re-records BENCH_*.json and diffs it."""
-    import json
-
-    import repro.cli as cli
-
-    bench_dir = tmp_path / "benchmarks"
-    bench_dir.mkdir()
-    (bench_dir / "bench_toy.py").write_text(
-        "import json\n"
-        "from pathlib import Path\n"
-        "BENCH_OUT = Path(__file__).resolve().parent.parent"
-        " / 'BENCH_toy.json'\n"
-        "def run_benchmark():\n"
-        "    payload = {'speedup': 2.0, 'per_group': {'a': 1}}\n"
-        "    BENCH_OUT.write_text(json.dumps(payload),"
-        " encoding='utf-8')\n"
-        "    return payload\n", encoding="utf-8")
-    monkeypatch.setattr(cli, "_bench_dir", lambda: bench_dir)
-
-    assert main(["bench", "toy"]) == 0
-    out = capsys.readouterr().out
-    assert "no previous record" in out
-
-    assert main(["bench", "toy"]) == 0
-    assert "unchanged" in capsys.readouterr().out
-
-    artifact = tmp_path / "BENCH_toy.json"
-    artifact.write_text(json.dumps({"speedup": 1.5,
-                                    "per_group": {"a": 3, "b": 4}}),
-                        encoding="utf-8")
-    assert main(["bench", "toy"]) == 0
-    out = capsys.readouterr().out
-    assert "speedup: 1.5 -> 2.0" in out
-    assert "per_group.a: 3 -> 1" in out
-    assert "per_group.b: 4 -> (gone)" in out
-
-
 def test_cli_sweep_timing_model_axis(capsys):
     """String-valued --set overrides (timing_model) sweep both models
     and report identical schedules."""
