@@ -4,11 +4,13 @@ Times a *cold* fig3 grid — no engine cache, every spec simulated from
 scratch — through each execution backend and writes
 ``BENCH_backends.json`` at the repo root:
 
-* ``inline`` — serial execution, the zero-dispatch baseline;
-* ``process`` — two local pool workers (pays fork + pickle);
-* ``remote`` — two in-process HTTP workers pulling leased shards
-  through a real ``background_server`` socket (pays the full wire
-  round trip: JSON specs out, JSON stats back).
+* ``inline`` — serial execution at one job, the zero-dispatch
+  baseline;
+* ``pool`` — the inline backend at two jobs, a local process pool
+  (pays fork + pickle);
+* ``remote`` — four shards for two in-process HTTP workers pulling
+  leased shards through a real ``background_server`` socket (pays the
+  full wire round trip: JSON specs out, JSON stats back).
 
 The interesting number is each backend's *overhead vs inline* — the
 price of its dispatch machinery — not its absolute wall clock: on a
@@ -25,7 +27,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.engine import Engine, InlineBackend, ProcessBackend, RemoteBackend
+from repro.engine import Engine, InlineBackend, RemoteBackend
 from repro.harness.experiments import fig3_sweep
 from repro.service import ServiceWorker, background_server
 
@@ -44,19 +46,20 @@ def _time_inline(specs) -> float:
     return time.perf_counter() - start
 
 
-def _time_process(specs) -> float:
+def _time_pool(specs) -> float:
     gc.collect()
     start = time.perf_counter()
     Engine(use_cache=False,
-           backend=ProcessBackend(jobs=WORKERS)).run_many(specs)
+           backend=InlineBackend(jobs=WORKERS)).run_many(specs)
     return time.perf_counter() - start
 
 
 def _time_remote(specs) -> float:
     engine = Engine(use_cache=False,
-                    backend=RemoteBackend(wait_timeout=600.0))
+                    backend=RemoteBackend(wait_timeout=600.0,
+                                          shards=2 * WORKERS))
     gc.collect()
-    with background_server(engine, window=0.0) as server:
+    with background_server(engine) as server:
         workers = [ServiceWorker(server.url, Engine(use_cache=False),
                                  worker_id=f"bench-w{i}",
                                  poll_interval=0.005)
@@ -66,7 +69,7 @@ def _time_remote(specs) -> float:
         for thread in threads:
             thread.start()
         start = time.perf_counter()
-        engine.run_many(specs, jobs=2 * WORKERS)
+        engine.run_many(specs)
         elapsed = time.perf_counter() - start
         for worker in workers:
             worker.stop()
@@ -77,7 +80,7 @@ def _time_remote(specs) -> float:
 
 def run_benchmark() -> dict:
     specs = fig3_sweep().specs()
-    timers = {"inline": _time_inline, "process": _time_process,
+    timers = {"inline": _time_inline, "pool": _time_pool,
               "remote": _time_remote}
     # warm up workload builds, numpy and the allocator before timing
     _time_inline(specs)
@@ -86,7 +89,7 @@ def run_benchmark() -> dict:
     baseline = seconds["inline"]
     payload = {
         "grid": f"fig3 cold grid: {len(specs)} specs, "
-                f"{WORKERS} workers for process/remote",
+                f"{WORKERS} workers for pool/remote",
         "rounds": ROUNDS,
         "seconds": {name: round(value, 4)
                     for name, value in seconds.items()},
@@ -108,7 +111,7 @@ def test_backend_dispatch_overhead():
     print(json.dumps(payload, indent=2))
     # every backend finished the whole grid; dispatch machinery must
     # not dominate the simulations it ships (generous CI-safe bound)
-    assert set(payload["seconds"]) == {"inline", "process", "remote"}
+    assert set(payload["seconds"]) == {"inline", "pool", "remote"}
     assert payload["seconds"]["remote"] < 60 * payload["seconds"]["inline"], \
         payload
 

@@ -5,8 +5,11 @@ directory: a plain ``pytest`` run must neither read nor mutate the
 user's ``~/.cache/repro``, and the ablation benchmarks must keep
 timing real simulations rather than warm-cache JSON loads on reruns.
 Tests that want a specific cache location pass ``cache_dir``
-explicitly and are unaffected.
+explicitly and are unaffected.  The ``closes`` fixture closes the
+stores, caches and engines a test opens when it ends.
 """
+
+import contextlib
 
 import pytest
 
@@ -29,3 +32,11 @@ def _isolated_repro_cache(tmp_path_factory):
                    str(tmp_path_factory.mktemp("repro-cache")))
     yield
     patcher.undo()
+
+
+@pytest.fixture()
+def closes():
+    """``closes(thing)`` returns ``thing`` and calls its ``close()``
+    when the test ends, however it ends."""
+    with contextlib.ExitStack() as stack:
+        yield lambda thing: stack.enter_context(contextlib.closing(thing))

@@ -5,7 +5,7 @@ things the job API buys over in-process calls:
 
 1. engine-shaped results over the wire (``ServiceClient.run_many``
    matches ``Engine.run_many`` bit-for-bit);
-2. request coalescing — several clients submitting the same grid
+2. in-flight dedup — several clients submitting the same grid
    concurrently cost one simulation pass;
 3. a shared warm path — reruns answer from the engine memo/cache with
    ``simulations`` unchanged.
@@ -25,7 +25,7 @@ def main() -> None:
                   codings=("mom", "mom3d"), memsystems=("vector",))
     specs = sweep.specs()
 
-    with background_server(engine, window=0.05) as server:
+    with background_server(engine) as server:
         print(f"service listening on {server.url}")
         client = ServiceClient(server.url)
         print(f"health: {client.health()['status']}")
@@ -43,12 +43,12 @@ def main() -> None:
         for thread in clients:
             thread.join()
 
-        # 2. ...and the scheduler coalesced them onto one pass.
+        # 2. ...and the scheduler deduplicated them onto one pass.
         stats = client.stats()
         print(f"\n{len(clients)} clients x {len(specs)} specs -> "
               f"engine {stats['engine']['simulations']} simulations, "
-              f"scheduler coalesced "
-              f"{stats['scheduler']['coalesced']} submissions into "
+              f"{stats['scheduler']['coalesced']} spec submissions "
+              f"attached to in-flight work, "
               f"{stats['scheduler']['batches']} batch(es)")
 
         # 3. Results are the engine's, bit for bit.

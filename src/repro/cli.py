@@ -27,7 +27,7 @@ Subcommands:
   the trace bytes (cached like any grid point) and ``--set`` override
   axes are honored.
 * ``serve`` — host the job service: an asyncio HTTP server exposing
-  this engine's ``run_many``/``sweep`` with request batching and
+  this engine's ``run_many``/``sweep``, one dispatch per job with
   in-flight dedup (see ``docs/service.md``), plus a Prometheus text
   exposition on ``GET /v1/metrics`` (latency histograms, queue depth,
   lease ages, fleet health).  With ``--backend remote`` it also
@@ -44,11 +44,12 @@ Subcommands:
 
 Engine flags (accepted before or after the subcommand):
 
-* ``--jobs N`` — shard uncached simulations across N worker processes.
-* ``--backend {inline,process,remote}`` — how uncached simulations
-  execute: serially, across a local process pool (the default), or
-  dispatched to pull-based ``repro worker`` processes (``serve``
-  only).
+* ``--jobs N`` — shard uncached simulations across N processes (the
+  remote backend: into at least N shards).
+* ``--backend {inline,remote}`` — where uncached simulations execute:
+  on this machine (the default; serially at one job, over a process
+  pool at more), or on pull-based ``repro worker`` processes
+  (``serve`` only).
 * ``--grid-mode {auto,on,off}`` — whether specs sharing one trace are
   simulated as a single grid-axis pass (shared decode, one traffic
   replay per cache geometry, one lean walk per distinct schedule; see
@@ -71,6 +72,7 @@ and ``worker`` prints its loop counters as ``[worker] ...``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro.engine.keys import MEMSYS_KINDS as _MEMSYS_CHOICES
@@ -79,17 +81,20 @@ from repro.harness import EXPERIMENTS, Runner, run_all
 from repro.workloads import CODINGS, benchmark_names
 
 
-def _make_backend(args):
+@contextlib.contextmanager
+def _runner(args):
+    """The command's runner; its engine closes when the command ends."""
     from repro.engine import make_backend
 
-    return make_backend(args.backend, jobs=args.jobs,
-                        lease_ttl=args.lease_ttl)
-
-
-def _make_runner(args) -> Runner:
-    return Runner(seed=args.seed, jobs=args.jobs,
-                  cache_dir=args.cache_dir, use_cache=not args.no_cache,
-                  backend=_make_backend(args), grid_mode=args.grid_mode)
+    runner = Runner(seed=args.seed, cache_dir=args.cache_dir,
+                    use_cache=not args.no_cache,
+                    backend=make_backend(args.backend, jobs=args.jobs,
+                                         lease_ttl=args.lease_ttl),
+                    grid_mode=args.grid_mode)
+    try:
+        yield runner
+    finally:
+        runner.engine.close()
 
 
 def _print_engine_summary(runner: Runner) -> None:
@@ -118,27 +123,27 @@ def _cmd_run(args) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}",
               file=sys.stderr)
         return 1
-    runner = _make_runner(args)
-    for exp_id in args.experiments:
-        print(EXPERIMENTS[exp_id](runner).render())
-        print()
+    with _runner(args) as runner:
+        for exp_id in args.experiments:
+            print(EXPERIMENTS[exp_id](runner).render())
+            print()
     _print_engine_summary(runner)
     return 0
 
 
 def _cmd_all(args) -> int:
-    runner = _make_runner(args)
-    for result in run_all(runner):
-        print(result.render())
-        print()
+    with _runner(args) as runner:
+        for result in run_all(runner):
+            print(result.render())
+            print()
     _print_engine_summary(runner)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    runner = _make_runner(args)
-    stats = runner.run(args.name, args.coding, args.memsys,
-                       args.l2_latency)
+    with _runner(args) as runner:
+        stats = runner.run(args.name, args.coding, args.memsys,
+                           args.l2_latency)
     print(stats.summary())
     print(f"  L2 activity:        {stats.l2_activity}")
     print(f"  words moved:        {stats.cache_words}")
@@ -217,8 +222,8 @@ def _sweep_from_args(args):
 
 def _cmd_sweep(args) -> int:
     sweep = _sweep_from_args(args)
-    runner = _make_runner(args)
-    results = runner.engine.run_many(sweep.specs())
+    with _runner(args) as runner:
+        results = runner.engine.run_many(sweep.specs())
     print(_results_table(
         results, f"sweep over {len(results)} configurations").render())
     _print_engine_summary(runner)
@@ -293,8 +298,8 @@ def _cmd_explore(args) -> int:
     else:
         from repro.explore import explore
 
-        runner = _make_runner(args)
-        report = explore(runner.engine, query)
+        with _runner(args) as runner:
+            report = explore(runner.engine, query)
     best = report.best
     print(_explore_table(report.frontier, best, query.minimize).render())
     if query.constraint is not None:
@@ -314,8 +319,8 @@ def _cmd_explore(args) -> int:
 def _cmd_report(args) -> int:
     from repro.harness.report import write_report
 
-    runner = _make_runner(args)
-    write_report(args.output, runner)
+    with _runner(args) as runner:
+        write_report(args.output, runner)
     print(f"wrote {args.output}")
     _print_engine_summary(runner)
     return 0
@@ -336,8 +341,6 @@ def _cmd_replay(args) -> int:
     benchmark = register_trace(args.trace)
     overrides = (axes_product(**_merge_set_axes(args.set))
                  if args.set else [{}])
-    runner = _make_runner(args)
-    engine = runner.engine
     # seed pinned to 0: the trace bytes fix the program, so replays of
     # the same content must share one cache entry regardless of --seed
     specs = [RunSpec(benchmark=benchmark, coding=args.coding,
@@ -345,7 +348,8 @@ def _cmd_replay(args) -> int:
                      warm=not args.cold, seed=0,
                      overrides=tuple(over.items()))
              for over in overrides]
-    results = engine.run_many(specs)
+    with _runner(args) as runner:
+        results = runner.engine.run_many(specs)
     if len(results) == 1:
         (stats,) = results.values()
         print(stats.summary())
@@ -361,16 +365,12 @@ def _cmd_replay(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.service import serve
 
-    runner = _make_runner(args)
-    try:
+    with _runner(args) as runner:
         serve(runner.engine, host=args.host, port=args.port,
-              window=args.window, max_batch=args.max_batch,
               max_workers=args.workers, max_jobs=args.max_jobs,
               drain_grace=args.drain_grace,
               announce=lambda url: print(f"[service] listening on {url}",
                                          file=sys.stderr))
-    finally:
-        runner.engine.close()
     return 0
 
 
@@ -403,19 +403,18 @@ def _cmd_submit(args) -> int:
 def _cmd_worker(args) -> int:
     from repro.service import ServiceError, work
 
-    runner = _make_runner(args)
-    try:
-        stats = work(
-            args.url, runner.engine, worker_id=args.worker_id,
-            poll_interval=args.poll_interval, max_idle=args.max_idle,
-            max_shards=args.max_shards,
-            announce=lambda wid: print(
-                f"[worker] {wid} polling {args.url}", file=sys.stderr))
-    except (ServiceError, TimeoutError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        runner.engine.close()
+    with _runner(args) as runner:
+        try:
+            stats = work(
+                args.url, runner.engine, worker_id=args.worker_id,
+                poll_interval=args.poll_interval, max_idle=args.max_idle,
+                max_shards=args.max_shards,
+                announce=lambda wid: print(
+                    f"[worker] {wid} polling {args.url}",
+                    file=sys.stderr))
+        except (ServiceError, TimeoutError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     print(f"[worker] {stats.summary()}", file=sys.stderr)
     _print_engine_summary(runner)
     return 0
@@ -558,13 +557,13 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                        help="workload generation seed (default 0)")
     group.add_argument("--jobs", "-j", type=_positive_int,
                        default=argparse.SUPPRESS, metavar="N",
-                       help="worker processes for uncached simulations "
-                            "(default 1 = serial); also the remote "
-                            "backend's shard fan-out hint")
+                       help="processes for uncached simulations "
+                            "(default 1 = serially, on this thread); "
+                            "the remote backend's shard fan-out")
     group.add_argument("--backend", choices=BACKEND_NAMES,
                        default=argparse.SUPPRESS,
                        help="execution backend for uncached "
-                            "simulations (default: process; remote "
+                            "simulations (default: inline; remote "
                             "only under serve)")
     group.add_argument("--grid-mode", choices=GRID_MODES,
                        default=argparse.SUPPRESS,
@@ -593,7 +592,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", "-j", type=_positive_int, default=1)
     parser.add_argument("--backend", choices=BACKEND_NAMES,
-                        default="process")
+                        default="inline")
     parser.add_argument("--grid-mode", choices=GRID_MODES,
                         default="auto")
     parser.add_argument("--lease-ttl", type=_positive_float,
@@ -733,13 +732,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8737,
                          help="listen port (0 picks a free one)")
-    p_serve.add_argument("--window", type=float, default=0.02,
-                         metavar="SECONDS",
-                         help="batch coalescing window for specs not "
-                              "in the memo (default 0.02)")
-    p_serve.add_argument("--max-batch", type=int, default=64,
-                         metavar="N",
-                         help="max specs per run_many dispatch")
     p_serve.add_argument("--workers", type=int, default=2, metavar="N",
                          help="executor threads resolving batches")
     p_serve.add_argument("--max-jobs", type=int, default=256,
@@ -821,8 +813,8 @@ def run(args: argparse.Namespace) -> int:
     if args.backend == "remote" and args.command != "serve":
         # only serve's listener lets workers reach the work queue
         print("error: --backend remote runs only under 'repro serve'; "
-              "run this command locally with --backend inline or "
-              "process", file=sys.stderr)
+              "run this command locally with --backend inline",
+              file=sys.stderr)
         return 2
     handlers = {"list": _cmd_list, "run": _cmd_run, "all": _cmd_all,
                 "tables": _cmd_all, "bench": _cmd_bench,

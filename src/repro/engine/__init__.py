@@ -10,9 +10,9 @@ The engine owns everything between "a grid of run specifications" and
 * :mod:`repro.engine.parallel` — spec-to-simulator resolution and
   workload-grouped sharding;
 * :mod:`repro.engine.backends` — pluggable
-  :class:`~repro.engine.backends.ExecutionBackend` strategies (serial
-  inline, local process pool, remote lease-queue workers) that decide
-  *where* uncached specs simulate;
+  :class:`~repro.engine.backends.ExecutionBackend` strategies (this
+  machine, serially or over a process pool, and remote lease-queue
+  workers) that decide *where* uncached specs simulate;
 * :mod:`repro.engine.sweep` — declarative grid construction.
 
 :class:`Engine` ties them together with a three-level lookup per spec:
@@ -48,7 +48,6 @@ if TYPE_CHECKING:
 # built or a spec is dispatched: a cache hit runs neither.
 __getattr__ = lazy_exports(__name__, {
     "repro.engine.backends.inline": ("InlineBackend",),
-    "repro.engine.backends.process": ("ProcessBackend",),
     "repro.engine.backends.remote": ("RemoteBackend",),
     "repro.engine.backends.workqueue": ("WorkQueue",),
     "repro.engine.parallel": (
@@ -89,9 +88,9 @@ class EngineStats:
     dispatches: int = 0
     #: trace groups planned for the grid-axis path.  The executing
     #: side recomputes the same plan (``parallel.simulate_specs``), so
-    #: on the inline backend these counters equal what ran; the
-    #: process backend's ``shard_specs`` can still split a group
-    #: across shards when there are more jobs than groups
+    #: at one job these counters equal what ran; a pool's
+    #: ``shard_specs`` can still split a group across shards when
+    #: there are more jobs than groups
     grid_groups: int = 0
     #: specs planned per-spec while grid mode was enabled (ineligible
     #: overrides, or singleton groups under ``auto``)
@@ -121,9 +120,9 @@ class Engine:
     (in-flight dedup is the scheduler's job, not the engine's).
 
     ``backend`` decides where uncached specs execute: an
-    :class:`~repro.engine.backends.ExecutionBackend` instance, a name
-    (``"inline"``/``"process"``/``"remote"``), or None for the
-    historical default — a local process pool sized by ``jobs``.
+    :class:`~repro.engine.backends.ExecutionBackend` instance, or a
+    name (``"inline"``/``"remote"``) built with ``jobs`` as its width;
+    None means ``"inline"``.
 
     ``grid_mode`` controls the grid-axis planner: ``run_many`` groups
     pending specs by trace (``(benchmark, coding, seed, warm)``) and
@@ -143,12 +142,9 @@ class Engine:
                 f"unknown grid mode {grid_mode!r}; expected one of "
                 f"{GRID_MODES}")
         self.seed = seed
-        self.jobs = jobs
         self.grid_mode = grid_mode
-        if backend is None:
-            backend = "process"
-        if isinstance(backend, str):
-            backend = make_backend(backend, jobs=jobs)
+        if isinstance(backend, str) or backend is None:
+            backend = make_backend(backend or "inline", jobs=jobs)
         self.backend: ExecutionBackend = backend
         self.cache: ResultCache | None = (
             ResultCache(cache_dir) if use_cache else None)
@@ -187,22 +183,18 @@ class Engine:
         hit = self.memo_lookup(spec)
         if hit is not None:
             return hit
-        return self.run_many([spec], jobs=1)[spec]
+        return self.run_many([spec])[spec]
 
-    def run_many(self, specs, jobs: int | None = None,
-                 grid_mode: str | None = None
+    def run_many(self, specs, grid_mode: str | None = None
                  ) -> dict[RunSpec, RunStats]:
         """Resolve a whole grid, dispatching uncached specs through the
         engine's execution backend.
 
         Returns a dict keyed by spec covering every input (duplicates
-        collapse).  ``jobs`` defaults to the engine's setting and is a
-        parallelism/fan-out hint the backend may ignore; ``grid_mode``
-        overrides the engine's grid planning for this call (a remote
-        worker executes each leased shard under the coordinator's
-        mode without touching shared engine state).
+        collapse).  ``grid_mode`` overrides the engine's grid planning
+        for this call (a remote worker executes each leased shard under
+        the coordinator's mode without touching shared engine state).
         """
-        jobs = self.jobs if jobs is None else jobs
         if grid_mode is None:
             grid_mode = self.grid_mode
         elif grid_mode not in GRID_MODES:
@@ -215,8 +207,7 @@ class Engine:
             with self._lock:
                 self.stats.dispatches += 1
                 self._plan(pending, grid_mode)
-            fresh = self.backend.execute(pending, jobs=jobs,
-                                         grid_mode=grid_mode)
+            fresh = self.backend.execute(pending, grid_mode=grid_mode)
             with self._lock:
                 self.stats.simulations += len(fresh)
             results.update(self._admit_many(fresh))
@@ -343,9 +334,9 @@ def run_many(specs, jobs: int = 1, cache_dir=None, use_cache: bool = True,
 
 __all__ = [
     "BACKEND_NAMES", "Engine", "EngineStats",
-    "ExecutionBackend", "GRID_MODES", "InlineBackend", "ProcessBackend",
-    "RemoteBackend", "ResultCache", "RunSpec", "SegmentStore", "Sweep",
-    "WorkQueue", "axes_product",
+    "ExecutionBackend", "GRID_MODES", "InlineBackend", "RemoteBackend",
+    "ResultCache", "RunSpec", "SegmentStore", "Sweep", "WorkQueue",
+    "axes_product",
     "build_configs", "build_memsys", "build_processor",
     "build_workload", "code_version", "default_cache_root",
     "execute_spec", "grid_eligible", "grid_group_key", "make_backend",

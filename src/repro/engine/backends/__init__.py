@@ -4,13 +4,11 @@ The :class:`~repro.engine.Engine` resolves cache misses through an
 :class:`ExecutionBackend` — a small protocol that turns a list of
 :class:`~repro.engine.keys.RunSpec` into their
 :class:`~repro.timing.stats.RunStats` — instead of hard-coding a
-process pool.  Three implementations ship:
+process pool.  Two implementations ship:
 
-* :class:`~repro.engine.backends.inline.InlineBackend` — serial,
-  in-process execution (what ``jobs=1`` always did);
-* :class:`~repro.engine.backends.process.ProcessBackend` — the
-  ``ProcessPoolExecutor`` fan-out, extracted from
-  ``engine/parallel.py``;
+* :class:`~repro.engine.backends.inline.InlineBackend` — this
+  machine: the calling thread at one job, a per-call
+  ``ProcessPoolExecutor`` over trace shards at more;
 * :class:`~repro.engine.backends.remote.RemoteBackend` — shards
   dispatched to pull-based ``repro worker`` processes through a
   lease-tracked :class:`~repro.engine.backends.workqueue.WorkQueue`
@@ -35,11 +33,10 @@ if TYPE_CHECKING:
     from repro.timing.stats import RunStats
 
 # Each backend class loads when first named or built: they import the
-# spec executor (``engine.parallel``), and the process and remote ones
-# their pool and queue machinery, none of which a cache hit runs.
+# spec executor (``engine.parallel``), and the remote one its queue
+# machinery, none of which a cache hit runs.
 __getattr__ = lazy_exports(__name__, {
     "repro.engine.backends.inline": ("InlineBackend",),
-    "repro.engine.backends.process": ("ProcessBackend",),
     "repro.engine.backends.remote": ("RemoteBackend",),
     "repro.engine.backends.workqueue": ("WorkLease", "WorkQueue",
                                         "WorkQueueError", "WorkShard"),
@@ -51,8 +48,8 @@ class ExecutionBackend(Protocol):
     """What the engine needs from an execution strategy.
 
     ``execute`` must resolve *every* input spec (raising if any spec
-    cannot be) and may run them anywhere, in any order; ``jobs`` is a
-    parallelism hint a backend is free to ignore.  ``grid_mode``
+    cannot be) and may run them anywhere, in any order; how wide it
+    goes is the backend's own setting.  ``grid_mode``
     selects the grid-axis execution plan (``auto``/``on``/``off``, see
     :func:`repro.engine.parallel.plan_grid`) — backends dispatch whole
     trace-groups so the executing side can simulate each group in one
@@ -65,8 +62,7 @@ class ExecutionBackend(Protocol):
 
     name: str
 
-    def execute(self, specs: "list[RunSpec]", jobs: int | None = None,
-                grid_mode: str = "auto"
+    def execute(self, specs: "list[RunSpec]", grid_mode: str = "auto"
                 ) -> "dict[RunSpec, RunStats]": ...
 
     def counters(self) -> dict: ...
@@ -75,23 +71,20 @@ class ExecutionBackend(Protocol):
 
 
 #: Backend names accepted by :func:`make_backend` and ``--backend``.
-BACKEND_NAMES = ("inline", "process", "remote")
+BACKEND_NAMES = ("inline", "remote")
 
 
 def make_backend(name: str, *, jobs: int = 1, lease_ttl: float = 30.0,
                  wait_timeout: float = 600.0) -> ExecutionBackend:
     """Construct a backend by name (the ``--backend`` flag's factory).
 
-    Only the parameters a backend understands reach it: ``jobs`` feeds
-    the process backend's pool width and the remote backend's shard
+    Only the parameters a backend understands reach it: ``jobs`` sets
+    the inline backend's pool width and the remote backend's shard
     fan-out; ``lease_ttl``/``wait_timeout`` are remote-only.
     """
     if name == "inline":
         from repro.engine.backends.inline import InlineBackend
-        return InlineBackend()
-    if name == "process":
-        from repro.engine.backends.process import ProcessBackend
-        return ProcessBackend(jobs=jobs)
+        return InlineBackend(jobs=jobs)
     if name == "remote":
         from repro.engine.backends.remote import RemoteBackend
         return RemoteBackend(lease_ttl=lease_ttl,
@@ -102,6 +95,6 @@ def make_backend(name: str, *, jobs: int = 1, lease_ttl: float = 30.0,
 
 __all__ = [
     "BACKEND_NAMES", "ExecutionBackend", "InlineBackend",
-    "ProcessBackend", "RemoteBackend", "WorkLease", "WorkQueue",
-    "WorkQueueError", "WorkShard", "make_backend",
+    "RemoteBackend", "WorkLease", "WorkQueue", "WorkQueueError",
+    "WorkShard", "make_backend",
 ]

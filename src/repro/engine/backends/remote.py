@@ -1,7 +1,7 @@
 """Distributed execution backend over pull-based workers.
 
-``RemoteBackend.execute`` shards its specs exactly like the process
-backend (workload-grouped, via
+``RemoteBackend.execute`` shards its specs exactly like the inline
+backend's pool (workload-grouped, via
 :func:`~repro.engine.parallel.shard_specs`), enqueues the shards on a
 :class:`~repro.engine.backends.workqueue.WorkQueue`, and blocks until
 every shard is completed.  It runs no simulations itself: workers —
@@ -28,12 +28,12 @@ from repro.timing.stats import RunStats
 class RemoteBackend:
     """Dispatch shards to remote workers through a lease queue.
 
-    ``shards`` is the default fan-out hint: specs are split into at
-    least that many shards (workload-grouping permitting) so that many
-    workers can pull concurrently; ``execute(jobs=...)`` overrides it
-    per call.  ``wait_timeout`` bounds how long a dispatch waits for
-    workers before failing the batch (and discarding its shards, so a
-    worker showing up late finds only duplicates to report).
+    ``shards`` is the fan-out: specs are split into at least that many
+    shards (workload-grouping permitting) so that many workers can
+    pull concurrently.  ``wait_timeout`` bounds how long a dispatch
+    waits for workers before failing the batch (and discarding its
+    shards, so a worker showing up late finds only duplicates to
+    report).
     """
 
     name = "remote"
@@ -49,7 +49,7 @@ class RemoteBackend:
         self.wait_timeout = wait_timeout
         self.shards = shards
 
-    def execute(self, specs: list[RunSpec], jobs: int | None = None,
+    def execute(self, specs: list[RunSpec],
                 grid_mode: str = "auto") -> dict[RunSpec, RunStats]:
         # grid_mode rides on each shard so the workers execute under
         # the coordinator's plan (results are identical in every mode;
@@ -62,15 +62,11 @@ class RemoteBackend:
             raise ConfigError(
                 f"{unresolvable[0].benchmark!r} names a locally "
                 f"registered trace file; saved-trace replays cannot be "
-                f"dispatched to remote workers — use the inline or "
-                f"process backend for them")
+                f"dispatched to remote workers — use the inline "
+                f"backend for them")
         if not specs:
             return {}
-        fan_out = self.shards if jobs is None else jobs
-        if fan_out <= 0:
-            raise ValueError(
-                f"jobs must be a positive integer, got {fan_out}")
-        shard_ids = self.queue.enqueue(shard_specs(specs, fan_out),
+        shard_ids = self.queue.enqueue(shard_specs(specs, self.shards),
                                        grid_mode=grid_mode)
         try:
             return self.queue.collect(shard_ids,

@@ -350,8 +350,9 @@ class SegmentStore:
         while True:
             name = f"seg-{number:06d}{SEGMENT_SUFFIX}"
             try:
+                # 0o666 less the umask, as for any regular file
                 fd = os.open(self.directory / name,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
             except FileExistsError:
                 number += 1  # another writer claimed it
                 continue

@@ -44,14 +44,15 @@ class Runner:
             benchmark, coding, memsys, l2_latency, warm,
             overrides=overrides))
 
-    def prefetch(self, specs, jobs: int | None = None) -> None:
-        """Resolve a grid of specs up front (parallel when jobs > 1).
+    def prefetch(self, specs) -> None:
+        """Resolve a grid of specs up front, in one dispatch.
 
-        Experiments call this with their full grid so the engine can
-        shard the uncached points across worker processes; subsequent
-        ``run()`` calls are then pure memo hits.
+        Experiments call this with their full grid so the engine's
+        backend sees every uncached point at once (and can spread them
+        over its pool); subsequent ``run()`` calls are then pure memo
+        hits.
         """
-        self.engine.run_many(specs, jobs=jobs)
+        self.engine.run_many(specs)
 
     def slowdown(self, benchmark: str, coding: str, memsys: str,
                  l2_latency: int = 20) -> float:

@@ -5,9 +5,9 @@ The execution API, redesigned around *jobs* instead of direct calls:
 * :mod:`repro.service.schema` — versioned JSON wire format
   (``JobRequest`` / ``JobResult`` / ``ErrorReply``) with total
   round-trip encoding of ``RunSpec`` and ``RunStats``;
-* :mod:`repro.service.scheduler` — asyncio batching scheduler over one
-  shared, lock-protected :class:`~repro.engine.Engine` (in-flight
-  dedup, windowed ``run_many`` coalescing, executor offload);
+* :mod:`repro.service.scheduler` — asyncio scheduler over one shared,
+  lock-protected :class:`~repro.engine.Engine` (in-flight dedup, one
+  ``run_many`` dispatch per submission, executor offload);
 * :mod:`repro.service.server` — stdlib-asyncio HTTP server
   (``POST /v1/jobs``, ``GET /v1/jobs/<id>``, ``/v1/results``,
   ``/v1/health``, ``/v1/stats``, ``/v1/metrics`` and the worker

@@ -1,4 +1,4 @@
-"""Asyncio batching scheduler over one shared :class:`Engine`.
+"""Asyncio scheduler over one shared :class:`Engine`.
 
 The scheduler is the service's concurrency heart:
 
@@ -7,12 +7,11 @@ The scheduler is the service's concurrency heart:
   await that future, so the grid costs one simulation pass no matter
   how many submit it.
 * **Memo hits at submit** — a spec the engine's in-process memo
-  already holds resolves inside ``submit`` and is never queued.
-* **Batch coalescing** — the other new specs collect in a queue; the
-  dispatch loop waits a short window (or until ``max_batch`` specs are
-  queued) and resolves the whole batch with a single
-  ``Engine.run_many`` call, which shards uncached specs across worker
-  processes.
+  already holds resolves inside ``submit`` and is never dispatched.
+* **One dispatch per submission** — the submission's other new specs
+  go out at once as one batch, resolved by a single
+  ``Engine.run_many`` call, so the engine's grid planner sees the
+  whole job.
 * **Non-blocking event loop** — `run_many` executes on a
   ``ThreadPoolExecutor`` thread (the engine is lock-protected for
   exactly this), so HTTP handling keeps serving while simulations run.
@@ -39,7 +38,7 @@ from repro.service.schema import JobResult
 
 @dataclass
 class SchedulerStats:
-    """Coalescing evidence, mirrored on ``GET /v1/stats``."""
+    """Dedup and dispatch evidence, mirrored on ``GET /v1/stats``."""
 
     #: specs submitted, before any dedup
     submitted: int = 0
@@ -56,31 +55,21 @@ class SchedulerStats:
                 "batches": self.batches,
                 "batched_specs": self.batched_specs}
 
-    def summary(self) -> str:
-        return (f"submitted={self.submitted} coalesced={self.coalesced} "
-                f"batches={self.batches} "
-                f"batched-specs={self.batched_specs}")
-
 
 class BatchScheduler:
-    """Windowed batching + in-flight dedup in front of a shared Engine.
+    """In-flight dedup in front of a shared Engine, one dispatch per
+    submission.
 
     Single-threaded discipline: every method except the executor-side
     ``Engine.run_many`` call runs on the owning event loop, so the
-    in-flight map and queue need no locks of their own.
+    in-flight map needs no lock of its own.
     """
 
-    def __init__(self, engine: Engine, *, window: float = 0.02,
-                 max_batch: int = 64, max_workers: int = 2,
+    def __init__(self, engine: Engine, *, max_workers: int = 2,
                  metrics=None):
         self.engine = engine
-        self.window = window
-        self.max_batch = max_batch
         self.stats = SchedulerStats()
         self._inflight: dict[RunSpec, asyncio.Future] = {}
-        self._queue: list[RunSpec] = []
-        self._kick: asyncio.Event | None = None
-        self._loop_task: asyncio.Task | None = None
         self._dispatches: set[asyncio.Task] = set()
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-batch")
@@ -91,7 +80,8 @@ class BatchScheduler:
             self._bind_metrics(metrics)
 
     def _bind_metrics(self, metrics) -> None:
-        """Publish coalescing counters and latency/size histograms.
+        """Publish dedup and dispatch counters and latency/size
+        histograms.
 
         The counters are callback-backed views of ``self.stats`` (one
         registry per scheduler — sharing a registry between schedulers
@@ -110,8 +100,9 @@ class BatchScheduler:
                             fn=lambda f=field: getattr(stats, f))
         self._latency = metrics.histogram(
             "repro_scheduler_job_latency_seconds",
-            "Submit-to-resolution latency per unique spec "
-            "(0 for a memo hit answered at submit).",
+            "Submit-to-resolution latency per unique spec: its "
+            "batch's executor wait and run (0 for a memo hit answered "
+            "at submit).",
             buckets=LATENCY_BUCKETS)
         self._batch_sizes = metrics.histogram(
             "repro_scheduler_batch_size_specs",
@@ -120,39 +111,20 @@ class BatchScheduler:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> None:
-        """Begin dispatching (must run inside the owning event loop)."""
-        if self._loop_task is not None:
-            return
-        self._kick = asyncio.Event()
-        if self._queue:
-            self._kick.set()
-        self._loop_task = asyncio.create_task(self._dispatch_loop())
-
     async def close(self) -> None:
-        """Stop the loop, fail leftover futures, release the executor."""
+        """Refuse new submissions, let the running batches land, and
+        release the executor.
+
+        Every in-flight future belongs to a running batch, so each
+        resolves before this returns.
+        """
         self._closed = True
-        if self._loop_task is not None:
-            self._loop_task.cancel()
-            try:
-                await self._loop_task
-            except asyncio.CancelledError:
-                pass
-            self._loop_task = None
         if self._dispatches:
             await asyncio.gather(*self._dispatches,
                                  return_exceptions=True)
-        for spec, future in list(self._inflight.items()):
-            if not future.done():
-                future.set_exception(
-                    RuntimeError(f"scheduler closed with {spec.label()} "
-                                 f"still pending"))
-        self._inflight.clear()
-        self._queue.clear()
         self._executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "BatchScheduler":
-        self.start()
         return self
 
     async def __aexit__(self, *exc_info) -> None:
@@ -164,13 +136,14 @@ class BatchScheduler:
         """Register specs; returns one future per input.
 
         A spec the engine's memo already holds comes back as a resolved
-        future and is never queued; the window applies to misses only.
-        Duplicates of a queued or running spec share its future.
+        future; duplicates of a running spec share its future.  The
+        other specs leave at once, as one batch.
         """
         if self._closed:
             raise RuntimeError("scheduler is closed")
         loop = asyncio.get_running_loop()
         futures: list[asyncio.Future] = []
+        misses: list[RunSpec] = []
         for spec in specs:
             self.stats.submitted += 1
             future = self._inflight.get(spec)
@@ -187,39 +160,23 @@ class BatchScheduler:
                 future = loop.create_future()
                 future.add_done_callback(_retrieve_exception)
                 self._inflight[spec] = future
-                self._queue.append(spec)
+                misses.append(spec)
                 if self._latency is not None:
                     # one observation per unique spec, taken at
-                    # resolution time so queue wait + batching window
-                    # + simulation all count
+                    # resolution time so the executor wait and the
+                    # simulation both count
                     submitted_at = time.monotonic()
                     future.add_done_callback(
                         lambda _f, t0=submitted_at: self._latency
                         .observe(time.monotonic() - t0))
             futures.append(future)
-        if self._queue and self._kick is not None:
-            self._kick.set()
+        if misses:
+            task = loop.create_task(self._dispatch(misses))
+            self._dispatches.add(task)
+            task.add_done_callback(self._dispatches.discard)
         return futures
 
     # -- dispatch ----------------------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        assert self._kick is not None
-        while True:
-            await self._kick.wait()
-            if len(self._queue) < self.max_batch and self.window > 0:
-                # Coalescing window: let concurrent submissions join
-                # this batch instead of paying their own dispatch.
-                await asyncio.sleep(self.window)
-            batch = self._queue[:self.max_batch]
-            del self._queue[:len(batch)]
-            if not self._queue:
-                self._kick.clear()
-            if not batch:
-                continue
-            task = asyncio.create_task(self._dispatch(batch))
-            self._dispatches.add(task)
-            task.add_done_callback(self._dispatches.discard)
 
     def _fail_spec(self, spec: RunSpec, exc: Exception) -> None:
         future = self._inflight.pop(spec, None)
@@ -391,7 +348,7 @@ class JobStore:
     def ensure_capacity(self) -> None:
         """Raise :class:`JobStoreFull` at the running-jobs limit.
 
-        The server calls this *before* queueing specs on the
+        The server calls this *before* submitting specs to the
         scheduler, so a refused submission never leaves orphaned
         futures behind; ``add`` re-checks as a belt-and-braces guard.
         """

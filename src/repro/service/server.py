@@ -17,8 +17,8 @@ see :mod:`repro.service.schema` and ``docs/service.md``):
   accumulated runs without resimulating anything.
 * ``GET /v1/health`` — liveness probe.
 * ``GET /v1/stats`` — engine counters (simulations / hits / stores /
-  dispatches), execution-backend counters, scheduler coalescing
-  counters, and result-cache occupancy.
+  dispatches), execution-backend counters, scheduler dedup and
+  dispatch counters, and result-cache occupancy.
 * ``GET /v1/metrics`` — the same signals (plus latency histograms,
   queue depth, lease ages and fleet health) as a Prometheus text
   exposition; the one non-JSON endpoint.  Series catalog in
@@ -105,7 +105,6 @@ class ServiceServer:
 
     def __init__(self, engine: Engine | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 window: float = 0.02, max_batch: int = 64,
                  max_workers: int = 2, max_jobs: int = 256,
                  metrics: Metrics | None = None,
                  drain_grace: float = 30.0):
@@ -120,9 +119,7 @@ class ServiceServer:
         queue = getattr(self.engine.backend, "queue", None)
         if isinstance(queue, WorkQueue):
             instrument_work_queue(self.metrics, queue)
-        self.scheduler = BatchScheduler(self.engine, window=window,
-                                        max_batch=max_batch,
-                                        max_workers=max_workers,
+        self.scheduler = BatchScheduler(self.engine, max_workers=max_workers,
                                         metrics=self.metrics)
         self.jobs = JobStore(limit=max_jobs)
         #: graceful-shutdown state: once :meth:`drain` flips
@@ -180,8 +177,7 @@ class ServiceServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and start the batch dispatcher."""
-        self.scheduler.start()
+        """Bind the listener."""
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -228,11 +224,15 @@ class ServiceServer:
         if self._server is not None:
             # stop listening and shut the idle connections; a busy one
             # closes after its reply.  From Python 3.12 ``wait_closed``
-            # waits for every open connection to go.
+            # waits for every open connection to go; before it, wait
+            # for their handlers here, or ``asyncio.run`` cancels them
+            # mid-close and logs each cancellation.
             self._closing = True
             self._server.close()
             self._close_idle()
             await self._server.wait_closed()
+            while self._connections:
+                await asyncio.sleep(0.01)
             self._server = None
         await self.scheduler.close()
 
@@ -249,10 +249,10 @@ class ServiceServer:
             while await self._exchange(reader, writer):
                 self._connections[writer] = True
         finally:
-            del self._connections[writer]
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
+            del self._connections[writer]
 
     async def _exchange(self, reader: asyncio.StreamReader,
                         writer: asyncio.StreamWriter) -> bool:
@@ -634,8 +634,7 @@ class ServiceServer:
 
 
 def serve(engine: Engine | None = None, *, host: str = "127.0.0.1",
-          port: int = 8737, window: float = 0.02, max_batch: int = 64,
-          max_workers: int = 2, max_jobs: int = 256,
+          port: int = 8737, max_workers: int = 2, max_jobs: int = 256,
           drain_grace: float = 30.0,
           announce: Callable[[str], None] | None = None) -> None:
     """Blocking entry point (the ``repro serve`` subcommand).
@@ -649,7 +648,6 @@ def serve(engine: Engine | None = None, *, host: str = "127.0.0.1",
 
     async def _main() -> None:
         server = ServiceServer(engine, host=host, port=port,
-                               window=window, max_batch=max_batch,
                                max_workers=max_workers,
                                max_jobs=max_jobs, drain_grace=drain_grace)
         await server.start()
@@ -685,7 +683,6 @@ def serve(engine: Engine | None = None, *, host: str = "127.0.0.1",
 @contextlib.contextmanager
 def background_server(engine: Engine | None = None, *,
                       host: str = "127.0.0.1", port: int = 0,
-                      window: float = 0.02, max_batch: int = 64,
                       max_workers: int = 2, max_jobs: int = 256,
                       metrics: Metrics | None = None,
                       drain_grace: float = 30.0):
@@ -704,7 +701,6 @@ def background_server(engine: Engine | None = None, *,
 
     async def _main() -> None:
         server = ServiceServer(engine, host=host, port=port,
-                               window=window, max_batch=max_batch,
                                max_workers=max_workers,
                                max_jobs=max_jobs, metrics=metrics,
                                drain_grace=drain_grace)

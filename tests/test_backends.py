@@ -1,9 +1,9 @@
 """Execution-backend tests: protocol, parity, leases, fault injection.
 
-The headline property (this PR's acceptance criterion): the fig3, fig9
-and table1 grids produce byte-identical ``RunStats.to_dict()`` results
-whether the engine executes inline, across the local process pool, or
-on remote workers pulling shards over HTTP — and a two-worker remote
+The headline property: the fig3, fig9 and table1 grids produce
+byte-identical ``RunStats.to_dict()`` results whether the engine
+executes inline (serially or over the local process pool) or on
+remote workers pulling shards over HTTP — and a two-worker remote
 run admits every shard's results exactly once, even when a worker dies
 mid-lease.
 """
@@ -16,7 +16,6 @@ import pytest
 from repro.engine import (
     Engine,
     InlineBackend,
-    ProcessBackend,
     RemoteBackend,
     RunSpec,
     Sweep,
@@ -48,10 +47,11 @@ def _work_then_close(worker: ServiceWorker) -> None:
 
 @pytest.fixture()
 def remote_service():
-    """A remote-backend service plus two live worker threads."""
-    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0)
+    """A remote-backend service (four shards per dispatch) plus two
+    live worker threads."""
+    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0, shards=4)
     engine = Engine(use_cache=False, backend=backend)
-    with background_server(engine, window=0.01) as server:
+    with background_server(engine) as server:
         workers = [ServiceWorker(server.url, Engine(use_cache=False),
                                  worker_id=f"w{i}", poll_interval=0.02)
                    for i in range(2)]
@@ -73,7 +73,7 @@ def remote_service():
 
 
 def test_make_backend_registry():
-    assert BACKEND_NAMES == ("inline", "process", "remote")
+    assert BACKEND_NAMES == ("inline", "remote")
     for name in BACKEND_NAMES:
         backend = make_backend(name, jobs=2)
         assert backend.name == name
@@ -83,7 +83,7 @@ def test_make_backend_registry():
     with pytest.raises(ValueError, match="unknown execution backend"):
         make_backend("gpu")
     with pytest.raises(ValueError, match="positive"):
-        ProcessBackend(jobs=0)
+        InlineBackend(jobs=0)
     with pytest.raises(ValueError, match="positive"):
         RemoteBackend(shards=0)
     with pytest.raises(ValueError, match="lease_ttl"):
@@ -117,20 +117,20 @@ def test_remote_backend_rejects_trace_specs(tmp_path):
 
 
 def test_paper_grids_byte_identical_across_backends(remote_service):
-    """fig3 + fig9 + table1: inline == process == remote, byte for
+    """fig3 + fig9 + table1: serial == pool == remote, byte for
     byte, with the remote run sharded over two HTTP workers."""
     engine, _server, _workers = remote_service
     grid = paper_grids()
 
     inline = Engine(use_cache=False, backend=InlineBackend()
                     ).run_many(grid)
-    process = Engine(use_cache=False, backend=ProcessBackend(jobs=2)
-                     ).run_many(grid)
-    remote = engine.run_many(grid, jobs=4)
+    pool = Engine(use_cache=False, backend=InlineBackend(jobs=2)
+                  ).run_many(grid)
+    remote = engine.run_many(grid)
 
-    assert set(inline) == set(process) == set(remote) == set(grid)
+    assert set(inline) == set(pool) == set(remote) == set(grid)
     for spec in grid:
-        assert inline[spec].to_dict() == process[spec].to_dict(), spec
+        assert inline[spec].to_dict() == pool[spec].to_dict(), spec
         assert inline[spec].to_dict() == remote[spec].to_dict(), spec
 
     # every shard dispatched was simulated exactly once: no shard was
@@ -142,9 +142,27 @@ def test_paper_grids_byte_identical_across_backends(remote_service):
     assert engine.stats.simulations == len(grid)
 
 
+def test_inline_pool_honours_jobs():
+    """At two jobs, specs from two traces run as two pool shards; at
+    one job they run on the calling thread.  The results agree byte
+    for byte."""
+    specs = Sweep(benchmarks=(BENCH,), codings=("mom", "mom3d"),
+                  memsystems=("ideal", "vector")).specs()
+    serial, pool = InlineBackend(jobs=1), InlineBackend(jobs=2)
+    serial_results = serial.execute(specs)
+    pool_results = pool.execute(specs)
+    assert serial.counters()["pool_shards"] == 0
+    assert pool.counters()["pool_shards"] == 2
+    assert set(pool_results) == set(serial_results) == set(specs)
+    for spec in specs:
+        assert pool_results[spec].to_dict() == \
+            serial_results[spec].to_dict()
+
+
 def test_remote_jobs_hint_controls_fan_out(remote_service):
     engine, _server, workers = remote_service
-    results = engine.run_many(SMALL, jobs=4)
+    assert engine.backend.shards == 4
+    results = engine.run_many(SMALL)
     serial = Engine(use_cache=False, backend="inline").run_many(SMALL)
     for spec in SMALL:
         assert results[spec].to_dict() == serial[spec].to_dict()
@@ -335,15 +353,15 @@ def test_worker_death_releases_shard_without_double_admission(tmp_path):
     the TTL the shard is re-leased to worker B, whose results are
     admitted into the shared cache exactly once; A's eventual late
     upload is acknowledged as a duplicate and changes nothing."""
-    backend = RemoteBackend(lease_ttl=0.4, wait_timeout=60.0)
+    backend = RemoteBackend(lease_ttl=0.4, wait_timeout=60.0, shards=2)
     engine = Engine(cache_dir=tmp_path, backend=backend)
     specs = SMALL
-    with background_server(engine, window=0.01) as server:
+    with background_server(engine) as server:
         dead = ServiceClient(server.url)
         results_holder: dict = {}
 
         def coordinate():
-            results_holder["results"] = engine.run_many(specs, jobs=2)
+            results_holder["results"] = engine.run_many(specs)
 
         coordinator = threading.Thread(target=coordinate)
         coordinator.start()

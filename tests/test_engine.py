@@ -165,14 +165,14 @@ def test_runstats_round_trip_through_json(real_stats):
 # --- disk cache ---------------------------------------------------------------
 
 
-def test_cache_round_trip(tmp_path):
+def test_cache_round_trip(tmp_path, closes):
     spec = RunSpec(BENCH, "mom", "vector")
-    first = Engine(cache_dir=tmp_path)
+    first = closes(Engine(cache_dir=tmp_path))
     stats = first.run(spec)
     assert first.stats.simulations == 1
     assert first.stats.stores == 1
 
-    second = Engine(cache_dir=tmp_path)
+    second = closes(Engine(cache_dir=tmp_path))
     again = second.run(spec)
     assert second.stats.simulations == 0
     assert second.stats.disk_hits == 1
@@ -182,20 +182,21 @@ def test_cache_round_trip(tmp_path):
     assert second.stats.memo_hits == 1
 
 
-def test_cache_namespaced_by_code_version(tmp_path):
+def test_cache_namespaced_by_code_version(tmp_path, closes):
     spec = RunSpec(BENCH, "mom", "vector")
-    ResultCache(tmp_path, version="v-old").put(spec, RunStats(name="x"))
-    fresh = ResultCache(tmp_path, version="v-new")
+    old = closes(ResultCache(tmp_path, version="v-old"))
+    old.put(spec, RunStats(name="x"))
+    fresh = closes(ResultCache(tmp_path, version="v-new"))
     assert fresh.get(spec) is None
     assert len(fresh) == 0
 
 
-def test_cache_ignores_corrupt_entries(tmp_path):
+def test_cache_ignores_corrupt_entries(tmp_path, closes):
     from repro.engine.store import MAGIC, _frame
 
     spec = RunSpec(BENCH, "mom", "vector")
     shaped = RunSpec(BENCH, "mom3d", "vector")
-    cache = ResultCache(tmp_path, version="v")
+    cache = closes(ResultCache(tmp_path, version="v"))
     cache.dir.mkdir(parents=True)
     # a well-formed frame (CRC intact, so it indexes) whose payload
     # is not JSON
@@ -211,38 +212,38 @@ def test_cache_ignores_corrupt_entries(tmp_path):
 
 @pytest.mark.parametrize("payload", (b"{not json", b'{"stats":null}'))
 def test_fresh_result_supersedes_an_undecodable_record(tmp_path,
-                                                       payload):
+                                                       payload, closes):
     """A CRC-valid record that does not decode is re-simulated once:
     the fresh result replaces it on disk, a second engine hits, and
     gc drops the bad frame."""
     from repro.engine.store import MAGIC, _frame
 
     spec = RunSpec(BENCH, "mom", "vector")
-    planted = ResultCache(tmp_path)
+    planted = closes(ResultCache(tmp_path))
     planted.dir.mkdir(parents=True)
     (planted.dir / "seg-000000.seg").write_bytes(
         MAGIC + _frame(spec.digest(), payload))
 
-    first = Engine(cache_dir=tmp_path, backend="inline")
+    first = closes(Engine(cache_dir=tmp_path, backend="inline"))
     stats = first.run_many([spec])[spec]
     assert (first.stats.simulations, first.stats.stores) == (1, 1)
 
-    second = Engine(cache_dir=tmp_path, backend="inline")
+    second = closes(Engine(cache_dir=tmp_path, backend="inline"))
     assert second.run_many([spec])[spec] == stats
     assert second.stats.simulations == 0
     assert second.stats.disk_hits == 1
 
-    cache = ResultCache(tmp_path)
+    cache = closes(ResultCache(tmp_path))
     removed, _reclaimed = cache.gc()
     assert removed == 1
-    assert ResultCache(tmp_path).get(spec) == stats
+    assert closes(ResultCache(tmp_path)).get(spec) == stats
 
 
-def test_cache_management_versions_entries_gc(tmp_path):
+def test_cache_management_versions_entries_gc(tmp_path, closes):
     spec = RunSpec(BENCH, "mom", "vector")
-    current = ResultCache(tmp_path, version="v-new")
+    current = closes(ResultCache(tmp_path, version="v-new"))
     current.put(spec, RunStats(name="x"))
-    old = ResultCache(tmp_path, version="v-old")
+    old = closes(ResultCache(tmp_path, version="v-old"))
     old.put(spec, RunStats(name="y"))
     old.put(RunSpec(BENCH, "mom3d", "vector"), RunStats(name="z"))
 
@@ -264,11 +265,11 @@ def test_cache_management_versions_entries_gc(tmp_path):
     assert old.get(spec) is None
 
 
-def test_cache_gc_dry_run_reports_without_deleting(tmp_path):
+def test_cache_gc_dry_run_reports_without_deleting(tmp_path, closes):
     spec = RunSpec(BENCH, "mom", "vector")
-    current = ResultCache(tmp_path, version="v-new")
+    current = closes(ResultCache(tmp_path, version="v-new"))
     current.put(spec, RunStats(name="x"))
-    old = ResultCache(tmp_path, version="v-old")
+    old = closes(ResultCache(tmp_path, version="v-old"))
     old.put(spec, RunStats(name="y"))
     old.put(RunSpec(BENCH, "mom3d", "vector"), RunStats(name="z"))
 
@@ -284,8 +285,8 @@ def test_cache_gc_dry_run_reports_without_deleting(tmp_path):
     assert current.versions() == ["v-new"]
 
 
-def test_cache_entries_list_unreadable_files(tmp_path):
-    cache = ResultCache(tmp_path, version="v")
+def test_cache_entries_list_unreadable_files(tmp_path, closes):
+    cache = closes(ResultCache(tmp_path, version="v"))
     # a record whose stored spec does not decode still lists
     cache.store().append_many(
         [("d" * 64, {"spec": {"benchmark": BENCH}, "stats": None})])
@@ -294,10 +295,10 @@ def test_cache_entries_list_unreadable_files(tmp_path):
     assert entries[0].label == "?"
 
 
-def test_cache_gc_never_touches_foreign_directories(tmp_path):
+def test_cache_gc_never_touches_foreign_directories(tmp_path, closes):
     """gc against a mispointed root must not destroy unrelated data:
     only directories holding nothing but *.json/*.tmp files qualify."""
-    cache = ResultCache(tmp_path, version="v-new")
+    cache = closes(ResultCache(tmp_path, version="v-new"))
     cache.put(RunSpec(BENCH, "mom", "vector"), RunStats(name="x"))
     photos = tmp_path / "photos"
     photos.mkdir()
@@ -317,7 +318,7 @@ def test_cache_gc_never_touches_foreign_directories(tmp_path):
     assert cache.versions() == ["v-new"]
 
     # a real superseded namespace alongside them is still collected
-    ResultCache(tmp_path, version="v-old").put(
+    closes(ResultCache(tmp_path, version="v-old")).put(
         RunSpec(BENCH, "mom", "vector"), RunStats(name="y"))
     removed, _reclaimed = cache.gc()
     assert removed == 1
@@ -410,16 +411,16 @@ def test_run_many_parallel_matches_serial():
     sweep = Sweep(benchmarks=(BENCH,), codings=("mom", "mom3d"),
                   memsystems=("vector",), l2_latencies=(20, 40))
     specs = sweep.specs()
-    serial = Engine(use_cache=False).run_many(specs, jobs=1)
-    parallel = Engine(use_cache=False).run_many(specs, jobs=4)
+    serial = Engine(use_cache=False, jobs=1).run_many(specs)
+    parallel = Engine(use_cache=False, jobs=4).run_many(specs)
     assert set(serial) == set(parallel) == set(specs)
     for spec in specs:
         assert serial[spec].to_dict() == parallel[spec].to_dict(), spec
         assert serial[spec] == parallel[spec]
 
 
-def test_run_many_deduplicates_and_counts(tmp_path):
-    engine = Engine(cache_dir=tmp_path)
+def test_run_many_deduplicates_and_counts(tmp_path, closes):
+    engine = closes(Engine(cache_dir=tmp_path))
     spec = RunSpec(BENCH, "mom", "vector")
     ideal_20 = RunSpec(BENCH, "mom", "ideal", 20)
     ideal_60 = RunSpec(BENCH, "mom", "ideal", 60)  # same canonical spec

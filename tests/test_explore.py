@@ -229,7 +229,7 @@ def test_explore_over_the_service_matches_the_engine(engine, capsys):
         constraint=Constraint("slowdown", within=0.05))
     local = explore(engine, query)
     with closing(Engine(use_cache=False, backend="inline")) as served, \
-            background_server(served, window=0.01) as server, \
+            background_server(served) as server, \
             closing(ServiceClient(server.url)) as client:
         remote = explore(client, query)
         assert served.stats.simulations == remote.stats.specs_requested
@@ -261,7 +261,7 @@ def test_explore_url_timeout_bounds_the_query(capsys):
             return run_many(specs, **kwargs)
 
         engine.run_many = held
-        with background_server(engine, window=0.01) as server:
+        with background_server(engine) as server:
             started = time.monotonic()
             try:
                 assert main(["explore", *SERVICE_FLAGS, "--url",

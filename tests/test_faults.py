@@ -150,33 +150,33 @@ def test_lease_grant_expire_forces_the_ttl_race():
 # --- the store-write seam ----------------------------------------------------
 
 
-def test_store_torn_write_is_recovered_on_reopen(tmp_path):
+def test_store_torn_write_is_recovered_on_reopen(tmp_path, closes):
     plan = FaultPlan.parse("store.write:torn@1")
-    store = SegmentStore(tmp_path, fault_plan=plan)
+    store = closes(SegmentStore(tmp_path, fault_plan=plan))
     with pytest.raises(InjectedFault):
         store.append_many([(_digest(1), {"v": 1})])
     assert store.get(_digest(1)) is None  # nothing admitted
 
     # reopen: recovery's tail scan stops at the torn frame and the
     # store works normally afterwards
-    fresh = SegmentStore(tmp_path)
+    fresh = closes(SegmentStore(tmp_path))
     assert fresh.get(_digest(1)) is None
     fresh.append_many([(_digest(1), {"v": 1})])
     assert fresh.get(_digest(1)) == {"v": 1}
 
 
-def test_store_survives_its_own_torn_write(tmp_path):
+def test_store_survives_its_own_torn_write(tmp_path, closes):
     """The *same* store object keeps working after the injected tear
     (the abandoned segment is closed; appends claim a fresh one)."""
     plan = FaultPlan.parse("store.write:torn@1")
-    store = SegmentStore(tmp_path, fault_plan=plan)
+    store = closes(SegmentStore(tmp_path, fault_plan=plan))
     with pytest.raises(InjectedFault):
         store.append_many([(_digest(1), {"v": 1})])
     written = store.append_many([(_digest(1), {"v": 1})])
     assert written == [_digest(1)]
     assert store.get(_digest(1)) == {"v": 1}
     # and the torn half-frame on disk does not confuse a reopen
-    assert SegmentStore(tmp_path).get(_digest(1)) == {"v": 1}
+    assert closes(SegmentStore(tmp_path)).get(_digest(1)) == {"v": 1}
 
 
 def test_store_error_write_leaves_nothing(tmp_path):

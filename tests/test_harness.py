@@ -21,7 +21,9 @@ from repro.workloads import benchmark_names
 
 @pytest.fixture(scope="module")
 def runner():
-    return Runner(seed=0)
+    runner = Runner(seed=0)
+    yield runner
+    runner.engine.close()
 
 
 def test_runner_memoizes(runner):
@@ -161,7 +163,8 @@ def test_run_all_resolves_the_evaluation_in_one_dispatch():
     results = run_all(runner)
     assert [result.exp_id for result in results] == list(EXPERIMENTS)
     assert runner.engine.backend.counters() == {"dispatches": 1,
-                                                "executed": 46}
+                                                "executed": 46,
+                                                "pool_shards": 0}
     stats = runner.engine.stats
     assert (stats.dispatches, stats.simulations) == (1, 46)
     # one grid group per trace; only jpeg_decode/mom3d has one spec

@@ -5,9 +5,9 @@ numpy, the timing pipelines, the trace generators, the VM, the backend
 machinery, the explorer's search or the service stack: they load when a
 command first simulates, builds, dispatches or serves.  A cold command
 loads the simulator, but still not the VM's executor, the explorer's
-search or a backend it does not run.  Every check runs in a fresh
-interpreter, because the pytest process has long since imported
-everything.
+search, a backend it does not run or, at one job, a process pool.
+Every check runs in a fresh interpreter, because the pytest process
+has long since imported everything.
 
 Run as a script, this module checks a JSON list of module names (a
 ``sorted(sys.modules)`` dump taken as a command ends) against the warm
@@ -27,9 +27,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: the backends a run on the inline backend never builds
+#: the backend modules a run on the inline backend never loads
 _IDLE_BACKENDS = tuple(f"repro.engine.backends.{name}"
-                       for name in ("process", "remote", "workqueue"))
+                       for name in ("remote", "workqueue"))
 
 #: modules a cache hit must not load, each with its submodules
 FORBIDDEN = (
@@ -51,13 +51,13 @@ FORBIDDEN = (
 #: store reads its fault plan from ``repro.service.faults``
 SERVICE_ALLOWED = ("repro.service", "repro.service.faults")
 
-#: modules a cold run on the inline backend must not load: it builds
-#: and times traces, but executes none on the VM, searches no design
-#: space and starts no other backend
+#: modules a cold run on the inline backend at one job must not load:
+#: it builds and times traces, but executes none on the VM, searches no
+#: design space, starts no other backend and no process pool
 COLD_FORBIDDEN = (
     "repro.vm.executor", "repro.vm.state", "repro.vm.usimd_ops",
     "repro.explore.search", "repro.explore.pareto", *_IDLE_BACKENDS,
-    "importlib.metadata",
+    "importlib.metadata", "multiprocessing", "concurrent.futures",
 )
 
 #: ``repro`` modules a cache-hit ``bench`` or ``tables`` loads; a change
@@ -126,11 +126,10 @@ def test_import_repro_cli_loads_no_heavy_layer(tmp_path):
 
 
 def _cold_then_warm(tmp_path, *command: str):
-    """Run ``repro --backend inline ... command`` over an empty cache,
-    then again over the cache it filled; checks each run's module set
-    and returns the two ``[engine]`` lines."""
-    args = ("--backend", "inline", "--cache-dir", str(tmp_path / "cache"),
-            *command)
+    """Run ``repro --cache-dir DIR command`` over an empty cache, then
+    again over the cache it filled; checks each run's module set and
+    returns the two ``[engine]`` lines."""
+    args = ("--cache-dir", str(tmp_path / "cache"), *command)
     modules, cold = _fresh(tmp_path, _CLI, *args)
     assert cold_forbidden(modules) == []
     modules, warm = _fresh(tmp_path, _CLI, *args)
@@ -142,13 +141,22 @@ def _cold_then_warm(tmp_path, *command: str):
 
 
 def test_warm_cli_run_loads_no_heavy_layer(tmp_path):
-    cold, warm = _cold_then_warm(tmp_path, "bench", "gsm_encode",
-                                 "--coding", "mom")
+    cold, warm = _cold_then_warm(tmp_path, "--backend", "inline", "bench",
+                                 "gsm_encode", "--coding", "mom")
     assert "simulations=1" in cold
     assert "simulations=0" in warm
 
 
 def test_warm_tables_loads_no_heavy_layer(tmp_path):
+    cold, warm = _cold_then_warm(tmp_path, "--backend", "inline",
+                                 "--seed", "0", "tables")
+    assert "simulations=46 " in cold and "dispatches=1 " in cold
+    assert "simulations=0 disk-hits=46 " in warm
+
+
+def test_default_backend_tables_loads_no_heavy_layer(tmp_path):
+    """Without ``--backend`` a command runs on the inline backend and
+    loads what ``--backend inline`` loads, cold and warm."""
     cold, warm = _cold_then_warm(tmp_path, "--seed", "0", "tables")
     assert "simulations=46 " in cold and "dispatches=1 " in cold
     assert "simulations=0 disk-hits=46 " in warm

@@ -205,7 +205,7 @@ CORE_SERIES = (
 
 def test_metrics_endpoint_scrape_and_warm_restart(tmp_path):
     with closing(Engine(cache_dir=tmp_path, backend="inline")) as engine, \
-            background_server(engine, window=0.01) as server, \
+            background_server(engine) as server, \
             closing(ServiceClient(server.url)) as client:
         first = _series(client.metrics())
         for name in CORE_SERIES:
@@ -229,7 +229,7 @@ def test_metrics_endpoint_scrape_and_warm_restart(tmp_path):
     # warm restart over the same cache directory: a fresh server sees
     # the stored entries and serves the grid without simulating
     with closing(Engine(cache_dir=tmp_path, backend="inline")) as engine, \
-            background_server(engine, window=0.01) as server, \
+            background_server(engine) as server, \
             closing(ServiceClient(server.url)) as client:
         assert _series(client.metrics())["repro_cache_entries"] == 2
         client.run_many(SPECS)
@@ -241,7 +241,7 @@ def test_metrics_endpoint_scrape_and_warm_restart(tmp_path):
 
 def test_metrics_content_type_and_method():
     with closing(Engine(use_cache=False, backend="inline")) as engine, \
-            background_server(engine, window=0.01) as server, \
+            background_server(engine) as server, \
             closing(ServiceClient(server.url)) as client:
         import http.client
 
@@ -264,7 +264,7 @@ def test_metrics_content_type_and_method():
 
 def test_background_server_plumbs_max_jobs():
     with closing(Engine(use_cache=False, backend="inline")) as engine, \
-            background_server(engine, window=0.01, max_jobs=0) as server, \
+            background_server(engine, max_jobs=0) as server, \
             closing(ServiceClient(server.url)) as client:
         with pytest.raises(ServiceError) as excinfo:
             client.submit(SPECS)

@@ -190,10 +190,10 @@ def test_job_without_deadline_never_expires():
 # --- graceful drain -----------------------------------------------------------
 
 
-def test_drain_refuses_work_and_reports_clean():
+def test_drain_refuses_work_and_reports_clean(closes):
     engine = Engine(use_cache=False)
-    with background_server(engine, window=0.01) as server:
-        client = ServiceClient(server.url)
+    with background_server(engine) as server:
+        client = closes(ServiceClient(server.url))
         client.run_many([SPEC])  # normal service before the drain
 
         loop = server._server.get_loop()
@@ -263,10 +263,10 @@ def _digest(i: int) -> str:
     return f"{i:064x}"
 
 
-def test_compaction_quarantines_crc_failures(tmp_path):
+def test_compaction_quarantines_crc_failures(tmp_path, closes):
     # tiny segments: every record seals its own segment, so compaction
     # always has overhead to reclaim (and therefore actually runs)
-    store = SegmentStore(tmp_path, max_segment_bytes=1)
+    store = closes(SegmentStore(tmp_path, max_segment_bytes=1))
     store.append_many([(_digest(1), {"tag": "alpha"}),
                        (_digest(2), {"tag": "beta"})])
 
@@ -280,7 +280,7 @@ def test_compaction_quarantines_crc_failures(tmp_path):
         pytest.fail("no segment contained the payload")
 
     with pytest.raises(CorruptFrameError) as info:
-        SegmentStore(tmp_path, max_segment_bytes=1).compact()
+        closes(SegmentStore(tmp_path, max_segment_bytes=1)).compact()
     err = info.value
     assert [digest for digest, _ in err.quarantined] == [_digest(1)]
     assert "recomputed" in str(err)
@@ -289,16 +289,17 @@ def test_compaction_quarantines_crc_failures(tmp_path):
 
     # the store is left compacted and consistent: the rotted record
     # is gone, the healthy one survived
-    survivor = SegmentStore(tmp_path)
+    survivor = closes(SegmentStore(tmp_path))
     assert survivor.get(_digest(1)) is None
     assert survivor.get(_digest(2)) == {"tag": "beta"}
     assert survivor.compact() == (0, 0)  # nothing left to do
 
 
-def test_cache_gc_cli_exits_nonzero_on_corruption(tmp_path, capsys):
+def test_cache_gc_cli_exits_nonzero_on_corruption(tmp_path, capsys,
+                                                  closes):
     from repro.cli import main
 
-    cache = ResultCache(tmp_path)
+    cache = closes(ResultCache(tmp_path))
     cache._store = SegmentStore(cache.dir, max_segment_bytes=1)
     stats = RunStats(name="x")
     other = RunSpec(BENCH, "mom3d", "ideal")
@@ -322,9 +323,9 @@ def test_cache_gc_cli_exits_nonzero_on_corruption(tmp_path, capsys):
     assert ".corrupt" in err or "recompute" in err
 
 
-def test_cache_gc_cli_clean_store_exits_zero(tmp_path, capsys):
+def test_cache_gc_cli_clean_store_exits_zero(tmp_path, capsys, closes):
     from repro.cli import main
 
-    cache = ResultCache(tmp_path)
+    cache = closes(ResultCache(tmp_path))
     cache.put(SPEC, RunStats(name="x"))
     assert main(["--cache-dir", str(tmp_path), "cache", "gc"]) == 0

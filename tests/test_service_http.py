@@ -11,6 +11,7 @@ service over the same result cache answers the whole grid with
 import asyncio
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -34,7 +35,7 @@ BENCH = "gsm_encode"
 def service(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("service-cache")
     with closing(Engine(jobs=2, cache_dir=cache_dir)) as engine, \
-            background_server(engine, window=0.01) as server, \
+            background_server(engine) as server, \
             closing(ServiceClient(server.url)) as client:
         yield server, client, cache_dir
 
@@ -50,7 +51,7 @@ def test_health_and_stats_shape(service):
                                     "grid_groups", "grid_fallbacks"}
     assert set(stats["scheduler"]) == {"submitted", "coalesced",
                                        "batches", "batched_specs"}
-    assert stats["backend"]["name"] == "process"
+    assert stats["backend"]["name"] == "inline"
     assert stats["cache"]["enabled"] is True
     assert set(stats["cache"]) == {"enabled", "entries", "version",
                                    "root", "bytes", "segments"}
@@ -83,7 +84,7 @@ def test_paper_grids_parity_and_warm_restart(service, tmp_path):
     # cold-started service over the same cache: zero simulations; the
     # first fetch reads the disk (through a batch), the next is inline
     with closing(Engine(jobs=2, cache_dir=cache_dir)) as warm_engine, \
-            background_server(warm_engine, window=0.01) as warm_server, \
+            background_server(warm_engine) as warm_server, \
             closing(ServiceClient(warm_server.url)) as warm_client:
         warm = warm_client.run_many(grid)
         stats = warm_client.stats()
@@ -115,7 +116,7 @@ def test_concurrent_clients_share_one_simulation_pass(tmp_path):
     specs = Sweep(benchmarks=(BENCH,), codings=("mom", "mom3d"),
                   memsystems=("ideal",)).specs()
     with closing(Engine(use_cache=False)) as engine, \
-            background_server(engine, window=0.05) as server:
+            background_server(engine) as server:
         results: list[dict] = []
         errors: list[Exception] = []
 
@@ -239,7 +240,7 @@ def test_results_scan_does_not_block_other_requests(tmp_path):
         with closing(ServiceClient(server.url)) as scanner:
             replies.append(scanner.query_results(benchmark=BENCH))
 
-    with closing(engine), background_server(engine, window=0.01) as server, \
+    with closing(engine), background_server(engine) as server, \
             closing(ServiceClient(server.url)) as client:
         client.run_many([spec])
         scan = threading.Thread(target=scan_results)
@@ -258,7 +259,7 @@ def test_results_scan_does_not_block_other_requests(tmp_path):
 
 def test_results_endpoint_404_without_cache():
     with closing(Engine(use_cache=False, backend="inline")) as engine, \
-            background_server(engine, window=0.01) as server, \
+            background_server(engine) as server, \
             closing(ServiceClient(server.url)) as client:
         with pytest.raises(ServiceError) as excinfo:
             client.query_results()
@@ -604,3 +605,20 @@ def test_drain_and_close_shut_idle_connections():
         assert time.monotonic() - started < 2.0
         assert held.sock.recv(1) == b""  # the server closed it
         held.close()
+
+
+def test_stop_with_a_held_connection_logs_nothing(caplog):
+    """A server stopped while a client holds an idle connection closes
+    it and lets its handler finish: ``asyncio.run`` cancels no handler
+    mid-close, so asyncio logs nothing."""
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        with closing(Engine(use_cache=False)) as engine, \
+                background_server(engine) as server:
+            held = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=10)
+            held.request("GET", "/v1/health")
+            held.getresponse().read()
+        assert held.sock.recv(1) == b""  # the server closed it
+        held.close()
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "asyncio"] == []

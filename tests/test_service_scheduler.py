@@ -1,4 +1,5 @@
-"""Scheduler tests: in-flight dedup, batch coalescing, job snapshots."""
+"""Scheduler tests: in-flight dedup, one dispatch per submission, job
+snapshots."""
 
 import asyncio
 import gc
@@ -14,6 +15,7 @@ from repro.engine import Engine, RemoteBackend, RunSpec, Sweep
 from repro.service import ServiceClient, ServiceError, background_server
 from repro.service.scheduler import BatchScheduler, Job, JobStore
 from repro.timing.stats import RunStats
+from repro.workloads import benchmark_names
 
 BENCH = "gsm_encode"
 IDEAL = RunSpec(BENCH, "mom", "ideal")  # cheapest simulation point
@@ -29,7 +31,7 @@ def test_n_identical_submissions_one_simulation_pass():
     engine = Engine(use_cache=False)
 
     async def main():
-        async with BatchScheduler(engine, window=0.05) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             futures = []
             for _ in range(8):
                 futures.extend(scheduler.submit([IDEAL]))
@@ -58,9 +60,9 @@ def test_submissions_during_flight_attach_to_running_future():
     calls = []
     real_run_many = engine.run_many
 
-    def gated_run_many(specs, jobs=None):
+    def gated_run_many(specs):
         calls.append(list(specs))
-        results = real_run_many(specs, jobs=jobs)  # fills the memo
+        results = real_run_many(specs)  # fills the memo
         entered.set()
         assert release.wait(timeout=10)
         return results
@@ -68,7 +70,7 @@ def test_submissions_during_flight_attach_to_running_future():
     engine.run_many = gated_run_many
 
     async def main():
-        async with BatchScheduler(engine, window=0.0) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             first = scheduler.submit([IDEAL])[0]
             # wait until the batch has simulated but not yet returned
             while not entered.is_set():
@@ -94,7 +96,7 @@ def test_memo_hit_resolves_at_submit():
     memoized = engine.run(IDEAL)
 
     async def main():
-        async with BatchScheduler(engine, window=30.0) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             hits = engine.stats.memo_hits
             future = scheduler.submit([IDEAL])[0]
             assert future.done()
@@ -117,7 +119,7 @@ def test_memo_hit_and_miss_in_one_submission():
     miss = RunSpec(BENCH, "mom3d", "ideal")
 
     async def main():
-        async with BatchScheduler(engine, window=0.02) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             hit_future, miss_future = scheduler.submit([IDEAL, miss])
             assert hit_future.done() and hit_future.result() is memoized
             assert not miss_future.done()
@@ -131,43 +133,20 @@ def test_memo_hit_and_miss_in_one_submission():
     assert engine.stats.simulations == 2
 
 
-def test_distinct_specs_coalesce_into_one_batch():
+def test_submission_dispatches_without_waiting():
+    """A submission's misses leave as soon as the event loop turns:
+    no window holds them back for company."""
     engine = Engine(use_cache=False)
-    sweep = Sweep(benchmarks=(BENCH,), codings=("mom", "mom3d"),
-                  memsystems=("vector", "ideal"))
-    specs = sweep.specs()
 
     async def main():
-        async with BatchScheduler(engine, window=0.05,
-                                  max_batch=64) as scheduler:
-            # one submission per spec, all inside one window
-            await asyncio.gather(*(future for spec in specs
-                                   for future in scheduler.submit([spec])))
-            return scheduler
+        async with BatchScheduler(engine) as scheduler:
+            future = scheduler.submit([IDEAL])[0]
+            await asyncio.sleep(0)
+            batches = scheduler.stats.batches
+            await future
+            return batches
 
-    scheduler = _run(main())
-    assert scheduler.stats.batches == 1
-    assert scheduler.stats.batched_specs == len(set(specs))
-    assert engine.stats.simulations == len(set(specs))
-
-
-def test_max_batch_splits_dispatches():
-    engine = Engine(use_cache=False)
-    specs = Sweep(benchmarks=(BENCH,), codings=("mom",),
-                  memsystems=("ideal", "vector"),
-                  l2_latencies=(20, 40)).specs()
-    unique = list(dict.fromkeys(specs))
-
-    async def main():
-        async with BatchScheduler(engine, window=0.05,
-                                  max_batch=2) as scheduler:
-            await asyncio.gather(*scheduler.submit(specs))
-            return scheduler
-
-    scheduler = _run(main())
-    assert scheduler.stats.batches >= 2
-    assert scheduler.stats.batched_specs == len(unique)
-    assert engine.stats.simulations == len(unique)
+    assert _run(main()) == 1
 
 
 def test_execution_errors_propagate_to_every_waiter():
@@ -175,7 +154,7 @@ def test_execution_errors_propagate_to_every_waiter():
     bad = RunSpec("no_such_benchmark", "mom")
 
     async def main():
-        async with BatchScheduler(engine, window=0.0) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             futures = scheduler.submit([bad, bad])
             outcomes = await asyncio.gather(*futures,
                                             return_exceptions=True)
@@ -194,7 +173,7 @@ def test_failing_spec_does_not_poison_batchmates():
     bad = RunSpec("no_such_benchmark", "mom")
 
     async def main():
-        async with BatchScheduler(engine, window=0.05) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             futures = scheduler.submit([IDEAL, bad])
             outcomes = await asyncio.gather(*futures,
                                             return_exceptions=True)
@@ -214,7 +193,7 @@ def test_failed_spec_can_be_resubmitted():
     bad = RunSpec("no_such_benchmark", "mom")
 
     async def main():
-        async with BatchScheduler(engine, window=0.0) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             with pytest.raises(Exception, match="no_such_benchmark"):
                 await scheduler.submit([bad])[0]
             retry = scheduler.submit([bad])[0]
@@ -224,16 +203,16 @@ def test_failed_spec_can_be_resubmitted():
     _run(main())
 
 
-def test_close_fails_pending_futures():
+def test_close_lets_running_batch_land_then_refuses():
+    """Every in-flight future belongs to a running batch: close waits
+    for it to resolve, then refuses further submissions."""
     engine = Engine(use_cache=False)
 
     async def main():
-        scheduler = BatchScheduler(engine, window=30.0)
-        scheduler.start()
+        scheduler = BatchScheduler(engine)
         future = scheduler.submit([IDEAL])[0]
         await scheduler.close()
-        with pytest.raises(RuntimeError, match="scheduler closed"):
-            future.result()
+        assert future.result().cycles > 0
         with pytest.raises(RuntimeError, match="closed"):
             scheduler.submit([IDEAL])
 
@@ -250,7 +229,7 @@ class PickyBackend:
         self.doomed = doomed
         self.batches: list[list[RunSpec]] = []
 
-    def execute(self, specs, jobs=None, grid_mode="auto"):
+    def execute(self, specs, grid_mode="auto"):
         self.batches.append(list(specs))
         if self.doomed in specs:
             raise RuntimeError(f"cannot simulate {self.doomed.label()}")
@@ -263,6 +242,27 @@ class PickyBackend:
         pass
 
 
+def test_large_submission_is_one_batch():
+    """However many specs a job carries, the engine gets them in one
+    ``run_many``, so its grid planner sees whole trace groups."""
+    specs = Sweep(benchmarks=benchmark_names(),
+                  codings=("mmx", "mom", "mom3d"),
+                  memsystems=("vector", "multibank"),
+                  l2_latencies=(20, 40, 60, 80)).specs()
+    assert len(specs) > 64
+    backend = PickyBackend(RunSpec("no_such_benchmark", "mom"))
+    engine = Engine(use_cache=False, backend=backend)
+
+    async def main():
+        async with BatchScheduler(engine) as scheduler:
+            await asyncio.gather(*scheduler.submit(specs))
+            return scheduler
+
+    scheduler = _run(main())
+    assert scheduler.stats.batches == 1
+    assert backend.batches == [specs]
+
+
 def test_failed_batch_reruns_its_specs_alone():
     """A batch the backend fails for one spec's sake is re-run spec by
     spec: that spec fails alone and its batchmate resolves."""
@@ -271,7 +271,7 @@ def test_failed_batch_reruns_its_specs_alone():
     engine = Engine(use_cache=False, backend=backend)
 
     async def main():
-        async with BatchScheduler(engine, window=0.05) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             return await asyncio.gather(*scheduler.submit([IDEAL, doomed]),
                                         return_exceptions=True)
 
@@ -291,7 +291,7 @@ def test_remote_timeout_fails_the_whole_job_at_once():
                   memsystems=("ideal", "vector", "multibank")).specs()
     assert len(specs) == 6
     with closing(Engine(use_cache=False, backend=backend)) as engine, \
-            background_server(engine, window=0.01) as server, \
+            background_server(engine) as server, \
             closing(ServiceClient(server.url,
                                   poll_interval=0.02)) as client:
         start = time.monotonic()
@@ -312,7 +312,7 @@ def test_failed_job_nobody_polls_logs_nothing(caplog):
     specs = [IDEAL, RunSpec(BENCH, "mom3d", "ideal")]
 
     async def main():
-        async with BatchScheduler(engine, window=0.0) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             job = Job(specs, scheduler.submit(specs))
             await asyncio.wait(job.futures)  # retrieves nothing
             return job.futures[0].done() and job.futures[1].done()
@@ -332,7 +332,7 @@ def test_job_snapshot_lifecycle():
     engine = Engine(use_cache=False)
 
     async def main():
-        async with BatchScheduler(engine, window=0.02) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             job = Job([IDEAL], scheduler.submit([IDEAL]))
             first = job.snapshot()
             await asyncio.gather(*job.futures)
@@ -352,7 +352,7 @@ def test_job_snapshot_failure():
     bad = RunSpec("no_such_benchmark", "mom")
 
     async def main():
-        async with BatchScheduler(engine, window=0.0) as scheduler:
+        async with BatchScheduler(engine) as scheduler:
             job = Job([bad], scheduler.submit([bad]))
             await asyncio.gather(*job.futures, return_exceptions=True)
             return job.snapshot()

@@ -106,12 +106,13 @@ def test_store_dropped_without_close_loses_nothing(tmp_path):
     store = SegmentStore(tmp_path)
     _fill(store, 5)
     store.close()
-    _fill(store, 5, start=5)  # a second session, never closed
-    # crash: drop the store without close() (data was written through)
-    del store
+    _fill(store, 5, start=5)  # a second session, not closed
+    # a crash never closes it: the data was written through, so an
+    # open beside the unclosed writer finds every record
     with SegmentStore(tmp_path) as recovered:
         assert len(recovered) == 10
         assert recovered.get(_digest(7)) == _payload(7)
+    store.close()
 
 
 def test_store_torn_tail_recovery(tmp_path):
@@ -238,7 +239,7 @@ def test_store_compact_drops_duplicates_dry_run_matches(tmp_path):
         assert dict(reopened.scan()) == expected
 
 
-def test_store_compact_leaves_full_segments_alone(tmp_path):
+def test_store_compact_leaves_full_segments_alone(tmp_path, closes):
     """Nothing dead and only per-segment overhead to gain: ``compact``
     (and so ``gc``) must not rewrite a store of full segments."""
     directory = tmp_path / "v1"
@@ -255,7 +256,7 @@ def test_store_compact_leaves_full_segments_alone(tmp_path):
         assert store.compact(dry_run=True) == (0, 0)
         assert store.compact() == (0, 0)
     assert files() == before
-    assert ResultCache(tmp_path, version="v1").gc() == (0, 0)
+    assert closes(ResultCache(tmp_path, version="v1")).gc() == (0, 0)
     assert files() == before
 
 
@@ -274,6 +275,28 @@ def test_store_compact_merges_many_tiny_segments(tmp_path):
         assert store.stat()["segments"] == 1
         assert dict(store.scan()) == {_digest(i): _payload(i)
                                       for i in range(40)}
+
+
+def test_store_segments_are_created_without_execute_bits(tmp_path):
+    """A segment is data: appends and compaction both create it with
+    mode ``0o666`` less the umask, as for any regular file."""
+    umask = os.umask(0)
+    os.umask(umask)
+    expected = 0o666 & ~umask
+
+    def modes():
+        return {path.stat().st_mode & 0o777
+                for path in tmp_path.glob("*.seg")}
+
+    for i in range(3):
+        with SegmentStore(tmp_path) as store:
+            store.append(_digest(i), _payload(i))
+    assert modes() == {expected}
+    with SegmentStore(tmp_path) as store:
+        assert store.compact()[1] > 0  # merged into a fresh segment
+        assert store.stat()["segments"] == 1
+    assert modes() == {expected}
+    assert not expected & 0o111
 
 
 def test_store_stat_counts_without_reads(tmp_path):
@@ -401,8 +424,8 @@ def _stats(i: int) -> RunStats:
     return stats
 
 
-def test_cache_bulk_round_trip(tmp_path):
-    cache = ResultCache(tmp_path, version="v1")
+def test_cache_bulk_round_trip(tmp_path, closes):
+    cache = closes(ResultCache(tmp_path, version="v1"))
     pairs = [(_spec(i), _stats(i)) for i in range(8)]
     assert cache.put_many(pairs) == 8
     assert cache.put_many(pairs[:3]) == 0  # first writer wins
@@ -413,16 +436,16 @@ def test_cache_bulk_round_trip(tmp_path):
         assert found[spec].to_dict() == stats.to_dict()
 
 
-def test_cache_stray_json_in_active_namespace_is_ignored(tmp_path):
+def test_cache_stray_json_in_active_namespace_is_ignored(tmp_path, closes):
     """A per-digest ``.json`` file beside the segments is neither
     served nor counted: the segment index is the only source."""
-    cache = ResultCache(tmp_path, version="v1")
+    cache = closes(ResultCache(tmp_path, version="v1"))
     cache.put(_spec(1), _stats(1))
     stray = tmp_path / "v1" / f"{_spec(0).digest()}.json"
     stray.write_text(json.dumps({
         "schema": 1, "version": "v1", "spec": _spec(0).to_dict(),
         "stats": _stats(0).to_dict()}))
-    for reader in (cache, ResultCache(tmp_path, version="v1")):
+    for reader in (cache, closes(ResultCache(tmp_path, version="v1"))):
         assert reader.get(_spec(0)) is None
         assert reader.get_many([_spec(0), _spec(1)]).keys() == {_spec(1)}
         assert len(reader) == 1 == reader.refresh_count()
@@ -440,8 +463,8 @@ def test_cache_stray_json_in_active_namespace_is_ignored(tmp_path):
     assert cache.stat("v0")["entries"] == 0
 
 
-def test_cache_query_filters(tmp_path):
-    cache = ResultCache(tmp_path, version="v1")
+def test_cache_query_filters(tmp_path, closes):
+    cache = closes(ResultCache(tmp_path, version="v1"))
     cache.put_many([(_spec(i), _stats(i)) for i in range(9)])
     everything = cache.query()
     assert len(everything) == 9
@@ -457,17 +480,17 @@ def test_cache_query_filters(tmp_path):
         dict(cache.query(coding="mom3d")[0][1].to_dict())
 
 
-def test_cache_len_resyncs_after_gc(tmp_path):
+def test_cache_len_resyncs_after_gc(tmp_path, closes):
     """``len`` answers from the index, so after ``gc`` it must pick
     up what other writers appended meanwhile."""
-    cache = ResultCache(tmp_path, version="v-new")
+    cache = closes(ResultCache(tmp_path, version="v-new"))
     cache.put_many([(_spec(i), _stats(i)) for i in range(4)])
     assert len(cache) == 4
-    old = ResultCache(tmp_path, version="v-old")
+    old = closes(ResultCache(tmp_path, version="v-old"))
     old.put_many([(_spec(i), _stats(i)) for i in range(3)])
-    del old
+    old.close()
     # external writer appears mid-session: len must resync after gc
-    extra = ResultCache(tmp_path, version="v-new")
+    extra = closes(ResultCache(tmp_path, version="v-new"))
     extra.put(_spec(10), _stats(10))
     removed, reclaimed = cache.gc()
     assert removed >= 3 and reclaimed > 0
@@ -476,12 +499,12 @@ def test_cache_len_resyncs_after_gc(tmp_path):
     assert cache.stat()["entries"] == 5
 
 
-def test_cache_gc_dry_run_reports_real_bytes(tmp_path):
-    cache = ResultCache(tmp_path, version="v-new")
+def test_cache_gc_dry_run_reports_real_bytes(tmp_path, closes):
+    cache = closes(ResultCache(tmp_path, version="v-new"))
     cache.put(_spec(0), _stats(0))
-    old = ResultCache(tmp_path, version="v-old")
+    old = closes(ResultCache(tmp_path, version="v-old"))
     old.put_many([(_spec(i), _stats(i)) for i in range(5)])
-    del old
+    old.close()
     dry = cache.gc(dry_run=True)
     assert (tmp_path / "v-old").is_dir()  # dry run touched nothing
     real = cache.gc()
@@ -492,12 +515,12 @@ def test_cache_gc_dry_run_reports_real_bytes(tmp_path):
 
 
 def test_cache_gc_collects_a_pre_segment_namespace_unread(
-        tmp_path, monkeypatch, capsys):
+        tmp_path, monkeypatch, capsys, closes):
     """A superseded namespace written before the segment store (one
     ``<digest>.json`` per entry) is listed, and ``gc`` deletes it
     whole — dry-run totals equal to the real ones — without opening
     any of its files."""
-    cache = ResultCache(tmp_path, version="v-new")
+    cache = closes(ResultCache(tmp_path, version="v-new"))
     cache.put(_spec(0), _stats(0))
     legacy = tmp_path / "v-legacy"
     legacy.mkdir()
@@ -536,8 +559,8 @@ def test_cache_gc_collects_a_pre_segment_namespace_unread(
     assert cache.get(_spec(0)).to_dict() == _stats(0).to_dict()
 
 
-def test_cache_entry_sizes_account_for_every_byte(tmp_path):
-    cache = ResultCache(tmp_path, version="v1")
+def test_cache_entry_sizes_account_for_every_byte(tmp_path, closes):
+    cache = closes(ResultCache(tmp_path, version="v1"))
     cache.put_many([(_spec(i), _stats(i)) for i in range(5)])
     entries = cache.entries(labels=False)
     assert len(entries) == 5
@@ -548,15 +571,15 @@ def test_cache_entry_sizes_account_for_every_byte(tmp_path):
 
 
 def test_cache_query_opens_a_superseded_store_only_while_scanning(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, closes):
     """``query``/``stat``/``entries`` for another version open its
     store for the call and close it; a version that names no
     namespace opens nothing."""
     import repro.engine.cache as cache_module
 
-    cache = ResultCache(tmp_path, version="v1")
+    cache = closes(ResultCache(tmp_path, version="v1"))
     cache.put(_spec(0), _stats(0))
-    old = ResultCache(tmp_path, version="v0")
+    old = closes(ResultCache(tmp_path, version="v0"))
     old.put(_spec(1), _stats(1))
     opened = []
     real = cache_module.SegmentStore

@@ -5,14 +5,16 @@ The acceptance criterion for the segmented store: the fig3 + fig9 +
 table1 grids produce byte-identical ``RunStats.to_dict()`` results
 whether they are simulated or read back from the store, and a fresh
 engine over the filled cache answers the whole grid with
-``simulations=0`` — with the inline, process and remote execution
-backends alike.  The reference is the cold inline run.
+``simulations=0`` — whether the cold run simulated serially, over the
+inline backend's process pool or on remote workers.  The reference is
+the cold serial run.
 """
 
 import dataclasses
 import threading
+from contextlib import closing
 
-from repro.engine import Engine, InlineBackend, ProcessBackend, RemoteBackend
+from repro.engine import Engine, InlineBackend, RemoteBackend
 from repro.harness.experiments import paper_grids
 from repro.service import ServiceWorker, background_server
 
@@ -27,10 +29,20 @@ def _counters(engine) -> dict:
     return dataclasses.asdict(engine.stats)
 
 
-def _run(cache_dir, backend=None, jobs=1):
-    engine = Engine(jobs=jobs, cache_dir=cache_dir, backend=backend)
-    results = engine.run_many(GRID)
+def _run(cache_dir, backend=None):
+    with closing(Engine(cache_dir=cache_dir, backend=backend)) as engine:
+        results = engine.run_many(GRID)
     return _stats_dicts(results), _counters(engine)
+
+
+def _work_then_close(worker: ServiceWorker) -> None:
+    """Run ``worker`` on this thread, then close its engine and the
+    connection its client keeps for this thread."""
+    try:
+        worker.run()
+    finally:
+        worker.client.close()
+        worker.engine.close()
 
 
 def _assert_warm(cache_dir, reference) -> None:
@@ -51,24 +63,26 @@ def test_paper_grids_cold_and_warm(tmp_path):
 def test_paper_grids_parity_across_backends(tmp_path):
     reference, _ = _run(tmp_path / "ref", backend=InlineBackend())
 
-    process, process_stats = _run(tmp_path / "proc",
-                                  backend=ProcessBackend(jobs=2), jobs=2)
-    assert process == reference
-    assert process_stats["simulations"] == len(GRID)
-    _assert_warm(tmp_path / "proc", reference)
+    pool, pool_stats = _run(tmp_path / "pool",
+                            backend=InlineBackend(jobs=2))
+    assert pool == reference
+    assert pool_stats["simulations"] == len(GRID)
+    _assert_warm(tmp_path / "pool", reference)
 
-    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0)
-    engine = Engine(cache_dir=tmp_path / "remote", backend=backend)
-    with background_server(engine, window=0.01) as server:
+    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0, shards=4)
+    with closing(Engine(cache_dir=tmp_path / "remote",
+                        backend=backend)) as engine, \
+            background_server(engine) as server:
         workers = [ServiceWorker(server.url, Engine(use_cache=False),
                                  worker_id=f"w{i}", poll_interval=0.02)
                    for i in range(2)]
-        threads = [threading.Thread(target=worker.run, daemon=True)
+        threads = [threading.Thread(target=_work_then_close,
+                                    args=(worker,), daemon=True)
                    for worker in workers]
         for thread in threads:
             thread.start()
         try:
-            remote = engine.run_many(GRID, jobs=4)
+            remote = engine.run_many(GRID)
         finally:
             for worker in workers:
                 worker.stop()

@@ -101,7 +101,7 @@ def test_cli_requires_command():
 # --- cache management --------------------------------------------------------
 
 
-def test_cli_cache_ls_stat_gc(tmp_path, capsys, monkeypatch):
+def test_cli_cache_ls_stat_gc(tmp_path, capsys, monkeypatch, closes):
     from repro.engine import ResultCache, RunSpec
     from repro.timing import RunStats
 
@@ -114,7 +114,7 @@ def test_cli_cache_ls_stat_gc(tmp_path, capsys, monkeypatch):
                  "--memsys", "ideal"]) == 0
     capsys.readouterr()
     stale = tmp_path / "0123456789abcdef"
-    ResultCache(tmp_path, version=stale.name).put(
+    closes(ResultCache(tmp_path, version=stale.name)).put(
         RunSpec("gsm_encode", "mom3d", "ideal"), RunStats(name="stale"))
 
     assert main(["cache", "ls"]) == 0
@@ -218,6 +218,18 @@ def test_cli_has_no_cache_layout_or_migrate(capsys):
     assert "migrate" in capsys.readouterr().err
 
 
+def test_cli_backends_are_inline_and_remote(capsys):
+    """One local backend, the default, whose width is ``--jobs``."""
+    from repro.cli import parse_args
+
+    assert parse_args(["tables"]).backend == "inline"
+    assert parse_args(["--backend", "remote", "serve"]).backend == "remote"
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--backend", "process", "tables"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'process'" in capsys.readouterr().err
+
+
 def test_cli_rejects_non_positive_jobs(capsys):
     with pytest.raises(SystemExit):
         main(["--jobs", "0", "list"])
@@ -286,7 +298,7 @@ def test_one_shot_predicate():
 
     # a non-serve command on the remote backend is refused at once
     for argv in (["tables"], ["list"], ["run", "fig3"],
-                 ["--backend", "process", "tables"],
+                 ["--jobs", "2", "tables"],
                  ["--backend", "inline", "sweep", "-b", "gsm_encode"],
                  ["trace", "gsm_encode", "mmx", "-o", "t.bin"],
                  ["--backend", "remote", "tables"],

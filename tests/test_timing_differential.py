@@ -109,10 +109,10 @@ def test_decode_memo_invalidated_when_program_grows():
     assert grown_batched.to_dict() == grown_reference.to_dict()
 
 
-def test_engine_timing_model_override(tmp_path):
+def test_engine_timing_model_override(tmp_path, closes):
     """The engine runs the reference model via the RunSpec override and
     produces equal statistics under a distinct cache key."""
-    engine = Engine(jobs=1, cache_dir=tmp_path)
+    engine = closes(Engine(cache_dir=tmp_path))
     spec_batched = engine.spec("gsm_encode", "mom", "vector")
     spec_reference = engine.spec(
         "gsm_encode", "mom", "vector",
@@ -238,9 +238,8 @@ def test_inline_grid_counters_count_execution(monkeypatch):
 def test_grid_modes_bit_identical_process(paper_grid_baseline,
                                           grid_mode):
     specs, baseline = paper_grid_baseline
-    engine = Engine(use_cache=False, backend="process", jobs=2,
-                    grid_mode=grid_mode)
-    _assert_grid_matches(engine.run_many(specs, jobs=2), baseline)
+    engine = Engine(use_cache=False, jobs=2, grid_mode=grid_mode)
+    _assert_grid_matches(engine.run_many(specs), baseline)
 
 
 @pytest.mark.parametrize("grid_mode", ("on", "off", "auto"))
@@ -249,18 +248,24 @@ def test_grid_modes_bit_identical_remote(paper_grid_baseline,
     """Remote execution: shards keep trace groups together and the
     workers' own engines run them in the requested grid mode."""
     specs, baseline = paper_grid_baseline
-    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0)
+    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0, shards=3)
     engine = Engine(use_cache=False, backend=backend,
                     grid_mode=grid_mode)
-    with background_server(engine, window=0.01) as server:
+    with background_server(engine) as server:
         worker = ServiceWorker(
             server.url, Engine(use_cache=False, grid_mode=grid_mode),
             worker_id="grid-w0", poll_interval=0.02)
-        thread = threading.Thread(target=worker.run, daemon=True)
+
+        def work():
+            try:
+                worker.run()
+            finally:
+                worker.client.close()  # this thread's connection
+
+        thread = threading.Thread(target=work, daemon=True)
         thread.start()
         try:
-            _assert_grid_matches(engine.run_many(specs, jobs=3),
-                                 baseline)
+            _assert_grid_matches(engine.run_many(specs), baseline)
         finally:
             worker.stop()
             thread.join(timeout=30)

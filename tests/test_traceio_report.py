@@ -96,7 +96,7 @@ def test_trace_paths_ship_to_pool_workers(tmp_path, monkeypatch):
     so replays parallelize under spawn (no fork-inherited state)."""
     from repro.engine import RunSpec, register_trace
     from repro.engine import parallel
-    from repro.engine.backends.process import ProcessBackend, _pool_worker
+    from repro.engine.backends.inline import InlineBackend, _pool_worker
 
     path = tmp_path / "t.trace"
     export_workload("gsm_encode", "mom", path)
@@ -113,9 +113,11 @@ def test_trace_paths_ship_to_pool_workers(tmp_path, monkeypatch):
     payloads = _pool_worker(tuple(specs), shipped)
     assert len(payloads) == 2 and payloads[0]["cycles"] > 0
 
-    # and the end-to-end parallel path agrees with serial execution
-    parallel_results = ProcessBackend(jobs=2).execute(specs)
-    serial_results = ProcessBackend(jobs=1).execute(specs)
+    # and the end-to-end pool path agrees with serial execution
+    pool = InlineBackend(jobs=2)
+    parallel_results = pool.execute(specs)
+    assert pool.counters()["pool_shards"] == 2
+    serial_results = InlineBackend(jobs=1).execute(specs)
     for spec in specs:
         assert parallel_results[spec].to_dict() == \
             serial_results[spec].to_dict()

@@ -245,13 +245,13 @@ def test_fleet_survives_a_worker_with_a_broken_engine(tmp_path):
     The grid still resolves with exactly one admission per shard, A
     keeps polling the whole time, and the failures surface in the
     server's fleet gauges."""
-    backend = RemoteBackend(lease_ttl=0.4, wait_timeout=60.0)
+    backend = RemoteBackend(lease_ttl=0.4, wait_timeout=60.0, shards=2)
     expected = Engine(use_cache=False,
                       backend="inline").run_many(SPECS)
     with closing(Engine(use_cache=False, backend=backend)) as engine, \
             closing(Engine(use_cache=False)) as bad_engine, \
             closing(Engine(use_cache=False)) as good_engine, \
-            background_server(engine, window=0.01) as server:
+            background_server(engine) as server:
         bad = ServiceWorker(server.url, bad_engine, worker_id="w-bad",
                             poll_interval=0.02)
         bad.engine.run_many = _always_raise
@@ -262,7 +262,7 @@ def test_fleet_survives_a_worker_with_a_broken_engine(tmp_path):
         results_holder: dict = {}
 
         def coordinate():
-            results_holder["results"] = engine.run_many(SPECS, jobs=2)
+            results_holder["results"] = engine.run_many(SPECS)
 
         coordinator = threading.Thread(target=coordinate)
         coordinator.start()
