@@ -10,10 +10,12 @@ registers, 16 x 128-byte elements):
 
 The timing sweep is declared with :class:`repro.engine.Sweep` and
 resolved through the engine, so the points land in the shared result
-cache (and fan out across processes under ``run_many(jobs=N)``).
+cache (and fan out across processes under ``Engine(jobs=N)``).
 """
 
-from repro.engine import Sweep, axes_product, run_many
+from contextlib import closing
+
+from repro.engine import Engine, Sweep, axes_product
 from repro.harness.tables import Table
 from repro.models import rf_area_tracks
 
@@ -23,7 +25,8 @@ DEPTHS = (1, 2, 4, 8)
 def run_depth_sweep(jobs: int = 1):
     sweep = Sweep(benchmarks=("mpeg2_encode",), codings=("mom3d",),
                   overrides=axes_product(extra_d3_regs=DEPTHS))
-    results = run_many(sweep.specs(), jobs=jobs)
+    with closing(Engine(jobs=jobs)) as engine:
+        results = engine.run_many(sweep.specs())
     table = Table(["extra phys regs", "cycles"],
                   title="3D RF rename-depth ablation (mpeg2_encode)")
     for spec in sweep.specs():

@@ -6,10 +6,13 @@ RF slice path), showing the compute-side scaling that motivates the
 bounds the media kernels.
 
 Declared as an engine sweep: each lane count is one override point of
-the grid, resolved (and cached) through :func:`repro.engine.run_many`.
+the grid, resolved (and cached) through
+:meth:`repro.engine.Engine.run_many`.
 """
 
-from repro.engine import Sweep, run_many
+from contextlib import closing
+
+from repro.engine import Engine, Sweep
 from repro.harness.tables import Table
 
 LANES = (1, 2, 4, 8)
@@ -19,7 +22,8 @@ def run_lane_sweep(jobs: int = 1):
     sweep = Sweep(
         benchmarks=("mpeg2_encode",), codings=("mom3d",),
         overrides=[{"simd_lanes": n, "d3_move_lanes": n} for n in LANES])
-    results = run_many(sweep.specs(), jobs=jobs)
+    with closing(Engine(jobs=jobs)) as engine:
+        results = engine.run_many(sweep.specs())
     table = Table(["lanes", "cycles", "speedup vs 1 lane"],
                   title="MOM SIMD lane-count ablation (mpeg2_encode, "
                         "MOM+3D, vector cache)")

@@ -6,10 +6,12 @@ sweep shows effective bandwidth and L2 activity as the line shrinks
 or grows around that design point.
 
 The grid is an engine sweep over the ``l2_line`` hierarchy override,
-resolved (and cached) through :func:`repro.engine.run_many`.
+resolved (and cached) through :meth:`repro.engine.Engine.run_many`.
 """
 
-from repro.engine import Sweep, axes_product, run_many
+from contextlib import closing
+
+from repro.engine import Engine, Sweep, axes_product
 from repro.harness.tables import Table
 
 LINE_BYTES = (64, 128, 256)
@@ -18,7 +20,8 @@ LINE_BYTES = (64, 128, 256)
 def run_line_sweep(jobs: int = 1):
     sweep = Sweep(benchmarks=("gsm_encode",), codings=("mom3d",),
                   overrides=axes_product(l2_line=LINE_BYTES))
-    results = run_many(sweep.specs(), jobs=jobs)
+    with closing(Engine(jobs=jobs)) as engine:
+        results = engine.run_many(sweep.specs())
     table = Table(["line bytes", "eff bw (w/acc)", "L2 activity",
                    "cycles"],
                   title="L2 line-size ablation (gsm_encode, MOM+3D)")

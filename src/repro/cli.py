@@ -50,17 +50,12 @@ Engine flags (accepted before or after the subcommand):
   on this machine (the default; serially at one job, over a process
   pool at more), or on pull-based ``repro worker`` processes
   (``serve`` only).
-* ``--grid-mode {auto,on,off}`` — whether specs sharing one trace are
-  simulated as a single grid-axis pass (shared decode, one traffic
-  replay per cache geometry, one lean walk per distinct schedule; see
-  ``docs/timing.md``).  ``auto`` takes that pass for every group of
-  two or more eligible specs.  Bit-identical statistics in every mode.
 * ``--lease-ttl SECONDS`` — remote backend only: how long a worker
   may hold a shard before it is re-leased.
 * ``--cache-dir DIR`` — persistent result-cache location (default
   ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); each code version's
-  results live there in append-only segments plus an index (see
-  ``docs/store.md``).
+  results live there in append-only segment files, which every open
+  scans (see ``docs/store.md``).
 * ``--no-cache`` — disable the persistent cache for this invocation.
 
 Commands that simulate print an ``[engine] simulations=...`` summary
@@ -89,8 +84,7 @@ def _runner(args):
     runner = Runner(seed=args.seed, cache_dir=args.cache_dir,
                     use_cache=not args.no_cache,
                     backend=make_backend(args.backend, jobs=args.jobs,
-                                         lease_ttl=args.lease_ttl),
-                    grid_mode=args.grid_mode)
+                                         lease_ttl=args.lease_ttl))
     try:
         yield runner
     finally:
@@ -543,62 +537,54 @@ def _positive_float(value: str) -> float:
     return number
 
 
+def _add_engine_options(parser, group) -> None:
+    """Declare each engine option once, on both parsers.
+
+    ``parser``, the main parser, takes the real defaults, so the
+    options work before the subcommand.  ``group`` belongs to the
+    parent of every subparser and takes SUPPRESS defaults, so
+    ``repro tables --jobs 4`` works without clobbering the former.
+    """
+    from repro.engine import BACKEND_NAMES
+
+    for flags, options in (
+            (("--seed",),
+             {"type": int, "default": 0,
+              "help": "workload generation seed (default 0)"}),
+            (("--jobs", "-j"),
+             {"type": _positive_int, "default": 1, "metavar": "N",
+              "help": "processes for uncached simulations (default 1 = "
+                      "serially, on this thread); the remote "
+                      "backend's shard fan-out"}),
+            (("--backend",),
+             {"choices": BACKEND_NAMES, "default": "inline",
+              "help": "execution backend for uncached simulations "
+                      "(default: inline; remote only under serve)"}),
+            (("--lease-ttl",),
+             {"type": _positive_float, "default": 30.0,
+              "metavar": "SECONDS",
+              "help": "remote backend: seconds a worker may hold a "
+                      "shard before it is re-leased (default 30)"}),
+            (("--cache-dir",),
+             {"default": None, "metavar": "DIR",
+              "help": "persistent result-cache directory (default "
+                      "$REPRO_CACHE_DIR or ~/.cache/repro)"}),
+            (("--no-cache",),
+             {"action": "store_true", "default": False,
+              "help": "disable the persistent result cache"})):
+        parser.add_argument(*flags, **options)
+        group.add_argument(*flags,
+                           **{**options, "default": argparse.SUPPRESS})
+
+
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse a ``repro`` command line (``sys.argv[1:]`` by default)."""
-    from repro.engine import BACKEND_NAMES, GRID_MODES
-
-    # Engine/runner flags are attached twice: once to the main parser
-    # (with real defaults, so they work before the subcommand) and once
-    # to every subparser via this parent (with SUPPRESS defaults, so
-    # ``repro tables --jobs 4`` works without clobbering the former).
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("engine options")
-    group.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="workload generation seed (default 0)")
-    group.add_argument("--jobs", "-j", type=_positive_int,
-                       default=argparse.SUPPRESS, metavar="N",
-                       help="processes for uncached simulations "
-                            "(default 1 = serially, on this thread); "
-                            "the remote backend's shard fan-out")
-    group.add_argument("--backend", choices=BACKEND_NAMES,
-                       default=argparse.SUPPRESS,
-                       help="execution backend for uncached "
-                            "simulations (default: inline; remote "
-                            "only under serve)")
-    group.add_argument("--grid-mode", choices=GRID_MODES,
-                       default=argparse.SUPPRESS,
-                       help="grid-axis execution of trace groups: "
-                            "auto (groups of 2+, the default), on "
-                            "(every eligible spec), off (per-spec "
-                            "path); statistics are identical either "
-                            "way")
-    group.add_argument("--lease-ttl", type=_positive_float,
-                       default=argparse.SUPPRESS, metavar="SECONDS",
-                       help="remote backend: seconds a worker may hold "
-                            "a shard before it is re-leased "
-                            "(default 30)")
-    group.add_argument("--cache-dir", default=argparse.SUPPRESS,
-                       metavar="DIR",
-                       help="persistent result-cache directory (default "
-                            "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    group.add_argument("--no-cache", action="store_true",
-                       default=argparse.SUPPRESS,
-                       help="disable the persistent result cache")
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of '3D Memory Vectorization for High "
                     "Bandwidth Media Memory Systems' (MICRO-35, 2002)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", "-j", type=_positive_int, default=1)
-    parser.add_argument("--backend", choices=BACKEND_NAMES,
-                        default="inline")
-    parser.add_argument("--grid-mode", choices=GRID_MODES,
-                        default="auto")
-    parser.add_argument("--lease-ttl", type=_positive_float,
-                        default=30.0)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true", default=False)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_engine_options(parser, common.add_argument_group("engine options"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list experiments and benchmarks",

@@ -35,7 +35,7 @@ from repro.engine.backends import (
     make_backend,
 )
 from repro.engine.cache import ResultCache, code_version, default_cache_root
-from repro.engine.keys import GRID_MODES, RunSpec
+from repro.engine.keys import RunSpec
 from repro.engine.store import SegmentStore
 from repro.engine.sweep import Sweep, axes_product
 from repro.lazy import lazy_exports
@@ -92,8 +92,8 @@ class EngineStats:
     #: ``shard_specs`` can still split a group across shards when
     #: there are more jobs than groups
     grid_groups: int = 0
-    #: specs planned per-spec while grid mode was enabled (ineligible
-    #: overrides, or singleton groups under ``auto``)
+    #: specs planned per-spec (``timing_model`` overrides, and specs
+    #: alone in their trace group)
     grid_fallbacks: int = 0
 
     def summary(self) -> str:
@@ -124,41 +124,23 @@ class Engine:
     name (``"inline"``/``"remote"``) built with ``jobs`` as its width;
     None means ``"inline"``.
 
-    ``grid_mode`` controls the grid-axis planner: ``run_many`` groups
-    pending specs by trace (``(benchmark, coding, seed, warm)``) and
-    the executing side simulates each whole group in one
-    :class:`~repro.timing.grid.GridPipeline` pass — ``"auto"``
-    (default) for groups of two or more, ``"on"`` for every eligible
-    spec, ``"off"`` for the historical per-spec path.  Statistics are
-    bit-identical across modes.
+    ``run_many`` groups pending specs by trace (``(benchmark, coding,
+    seed, warm)``), and the executing side simulates each group of two
+    or more in one :class:`~repro.timing.grid.GridPipeline` pass and
+    every other spec on the per-spec path (``parallel.plan_grid``).
+    Statistics are bit-identical either way.
     """
 
     def __init__(self, seed: int = 0, jobs: int = 1,
                  cache_dir=None, use_cache: bool = True,
-                 backend: ExecutionBackend | str | None = None,
-                 grid_mode: str = "auto", metrics=None):
-        if grid_mode not in GRID_MODES:
-            raise ValueError(
-                f"unknown grid mode {grid_mode!r}; expected one of "
-                f"{GRID_MODES}")
+                 backend: ExecutionBackend | str | None = None):
         self.seed = seed
-        self.grid_mode = grid_mode
         if isinstance(backend, str) or backend is None:
             backend = make_backend(backend or "inline", jobs=jobs)
         self.backend: ExecutionBackend = backend
         self.cache: ResultCache | None = (
             ResultCache(cache_dir) if use_cache else None)
         self.stats = EngineStats()
-        #: a :class:`repro.service.metrics.Metrics` registry this
-        #: engine's counters are bound to (``ServiceServer`` binds one
-        #: automatically; pass your own to share a registry between an
-        #: engine and a server, or to expose a CLI engine)
-        self.metrics = metrics
-        if metrics is not None:
-            # imported lazily: repro.engine must not import the
-            # service package at module load (the service imports us)
-            from repro.service.metrics import instrument_engine
-            instrument_engine(metrics, self)
         self._memo: dict[RunSpec, RunStats] = {}
         self._lock = threading.RLock()
 
@@ -185,29 +167,20 @@ class Engine:
             return hit
         return self.run_many([spec])[spec]
 
-    def run_many(self, specs, grid_mode: str | None = None
-                 ) -> dict[RunSpec, RunStats]:
+    def run_many(self, specs) -> dict[RunSpec, RunStats]:
         """Resolve a whole grid, dispatching uncached specs through the
         engine's execution backend.
 
         Returns a dict keyed by spec covering every input (duplicates
-        collapse).  ``grid_mode`` overrides the engine's grid planning
-        for this call (a remote worker executes each leased shard under
-        the coordinator's mode without touching shared engine state).
+        collapse).
         """
-        if grid_mode is None:
-            grid_mode = self.grid_mode
-        elif grid_mode not in GRID_MODES:
-            raise ValueError(
-                f"unknown grid mode {grid_mode!r}; expected one of "
-                f"{GRID_MODES}")
         specs = list(dict.fromkeys(specs))  # dedupe, keep order
         results, pending = self._lookup_many(specs)
         if pending:
             with self._lock:
                 self.stats.dispatches += 1
-                self._plan(pending, grid_mode)
-            fresh = self.backend.execute(pending, grid_mode=grid_mode)
+                self._plan(pending)
+            fresh = self.backend.execute(pending)
             with self._lock:
                 self.stats.simulations += len(fresh)
             results.update(self._admit_many(fresh))
@@ -226,15 +199,13 @@ class Engine:
                 self.stats.memo_hits += 1
             return hit
 
-    def _plan(self, pending, grid_mode: str) -> None:
+    def _plan(self, pending) -> None:
         """Account the grid planner's decision for a dispatch (caller
         holds the lock; ``plan_grid`` is one dict pass over the specs,
         so recomputing it on the executing side costs nothing)."""
-        if grid_mode == "off":
-            return
         from repro.engine.parallel import plan_grid
 
-        groups, fallbacks = plan_grid(pending, grid_mode)
+        groups, fallbacks = plan_grid(pending)
         self.stats.grid_groups += len(groups)
         self.stats.grid_fallbacks += len(fallbacks)
 
@@ -320,26 +291,14 @@ class Engine:
         return out
 
 
-def run_many(specs, jobs: int = 1, cache_dir=None, use_cache: bool = True,
-             backend: ExecutionBackend | str | None = None,
-             grid_mode: str = "auto") -> dict[RunSpec, RunStats]:
-    """One-shot convenience: resolve a grid with an ephemeral Engine."""
-    engine = Engine(jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                    backend=backend, grid_mode=grid_mode)
-    try:
-        return engine.run_many(specs)
-    finally:
-        engine.close()
-
-
 __all__ = [
     "BACKEND_NAMES", "Engine", "EngineStats",
-    "ExecutionBackend", "GRID_MODES", "InlineBackend", "RemoteBackend",
+    "ExecutionBackend", "InlineBackend", "RemoteBackend",
     "ResultCache", "RunSpec", "SegmentStore", "Sweep", "WorkQueue",
     "axes_product",
     "build_configs", "build_memsys", "build_processor",
     "build_workload", "code_version", "default_cache_root",
     "execute_spec", "grid_eligible", "grid_group_key", "make_backend",
-    "plan_grid", "register_trace", "run_many", "shard_specs",
+    "plan_grid", "register_trace", "shard_specs",
     "simulate_specs", "validate_spec",
 ]

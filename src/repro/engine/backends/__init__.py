@@ -49,20 +49,18 @@ class ExecutionBackend(Protocol):
 
     ``execute`` must resolve *every* input spec (raising if any spec
     cannot be) and may run them anywhere, in any order; how wide it
-    goes is the backend's own setting.  ``grid_mode``
-    selects the grid-axis execution plan (``auto``/``on``/``off``, see
-    :func:`repro.engine.parallel.plan_grid`) — backends dispatch whole
-    trace-groups so the executing side can simulate each group in one
-    :class:`~repro.timing.grid.GridPipeline` pass; results must be
-    bit-identical across modes.  ``counters()`` returns plain-data
-    dispatch evidence for ``EngineStats`` and the service's
+    goes is the backend's own setting.  Backends dispatch whole trace
+    groups, so the executing side can simulate each group in one
+    :class:`~repro.timing.grid.GridPipeline` pass
+    (:func:`repro.engine.parallel.plan_grid`).  ``counters()`` returns
+    plain-data dispatch evidence for ``EngineStats`` and the service's
     ``/v1/stats``; ``close()`` releases any long-lived resources (all
     shipped backends hold none across calls).
     """
 
     name: str
 
-    def execute(self, specs: "list[RunSpec]", grid_mode: str = "auto"
+    def execute(self, specs: "list[RunSpec]"
                 ) -> "dict[RunSpec, RunStats]": ...
 
     def counters(self) -> dict: ...

@@ -18,8 +18,8 @@ if TYPE_CHECKING:
 
 
 def _pool_worker(specs: tuple[RunSpec, ...],
-                 trace_paths: tuple[tuple[str, str], ...] = (),
-                 grid_mode: str = "auto") -> list[dict]:
+                 trace_paths: tuple[tuple[str, str], ...] = ()
+                 ) -> list[dict]:
     """Pool entry point: execute a shard, return plain-data stats.
 
     ``trace_paths`` re-registers the parent's saved-trace paths in the
@@ -31,12 +31,11 @@ def _pool_worker(specs: tuple[RunSpec, ...],
     from repro.engine.parallel import restore_trace_paths, simulate_specs
 
     restore_trace_paths(trace_paths)
-    results = simulate_specs(specs, grid_mode=grid_mode)
+    results = simulate_specs(specs)
     return [results[spec].to_dict() for spec in specs]
 
 
-def _run_pool(shards, jobs: int, grid_mode: str
-              ) -> dict[RunSpec, RunStats]:
+def _run_pool(shards, jobs: int) -> dict[RunSpec, RunStats]:
     """Run each shard as one task of a ``jobs``-wide process pool.
 
     The parent first imports the timing pipelines, the memory ports and
@@ -58,7 +57,7 @@ def _run_pool(shards, jobs: int, grid_mode: str
     results = {}
     with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
         futures = [(shard, pool.submit(_pool_worker, tuple(shard),
-                                       trace_paths_for(shard), grid_mode))
+                                       trace_paths_for(shard)))
                    for shard in shards]
         for shard, future in futures:
             for spec, payload in zip(shard, future.result()):
@@ -73,8 +72,8 @@ class InlineBackend:
     serially on the calling thread: no pool, no pickling.  Otherwise
     each ``execute`` call builds a pool over ``shard_specs(specs,
     jobs)``, so an idle backend holds no processes.  Trace groups run
-    through the grid-axis pipeline per the requested ``grid_mode``,
-    inside each pool task too.  Counters are lock-guarded because one
+    through the grid-axis pipeline (``simulate_specs``), inside each
+    pool task too.  Counters are lock-guarded because one
     engine (and therefore one backend) may be shared by the service's
     executor threads.
     """
@@ -91,20 +90,19 @@ class InlineBackend:
         self._executed = 0
         self._pool_shards = 0
 
-    def execute(self, specs: list[RunSpec],
-                grid_mode: str = "auto") -> dict[RunSpec, RunStats]:
+    def execute(self, specs: list[RunSpec]) -> dict[RunSpec, RunStats]:
         pooled = 0
         if self.jobs > 1:
             from repro.engine.parallel import shard_specs
 
             shards = shard_specs(specs, self.jobs)
             if len(shards) > 1:
-                results = _run_pool(shards, self.jobs, grid_mode)
+                results = _run_pool(shards, self.jobs)
                 pooled = len(shards)
         if not pooled:
             from repro.engine.parallel import simulate_specs
 
-            results = simulate_specs(specs, grid_mode=grid_mode)
+            results = simulate_specs(specs)
         with self._lock:
             self._dispatches += 1
             self._executed += len(results)

@@ -49,12 +49,7 @@ class RemoteBackend:
         self.wait_timeout = wait_timeout
         self.shards = shards
 
-    def execute(self, specs: list[RunSpec],
-                grid_mode: str = "auto") -> dict[RunSpec, RunStats]:
-        # grid_mode rides on each shard so the workers execute under
-        # the coordinator's plan (results are identical in every mode;
-        # the shard field is what makes --grid-mode off an effective
-        # fleet-wide kill switch).
+    def execute(self, specs: list[RunSpec]) -> dict[RunSpec, RunStats]:
         specs = list(specs)
         unresolvable = [spec for spec in specs
                         if spec.benchmark.startswith(TRACE_PREFIX)]
@@ -66,8 +61,7 @@ class RemoteBackend:
                 f"backend for them")
         if not specs:
             return {}
-        shard_ids = self.queue.enqueue(shard_specs(specs, self.shards),
-                                       grid_mode=grid_mode)
+        shard_ids = self.queue.enqueue(shard_specs(specs, self.shards))
         try:
             return self.queue.collect(shard_ids,
                                       timeout=self.wait_timeout)

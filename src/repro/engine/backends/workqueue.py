@@ -56,14 +56,12 @@ class WorkQueueError(ValueError):
 class WorkShard:
     """One unit of leased work: specs sharing a workload trace.
 
-    ``grid_mode`` is the dispatching engine's grid-axis plan; workers
-    execute the shard under it so a coordinator-side ``--grid-mode``
-    (including the ``off`` kill switch) governs the whole fleet.
+    The worker plans the shard itself, with the same rule as a local
+    dispatch (``parallel.plan_grid``).
     """
 
     shard_id: str
     specs: "tuple[RunSpec, ...]"
-    grid_mode: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,9 @@ class WorkQueue:
 
     # -- producer side (the RemoteBackend) ---------------------------------
 
-    def enqueue(self, shards: Sequence[Sequence["RunSpec"]],
-                grid_mode: str = "auto") -> list[str]:
+    def enqueue(self, shards: Sequence[Sequence["RunSpec"]]) -> list[str]:
         """Queue shards for leasing; returns their (fresh) shard ids."""
-        created = [WorkShard(shard_id=_fresh_id(), specs=tuple(specs),
-                             grid_mode=grid_mode)
+        created = [WorkShard(shard_id=_fresh_id(), specs=tuple(specs))
                    for specs in shards if specs]
         with self._cond:
             for shard in created:

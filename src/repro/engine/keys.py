@@ -29,9 +29,6 @@ from repro.timing import MEMSYSTEMS, PROCESSORS
 MEMSYS_KINDS = tuple(MEMSYSTEMS)
 #: ISA codings (each picks both trace and processor model).
 CODING_NAMES = tuple(PROCESSORS)
-#: Accepted ``grid_mode`` values (the ``--grid-mode`` CLI choices; see
-#: :func:`repro.engine.parallel.plan_grid`).
-GRID_MODES = ("auto", "on", "off")
 
 #: Override value types that survive a JSON round-trip losslessly.
 _SCALAR = (bool, int, float, str)

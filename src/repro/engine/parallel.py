@@ -25,7 +25,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from repro.engine.keys import GRID_MODES, RunSpec
+from repro.engine.keys import RunSpec
 from repro.errors import ConfigError
 from repro.memsys.hierarchy import HierarchyConfig
 from repro.timing import (
@@ -303,23 +303,15 @@ def grid_eligible(spec: RunSpec) -> bool:
     return timing_model_for(spec) in (None, "batched")
 
 
-def plan_grid(specs, grid_mode: str = "auto"
-              ) -> tuple[list[list[RunSpec]], list[RunSpec]]:
+def plan_grid(specs) -> tuple[list[list[RunSpec]], list[RunSpec]]:
     """Partition specs into grid groups and per-spec fallbacks.
 
-    ``"off"`` sends everything down the per-spec path; ``"on"`` routes
-    every eligible spec through the grid path (even alone); ``"auto"``
-    uses the grid path only for groups of two or more, where there is
-    shared work to amortize (see ``BENCH_grid.json`` for how much that
-    buys per trace group).  Order inside a group follows the input
-    order.
+    A trace group of two or more grid-eligible specs is one grid
+    group, where its members share work; a lone eligible spec and
+    every ineligible one fall back to the per-spec path (see
+    ``BENCH_grid.json`` for what a group buys).  Order inside a group
+    follows the input order.
     """
-    if grid_mode not in GRID_MODES:
-        raise ConfigError(
-            f"unknown grid mode {grid_mode!r}; expected one of "
-            f"{GRID_MODES}")
-    if grid_mode == "off":
-        return [], list(specs)
     groups: dict[tuple, list[RunSpec]] = {}
     fallbacks: list[RunSpec] = []
     for spec in specs:
@@ -329,15 +321,14 @@ def plan_grid(specs, grid_mode: str = "auto"
             fallbacks.append(spec)
     grid_groups: list[list[RunSpec]] = []
     for members in groups.values():
-        if grid_mode == "auto" and len(members) < 2:
+        if len(members) < 2:
             fallbacks.extend(members)
         else:
             grid_groups.append(members)
     return grid_groups, fallbacks
 
 
-def simulate_specs(specs, grid_mode: str = "auto"
-                   ) -> dict[RunSpec, RunStats]:
+def simulate_specs(specs) -> dict[RunSpec, RunStats]:
     """Execute specs in-process, grid-vectorizing trace groups.
 
     The in-process execution primitive every backend bottoms out in:
@@ -346,11 +337,11 @@ def simulate_specs(specs, grid_mode: str = "auto"
     traffic replay per cache geometry, one lean walk per distinct
     schedule), every fallback through :func:`execute_spec`.  Results
     are bit-identical either way — the timing differential suite pins
-    all three grid modes to the reference pipeline.
+    both paths to the reference pipeline.
     """
     from repro.timing.grid import GridPipeline
 
-    grid_groups, fallbacks = plan_grid(specs, grid_mode)
+    grid_groups, fallbacks = plan_grid(specs)
     results: dict[RunSpec, RunStats] = {}
     for members in grid_groups:
         workload = build_workload(members[0].benchmark,

@@ -6,7 +6,7 @@ memory-system designs, L2 latencies, and free-form configuration
 overrides (line sizes, lane counts, rename depths, port widths, ...).
 ``Sweep.specs()`` expands it to an ordered list of
 :class:`~repro.engine.keys.RunSpec`, ready for
-:func:`repro.engine.run_many`.
+:meth:`repro.engine.Engine.run_many`.
 
 Example — the Fig. 10 latency grid::
 

@@ -19,13 +19,12 @@ class Runner:
 
     def __init__(self, seed: int = 0, engine: Engine | None = None,
                  jobs: int = 1, cache_dir=None, use_cache: bool = True,
-                 backend=None, grid_mode: str = "auto"):
+                 backend=None):
         if engine is not None:
             self.engine = engine
         else:
             self.engine = Engine(seed=seed, jobs=jobs, cache_dir=cache_dir,
-                                 use_cache=use_cache, backend=backend,
-                                 grid_mode=grid_mode)
+                                 use_cache=use_cache, backend=backend)
         self.seed = self.engine.seed
 
     def run(self, benchmark: str, coding: str, memsys: str = "vector",

@@ -201,7 +201,3 @@ class SetAssocCache:
         first = self.line_addr(addr)
         last = self.line_addr(addr + nbytes - 1)
         return list(range(first, last + 1, self.line_bytes))
-
-    def flush(self) -> None:
-        """Drop all contents (keeps statistics)."""
-        self._sets.clear()

@@ -162,9 +162,6 @@ class VectorCachePort(VectorPort):
             port_accesses=len(distinct), cache_accesses=len(distinct),
             hits=hits, misses=misses, words=request.useful_words)
 
-    def _element_groups(self, request: MemRequest) -> list[tuple[int, int]]:
-        return _element_groups(request, self.width_words)
-
 
 def _element_groups(request: MemRequest,
                     width_words: int) -> list[tuple[int, int]]:

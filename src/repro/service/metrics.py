@@ -213,7 +213,8 @@ def instrument_engine(metrics: Metrics, engine) -> None:
             ("dispatches", "Backend execute() calls issued"),
             ("grid_groups", "Trace groups planned for the grid path"),
             ("grid_fallbacks",
-             "Specs planned per-spec while grid mode was enabled")):
+             "Specs planned per spec (alone in their trace group, or "
+             "a timing_model override)")):
         metrics.counter(f"repro_engine_{attr}_total", help_text,
                         fn=lambda a=attr: getattr(stats, a))
 

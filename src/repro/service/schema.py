@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.engine.keys import GRID_MODES, RunSpec
+from repro.engine.keys import RunSpec
 from repro.engine.sweep import Sweep
 from repro.errors import ConfigError, ReproError
 from repro.timing.stats import RunStats
@@ -485,8 +485,6 @@ class WorkLeaseGrant:
     shard_id: str
     ttl: float
     specs: tuple[RunSpec, ...]
-    #: the dispatching engine's grid-axis plan for this shard
-    grid_mode: str = "auto"
 
     def to_wire(self) -> dict:
         return {
@@ -494,7 +492,6 @@ class WorkLeaseGrant:
             "shard_id": self.shard_id,
             "ttl": self.ttl,
             "specs": [spec_to_wire(spec) for spec in self.specs],
-            "grid_mode": self.grid_mode,
         }
 
     @classmethod
@@ -510,12 +507,8 @@ class WorkLeaseGrant:
                         "expected a non-empty list of spec objects")
         specs = tuple(spec_from_wire(item, f"{path}.specs[{i}]")
                       for i, item in enumerate(raw))
-        grid_mode = _get_typed(payload, "grid_mode", str, path, "auto")
-        if grid_mode not in GRID_MODES:
-            raise _fail(f"{path}.grid_mode",
-                        f"expected one of {GRID_MODES}")
         return cls(lease_id=lease_id, shard_id=shard_id,
-                   ttl=float(ttl), specs=specs, grid_mode=grid_mode)
+                   ttl=float(ttl), specs=specs)
 
 
 def _report_from_wire(payload: Mapping, path: str) -> dict | None:

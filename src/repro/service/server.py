@@ -518,8 +518,7 @@ class ServiceServer:
         if lease is not None:
             grant = WorkLeaseGrant(
                 lease_id=lease.lease_id, shard_id=lease.shard.shard_id,
-                ttl=lease.ttl, specs=lease.shard.specs,
-                grid_mode=lease.shard.grid_mode).to_wire()
+                ttl=lease.ttl, specs=lease.shard.specs).to_wire()
         return 200, {"schema_version": SCHEMA_VERSION, "lease": grant}
 
     def _post_work_complete(self, body: bytes) -> tuple[int, dict]:

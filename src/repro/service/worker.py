@@ -166,8 +166,7 @@ class ServiceWorker:
             started = self._clock()
             try:
                 self._simulate_fault(grant.shard_id)
-                results = self.engine.run_many(
-                    grant.specs, grid_mode=grant.grid_mode)
+                results = self.engine.run_many(grant.specs)
             except Exception as exc:  # noqa: BLE001 - shard boundary
                 # Any simulation failure is scoped to its shard: count
                 # it, log it, abandon the lease (it expires into a

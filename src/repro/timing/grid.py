@@ -35,8 +35,9 @@ phases:
 
 Both phases compute exactly what :class:`~repro.timing.batched
 .BatchedPipeline` computes — ``tests/test_timing_differential.py``
-pins every paper grid point, warm and cold, to bit-identical
-``RunStats.to_dict()`` across grid-mode on/off/auto, and
+pins all 46 specs of ``repro tables``, and every paper grid point
+warm and cold, to bit-identical ``RunStats.to_dict()`` against the
+per-spec path and the reference oracle, and
 ``tests/test_grid_properties.py`` pins latency sweeps to the per-spec
 path.
 """

@@ -121,10 +121,6 @@ class ReferencePipeline:
         """
         prime_hierarchy(program, self.hierarchy, self.proc.isa)
 
-    def _routes_to_l1(self, inst: Instruction) -> bool:
-        return (inst.op in (Opcode.LD, Opcode.ST)
-                or (self.proc.isa == "mmx" and inst.is_memory))
-
     # -- per-instruction ------------------------------------------------------
 
     def _step(self, inst: Instruction) -> None:

@@ -333,9 +333,9 @@ def test_worker_idle_budget_restarts_after_long_shard():
     worker.client = StubClient()
     real_run_many = worker.engine.run_many
 
-    def slow_run_many(specs, **kwargs):
+    def slow_run_many(specs):
         time.sleep(0.5)  # a shard longer than the whole idle budget
-        return real_run_many(specs, **kwargs)
+        return real_run_many(specs)
 
     worker.engine.run_many = slow_run_many
     stats = worker.run()

@@ -261,7 +261,7 @@ class OneShardClient:
 def test_worker_crash_fault_exercises_the_shard_guard():
     spec = RunSpec(BENCH, "mom", "ideal")
     grant = WorkLeaseGrant(lease_id="l1", shard_id="s1", ttl=10.0,
-                           specs=(spec,), grid_mode="auto")
+                           specs=(spec,))
     plan = FaultPlan.parse("worker.simulate:crash@1")
     worker = ServiceWorker("http://127.0.0.1:1",
                            Engine(use_cache=False),

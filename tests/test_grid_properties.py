@@ -4,11 +4,11 @@ Two families of properties pin the grid path to the per-spec batched
 path byte for byte:
 
 * **Partition invariance** — any random partition of a spec grid into
-  execution batches, under any grid mode, with shuffled group order
-  and degenerate single-spec groups, produces exactly the per-spec
-  statistics.  This is the contract every backend relies on when it
-  shards work: where the group boundaries land can never change a
-  result.
+  execution batches, with shuffled group order and single-spec
+  batches, produces exactly the per-spec statistics, and a one-config
+  :class:`~repro.timing.grid.GridPipeline` matches every spec alone.
+  This is the contract every backend relies on when it shards work:
+  where the group boundaries land can never change a result.
 
 * **Random-trace equivalence** — Hypothesis-generated programs (both
   free-form and block-repeated, the latter shaped like the unrolled
@@ -37,7 +37,6 @@ from hypothesis import strategies as st
 
 from repro.engine.keys import RunSpec
 from repro.engine.parallel import (
-    GRID_MODES,
     build_configs,
     build_workload,
     execute_spec,
@@ -93,11 +92,10 @@ def pool_baseline():
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_random_partitions_bit_identical(pool_baseline, data):
-    """Shuffled subsets, arbitrary batch boundaries, any grid mode."""
+    """Shuffled subsets, arbitrary batch boundaries."""
     subset = data.draw(st.lists(st.sampled_from(_POOL), min_size=1,
                                 max_size=len(_POOL), unique=True))
     subset = data.draw(st.permutations(subset))
-    mode = data.draw(st.sampled_from(GRID_MODES))
     # cut the sequence into 1..n consecutive batches
     cuts = data.draw(st.sets(st.integers(1, max(1, len(subset) - 1)),
                              max_size=len(subset) - 1)
@@ -106,20 +104,21 @@ def test_random_partitions_bit_identical(pool_baseline, data):
     results = {}
     for lo, hi in zip(bounds, bounds[1:]):
         if lo < hi:
-            results.update(simulate_specs(list(subset[lo:hi]),
-                                          grid_mode=mode))
+            results.update(simulate_specs(list(subset[lo:hi])))
     for spec in subset:
-        assert results[spec].to_dict() == pool_baseline[spec], (
-            mode, spec.label())
+        assert results[spec].to_dict() == pool_baseline[spec], \
+            spec.label()
 
 
 def test_single_spec_groups_match(pool_baseline):
-    """N=1 degenerate groups under every mode."""
-    for mode in GRID_MODES:
-        for spec in _POOL:
-            result = simulate_specs([spec], grid_mode=mode)[spec]
-            assert result.to_dict() == pool_baseline[spec], (
-                mode, spec.label())
+    """N=1 degenerate groups: a one-config GridPipeline on each spec
+    (the reference-model spec's baseline is the oracle itself)."""
+    for spec in _POOL:
+        program = build_workload(spec.benchmark, spec.coding,
+                                 spec.seed).program
+        [result] = GridPipeline(program, [build_configs(spec)]).run(
+            warm=spec.warm)
+        assert result.to_dict() == pool_baseline[spec], spec.label()
 
 
 # -- random-trace equivalence ------------------------------------------------
@@ -259,7 +258,7 @@ def test_latency_sweep_replays_each_geometry_once(pool_baseline,
         return original(d, proc, memsys, warm, program)
 
     monkeypatch.setattr(grid, "_replay_traffic", counting)
-    results = simulate_specs(specs, grid_mode="on")
+    results = simulate_specs(specs)
     assert sorted(memsys.kind for memsys in replays) == [
         "multibank", "vector"]
     assert {memsys.hierarchy.l2_latency for memsys in replays} == {0}

@@ -229,7 +229,7 @@ class PickyBackend:
         self.doomed = doomed
         self.batches: list[list[RunSpec]] = []
 
-    def execute(self, specs, grid_mode="auto"):
+    def execute(self, specs):
         self.batches.append(list(specs))
         if self.doomed in specs:
             raise RuntimeError(f"cannot simulate {self.doomed.label()}")

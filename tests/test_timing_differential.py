@@ -13,11 +13,15 @@ The grid-axis pipeline (:mod:`repro.timing.grid`) re-derives the same
 schedule a third way — shared trace decode, timing-decoupled traffic
 replay (one per cache geometry, instantiated per L2 latency) and a
 lean walk over precomputed limiter gates — and is pinned here to the
-per-spec batched path for every paper grid point, warm and cold,
-under grid-mode ``on``, ``off`` and ``auto`` across all three
-execution backends.
+per-spec batched path for every paper grid point, warm and cold, and
+through the engine's plan on the inline backend, its process pool and
+remote workers, on three routes: every spec on the grid, every spec
+per spec, and the whole grid, where the plan mixes both.  All 46 specs of a cold ``repro tables`` run through
+the engine's plan and the per-spec path, and those outside the paper
+grids through the oracle as well.
 """
 
+import dataclasses
 import threading
 
 import pytest
@@ -28,8 +32,10 @@ from repro.engine.parallel import (
     build_configs,
     build_workload,
     execute_spec,
+    plan_grid,
+    simulate_specs,
 )
-from repro.harness.experiments import paper_grids
+from repro.harness.experiments import SWEEPS, experiment_specs, paper_grids
 from repro.service import ServiceWorker, background_server
 from repro.timing import simulate
 from repro.timing.grid import GridPipeline
@@ -194,15 +200,60 @@ def _assert_grid_matches(results, baseline):
         assert results[spec].to_dict() == payload, spec.label()
 
 
-@pytest.mark.parametrize("grid_mode", ("on", "off", "auto"))
-def test_grid_modes_bit_identical_inline(paper_grid_baseline,
-                                         grid_mode):
+def test_tables_specs_match_per_spec_and_oracle(paper_grid_baseline):
+    """Every spec a cold ``repro tables`` simulates gives one
+    ``RunStats.to_dict()`` through the engine's plan
+    (``simulate_specs``) and through the per-spec path
+    (``execute_spec``).  The 16 specs outside ``paper_grids()``,
+    fig10's 40- and 60-cycle points, also meet the
+    ``timing_model=reference`` oracle here; the other 30 meet it point
+    by point in ``test_batched_bit_identical_on_paper_grid``."""
+    _, baseline = paper_grid_baseline
+    specs = experiment_specs(SWEEPS)
+    assert len(specs) == 46
+    groups, fallbacks = plan_grid(specs)
+    assert (len(groups), len(fallbacks)) == (14, 1)
+    planned = simulate_specs(specs)
+    for spec in specs:
+        per_spec = baseline.get(spec)
+        if per_spec is None:
+            per_spec = execute_spec(spec).to_dict()
+            oracle = execute_spec(dataclasses.replace(
+                spec, overrides=(*spec.overrides,
+                                 ("timing_model", "reference"))))
+            assert per_spec == oracle.to_dict(), spec.label()
+        assert planned[spec].to_dict() == per_spec, spec.label()
+
+
+#: The engine's plan for each route's specs, as (grid groups, per-spec
+#: fallbacks): ``auto`` is the whole paper grid, where the one rule
+#: mixes both paths; ``on`` keeps only the members of its multi-spec
+#: trace groups, so every spec runs on the grid; ``off`` keeps one spec
+#: per trace group, so every spec runs per spec.
+_ROUTE_PLANS = {"on": (10, 0), "off": (0, 15), "auto": (10, 5)}
+
+
+def _routed(paper_grid_baseline, route):
+    """The paper-grid specs that take ``route``, and their baseline."""
     specs, baseline = paper_grid_baseline
-    engine = Engine(use_cache=False, backend="inline",
-                    grid_mode=grid_mode)
+    groups, fallbacks = plan_grid(specs)
+    if route == "on":
+        specs = [spec for members in groups for spec in members]
+    elif route == "off":
+        specs = [members[0] for members in groups] + fallbacks
+    return specs, {spec: baseline[spec] for spec in specs}
+
+
+def _plan_counts(engine):
+    return engine.stats.grid_groups, engine.stats.grid_fallbacks
+
+
+@pytest.mark.parametrize("route", tuple(_ROUTE_PLANS))
+def test_grid_modes_bit_identical_inline(paper_grid_baseline, route):
+    specs, baseline = _routed(paper_grid_baseline, route)
+    engine = Engine(use_cache=False, backend="inline")
     _assert_grid_matches(engine.run_many(specs), baseline)
-    if grid_mode != "off":
-        assert engine.stats.grid_groups > 0
+    assert _plan_counts(engine) == _ROUTE_PLANS[route]
 
 
 def test_inline_grid_counters_count_execution(monkeypatch):
@@ -234,26 +285,27 @@ def test_inline_grid_counters_count_execution(monkeypatch):
                      "spec": engine.stats.grid_fallbacks}
 
 
-@pytest.mark.parametrize("grid_mode", ("on", "off", "auto"))
-def test_grid_modes_bit_identical_process(paper_grid_baseline,
-                                          grid_mode):
-    specs, baseline = paper_grid_baseline
-    engine = Engine(use_cache=False, jobs=2, grid_mode=grid_mode)
+@pytest.mark.parametrize("route", tuple(_ROUTE_PLANS))
+def test_grid_modes_bit_identical_process(paper_grid_baseline, route):
+    specs, baseline = _routed(paper_grid_baseline, route)
+    engine = Engine(use_cache=False, jobs=2)
     _assert_grid_matches(engine.run_many(specs), baseline)
+    assert _plan_counts(engine) == _ROUTE_PLANS[route]
 
 
-@pytest.mark.parametrize("grid_mode", ("on", "off", "auto"))
-def test_grid_modes_bit_identical_remote(paper_grid_baseline,
-                                         grid_mode):
-    """Remote execution: shards keep trace groups together and the
-    workers' own engines run them in the requested grid mode."""
-    specs, baseline = paper_grid_baseline
+@pytest.mark.parametrize("route", tuple(_ROUTE_PLANS))
+def test_grid_modes_bit_identical_remote(paper_grid_baseline, route):
+    """Remote execution: shards keep trace groups together, and the
+    worker plans each leased shard with the local rule — the lease
+    carries only its specs — so its engine counts the same grid groups
+    and per-spec fallbacks as an inline dispatch of the route."""
+    specs, baseline = _routed(paper_grid_baseline, route)
     backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0, shards=3)
-    engine = Engine(use_cache=False, backend=backend,
-                    grid_mode=grid_mode)
+    engine = Engine(use_cache=False, backend=backend)
+    worker_engine = Engine(use_cache=False)
     with background_server(engine) as server:
         worker = ServiceWorker(
-            server.url, Engine(use_cache=False, grid_mode=grid_mode),
+            server.url, worker_engine,
             worker_id="grid-w0", poll_interval=0.02)
 
         def work():
@@ -269,3 +321,4 @@ def test_grid_modes_bit_identical_remote(paper_grid_baseline,
         finally:
             worker.stop()
             thread.join(timeout=30)
+    assert _plan_counts(worker_engine) == _ROUTE_PLANS[route]

@@ -185,7 +185,7 @@ def test_engine_exception_is_scoped_to_the_shard(capsys):
                                       max_idle=0.25,
                                       worker_id="w-crash")
 
-    def boom(_specs, **_kwargs):
+    def boom(_specs):
         raise RuntimeError("simulated engine fault")
 
     worker.engine.run_many = boom
@@ -316,5 +316,5 @@ def _work_then_close(worker: ServiceWorker) -> None:
         worker.client.close()
 
 
-def _always_raise(_specs, **_kwargs):
+def _always_raise(_specs):
     raise RuntimeError("injected engine fault")
