@@ -45,7 +45,11 @@ Subcommands:
 Engine flags (accepted before or after the subcommand):
 
 * ``--jobs N`` — shard uncached simulations across N processes (the
-  remote backend: into at least N shards).
+  remote backend: into at least N shards).  Without it the commands
+  that run the paper's experiments (``run``, ``all``/``tables``,
+  ``report``) run as wide as the usable cores
+  (``os.sched_getaffinity``; CPU quotas are not read), and every other
+  command runs one job.
 * ``--backend {inline,remote}`` — where uncached simulations execute:
   on this machine (the default; serially at one job, over a process
   pool at more), or on pull-based ``repro worker`` processes
@@ -59,7 +63,8 @@ Engine flags (accepted before or after the subcommand):
 * ``--no-cache`` — disable the persistent cache for this invocation.
 
 Commands that simulate print an ``[engine] simulations=...`` summary
-line to stderr; a warm-cache rerun reports ``simulations=0``.
+line to stderr; a warm-cache rerun reports ``simulations=0``, and its
+last counter, ``pool-shards``, is 0 unless a dispatch ran in a pool.
 ``submit`` prints the *server's* counters as ``[service] ...`` instead,
 and ``worker`` prints its loop counters as ``[worker] ...``.
 """
@@ -68,6 +73,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from repro.engine.keys import MEMSYS_KINDS as _MEMSYS_CHOICES
@@ -81,18 +87,49 @@ def _runner(args):
     """The command's runner; its engine closes when the command ends."""
     from repro.engine import make_backend
 
+    backend = make_backend(args.backend, jobs=_engine_jobs(args),
+                           lease_ttl=args.lease_ttl)
     runner = Runner(seed=args.seed, cache_dir=args.cache_dir,
-                    use_cache=not args.no_cache,
-                    backend=make_backend(args.backend, jobs=args.jobs,
-                                         lease_ttl=args.lease_ttl))
+                    use_cache=not args.no_cache, backend=backend)
     try:
         yield runner
     finally:
         runner.engine.close()
 
 
+#: The commands that run the paper's experiments.  Their grids are
+#: fixed, and at those sizes a pool over the usable cores beats one job,
+#: so without ``--jobs`` they run that wide.  Every other command runs
+#: one job unless given ``--jobs``: ``sweep`` and ``explore`` take grids
+#: the user sizes, and a small one runs slower in a pool than on the
+#: calling thread; ``bench`` and ``replay`` simulate one trace, which
+#: never pools; ``serve`` runs its engine on executor threads, where
+#: forking is unsafe; a ``worker`` is one member of a fleet its operator
+#: sizes.
+_POOLED_COMMANDS = frozenset({"run", "all", "tables", "report"})
+
+
+def _engine_jobs(args: argparse.Namespace) -> int:
+    """The command's engine width: ``--jobs`` when given, else the
+    usable cores for ``_POOLED_COMMANDS`` and 1 for the rest."""
+    if args.jobs is not None:
+        return args.jobs
+    return usable_cores() if args.command in _POOLED_COMMANDS else 1
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one.  CPU quotas (cgroup ``cpu.max``) are not read."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _print_engine_summary(runner: Runner) -> None:
-    print(f"[engine] {runner.engine.stats.summary()}", file=sys.stderr)
+    pool_shards = runner.engine.backend.counters()["pool_shards"]
+    print(f"[engine] {runner.engine.stats.summary()} "
+          f"pool-shards={pool_shards}", file=sys.stderr)
 
 
 def _cmd_list(_args) -> int:
@@ -552,10 +589,11 @@ def _add_engine_options(parser, group) -> None:
              {"type": int, "default": 0,
               "help": "workload generation seed (default 0)"}),
             (("--jobs", "-j"),
-             {"type": _positive_int, "default": 1, "metavar": "N",
-              "help": "processes for uncached simulations (default 1 = "
-                      "serially, on this thread); the remote "
-                      "backend's shard fan-out"}),
+             {"type": _positive_int, "default": None, "metavar": "N",
+              "help": "processes for uncached simulations (default: "
+                      "the usable cores for run, all, tables and "
+                      "report, else 1 = serially, on this thread); "
+                      "the remote backend's shard fan-out"}),
             (("--backend",),
              {"choices": BACKEND_NAMES, "default": "inline",
               "help": "execution backend for uncached simulations "

@@ -26,7 +26,7 @@ from repro.compiler.dependence import (
     pick_3d_candidates,
 )
 from repro.compiler.loopnest import MapNest, Ref, ReduceSelectNest
-from repro.isa import Opcode, ProgramBuilder, acc, d3, r, v
+from repro.isa import ProgramBuilder, acc, d3, r, v
 
 #: scalar register roles used by the generated select code
 _BEST, _POS, _IDX, _VALUE, _COND = r(1), r(2), r(3), r(4), r(5)

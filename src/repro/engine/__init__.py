@@ -88,9 +88,10 @@ class EngineStats:
     dispatches: int = 0
     #: trace groups planned for the grid-axis path.  The executing
     #: side recomputes the same plan (``parallel.simulate_specs``), so
-    #: at one job these counters equal what ran; a pool's
-    #: ``shard_specs`` can still split a group across shards when
-    #: there are more jobs than groups
+    #: on the inline backend, whose pool runs one shard per trace,
+    #: these counters equal what ran; the remote backend's
+    #: ``shard_specs`` can still split a group across shards when it
+    #: asks for more shards than there are groups
     grid_groups: int = 0
     #: specs planned per-spec (``timing_model`` overrides, and specs
     #: alone in their trace group)

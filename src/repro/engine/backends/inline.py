@@ -1,10 +1,10 @@
 """Local execution backend: the calling thread, or a process pool.
 
 At one job the specs simulate serially on the calling thread.  Wider,
-they shard by workload trace and fan across a ``ProcessPoolExecutor``
-built for the call; results travel back in the lossless
-``RunStats.to_dict`` form, so pooled execution is bit-identical to
-serial execution by construction.
+they shard by workload trace, one shard per trace, and fan across a
+``ProcessPoolExecutor`` built for the call; results travel back in the
+lossless ``RunStats.to_dict`` form, so pooled execution is
+bit-identical to serial execution by construction.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ def _pool_worker(specs: tuple[RunSpec, ...],
 
     ``trace_paths`` re-registers the parent's saved-trace paths in the
     worker process (required under the spawn start method, where the
-    parent's module state is not inherited).  Shards arrive grouped by
-    trace (see ``shard_specs``), so the grid-axis path applies inside
-    each pool task as well.
+    parent's module state is not inherited).  Each shard is one whole
+    trace, so the grid-axis path applies inside each pool task as
+    well.
     """
     from repro.engine.parallel import restore_trace_paths, simulate_specs
 
@@ -35,12 +35,33 @@ def _pool_worker(specs: tuple[RunSpec, ...],
     return [results[spec].to_dict() for spec in specs]
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker as soon as its parent dies.
+
+    A worker waiting for its next task is never told that the parent
+    is gone (a killed ``repro tables``), so a daemon thread waits on
+    the parent's sentinel, which turns ready when the parent exits.
+    """
+    import multiprocessing.connection
+    import os
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
+
+
 def _run_pool(shards, jobs: int) -> dict[RunSpec, RunStats]:
     """Run each shard as one task of a ``jobs``-wide process pool.
 
     The parent first imports the timing pipelines, the memory ports and
     the shards' trace generators: forked workers inherit what is
-    loaded, so no worker imports the simulator itself.
+    loaded, so no worker imports the simulator itself.  Each worker
+    exits when the parent dies (``_exit_with_parent``).
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -55,7 +76,8 @@ def _run_pool(shards, jobs: int) -> dict[RunSpec, RunStats]:
         if not name.startswith(TRACE_PREFIX):
             get_benchmark(name)
     results = {}
-    with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(shards)),
+                             initializer=_exit_with_parent) as pool:
         futures = [(shard, pool.submit(_pool_worker, tuple(shard),
                                        trace_paths_for(shard)))
                    for shard in shards]
@@ -68,10 +90,12 @@ def _run_pool(shards, jobs: int) -> dict[RunSpec, RunStats]:
 class InlineBackend:
     """Execute specs on this machine, ``jobs`` processes wide.
 
-    At ``jobs == 1``, or when the specs form one shard, they run
-    serially on the calling thread: no pool, no pickling.  Otherwise
-    each ``execute`` call builds a pool over ``shard_specs(specs,
-    jobs)``, so an idle backend holds no processes.  Trace groups run
+    At ``jobs == 1``, or when the specs share one workload trace, they
+    run serially on the calling thread: no pool, no pickling.
+    Otherwise each ``execute`` call builds a pool of ``min(jobs,
+    traces)`` workers over one shard per trace, so an idle backend
+    holds no processes and a wide backend never splits a trace (a split
+    shard builds and decodes its trace again).  Trace groups run
     through the grid-axis pipeline (``simulate_specs``), inside each
     pool task too.  Counters are lock-guarded because one
     engine (and therefore one backend) may be shared by the service's
@@ -95,7 +119,8 @@ class InlineBackend:
         if self.jobs > 1:
             from repro.engine.parallel import shard_specs
 
-            shards = shard_specs(specs, self.jobs)
+            # one shard per trace: at one job, nothing splits
+            shards = shard_specs(specs, 1)
             if len(shards) > 1:
                 results = _run_pool(shards, self.jobs)
                 pooled = len(shards)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.keys import RunSpec
 from repro.errors import ConfigError

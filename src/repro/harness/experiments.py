@@ -22,7 +22,7 @@ from repro.harness import paper
 from repro.harness.runner import Runner
 from repro.harness.tables import Table
 from repro.models import config_area, normalized_areas, run_power
-from repro.timing import mmx_processor, mom3d_processor, mom_processor
+from repro.timing import mmx_processor, mom3d_processor
 from repro.workloads import benchmark_names
 
 

@@ -8,7 +8,7 @@ timing model; latencies are applied by the ports in
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 

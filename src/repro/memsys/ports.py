@@ -16,7 +16,7 @@ occupancy plus the accounting the paper's figures need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.isa.opcodes import Opcode

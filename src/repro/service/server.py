@@ -45,7 +45,7 @@ import sys
 import threading
 import time
 import urllib.parse
-from typing import Awaitable, Callable
+from typing import Callable
 
 from repro.engine import Engine
 from repro.engine.backends.workqueue import WorkQueue, WorkQueueError

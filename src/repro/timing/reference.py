@@ -35,7 +35,7 @@ import math
 from repro.errors import ConfigError
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import ExecClass, Opcode
-from repro.isa.registers import RegClass, Register, VL
+from repro.isa.registers import RegClass, VL
 from repro.memsys.ports import request_for
 from repro.timing.config import (
     DEFAULT_INT_LATENCY,

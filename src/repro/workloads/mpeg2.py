@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.isa import ElemType, Opcode, ProgramBuilder, d3, r, v
+from repro.isa import ElemType, Opcode, ProgramBuilder, d3, v
 from repro.vm.memory import Arena, FlatMemory
 from repro.workloads import motion
 from repro.workloads.base import Benchmark, BuiltWorkload

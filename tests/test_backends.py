@@ -8,8 +8,14 @@ run admits every shard's results exactly once, even when a worker dies
 mid-lease.
 """
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -143,20 +149,71 @@ def test_paper_grids_byte_identical_across_backends(remote_service):
 
 
 def test_inline_pool_honours_jobs():
-    """At two jobs, specs from two traces run as two pool shards; at
-    one job they run on the calling thread.  The results agree byte
-    for byte."""
+    """Wider than one job, specs from two traces run as two pool
+    shards, however wide the backend: a trace never splits, so specs
+    of one trace run on the calling thread.  At one job everything
+    does.  The results agree byte for byte."""
     specs = Sweep(benchmarks=(BENCH,), codings=("mom", "mom3d"),
                   memsystems=("ideal", "vector")).specs()
-    serial, pool = InlineBackend(jobs=1), InlineBackend(jobs=2)
+    serial, pool = InlineBackend(jobs=1), InlineBackend(jobs=4)
     serial_results = serial.execute(specs)
     pool_results = pool.execute(specs)
     assert serial.counters()["pool_shards"] == 0
+    assert pool.counters()["pool_shards"] == 2
+    pool.execute([spec for spec in specs if spec.coding == "mom"])
     assert pool.counters()["pool_shards"] == 2
     assert set(pool_results) == set(serial_results) == set(specs)
     for spec in specs:
         assert pool_results[spec].to_dict() == \
             serial_results[spec].to_dict()
+
+
+def _session_members(session: int) -> dict[int, int]:
+    """Live processes of ``session`` (zombies excluded), pid -> ppid."""
+    members = {}
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # it exited while we looked
+            continue
+        state, ppid, _group, sid = stat.rsplit(")", 1)[1].split()[:4]
+        if int(sid) == session and state not in "ZX":
+            members[int(entry.name)] = int(ppid)
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads the process table from /proc")
+def test_pool_workers_exit_when_the_parent_is_killed(tmp_path):
+    """A pooled cold ``repro tables`` killed mid-dispatch leaves no pool
+    worker behind: each one sees its parent's sentinel and exits."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--jobs", "2", "--cache-dir",
+         str(tmp_path / "cache"), "tables"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    try:
+        deadline = time.monotonic() + 60.0
+        while sum(ppid == proc.pid for ppid in
+                  _session_members(proc.pid).values()) < 2:
+            assert proc.poll() is None, "the run ended before it pooled"
+            assert time.monotonic() < deadline, "no pool started"
+            time.sleep(0.01)
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while _session_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session_members(proc.pid) == {}
+    finally:
+        proc.kill()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
 
 
 def test_remote_jobs_hint_controls_fan_out(remote_service):

@@ -5,7 +5,8 @@ numpy, the timing pipelines, the trace generators, the VM, the backend
 machinery, the explorer's search or the service stack: they load when a
 command first simulates, builds, dispatches or serves.  A cold command
 loads the simulator, but still not the VM's executor, the explorer's
-search, a backend it does not run or, at one job, a process pool.
+search, a backend it does not run or, at one job, a process pool; at
+the default width (the usable cores) its one dispatch pools.
 Every check runs in a fresh interpreter, because the pytest process
 has long since imported everything.
 
@@ -149,17 +150,40 @@ def test_warm_cli_run_loads_no_heavy_layer(tmp_path):
 
 def test_warm_tables_loads_no_heavy_layer(tmp_path):
     cold, warm = _cold_then_warm(tmp_path, "--backend", "inline",
-                                 "--seed", "0", "tables")
+                                 "--jobs", "1", "--seed", "0", "tables")
     assert "simulations=46 " in cold and "dispatches=1 " in cold
+    assert cold.endswith(" pool-shards=0")
     assert "simulations=0 disk-hits=46 " in warm
 
 
 def test_default_backend_tables_loads_no_heavy_layer(tmp_path):
-    """Without ``--backend`` a command runs on the inline backend and
-    loads what ``--backend inline`` loads, cold and warm."""
-    cold, warm = _cold_then_warm(tmp_path, "--seed", "0", "tables")
-    assert "simulations=46 " in cold and "dispatches=1 " in cold
-    assert "simulations=0 disk-hits=46 " in warm
+    """Without ``--backend`` or ``--jobs`` a command runs on the inline
+    backend as wide as the usable cores: cold, its one dispatch runs in
+    a pool; warm, it starts none and loads what a one-job run loads."""
+    import pytest
+
+    from repro.cli import usable_cores
+
+    if usable_cores() < 2:
+        pytest.skip("the default width pools from two usable cores")
+    args = ("--cache-dir", str(tmp_path / "cache"), "--seed", "0",
+            "tables")
+    modules, cold = _fresh(tmp_path, _CLI, *args)
+    cold_line = cold.stderr.splitlines()[-1]
+    assert "simulations=46 " in cold_line and "dispatches=1 " in cold_line
+    assert cold_line.endswith(" pool-shards=15")
+    assert "concurrent.futures.process" in modules
+    # the pool's own modules are the only ones a pooled cold run adds
+    pool = ("multiprocessing", "concurrent.futures")
+    assert [module for module in cold_forbidden(modules)
+            if not _matches(module, pool)] == []
+    modules, warm = _fresh(tmp_path, _CLI, *args)
+    assert warm.stdout == cold.stdout
+    assert forbidden(modules) == []
+    assert len(repro_modules(modules)) == WARM_REPRO_MODULES, \
+        repro_modules(modules)
+    assert warm.stderr.splitlines()[-1].endswith(
+        "dispatches=0 grid-groups=0 grid-fallbacks=0 pool-shards=0")
 
 
 def test_service_loads_no_explorer_or_models(tmp_path):

@@ -309,6 +309,33 @@ def test_one_shot_predicate():
         assert not is_one_shot(parse_args(argv)), argv
 
 
+def test_default_jobs_is_the_usable_cores_for_the_paper_commands(
+        monkeypatch):
+    """Without ``--jobs`` the commands that run the paper's experiments
+    build an inline backend as wide as the usable cores, and every other
+    engine command a one-job one.  An explicit ``--jobs``, before or
+    after the subcommand, wins."""
+    import os
+
+    from repro.cli import _runner, parse_args
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+
+    def width(*argv):
+        with _runner(parse_args(["--no-cache", *argv])) as runner:
+            return runner.engine.backend.jobs
+
+    for argv in (["tables"], ["all"], ["run", "fig3"], ["report"]):
+        assert width(*argv) == 3, argv
+        assert width("--jobs", "1", *argv) == 1, argv
+        assert width(*argv, "--jobs", "1") == 1, argv
+    for argv in (["sweep"], ["explore"], ["replay", "t.bin"],
+                 ["bench", "gsm_encode"], ["serve"], ["worker"]):
+        assert width(*argv) == 1, argv
+        assert width("--jobs", "4", *argv) == 4, argv
+
+
 class MonitoringStub:
     """``sys.monitoring`` with the given tool ids registered."""
 

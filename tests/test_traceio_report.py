@@ -113,7 +113,12 @@ def test_trace_paths_ship_to_pool_workers(tmp_path, monkeypatch):
     payloads = _pool_worker(tuple(specs), shipped)
     assert len(payloads) == 2 and payloads[0]["cycles"] > 0
 
-    # and the end-to-end pool path agrees with serial execution
+    # and the end-to-end pool path agrees with serial execution; the
+    # pool runs one shard per trace, so a second trace makes it pool
+    other = tmp_path / "t3d.trace"
+    export_workload("gsm_encode", "mom3d", other)
+    specs += [RunSpec(register_trace(other), "mom3d", "vector", lat)
+              for lat in (20, 40)]
     pool = InlineBackend(jobs=2)
     parallel_results = pool.execute(specs)
     assert pool.counters()["pool_shards"] == 2
