@@ -27,7 +27,7 @@ def main() -> None:
         constraint=Constraint("slowdown", within=0.05),
         minimize="area_tracks",
     )
-    report = explore(Engine(jobs=2), query)
+    report = explore(Engine(), query)
 
     print("Pareto frontier (slowdown x L2 watts x area tracks):")
     for record in report.frontier:

@@ -20,10 +20,13 @@ from repro.service import ServiceClient, background_server
 
 
 def main() -> None:
-    engine = Engine(jobs=2, use_cache=False)
+    engine = Engine(use_cache=False)
     sweep = Sweep(benchmarks=("gsm_encode", "jpeg_encode"),
                   codings=("mom", "mom3d"), memsystems=("vector",))
     specs = sweep.specs()
+    # the in-process reference, run before the server starts its
+    # threads, so none of them is running when its process pool forks
+    local = Engine(use_cache=False).run_many(specs)
 
     with background_server(engine) as server:
         print(f"service listening on {server.url}")
@@ -52,7 +55,6 @@ def main() -> None:
               f"{stats['scheduler']['batches']} batch(es)")
 
         # 3. Results are the engine's, bit for bit.
-        local = Engine(jobs=2, use_cache=False).run_many(specs)
         assert all(outcomes[0][s].to_dict() == local[s].to_dict()
                    for s in specs), "wire results diverged!"
         print("wire results match in-process Engine.run_many exactly")

@@ -45,11 +45,12 @@ Subcommands:
 Engine flags (accepted before or after the subcommand):
 
 * ``--jobs N`` — shard uncached simulations across N processes (the
-  remote backend: into at least N shards).  Without it the commands
-  that run the paper's experiments (``run``, ``all``/``tables``,
-  ``report``) run as wide as the usable cores
-  (``os.sched_getaffinity``; CPU quotas are not read), and every other
-  command runs one job.
+  remote backend: into at least N shards).  Without it every command
+  runs as wide as the engine's default, the usable cores
+  (``os.sched_getaffinity``; CPU quotas are not read), except ``serve``
+  and ``worker``, which run one job: ``serve`` runs its engine on
+  executor threads, and a ``worker`` is one member of a fleet its
+  operator sizes.  A dispatch over one trace never pools.
 * ``--backend {inline,remote}`` — where uncached simulations execute:
   on this machine (the default; serially at one job, over a process
   pool at more), or on pull-based ``repro worker`` processes
@@ -73,7 +74,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 
 from repro.engine.keys import MEMSYS_KINDS as _MEMSYS_CHOICES
@@ -97,33 +97,13 @@ def _runner(args):
         runner.engine.close()
 
 
-#: The commands that run the paper's experiments.  Their grids are
-#: fixed, and at those sizes a pool over the usable cores beats one job,
-#: so without ``--jobs`` they run that wide.  Every other command runs
-#: one job unless given ``--jobs``: ``sweep`` and ``explore`` take grids
-#: the user sizes, and a small one runs slower in a pool than on the
-#: calling thread; ``bench`` and ``replay`` simulate one trace, which
-#: never pools; ``serve`` runs its engine on executor threads, where
-#: forking is unsafe; a ``worker`` is one member of a fleet its operator
-#: sizes.
-_POOLED_COMMANDS = frozenset({"run", "all", "tables", "report"})
-
-
-def _engine_jobs(args: argparse.Namespace) -> int:
-    """The command's engine width: ``--jobs`` when given, else the
-    usable cores for ``_POOLED_COMMANDS`` and 1 for the rest."""
+def _engine_jobs(args: argparse.Namespace) -> int | None:
+    """The command's engine width: ``--jobs`` when given, else 1 for
+    ``serve`` and ``worker`` and the engine's default (None, the usable
+    cores) for every other command."""
     if args.jobs is not None:
         return args.jobs
-    return usable_cores() if args.command in _POOLED_COMMANDS else 1
-
-
-def usable_cores() -> int:
-    """The cores this process may run on: its affinity mask where the
-    platform has one.  CPU quotas (cgroup ``cpu.max``) are not read."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+    return None if is_one_shot(args) else 1
 
 
 def _print_engine_summary(runner: Runner) -> None:
@@ -591,9 +571,9 @@ def _add_engine_options(parser, group) -> None:
             (("--jobs", "-j"),
              {"type": _positive_int, "default": None, "metavar": "N",
               "help": "processes for uncached simulations (default: "
-                      "the usable cores for run, all, tables and "
-                      "report, else 1 = serially, on this thread); "
-                      "the remote backend's shard fan-out"}),
+                      "the usable cores, but 1 = serially, on this "
+                      "thread, for serve and worker); the remote "
+                      "backend's shard fan-out (default 1)"}),
             (("--backend",),
              {"choices": BACKEND_NAMES, "default": "inline",
               "help": "execution backend for uncached simulations "

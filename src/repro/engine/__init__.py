@@ -123,7 +123,10 @@ class Engine:
     ``backend`` decides where uncached specs execute: an
     :class:`~repro.engine.backends.ExecutionBackend` instance, or a
     name (``"inline"``/``"remote"``) built with ``jobs`` as its width;
-    None means ``"inline"``.
+    None means ``"inline"``.  ``jobs=None`` builds the inline backend
+    as wide as the usable cores (a dispatch over two or more traces
+    from the main thread then runs in a process pool) and the remote
+    backend at a fan-out of 1.
 
     ``run_many`` groups pending specs by trace (``(benchmark, coding,
     seed, warm)``), and the executing side simulates each group of two
@@ -132,7 +135,7 @@ class Engine:
     Statistics are bit-identical either way.
     """
 
-    def __init__(self, seed: int = 0, jobs: int = 1,
+    def __init__(self, seed: int = 0, jobs: int | None = None,
                  cache_dir=None, use_cache: bool = True,
                  backend: ExecutionBackend | str | None = None):
         self.seed = seed

@@ -8,7 +8,8 @@ process pool.  Two implementations ship:
 
 * :class:`~repro.engine.backends.inline.InlineBackend` — this
   machine: the calling thread at one job, a per-call
-  ``ProcessPoolExecutor`` over trace shards at more;
+  ``ProcessPoolExecutor`` over trace shards at more (by default as
+  many jobs as :func:`usable_cores`);
 * :class:`~repro.engine.backends.remote.RemoteBackend` — shards
   dispatched to pull-based ``repro worker`` processes through a
   lease-tracked :class:`~repro.engine.backends.workqueue.WorkQueue`
@@ -24,6 +25,7 @@ paper's evaluation grids.  See ``docs/backends.md``.
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.lazy import lazy_exports
@@ -72,13 +74,24 @@ class ExecutionBackend(Protocol):
 BACKEND_NAMES = ("inline", "remote")
 
 
-def make_backend(name: str, *, jobs: int = 1, lease_ttl: float = 30.0,
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one.  CPU quotas (cgroup ``cpu.max``) are not read."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def make_backend(name: str, *, jobs: int | None = None,
+                 lease_ttl: float = 30.0,
                  wait_timeout: float = 600.0) -> ExecutionBackend:
     """Construct a backend by name (the ``--backend`` flag's factory).
 
     Only the parameters a backend understands reach it: ``jobs`` sets
-    the inline backend's pool width and the remote backend's shard
-    fan-out; ``lease_ttl``/``wait_timeout`` are remote-only.
+    the inline backend's pool width (None: the usable cores) and the
+    remote backend's shard fan-out (None: 1); ``lease_ttl``/
+    ``wait_timeout`` are remote-only.
     """
     if name == "inline":
         from repro.engine.backends.inline import InlineBackend
@@ -86,7 +99,8 @@ def make_backend(name: str, *, jobs: int = 1, lease_ttl: float = 30.0,
     if name == "remote":
         from repro.engine.backends.remote import RemoteBackend
         return RemoteBackend(lease_ttl=lease_ttl,
-                             wait_timeout=wait_timeout, shards=jobs)
+                             wait_timeout=wait_timeout,
+                             shards=1 if jobs is None else jobs)
     raise ValueError(f"unknown execution backend {name!r}; expected "
                      f"one of {BACKEND_NAMES}")
 
@@ -94,5 +108,5 @@ def make_backend(name: str, *, jobs: int = 1, lease_ttl: float = 30.0,
 __all__ = [
     "BACKEND_NAMES", "ExecutionBackend", "InlineBackend",
     "RemoteBackend", "WorkLease", "WorkQueue", "WorkQueueError",
-    "WorkShard", "make_backend",
+    "WorkShard", "make_backend", "usable_cores",
 ]

@@ -1,16 +1,19 @@
 """Local execution backend: the calling thread, or a process pool.
 
-At one job the specs simulate serially on the calling thread.  Wider,
-they shard by workload trace, one shard per trace, and fan across a
-``ProcessPoolExecutor`` built for the call; results travel back in the
-lossless ``RunStats.to_dict`` form, so pooled execution is
-bit-identical to serial execution by construction.
+The width defaults to the usable cores.  At one job, over one trace,
+or off the main thread, the specs simulate serially on the calling
+thread.  Otherwise they shard by workload trace, one shard per trace,
+and fan across a ``ProcessPoolExecutor`` built for the call; results
+travel back in the lossless ``RunStats.to_dict`` form, so pooled
+execution is bit-identical to serial execution by construction.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import TYPE_CHECKING
+
+from repro.engine.backends import usable_cores
 
 if TYPE_CHECKING:
     from repro.engine.keys import RunSpec
@@ -58,12 +61,15 @@ def _exit_with_parent() -> None:
 def _run_pool(shards, jobs: int) -> dict[RunSpec, RunStats]:
     """Run each shard as one task of a ``jobs``-wide process pool.
 
-    The parent first imports the timing pipelines, the memory ports and
-    the shards' trace generators: forked workers inherit what is
-    loaded, so no worker imports the simulator itself.  Each worker
-    exits when the parent dies (``_exit_with_parent``).
+    The parent first imports the timing pipelines, the memory ports,
+    the shards' trace generators and ``numpy.random``, which the trace
+    builds import lazily: forked workers inherit what is loaded, so no
+    worker imports the simulator itself.  Each worker exits when the
+    parent dies (``_exit_with_parent``).
     """
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy.random  # noqa: F401
 
     import repro.memsys.ideal  # noqa: F401
     import repro.timing.grid  # noqa: F401
@@ -90,8 +96,12 @@ def _run_pool(shards, jobs: int) -> dict[RunSpec, RunStats]:
 class InlineBackend:
     """Execute specs on this machine, ``jobs`` processes wide.
 
-    At ``jobs == 1``, or when the specs share one workload trace, they
-    run serially on the calling thread: no pool, no pickling.
+    ``jobs`` defaults to the usable cores
+    (:func:`~repro.engine.backends.usable_cores`).  At ``jobs == 1``,
+    when the specs share one workload trace, or when called off the
+    main thread, they run serially on the calling thread: no pool, no
+    pickling, and no fork from a process whose other threads may hold
+    locks (the service runs its engine on executor threads).
     Otherwise each ``execute`` call builds a pool of ``min(jobs,
     traces)`` workers over one shard per trace, so an idle backend
     holds no processes and a wide backend never splits a trace (a split
@@ -104,7 +114,9 @@ class InlineBackend:
 
     name = "inline"
 
-    def __init__(self, jobs: int = 1) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
+        if jobs is None:
+            jobs = usable_cores()
         if jobs <= 0:
             raise ValueError(
                 f"jobs must be a positive integer, got {jobs}")
@@ -116,7 +128,8 @@ class InlineBackend:
 
     def execute(self, specs: list[RunSpec]) -> dict[RunSpec, RunStats]:
         pooled = 0
-        if self.jobs > 1:
+        if (self.jobs > 1
+                and threading.current_thread() is threading.main_thread()):
             from repro.engine.parallel import shard_specs
 
             # one shard per trace: at one job, nothing splits

@@ -10,7 +10,7 @@ before it computes any table cell, so the cell-by-cell ``runner.run``
 calls that follow are pure memo hits.  :func:`run_all` pre-fetches the
 union of every experiment's sweeps first, so the whole evaluation is
 one engine dispatch: one grid group per trace, and one process pool
-for ``--jobs N``.
+above one job (the usable cores by default).
 """
 
 from __future__ import annotations

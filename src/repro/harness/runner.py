@@ -18,8 +18,8 @@ class Runner:
     """Runs timing simulations via the engine."""
 
     def __init__(self, seed: int = 0, engine: Engine | None = None,
-                 jobs: int = 1, cache_dir=None, use_cache: bool = True,
-                 backend=None):
+                 jobs: int | None = None, cache_dir=None,
+                 use_cache: bool = True, backend=None):
         if engine is not None:
             self.engine = engine
         else:

@@ -101,14 +101,18 @@ class _HttpReply(Exception):
 
 
 class ServiceServer:
-    """The job service: one engine, one scheduler, one HTTP listener."""
+    """The job service: one engine, one scheduler, one HTTP listener.
+
+    Without ``engine`` it builds one at one job: the scheduler runs the
+    engine on executor threads, where a process pool must not fork.
+    """
 
     def __init__(self, engine: Engine | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
                  max_workers: int = 2, max_jobs: int = 256,
                  metrics: Metrics | None = None,
                  drain_grace: float = 30.0):
-        self.engine = engine if engine is not None else Engine()
+        self.engine = engine if engine is not None else Engine(jobs=1)
         self.host = host
         self.port = port
         #: the registry behind ``GET /v1/metrics``; a fresh one per

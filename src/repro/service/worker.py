@@ -92,6 +92,10 @@ class ServiceWorker:
     per consecutive failure up to ``retry_backoff_max`` (with jitter)
     and resets after any successful request.  ``clock`` and ``rng``
     are injectable for deterministic tests.
+
+    Without ``engine`` it builds one at one job: a worker is one member
+    of a fleet its operator sizes (and a leased shard holds one trace,
+    which the inline backend never pools).
     """
 
     def __init__(self, url: str, engine: Engine | None = None, *,
@@ -116,7 +120,7 @@ class ServiceWorker:
         #: the REPRO_FAULTS environment plan, usually empty)
         self._plan = resolve_plan(fault_plan)
         self.client = ServiceClient(url, fault_plan=self._plan)
-        self.engine = engine if engine is not None else Engine()
+        self.engine = engine if engine is not None else Engine(jobs=1)
         self.worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
         self.poll_interval = poll_interval
         self.retry_backoff = retry_backoff

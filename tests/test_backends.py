@@ -128,7 +128,7 @@ def test_paper_grids_byte_identical_across_backends(remote_service):
     engine, _server, _workers = remote_service
     grid = paper_grids()
 
-    inline = Engine(use_cache=False, backend=InlineBackend()
+    inline = Engine(use_cache=False, backend=InlineBackend(jobs=1)
                     ).run_many(grid)
     pool = Engine(use_cache=False, backend=InlineBackend(jobs=2)
                   ).run_many(grid)
@@ -166,6 +166,65 @@ def test_inline_pool_honours_jobs():
     for spec in specs:
         assert pool_results[spec].to_dict() == \
             serial_results[spec].to_dict()
+
+
+def test_inline_backend_forks_only_from_the_main_thread():
+    """Called from another thread, a wide backend runs the dispatch on
+    that thread: a fork from a process whose other threads may hold
+    locks (the service runs its engine on executor threads) is unsafe.
+    The main thread still pools, and both give the same results."""
+    specs = Sweep(benchmarks=(BENCH,), codings=("mom", "mom3d"),
+                  memsystems=("ideal", "vector")).specs()
+    threaded, pooled = InlineBackend(jobs=2), InlineBackend(jobs=2)
+    threaded_results = {}
+    thread = threading.Thread(
+        target=lambda: threaded_results.update(threaded.execute(specs)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    pooled_results = pooled.execute(specs)
+    assert threaded.counters()["pool_shards"] == 0
+    assert pooled.counters()["pool_shards"] == 2
+    assert set(threaded_results) == set(pooled_results) == set(specs)
+    for spec in specs:
+        assert threaded_results[spec].to_dict() == \
+            pooled_results[spec].to_dict()
+
+
+#: run in a fresh interpreter: each pool task of a two-trace dispatch
+#: appends to ``sys.argv[1]`` whether ``numpy.random`` was loaded when
+#: the task started
+_NUMPY_RANDOM_PROBE = f"""
+import sys
+from repro.engine import InlineBackend, Sweep, parallel
+
+simulate = parallel.simulate_specs
+
+def logged(specs):
+    with open(sys.argv[1], "a") as log:
+        print("numpy.random" in sys.modules, file=log)
+    return simulate(specs)
+
+parallel.simulate_specs = logged
+backend = InlineBackend(jobs=2)
+backend.execute(Sweep(benchmarks=({BENCH!r},), codings=("mom", "mom3d"),
+                      memsystems=("ideal",)).specs())
+assert backend.counters()["pool_shards"] == 2
+"""
+
+
+def test_pool_workers_inherit_numpy_random(tmp_path):
+    """The trace builds import ``numpy.random`` lazily; the pool's
+    parent imports it before the fork, so no worker imports it
+    again."""
+    log = tmp_path / "tasks.log"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_RANDOM_PROBE, str(log)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert log.read_text().splitlines() == ["True", "True"]
 
 
 def _session_members(session: int) -> dict[int, int]:
@@ -220,7 +279,7 @@ def test_remote_jobs_hint_controls_fan_out(remote_service):
     engine, _server, workers = remote_service
     assert engine.backend.shards == 4
     results = engine.run_many(SMALL)
-    serial = Engine(use_cache=False, backend="inline").run_many(SMALL)
+    serial = Engine(use_cache=False, jobs=1).run_many(SMALL)
     for spec in SMALL:
         assert results[spec].to_dict() == serial[spec].to_dict()
     # the grid fanned out as 4 single-spec shards, all completed
@@ -455,7 +514,7 @@ def test_worker_death_releases_shard_without_double_admission(tmp_path):
         live_thread.join(timeout=30)
 
     results = results_holder["results"]
-    serial = Engine(use_cache=False, backend="inline").run_many(specs)
+    serial = Engine(use_cache=False, jobs=1).run_many(specs)
     for spec in specs:
         assert results[spec].to_dict() == serial[spec].to_dict()
 

@@ -158,13 +158,17 @@ def test_all_experiments_render(runner):
 
 def test_run_all_resolves_the_evaluation_in_one_dispatch():
     """``run_all`` prefetches every experiment's sweeps as one union, so
-    the experiments themselves only read the memo."""
+    the experiments themselves only read the memo.  At the default
+    width that one dispatch pools its 15 traces from two usable
+    cores."""
+    from repro.engine.backends import usable_cores
+
     runner = Runner(seed=0, backend="inline", use_cache=False)
     results = run_all(runner)
     assert [result.exp_id for result in results] == list(EXPERIMENTS)
-    assert runner.engine.backend.counters() == {"dispatches": 1,
-                                                "executed": 46,
-                                                "pool_shards": 0}
+    assert runner.engine.backend.counters() == {
+        "dispatches": 1, "executed": 46,
+        "pool_shards": 15 if usable_cores() > 1 else 0}
     stats = runner.engine.stats
     assert (stats.dispatches, stats.simulations) == (1, 46)
     # one grid group per trace; only jpeg_decode/mom3d has one spec

@@ -5,8 +5,9 @@ numpy, the timing pipelines, the trace generators, the VM, the backend
 machinery, the explorer's search or the service stack: they load when a
 command first simulates, builds, dispatches or serves.  A cold command
 loads the simulator, but still not the VM's executor, the explorer's
-search, a backend it does not run or, at one job, a process pool; at
-the default width (the usable cores) its one dispatch pools.
+search, a backend it does not run or, at one job or over one trace, a
+process pool; at the default width (the usable cores) a dispatch over
+two or more traces pools.
 Every check runs in a fresh interpreter, because the pytest process
 has long since imported everything.
 
@@ -162,7 +163,7 @@ def test_default_backend_tables_loads_no_heavy_layer(tmp_path):
     a pool; warm, it starts none and loads what a one-job run loads."""
     import pytest
 
-    from repro.cli import usable_cores
+    from repro.engine.backends import usable_cores
 
     if usable_cores() < 2:
         pytest.skip("the default width pools from two usable cores")
@@ -184,6 +185,28 @@ def test_default_backend_tables_loads_no_heavy_layer(tmp_path):
         repro_modules(modules)
     assert warm.stderr.splitlines()[-1].endswith(
         "dispatches=0 grid-groups=0 grid-fallbacks=0 pool-shards=0")
+
+
+def test_default_engine_pools_no_single_trace_dispatch(tmp_path):
+    """``Engine()`` is as wide as the usable cores (two here), yet
+    building it, and a dispatch over one trace, load neither
+    ``multiprocessing`` nor ``concurrent.futures``."""
+    code = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from repro.engine import Engine, Sweep
+engine = Engine(use_cache=False)
+assert engine.backend.jobs == 2
+assert not [name for name in sys.modules
+            if name.split(".")[0] in ("multiprocessing", "concurrent")]
+engine.run_many(Sweep(benchmarks=("gsm_encode",), codings=("mom",),
+                      memsystems=("ideal", "vector")).specs())
+assert engine.backend.counters() == {"dispatches": 1, "executed": 2,
+                                     "pool_shards": 0}
+"""
+    modules, _proc = _fresh(tmp_path, code)
+    assert [module for module in sorted(modules) if _matches(
+        module, ("multiprocessing", "concurrent.futures"))] == []
 
 
 def test_service_loads_no_explorer_or_models(tmp_path):

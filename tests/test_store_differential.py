@@ -61,7 +61,7 @@ def test_paper_grids_cold_and_warm(tmp_path):
 
 
 def test_paper_grids_parity_across_backends(tmp_path):
-    reference, _ = _run(tmp_path / "ref", backend=InlineBackend())
+    reference, _ = _run(tmp_path / "ref", backend=InlineBackend(jobs=1))
 
     pool, pool_stats = _run(tmp_path / "pool",
                             backend=InlineBackend(jobs=2))

@@ -309,31 +309,70 @@ def test_one_shot_predicate():
         assert not is_one_shot(parse_args(argv)), argv
 
 
-def test_default_jobs_is_the_usable_cores_for_the_paper_commands(
-        monkeypatch):
-    """Without ``--jobs`` the commands that run the paper's experiments
-    build an inline backend as wide as the usable cores, and every other
-    engine command a one-job one.  An explicit ``--jobs``, before or
-    after the subcommand, wins."""
+def test_the_usable_cores_are_the_one_default_width(monkeypatch,
+                                                    tmp_path):
+    """Every local engine defaults to the usable cores: ``Engine()``,
+    ``Runner()``, ``InlineBackend()`` and every engine command but
+    ``serve`` and ``worker``, which run one job, as do the engines
+    ``ServiceServer()`` and ``ServiceWorker()`` build.  The remote
+    backend's shard fan-out stays 1.  An explicit ``--jobs`` or
+    ``jobs=``, before or after the subcommand, wins."""
+    import asyncio
     import os
 
     from repro.cli import _runner, parse_args
+    from repro.engine import Engine, InlineBackend, make_backend
+    from repro.harness import Runner
+    from repro.service import ServiceServer, ServiceWorker
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
                         raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
     def width(*argv):
         with _runner(parse_args(["--no-cache", *argv])) as runner:
-            return runner.engine.backend.jobs
+            backend = runner.engine.backend
+            return (backend.name,
+                    backend.jobs if backend.name == "inline"
+                    else backend.shards)
 
-    for argv in (["tables"], ["all"], ["run", "fig3"], ["report"]):
-        assert width(*argv) == 3, argv
-        assert width("--jobs", "1", *argv) == 1, argv
-        assert width(*argv, "--jobs", "1") == 1, argv
-    for argv in (["sweep"], ["explore"], ["replay", "t.bin"],
-                 ["bench", "gsm_encode"], ["serve"], ["worker"]):
-        assert width(*argv) == 1, argv
-        assert width("--jobs", "4", *argv) == 4, argv
+    for argv in (["tables"], ["all"], ["run", "fig3"], ["report"],
+                 ["sweep"], ["explore"], ["replay", "t.bin"],
+                 ["bench", "gsm_encode"]):
+        assert width(*argv) == ("inline", 3), argv
+        assert width("--jobs", "1", *argv) == ("inline", 1), argv
+        assert width(*argv, "--jobs", "2") == ("inline", 2), argv
+    for argv in (["serve"], ["worker"]):
+        assert width(*argv) == ("inline", 1), argv
+        assert width("--jobs", "4", *argv) == ("inline", 4), argv
+        assert width(*argv, "--jobs", "2") == ("inline", 2), argv
+    assert width("serve", "--backend", "remote") == ("remote", 1)
+    assert width("--jobs", "4", "serve", "--backend", "remote") == \
+        ("remote", 4)
+
+    for engine in (Engine(use_cache=False),
+                   Runner(use_cache=False).engine):
+        assert engine.backend.jobs == 3
+        engine.close()
+    assert InlineBackend().jobs == make_backend("inline").jobs == 3
+    for engine in (Engine(use_cache=False, jobs=2),
+                   Runner(use_cache=False, jobs=2).engine):
+        assert engine.backend.jobs == 2
+        engine.close()
+    assert InlineBackend(jobs=2).jobs == 2
+    assert Engine(use_cache=False, backend="remote").backend.shards == 1
+    assert make_backend("remote", jobs=4).shards == 4
+
+    server = ServiceServer()
+    worker = ServiceWorker("http://127.0.0.1:9")
+    try:
+        assert server.engine.backend.jobs == 1
+        assert worker.engine.backend.jobs == 1
+    finally:
+        asyncio.run(server.close())
+        server.engine.close()
+        worker.client.close()
+        worker.engine.close()
 
 
 class MonitoringStub:

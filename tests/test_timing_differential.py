@@ -259,7 +259,8 @@ def test_grid_modes_bit_identical_inline(paper_grid_baseline, route):
 def test_inline_grid_counters_count_execution(monkeypatch):
     """On the inline backend the ``[engine]`` grid counters report what
     ran: one ``GridPipeline.run`` per counted grid group and one
-    ``execute_spec`` per counted fallback."""
+    ``execute_spec`` per counted fallback.  One job keeps the calls in
+    this process, where the spies count them."""
     from repro.engine import parallel
     from repro.timing import grid
 
@@ -277,7 +278,7 @@ def test_inline_grid_counters_count_execution(monkeypatch):
 
     monkeypatch.setattr(grid.GridPipeline, "run", counting_run)
     monkeypatch.setattr(parallel, "execute_spec", counting_execute)
-    engine = Engine(use_cache=False, backend="inline")
+    engine = Engine(use_cache=False, jobs=1, backend="inline")
     engine.run_many(paper_grids())
     assert (engine.stats.grid_groups, engine.stats.grid_fallbacks) \
         == (10, 5)
