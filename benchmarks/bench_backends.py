@@ -8,9 +8,10 @@ scratch — through each execution backend and writes
   baseline;
 * ``pool`` — the inline backend at two jobs, a local process pool
   (pays fork + pickle);
-* ``remote`` — four shards for two in-process HTTP workers pulling
-  leased shards through a real ``background_server`` socket (pays the
-  full wire round trip: JSON specs out, JSON stats back).
+* ``remote`` — one shard per trace (fig3 has five) for two
+  in-process HTTP workers pulling leased shards through a real
+  ``background_server`` socket (pays the full wire round trip: JSON
+  specs out, JSON stats back).
 
 The interesting number is each backend's *overhead vs inline* — the
 price of its dispatch machinery — not its absolute wall clock: on a
@@ -56,8 +57,7 @@ def _time_pool(specs) -> float:
 
 def _time_remote(specs) -> float:
     engine = Engine(use_cache=False,
-                    backend=RemoteBackend(wait_timeout=600.0,
-                                          shards=2 * WORKERS))
+                    backend=RemoteBackend(wait_timeout=600.0))
     gc.collect()
     with background_server(engine) as server:
         workers = [ServiceWorker(server.url, Engine(use_cache=False),

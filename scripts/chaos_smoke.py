@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     try:
         procs["server"] = _spawn(
             [python, "-m", "repro", "serve", "--port", str(args.port),
-             "--jobs", "4", "--backend", "remote", "--lease-ttl", "3",
+             "--backend", "remote", "--lease-ttl", "3",
              "--drain-grace", "20",
              "--cache-dir", str(caches["server"])],
             server_env, "chaos-serve.log")

@@ -44,13 +44,12 @@ Subcommands:
 
 Engine flags (accepted before or after the subcommand):
 
-* ``--jobs N`` — shard uncached simulations across N processes (the
-  remote backend: into at least N shards).  Without it every command
-  runs as wide as the engine's default, the usable cores
-  (``os.sched_getaffinity``; CPU quotas are not read), except ``serve``
-  and ``worker``, which run one job: ``serve`` runs its engine on
-  executor threads, and a ``worker`` is one member of a fleet its
-  operator sizes.  A dispatch over one trace never pools.
+* ``--jobs N`` — run uncached simulations in a pool of N processes,
+  one task per trace (default: the usable cores,
+  ``os.sched_getaffinity``; CPU quotas are not read).  A dispatch
+  over one trace never pools.  ``serve`` and ``worker`` refuse it:
+  ``serve`` runs its engine on executor threads, which never fork, and
+  a ``worker``'s leased shard holds one trace.
 * ``--backend {inline,remote}`` — where uncached simulations execute:
   on this machine (the default; serially at one job, over a process
   pool at more), or on pull-based ``repro worker`` processes
@@ -87,7 +86,7 @@ def _runner(args):
     """The command's runner; its engine closes when the command ends."""
     from repro.engine import make_backend
 
-    backend = make_backend(args.backend, jobs=_engine_jobs(args),
+    backend = make_backend(args.backend, jobs=args.jobs,
                            lease_ttl=args.lease_ttl)
     runner = Runner(seed=args.seed, cache_dir=args.cache_dir,
                     use_cache=not args.no_cache, backend=backend)
@@ -95,15 +94,6 @@ def _runner(args):
         yield runner
     finally:
         runner.engine.close()
-
-
-def _engine_jobs(args: argparse.Namespace) -> int | None:
-    """The command's engine width: ``--jobs`` when given, else 1 for
-    ``serve`` and ``worker`` and the engine's default (None, the usable
-    cores) for every other command."""
-    if args.jobs is not None:
-        return args.jobs
-    return None if is_one_shot(args) else 1
 
 
 def _print_engine_summary(runner: Runner) -> None:
@@ -571,9 +561,8 @@ def _add_engine_options(parser, group) -> None:
             (("--jobs", "-j"),
              {"type": _positive_int, "default": None, "metavar": "N",
               "help": "processes for uncached simulations (default: "
-                      "the usable cores, but 1 = serially, on this "
-                      "thread, for serve and worker); the remote "
-                      "backend's shard fan-out (default 1)"}),
+                      "the usable cores; 1 = serially, on this "
+                      "thread); not for serve or worker"}),
             (("--backend",),
              {"choices": BACKEND_NAMES, "default": "inline",
               "help": "execution backend for uncached simulations "
@@ -819,6 +808,13 @@ def run(args: argparse.Namespace) -> int:
         print("error: --backend remote runs only under 'repro serve'; "
               "run this command locally with --backend inline",
               file=sys.stderr)
+        return 2
+    if args.jobs is not None and not is_one_shot(args):
+        # serve's executor threads never fork, and a worker's leased
+        # shard holds one trace: neither command ever pools
+        print("error: --jobs sizes a local process pool, which 'repro "
+              "serve' and 'repro worker' never run; a fleet is as wide "
+              "as the workers started", file=sys.stderr)
         return 2
     handlers = {"list": _cmd_list, "run": _cmd_run, "all": _cmd_all,
                 "tables": _cmd_all, "bench": _cmd_bench,

@@ -8,7 +8,7 @@ The engine owns everything between "a grid of run specifications" and
 * :mod:`repro.engine.cache` — persistent on-disk result store keyed by
   spec digest + code version;
 * :mod:`repro.engine.parallel` — spec-to-simulator resolution and
-  workload-grouped sharding;
+  one shard per workload trace;
 * :mod:`repro.engine.backends` — pluggable
   :class:`~repro.engine.backends.ExecutionBackend` strategies (this
   machine, serially or over a process pool, and remote lease-queue
@@ -86,12 +86,10 @@ class EngineStats:
     stores: int = 0
     #: backend ``execute`` calls issued for uncached specs
     dispatches: int = 0
-    #: trace groups planned for the grid-axis path.  The executing
+    #: trace groups planned for the grid-axis path.  Every backend
+    #: ships whole traces (``parallel.shard_specs``) and the executing
     #: side recomputes the same plan (``parallel.simulate_specs``), so
-    #: on the inline backend, whose pool runs one shard per trace,
-    #: these counters equal what ran; the remote backend's
-    #: ``shard_specs`` can still split a group across shards when it
-    #: asks for more shards than there are groups
+    #: these counters equal what ran
     grid_groups: int = 0
     #: specs planned per-spec (``timing_model`` overrides, and specs
     #: alone in their trace group)
@@ -122,11 +120,10 @@ class Engine:
 
     ``backend`` decides where uncached specs execute: an
     :class:`~repro.engine.backends.ExecutionBackend` instance, or a
-    name (``"inline"``/``"remote"``) built with ``jobs`` as its width;
-    None means ``"inline"``.  ``jobs=None`` builds the inline backend
+    name (``"inline"``/``"remote"``); None means ``"inline"``.
+    ``jobs`` is the inline backend's width, and ``jobs=None`` builds it
     as wide as the usable cores (a dispatch over two or more traces
-    from the main thread then runs in a process pool) and the remote
-    backend at a fan-out of 1.
+    from the main thread then runs in a process pool).
 
     ``run_many`` groups pending specs by trace (``(benchmark, coding,
     seed, warm)``), and the executing side simulates each group of two

@@ -88,10 +88,9 @@ def make_backend(name: str, *, jobs: int | None = None,
                  wait_timeout: float = 600.0) -> ExecutionBackend:
     """Construct a backend by name (the ``--backend`` flag's factory).
 
-    Only the parameters a backend understands reach it: ``jobs`` sets
-    the inline backend's pool width (None: the usable cores) and the
-    remote backend's shard fan-out (None: 1); ``lease_ttl``/
-    ``wait_timeout`` are remote-only.
+    Only the parameters a backend understands reach it: ``jobs`` is
+    the inline backend's pool width (None: the usable cores), and
+    ``lease_ttl``/``wait_timeout`` are remote-only.
     """
     if name == "inline":
         from repro.engine.backends.inline import InlineBackend
@@ -99,8 +98,7 @@ def make_backend(name: str, *, jobs: int | None = None,
     if name == "remote":
         from repro.engine.backends.remote import RemoteBackend
         return RemoteBackend(lease_ttl=lease_ttl,
-                             wait_timeout=wait_timeout,
-                             shards=1 if jobs is None else jobs)
+                             wait_timeout=wait_timeout)
     raise ValueError(f"unknown execution backend {name!r}; expected "
                      f"one of {BACKEND_NAMES}")
 

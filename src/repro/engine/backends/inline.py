@@ -103,13 +103,11 @@ class InlineBackend:
     pickling, and no fork from a process whose other threads may hold
     locks (the service runs its engine on executor threads).
     Otherwise each ``execute`` call builds a pool of ``min(jobs,
-    traces)`` workers over one shard per trace, so an idle backend
-    holds no processes and a wide backend never splits a trace (a split
-    shard builds and decodes its trace again).  Trace groups run
-    through the grid-axis pipeline (``simulate_specs``), inside each
-    pool task too.  Counters are lock-guarded because one
-    engine (and therefore one backend) may be shared by the service's
-    executor threads.
+    traces)`` workers over one shard per trace (``shard_specs``), so
+    an idle backend holds no processes.  Trace groups run through the
+    grid-axis pipeline (``simulate_specs``), inside each pool task
+    too.  Counters are lock-guarded because one engine (and therefore
+    one backend) may be shared by the service's executor threads.
     """
 
     name = "inline"
@@ -132,8 +130,7 @@ class InlineBackend:
                 and threading.current_thread() is threading.main_thread()):
             from repro.engine.parallel import shard_specs
 
-            # one shard per trace: at one job, nothing splits
-            shards = shard_specs(specs, 1)
+            shards = shard_specs(specs)
             if len(shards) > 1:
                 results = _run_pool(shards, self.jobs)
                 pooled = len(shards)

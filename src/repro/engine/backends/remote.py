@@ -1,7 +1,7 @@
 """Distributed execution backend over pull-based workers.
 
 ``RemoteBackend.execute`` shards its specs exactly like the inline
-backend's pool (workload-grouped, via
+backend's pool (one shard per workload trace, via
 :func:`~repro.engine.parallel.shard_specs`), enqueues the shards on a
 :class:`~repro.engine.backends.workqueue.WorkQueue`, and blocks until
 every shard is completed.  It runs no simulations itself: workers —
@@ -28,26 +28,22 @@ from repro.timing.stats import RunStats
 class RemoteBackend:
     """Dispatch shards to remote workers through a lease queue.
 
-    ``shards`` is the fan-out: specs are split into at least that many
-    shards (workload-grouping permitting) so that many workers can
-    pull concurrently.  ``wait_timeout`` bounds how long a dispatch
-    waits for workers before failing the batch (and discarding its
-    shards, so a worker showing up late finds only duplicates to
-    report).
+    Each dispatch enqueues one shard per workload trace, so as many
+    workers as it has traces can pull concurrently; the fleet is as
+    wide as the workers its operator starts.  ``wait_timeout`` bounds
+    how long a dispatch waits for workers before failing the batch
+    (and discarding its shards, so a worker showing up late finds only
+    duplicates to report).
     """
 
     name = "remote"
 
     def __init__(self, lease_ttl: float = 30.0,
-                 wait_timeout: float = 600.0, shards: int = 1,
+                 wait_timeout: float = 600.0,
                  queue: WorkQueue | None = None) -> None:
-        if shards <= 0:
-            raise ValueError(
-                f"shards must be a positive integer, got {shards}")
         self.queue = queue if queue is not None else \
             WorkQueue(lease_ttl=lease_ttl)
         self.wait_timeout = wait_timeout
-        self.shards = shards
 
     def execute(self, specs: list[RunSpec]) -> dict[RunSpec, RunStats]:
         specs = list(specs)
@@ -61,7 +57,7 @@ class RemoteBackend:
                 f"backend for them")
         if not specs:
             return {}
-        shard_ids = self.queue.enqueue(shard_specs(specs, self.shards))
+        shard_ids = self.queue.enqueue(shard_specs(specs))
         try:
             return self.queue.collect(shard_ids,
                                       timeout=self.wait_timeout)

@@ -373,48 +373,16 @@ def restore_trace_paths(pairs) -> None:
     _TRACE_PATHS.update(pairs)
 
 
-def shard_specs(specs: list[RunSpec], jobs: int) -> list[list[RunSpec]]:
-    """Partition specs into at least ``jobs`` execution shards.
+def shard_specs(specs: list[RunSpec]) -> list[list[RunSpec]]:
+    """One shard per ``(benchmark, coding, seed)`` workload trace.
 
-    Specs sharing a workload trace stay together (one build per
-    shard); when that yields fewer shards than ``jobs``, the largest
-    shards split until every worker has something to do (or no shard
-    can split further).  Splits respect grid-group boundaries — a
-    shard holding several ``(benchmark, coding, seed, warm)`` groups
-    splits between groups, so the executing side keeps whole groups
-    for its grid-axis pass; a single group only splits once nothing
-    coarser is left.  Never returns an empty shard: asking for more
-    shards than there are specs simply yields one spec per shard, and
-    an empty spec list yields no shards at all.
+    Shards come in first-seen order and keep the input order inside,
+    so each holds its whole trace: one build and one decode per shard,
+    and every grid group intact for the executing side's grid-axis
+    pass.  No specs yield no shards.
     """
-    if jobs <= 0:
-        raise ValueError(f"jobs must be a positive integer, got {jobs}")
-    groups: dict[tuple, list[RunSpec]] = {}
+    shards: dict[tuple, list[RunSpec]] = {}
     for spec in specs:
-        key = (spec.benchmark, spec.coding, spec.seed)
-        groups.setdefault(key, []).append(spec)
-    shards = list(groups.values())
-    while shards and len(shards) < jobs:
-        biggest = max(shards, key=len)
-        if len(biggest) <= 1:
-            break
-        shards.remove(biggest)
-        # prefer splitting between grid groups (warm/cold runs of one
-        # trace are separate GridPipeline passes anyway); members of a
-        # group may arrive interleaved, so make them contiguous first
-        # — shard-internal order is free to rearrange, results are
-        # order-independent by construction
-        biggest = sorted(biggest, key=grid_group_key)
-        boundary = None
-        mid = (len(biggest) + 1) // 2
-        for cut in sorted(range(1, len(biggest)),
-                          key=lambda c: abs(c - mid)):
-            if grid_group_key(biggest[cut - 1]) \
-                    != grid_group_key(biggest[cut]):
-                boundary = cut
-                break
-        if boundary is None:
-            boundary = mid
-        shards.extend([biggest[:boundary], biggest[boundary:]])
-    return shards
-
+        shards.setdefault((spec.benchmark, spec.coding, spec.seed),
+                          []).append(spec)
+    return list(shards.values())

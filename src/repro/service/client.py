@@ -64,31 +64,23 @@ class ServiceError(ReproError):
         super().__init__(f"HTTP {status}: {detail}")
 
 
-#: Statuses worth retrying when a retry budget is configured: the
-#: server said "not now" (job store full or draining), not "never".
-_RETRYABLE = (429, 503)
-
-
 class ServiceClient:
     """Small blocking SDK over the job endpoints.
 
     Each thread that uses the client keeps one HTTP/1.1 connection
     open across requests; :meth:`close` closes the calling thread's.
     ``timeout`` is the per-request connect/read timeout (stdlib
-    ``http.client`` applies it to both).  ``retry_budget`` (seconds,
-    default 0 = fail fast) lets the client absorb 429/503 refusals and
-    transient connection errors: it sleeps the server's ``Retry-After``
-    hint (or an exponential backoff) and retries until the budget
-    would be exceeded.  ``clock`` and ``sleep`` are injectable for
-    tests; ``fault_plan`` threads a
-    :class:`~repro.service.faults.FaultPlan` under the transport for
-    chaos testing (``transport.lease`` / ``transport.complete`` /
-    ``transport.request`` sites).
+    ``http.client`` applies it to both).  A refused or failed request
+    raises at once (:class:`ServiceError` carries the server's
+    ``Retry-After`` hint); what to do next is the caller's choice.
+    ``clock`` and ``sleep`` are injectable for tests; ``fault_plan``
+    threads a :class:`~repro.service.faults.FaultPlan` under the
+    transport for chaos testing (``transport.lease`` /
+    ``transport.complete`` / ``transport.request`` sites).
     """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0,
                  poll_interval: float = 0.05,
-                 retry_budget: float = 0.0,
                  clock=time.monotonic, sleep=time.sleep,
                  fault_plan=None):
         if "//" not in base_url:  # bare host[:port] shorthand
@@ -105,7 +97,6 @@ class ServiceClient:
         self.prefix = parsed.path.rstrip("/")
         self.timeout = timeout
         self.poll_interval = poll_interval
-        self.retry_budget = retry_budget
         self._clock = clock
         self._sleep = sleep
         from repro.service.faults import resolve_plan
@@ -131,32 +122,7 @@ class ServiceClient:
 
     def _request(self, method: str, path: str,
                  payload: Mapping | None = None) -> dict:
-        """One logical request: fault seam + retry-with-budget."""
-        deadline = (self._clock() + self.retry_budget
-                    if self.retry_budget > 0 else None)
-        backoff = 0.05
-        while True:
-            try:
-                return self._request_once(method, path, payload)
-            except ServiceError as exc:
-                if exc.status not in _RETRYABLE or deadline is None:
-                    raise
-                wait = (exc.retry_after if exc.retry_after is not None
-                        else backoff)
-                if self._clock() + wait > deadline:
-                    raise
-                self._sleep(wait)
-                backoff = min(backoff * 2, 2.0)
-            except OSError:
-                # connection refused/reset (server restarting, or an
-                # injected transport drop) — same budgeted retry
-                if deadline is None or self._clock() + backoff > deadline:
-                    raise
-                self._sleep(backoff)
-                backoff = min(backoff * 2, 2.0)
-
-    def _request_once(self, method: str, path: str,
-                      payload: Mapping | None) -> dict:
+        """One logical request, through the fault seam."""
         from repro.service.faults import InjectedFault
         rule = self._plan.fire(self._fault_site(path)) \
             if self._plan else None

@@ -103,22 +103,20 @@ class _HttpReply(Exception):
 class ServiceServer:
     """The job service: one engine, one scheduler, one HTTP listener.
 
-    Without ``engine`` it builds one at one job: the scheduler runs the
-    engine on executor threads, where a process pool must not fork.
+    Without ``engine`` it builds one at the default width; the
+    scheduler runs it on executor threads, which never fork a process
+    pool, so every batch simulates on its executor thread.
     """
 
     def __init__(self, engine: Engine | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
                  max_workers: int = 2, max_jobs: int = 256,
-                 metrics: Metrics | None = None,
                  drain_grace: float = 30.0):
-        self.engine = engine if engine is not None else Engine(jobs=1)
+        self.engine = engine if engine is not None else Engine()
         self.host = host
         self.port = port
-        #: the registry behind ``GET /v1/metrics``; a fresh one per
-        #: server unless the caller shares its own (two servers on
-        #: one registry would collide on the scheduler series)
-        self.metrics = metrics if metrics is not None else Metrics()
+        #: the registry behind ``GET /v1/metrics``, one per server
+        self.metrics = Metrics()
         instrument_engine(self.metrics, self.engine)
         queue = getattr(self.engine.backend, "queue", None)
         if isinstance(queue, WorkQueue):
@@ -687,7 +685,6 @@ def serve(engine: Engine | None = None, *, host: str = "127.0.0.1",
 def background_server(engine: Engine | None = None, *,
                       host: str = "127.0.0.1", port: int = 0,
                       max_workers: int = 2, max_jobs: int = 256,
-                      metrics: Metrics | None = None,
                       drain_grace: float = 30.0):
     """Run a server on a daemon thread; yields the started server.
 
@@ -705,7 +702,7 @@ def background_server(engine: Engine | None = None, *,
     async def _main() -> None:
         server = ServiceServer(engine, host=host, port=port,
                                max_workers=max_workers,
-                               max_jobs=max_jobs, metrics=metrics,
+                               max_jobs=max_jobs,
                                drain_grace=drain_grace)
         try:
             await server.start()

@@ -3,11 +3,11 @@
 A :class:`ServiceWorker` attaches to a ``repro serve --backend remote``
 instance and loops: lease one shard over ``POST /v1/work/lease``,
 resolve its specs on the *local* engine (which brings the worker's own
-memo, disk cache and process pool to bear), upload the ``RunStats``
-through ``POST /v1/work/complete``, repeat.  Any number of workers may
-attach to one service; the server's lease queue guarantees each shard
-is admitted exactly once no matter how many workers race or die
-mid-shard (see ``docs/backends.md``).
+memo and disk cache to bear), upload the ``RunStats`` through ``POST
+/v1/work/complete``, repeat.  Any number of workers may attach to one
+service; the server's lease queue guarantees each shard is admitted
+exactly once no matter how many workers race or die mid-shard (see
+``docs/backends.md``).
 
 The loop is hardened against every per-shard failure mode:
 
@@ -93,9 +93,9 @@ class ServiceWorker:
     and resets after any successful request.  ``clock`` and ``rng``
     are injectable for deterministic tests.
 
-    Without ``engine`` it builds one at one job: a worker is one member
-    of a fleet its operator sizes (and a leased shard holds one trace,
-    which the inline backend never pools).
+    Without ``engine`` it builds one at the default width; a leased
+    shard holds one trace, which the inline backend never pools, so
+    each shard simulates on the calling thread.
     """
 
     def __init__(self, url: str, engine: Engine | None = None, *,
@@ -120,7 +120,7 @@ class ServiceWorker:
         #: the REPRO_FAULTS environment plan, usually empty)
         self._plan = resolve_plan(fault_plan)
         self.client = ServiceClient(url, fault_plan=self._plan)
-        self.engine = engine if engine is not None else Engine(jobs=1)
+        self.engine = engine if engine is not None else Engine()
         self.worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
         self.poll_interval = poll_interval
         self.retry_backoff = retry_backoff

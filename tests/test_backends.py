@@ -53,9 +53,9 @@ def _work_then_close(worker: ServiceWorker) -> None:
 
 @pytest.fixture()
 def remote_service():
-    """A remote-backend service (four shards per dispatch) plus two
-    live worker threads."""
-    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0, shards=4)
+    """A remote-backend service (one shard per trace) plus two live
+    worker threads."""
+    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0)
     engine = Engine(use_cache=False, backend=backend)
     with background_server(engine) as server:
         workers = [ServiceWorker(server.url, Engine(use_cache=False),
@@ -90,8 +90,6 @@ def test_make_backend_registry():
         make_backend("gpu")
     with pytest.raises(ValueError, match="positive"):
         InlineBackend(jobs=0)
-    with pytest.raises(ValueError, match="positive"):
-        RemoteBackend(shards=0)
     with pytest.raises(ValueError, match="lease_ttl"):
         WorkQueue(lease_ttl=0)
 
@@ -275,14 +273,14 @@ def test_pool_workers_exit_when_the_parent_is_killed(tmp_path):
         proc.wait(timeout=10)
 
 
-def test_remote_jobs_hint_controls_fan_out(remote_service):
+def test_remote_backend_enqueues_one_shard_per_trace(remote_service):
     engine, _server, workers = remote_service
-    assert engine.backend.shards == 4
     results = engine.run_many(SMALL)
     serial = Engine(use_cache=False, jobs=1).run_many(SMALL)
     for spec in SMALL:
         assert results[spec].to_dict() == serial[spec].to_dict()
-    # the grid fanned out as 4 single-spec shards, all completed
+    # the grid's 4 traces fanned out as 4 single-spec shards, all
+    # completed
     assert engine.backend.counters()["enqueued_shards"] == 4
     # a worker counts a completion once the server acknowledges it,
     # which can land after run_many has already returned
@@ -469,7 +467,7 @@ def test_worker_death_releases_shard_without_double_admission(tmp_path):
     the TTL the shard is re-leased to worker B, whose results are
     admitted into the shared cache exactly once; A's eventual late
     upload is acknowledged as a duplicate and changes nothing."""
-    backend = RemoteBackend(lease_ttl=0.4, wait_timeout=60.0, shards=2)
+    backend = RemoteBackend(lease_ttl=0.4, wait_timeout=60.0)
     engine = Engine(cache_dir=tmp_path, backend=backend)
     specs = SMALL
     with background_server(engine) as server:

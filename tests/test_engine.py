@@ -365,43 +365,46 @@ def test_closed_engine_reads_back_and_drops_without_warning(tmp_path):
 # --- sharding -----------------------------------------------------------------
 
 
-def test_shard_specs_rejects_non_positive_jobs():
-    from repro.engine import shard_specs
-
-    specs = [RunSpec(BENCH, "mom", "ideal")]
-    for jobs in (0, -1, -100):
-        with pytest.raises(ValueError, match="positive"):
-            shard_specs(specs, jobs)
-
-
 def test_shard_specs_empty_and_oversubscribed():
+    """No specs yield no shards, and a grid with many more specs than
+    traces still yields no empty shard: the shards partition the
+    specs."""
     from repro.engine import shard_specs
 
-    # no specs -> no shards (and no crash), whatever jobs says
-    assert shard_specs([], 1) == []
-    assert shard_specs([], 8) == []
+    assert shard_specs([]) == []
 
-    # more jobs than specs must never yield an empty shard
     sweep = Sweep(benchmarks=(BENCH,), codings=("mom", "mom3d"),
                   memsystems=("vector",), l2_latencies=(20, 40))
     specs = sweep.specs()
-    shards = shard_specs(specs, 32)
+    shards = shard_specs(specs)
     assert all(shards), "no shard may be empty"
     flattened = [spec for shard in shards for spec in shard]
     assert sorted(flattened, key=str) == sorted(specs, key=str)
 
 
 def test_shard_specs_groups_by_workload():
+    """One shard per ``(benchmark, coding, seed)`` trace, in first-seen
+    order, each keeping its specs in input order."""
     from repro.engine import shard_specs
 
     sweep = Sweep(benchmarks=(BENCH, "jpeg_encode"),
-                  codings=("mom",), memsystems=("vector", "multibank"),
+                  codings=("mom", "mom3d"),
+                  memsystems=("vector", "multibank"),
                   l2_latencies=(20, 40))
-    shards = shard_specs(sweep.specs(), 2)
-    assert len(shards) == 2  # one per (benchmark, coding, seed) group
-    for shard in shards:
-        keys = {(s.benchmark, s.coding, s.seed) for s in shard}
-        assert len(keys) == 1
+    # each trace's specs arrive interleaved with the others', odd
+    # positions reversed first, then the even ones in order; a cold
+    # spec shares its trace's shard, and another seed is another trace
+    grid = sweep.specs()
+    cold = RunSpec(BENCH, "mom", "ideal", warm=False)
+    other_seed = RunSpec(BENCH, "mom", "ideal", seed=1)
+    specs = grid[1::2][::-1] + [cold] + grid[::2] + [other_seed]
+    traces = [("jpeg_encode", "mom3d", 0), ("jpeg_encode", "mom", 0),
+              (BENCH, "mom3d", 0), (BENCH, "mom", 0), (BENCH, "mom", 1)]
+    shards = shard_specs(specs)
+    assert len(shards) == len(traces)
+    for trace, shard in zip(traces, shards):
+        assert shard == [s for s in specs
+                         if (s.benchmark, s.coding, s.seed) == trace]
 
 
 # --- parallel determinism -----------------------------------------------------

@@ -190,11 +190,10 @@ def test_store_error_write_leaves_nothing(tmp_path):
 # --- the transport seam ------------------------------------------------------
 
 
-def _recording_client(plan, **kwargs):
+def _recording_client(plan):
     from repro.service import ServiceClient
 
-    client = ServiceClient("http://127.0.0.1:1", fault_plan=plan,
-                           **kwargs)
+    client = ServiceClient("http://127.0.0.1:1", fault_plan=plan)
     calls = []
 
     def send(method, path, payload=None):
@@ -213,22 +212,14 @@ def test_transport_dup_sends_twice_returns_second_reply():
     assert reply == {"ok": 2}  # the second (surviving) reply wins
 
 
-def test_transport_drop_is_retried_within_budget():
-    plan = FaultPlan.parse("transport.lease:drop@1")
-    slept = []
-    client, calls = _recording_client(plan, retry_budget=10.0,
-                                      sleep=slept.append)
-    reply = client._request("POST", "/v1/work/lease", {})
-    assert reply == {"ok": 1}
-    assert slept  # the drop cost one backoff pause
-    assert calls == ["/v1/work/lease"]  # dropped pre-send, then sent
-
-
 def test_transport_drop_without_budget_raises():
     plan = FaultPlan.parse("transport.complete:drop@1")
-    client, _calls = _recording_client(plan)
+    client, calls = _recording_client(plan)
     with pytest.raises(InjectedFault):
         client._request("POST", "/v1/work/complete", {})
+    assert calls == []  # dropped before it reached the wire
+    # the caller's own retry goes out
+    assert client._request("POST", "/v1/work/complete", {}) == {"ok": 1}
 
 
 def test_transport_sites_route_by_path():

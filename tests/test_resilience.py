@@ -1,5 +1,5 @@
-"""Job deadlines, client retry budget, graceful drain, and cache
-degradation — the service's refusal-and-recovery surfaces.
+"""Job deadlines, the client's fail-fast refusals, graceful drain, and
+cache degradation — the service's refusal-and-recovery surfaces.
 
 Unit halves run on injectable clocks (no real sleeping); the HTTP
 halves run over a real socket through :func:`background_server` to pin
@@ -36,76 +36,30 @@ class FakeClock:
         return self.now
 
 
-# --- client retry budget ------------------------------------------------------
-
-
-def _budgeted_client(budget: float):
-    clock = FakeClock()
-    slept = []
-
-    def sleep(seconds: float) -> None:
-        slept.append(seconds)
-        clock.now += seconds
-
-    client = ServiceClient("http://127.0.0.1:1", retry_budget=budget,
-                           clock=clock, sleep=sleep)
-    return client, clock, slept
-
-
-def test_retry_budget_honors_retry_after():
-    client, _clock, slept = _budgeted_client(10.0)
-    calls = []
-
-    def send(method, path, payload=None):
-        calls.append(path)
-        if len(calls) < 3:
-            raise ServiceError(429, None, retry_after=3.0)
-        return {"ok": True}
-
-    client._send = send
-    assert client._request("POST", "/v1/jobs", {}) == {"ok": True}
-    assert slept == [3.0, 3.0]
-    assert len(calls) == 3
-
-
-def test_retry_budget_refuses_waits_it_cannot_afford():
-    client, _clock, slept = _budgeted_client(10.0)
-    calls = []
-
-    def send(method, path, payload=None):
-        calls.append(path)
-        raise ServiceError(503, None, retry_after=20.0)
-
-    client._send = send
-    with pytest.raises(ServiceError):
-        client._request("POST", "/v1/jobs", {})
-    assert len(calls) == 1  # a 20s wait never fit a 10s budget
-    assert slept == []
+# --- the client fails fast ----------------------------------------------------
 
 
 def test_no_budget_fails_fast():
-    client = ServiceClient("http://127.0.0.1:1")
-    calls = []
+    """A refusal (429, 503), a client error (400) or a transport
+    failure raises on the first attempt, without sleeping; the caller
+    decides what comes next."""
+    slept = []
+    client = ServiceClient("http://127.0.0.1:1", sleep=slept.append)
+    for error in (ServiceError(429, None, retry_after=1.0),
+                  ServiceError(503, None, retry_after=1.0),
+                  ServiceError(400, None),
+                  ConnectionRefusedError("refused")):
+        calls = []
 
-    def send(method, path, payload=None):
-        calls.append(path)
-        raise ServiceError(429, None, retry_after=1.0)
+        def send(method, path, payload=None):
+            calls.append(path)
+            raise error
 
-    client._send = send
-    with pytest.raises(ServiceError):
-        client._request("POST", "/v1/jobs", {})
-    assert len(calls) == 1
-
-
-def test_non_retryable_statuses_raise_immediately():
-    client, _clock, _slept = _budgeted_client(60.0)
-
-    def send(method, path, payload=None):
-        raise ServiceError(400, None)
-
-    client._send = send
-    with pytest.raises(ServiceError):
-        client._request("POST", "/v1/jobs", {})
+        client._send = send
+        with pytest.raises(type(error)):
+            client._request("POST", "/v1/jobs", {})
+        assert len(calls) == 1, error
+    assert slept == []
 
 
 def test_retry_after_header_parsing():

@@ -69,7 +69,7 @@ def test_paper_grids_parity_across_backends(tmp_path):
     assert pool_stats["simulations"] == len(GRID)
     _assert_warm(tmp_path / "pool", reference)
 
-    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0, shards=4)
+    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0)
     with closing(Engine(cache_dir=tmp_path / "remote",
                         backend=backend)) as engine, \
             background_server(engine) as server:

@@ -183,6 +183,28 @@ def test_cli_refuses_remote_backend_outside_serve(capsys):
     assert "only under 'repro serve'" in messages.pop()
 
 
+def test_cli_refuses_jobs_on_serve_and_worker(capsys, monkeypatch):
+    """Neither service command ever pools (serve's executor threads
+    never fork; a worker's leased shard holds one trace), so both
+    refuse ``--jobs``, before or after the subcommand, with one
+    message."""
+    from repro import cli
+
+    # an accepted command returns at once instead of serving
+    monkeypatch.setattr(cli, "_cmd_serve", lambda args: 0)
+    monkeypatch.setattr(cli, "_cmd_worker", lambda args: 0)
+    messages = set()
+    for argv in (["--jobs", "2", "serve"], ["serve", "--jobs", "2"],
+                 ["--jobs", "2", "worker"], ["worker", "--jobs", "2"],
+                 ["-j", "1", "serve", "--backend", "remote"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        messages.add(captured.err)
+    assert len(messages) == 1
+    assert "--jobs" in messages.pop()
+
+
 def test_cli_worker_gives_up_when_idle(capsys):
     assert main(["worker", "--url", "http://127.0.0.1:1",
                  "--max-idle", "0.2", "--no-cache"]) == 0
@@ -311,12 +333,11 @@ def test_one_shot_predicate():
 
 def test_the_usable_cores_are_the_one_default_width(monkeypatch,
                                                     tmp_path):
-    """Every local engine defaults to the usable cores: ``Engine()``,
-    ``Runner()``, ``InlineBackend()`` and every engine command but
-    ``serve`` and ``worker``, which run one job, as do the engines
-    ``ServiceServer()`` and ``ServiceWorker()`` build.  The remote
-    backend's shard fan-out stays 1.  An explicit ``--jobs`` or
-    ``jobs=``, before or after the subcommand, wins."""
+    """Every engine defaults to the usable cores: ``Engine()``,
+    ``Runner()``, ``InlineBackend()``, every engine command, ``serve``
+    and ``worker`` included, and the engines ``ServiceServer()`` and
+    ``ServiceWorker()`` build.  An explicit ``--jobs`` or ``jobs=``,
+    before or after the subcommand, wins."""
     import asyncio
     import os
 
@@ -329,26 +350,19 @@ def test_the_usable_cores_are_the_one_default_width(monkeypatch,
                         raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
-    def width(*argv):
+    def backend(*argv):
         with _runner(parse_args(["--no-cache", *argv])) as runner:
-            backend = runner.engine.backend
-            return (backend.name,
-                    backend.jobs if backend.name == "inline"
-                    else backend.shards)
+            return runner.engine.backend
 
     for argv in (["tables"], ["all"], ["run", "fig3"], ["report"],
                  ["sweep"], ["explore"], ["replay", "t.bin"],
                  ["bench", "gsm_encode"]):
-        assert width(*argv) == ("inline", 3), argv
-        assert width("--jobs", "1", *argv) == ("inline", 1), argv
-        assert width(*argv, "--jobs", "2") == ("inline", 2), argv
+        assert backend(*argv).jobs == 3, argv
+        assert backend("--jobs", "1", *argv).jobs == 1, argv
+        assert backend(*argv, "--jobs", "2").jobs == 2, argv
     for argv in (["serve"], ["worker"]):
-        assert width(*argv) == ("inline", 1), argv
-        assert width("--jobs", "4", *argv) == ("inline", 4), argv
-        assert width(*argv, "--jobs", "2") == ("inline", 2), argv
-    assert width("serve", "--backend", "remote") == ("remote", 1)
-    assert width("--jobs", "4", "serve", "--backend", "remote") == \
-        ("remote", 4)
+        assert backend(*argv).jobs == 3, argv
+    assert backend("serve", "--backend", "remote").name == "remote"
 
     for engine in (Engine(use_cache=False),
                    Runner(use_cache=False).engine):
@@ -360,14 +374,12 @@ def test_the_usable_cores_are_the_one_default_width(monkeypatch,
         assert engine.backend.jobs == 2
         engine.close()
     assert InlineBackend(jobs=2).jobs == 2
-    assert Engine(use_cache=False, backend="remote").backend.shards == 1
-    assert make_backend("remote", jobs=4).shards == 4
 
     server = ServiceServer()
     worker = ServiceWorker("http://127.0.0.1:9")
     try:
-        assert server.engine.backend.jobs == 1
-        assert worker.engine.backend.jobs == 1
+        assert server.engine.backend.jobs == 3
+        assert worker.engine.backend.jobs == 3
     finally:
         asyncio.run(server.close())
         server.engine.close()

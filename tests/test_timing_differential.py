@@ -296,12 +296,13 @@ def test_grid_modes_bit_identical_process(paper_grid_baseline, route):
 
 @pytest.mark.parametrize("route", tuple(_ROUTE_PLANS))
 def test_grid_modes_bit_identical_remote(paper_grid_baseline, route):
-    """Remote execution: shards keep trace groups together, and the
-    worker plans each leased shard with the local rule — the lease
-    carries only its specs — so its engine counts the same grid groups
-    and per-spec fallbacks as an inline dispatch of the route."""
+    """Remote execution: each shard is one whole trace, and the worker
+    plans each leased shard with the local rule — the lease carries
+    only its specs — so its engine counts the same grid groups and
+    per-spec fallbacks as an inline dispatch of the route, and the
+    coordinator's planned counters equal what the worker ran."""
     specs, baseline = _routed(paper_grid_baseline, route)
-    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0, shards=3)
+    backend = RemoteBackend(lease_ttl=10.0, wait_timeout=120.0)
     engine = Engine(use_cache=False, backend=backend)
     worker_engine = Engine(use_cache=False)
     with background_server(engine) as server:
@@ -323,3 +324,4 @@ def test_grid_modes_bit_identical_remote(paper_grid_baseline, route):
             worker.stop()
             thread.join(timeout=30)
     assert _plan_counts(worker_engine) == _ROUTE_PLANS[route]
+    assert _plan_counts(engine) == _plan_counts(worker_engine)

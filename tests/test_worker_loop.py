@@ -245,7 +245,7 @@ def test_fleet_survives_a_worker_with_a_broken_engine(tmp_path):
     The grid still resolves with exactly one admission per shard, A
     keeps polling the whole time, and the failures surface in the
     server's fleet gauges."""
-    backend = RemoteBackend(lease_ttl=0.4, wait_timeout=60.0, shards=2)
+    backend = RemoteBackend(lease_ttl=0.4, wait_timeout=60.0)
     expected = Engine(use_cache=False,
                       backend="inline").run_many(SPECS)
     with closing(Engine(use_cache=False, backend=backend)) as engine, \
